@@ -47,6 +47,10 @@ class Graph:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(self._edges)
 
+    def has_edge(self, eid: str) -> bool:
+        """Membership without the copy that `edges` makes."""
+        return eid in self._edges
+
     def endpoints(self, eid: str) -> tuple[str, str]:
         return self._edges[eid]
 
@@ -205,7 +209,7 @@ class Face:
         if k == 0:
             raise ValueError(f"face {face_id}: empty boundary")
         for eid in edge_ids:
-            if eid not in graph.edges:
+            if not graph.has_edge(eid):
                 raise ValueError(f"face {face_id}: unknown edge {eid}")
         # Choose the start vertex of the first edge so the walk closes up.
         first = edge_ids[0]
@@ -297,7 +301,7 @@ class TwoComplex:
             if f.face_id in self._faces:
                 raise ValueError(f"duplicate face id {f.face_id}")
             for v, e, o in f.steps:
-                if e not in graph.edges:
+                if not graph.has_edge(e):
                     raise ValueError(f"face {f.face_id}: unknown edge {e}")
                 if graph.endpoints(e)[o] != v:
                     raise ValueError(f"face {f.face_id}: walk not incident at {v}")
@@ -365,7 +369,7 @@ def validate(complex: TwoComplex) -> list[Violation]:
         out.append(Violation("parallel-edge", b, f"edges {a} and {b} are parallel"))
     for fid, f in complex.faces.items():
         for v, e, o in f.steps:
-            if e not in g.edges or g.endpoints(e)[o] != v:
+            if not g.has_edge(e) or g.endpoints(e)[o] != v:
                 out.append(Violation("dangling-reference", fid,
                                      f"face {fid} references missing incidence"))
                 break
@@ -506,7 +510,7 @@ class Path:
 
     def check_in(self, graph: Graph) -> None:
         for (u, v), eid in zip(zip(self.vertices, self.vertices[1:]), self.edge_ids):
-            if eid not in graph.edges:
+            if not graph.has_edge(eid):
                 raise ValueError(f"path edge {eid} not in graph")
             if set(graph.endpoints(eid)) != {u, v}:
                 raise ValueError(f"path edge {eid} does not join {u} and {v}")

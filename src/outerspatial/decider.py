@@ -11,6 +11,7 @@ answer was established.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .complexes import (Graph, LinkGraph, Path, TwoComplex, contract_path,
@@ -20,7 +21,8 @@ from .embedding import (CrossingPair, Dart, MinorWitness,
                         OuterplanarityResult, RotationSystem, TracedFaces,
                         cycle_sides, find_minor, is_2_connected,
                         nesting_forest, test_outerplanar, test_planar,
-                        trace_faces, verify_minor_witness)
+                        trace_faces, verify_minor_witness, _children_index,
+                        _interior_bits, _is_containment_forest)
 from .surface import (SurfaceClass, classify_component,
                       _component_is_closed_surface, _orient_faces)
 
@@ -73,11 +75,15 @@ class ComponentCertificate:
         self.outer_darts = _normalize_orbit(tuple(outer_darts))
         self.parents = dict(parents)
 
+    @cached_property
+    def _children(self) -> dict[str | None, tuple[str, ...]]:
+        return _children_index(self.parents)
+
     def roots(self) -> tuple[str, ...]:
-        return tuple(sorted(c for c, p in self.parents.items() if p is None))
+        return self._children.get(None, ())
 
     def children(self, cid: str) -> tuple[str, ...]:
-        return tuple(sorted(c for c, p in self.parents.items() if p == cid))
+        return self._children.get(cid, ())
 
 
 def _normalize_orbit(orbit: tuple[Dart, ...]) -> tuple[Dart, ...]:
@@ -520,7 +526,11 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
 
     Re-traces the rotation system, checks genus zero per component, matches
     the designated outer faces, recomputes all interiors, and checks the
-    forest covers every face boundary with laminar interiors.
+    forest covers every face boundary: each child strictly inside its
+    parent, siblings (roots included) pairwise disjoint.  For the distinct
+    non-empty interiors of a valid complex that is the same as laminar
+    interiors with each parent the smallest strict superset; it shares no
+    code with the sweep that built the forest.
     """
     graph = complex.graph
     try:
@@ -557,12 +567,8 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
         if set(cert.parents) != set(comp_faces):
             return False
         covered |= set(comp_faces)
-        forest = nesting_forest(traced, comp_faces, outer_face=outer_index)
-        if isinstance(forest, CrossingPair):
-            return False
-        if not forest.is_laminar():
-            return False
-        if forest.parent != cert.parents:
+        interiors = _interior_bits(traced, comp_faces, outer_index)
+        if not _is_containment_forest(interiors, cert.parents):
             return False
     return covered == set(complex.face_ids())
 

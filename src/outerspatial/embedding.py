@@ -16,11 +16,27 @@ if int(c1) = A and int(c2) = B they are nested; if int(c2) = B' then
 int(c1) = A is disjoint from B'; if int(c1) = A' then o in A <= B so
 int(c2) = B', and A' >= B' follows from A <= B.  This is exercised by tests
 over every outer-face choice.
+
+Converse: if for one outer face the interiors are laminar, no pair crosses.
+Nested interiors put a side of one cycle inside a side of the other, and
+disjoint interiors put int(c1) inside the complement of int(c2), which is
+the other side of c2.  So "no pair crosses", "laminar for some outer face"
+and "laminar for every outer face" are one property.  `nesting_forest`
+tests it with a single laminar sweep and scans pairs only to name the first
+crossing; `verify_certificate` tests it by checking the claimed forest.
+
+Equal interiors: the edges separating the two sides of a cycle are exactly
+its own edges, so two cycles have equal interiors only when they have the
+same edge set, which for genuine cycles is a duplicate boundary.  `validate`
+rejects duplicate boundaries in complexes and `nesting_forest` rejects them
+with ValueError; the forest check fails on them, as a child equal to its
+parent or to a sibling is neither strictly inside nor disjoint.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -97,7 +113,7 @@ class TracedFaces:
         for i, orbit in enumerate(self.orbits):
             for d in orbit:
                 self._orbit_of[d] = i
-        self._side_cache: dict[frozenset[str], tuple[frozenset[int], frozenset[int]]] = {}
+        self._side_cache: dict[frozenset[str], tuple[int, int]] = {}
 
     @property
     def genus(self) -> int:
@@ -114,9 +130,12 @@ class TracedFaces:
     def orbit_index_of(self, dart: Dart) -> int:
         return self._orbit_of[dart]
 
-    def outer_face_index(self) -> int:
-        """The designated outer face: the first traced orbit."""
-        return 0
+    @cached_property
+    def _dual_darts(self) -> tuple[tuple[tuple[str, int, str], ...], ...]:
+        """Per orbit, one (edge id, orbit across that edge, tail vertex) per dart."""
+        ends = self.graph.endpoints
+        return tuple(tuple((eid, self._orbit_of[(eid, 1 - o)], ends(eid)[o]) for eid, o in orbit)
+                     for orbit in self.orbits)
 
     def __repr__(self) -> str:
         return f"TracedFaces({len(self.orbits)} orbits, genus {self.genus})"
@@ -395,7 +414,7 @@ def verify_minor_witness(graph: Graph, witness: MinorWitness) -> bool:
             return False
     for i, j in pattern_edges:
         eid = witness.connecting_edges.get((i, j))
-        if eid is None or eid not in graph.edges:
+        if eid is None or not graph.has_edge(eid):
             return False
         u, v = graph.endpoints(eid)
         if not ((u in sets[i] and v in sets[j]) or (u in sets[j] and v in sets[i])):
@@ -505,7 +524,7 @@ def check_cycle(graph: Graph, cycle_edges: Iterable[str]) -> frozenset[str]:
         raise ValueError("empty cycle")
     deg: dict[str, int] = {}
     for eid in es:
-        if eid not in graph.edges:
+        if not graph.has_edge(eid):
             raise ValueError(f"unknown edge {eid}")
         u, v = graph.endpoints(eid)
         if u == v:
@@ -524,38 +543,84 @@ def cycle_sides(traced: TracedFaces, cycle_edges: Iterable[str]) -> tuple[frozen
     """Split the traced faces into the two sides of a cycle.
 
     Removing the dual edges that cross the cycle must leave exactly two
-    components of the dual graph; requires genus zero.
+    components of the dual graph; requires genus zero.  The side holding
+    orbit 0 comes first.
+    """
+    side_a, side_b = _side_bits(traced, cycle_edges)
+    return _orbit_set(side_a), _orbit_set(side_b)
+
+
+def _side_bits(traced: TracedFaces, cycle_edges: Iterable[str]) -> tuple[int, int]:
+    """The two sides of a cycle as bitsets over orbits, the side holding orbit 0 first.
+
+    Two searches of the dual graph, barred from crossing the cycle, start at
+    the faces on either side of one cycle edge and take turns, so the work
+    is bounded by the smaller side S.  That exactly two sides remain is then
+    checked on S alone: the searches never meet, every cycle edge has exactly
+    one face in S, and the closure X of S has Euler characteristic 1.  X is
+    a connected proper subcomplex of the sphere, so by Alexander duality its
+    complement has 2 - chi(X) components; with the cut edges exactly the
+    cycle, these are the components of the other side.  Cached per tracing.
     """
     cyc = frozenset(cycle_edges)
-    if cyc in traced._side_cache:
-        return traced._side_cache[cyc]
+    cached = traced._side_cache.get(cyc)
+    if cached is not None:
+        return cached
     if traced.genus != 0:
         raise ValueError("cycle sides are defined only on genus-zero tracings")
     check_cycle(traced.graph, cyc)
-    n = len(traced.orbits)
-    parent = list(range(n))
+    dual = traced._dual_darts
+    e0 = min(cyc)
+    starts = (traced.orbit_index_of((e0, 0)), traced.orbit_index_of((e0, 1)))
+    if starts[0] == starts[1]:
+        raise AssertionError("cycle leaves the sphere in one piece")
+    side_of = {starts[0]: 0, starts[1]: 1}
+    stacks = ([starts[0]], [starts[1]])
+    done = None
+    while done is None:
+        for s, stack in enumerate(stacks):
+            if not stack:
+                done = s
+                break
+            for eid, y, _ in dual[stack.pop()]:
+                if eid in cyc:
+                    continue
+                t = side_of.get(y)
+                if t is None:
+                    side_of[y] = s
+                    stack.append(y)
+                elif t != s:
+                    raise AssertionError("cycle leaves the sphere in one piece")
+    small = [x for x, s in side_of.items() if s == done]
+    small_bits = 0
+    for x in small:
+        small_bits |= 1 << x
+    for eid in cyc:
+        ends_inside = ((small_bits >> traced.orbit_index_of((eid, 0))) & 1) + \
+            ((small_bits >> traced.orbit_index_of((eid, 1))) & 1)
+        if ends_inside != 1:
+            raise AssertionError("cycle edges do not all bound the smaller side")
+    vertices: set[str] = set()
+    edges: set[str] = set()
+    for x in small:
+        for eid, _, tail in dual[x]:
+            edges.add(eid)
+            vertices.add(tail)
+    if len(vertices) - len(edges) + len(small) != 1:
+        raise AssertionError("cycle splits the sphere into more than two sides")
+    other_bits = ((1 << len(traced.orbits)) - 1) ^ small_bits
+    sides = (small_bits, other_bits) if small_bits & 1 else (other_bits, small_bits)
+    traced._side_cache[cyc] = sides
+    return sides
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for eid in traced.graph.edges:
-        if eid in cyc:
-            continue
-        a = find(traced.orbit_index_of((eid, 0)))
-        b = find(traced.orbit_index_of((eid, 1)))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[int, set[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), set()).add(i)
-    if len(groups) != 2:
-        raise AssertionError(f"cycle separates the sphere into {len(groups)} parts")
-    side_a, side_b = sorted((frozenset(s) for s in groups.values()), key=min)
-    traced._side_cache[cyc] = (side_a, side_b)
-    return side_a, side_b
+def _orbit_set(bits: int) -> frozenset[int]:
+    return frozenset(_bits(bits))
+
+
+def _sides_cross(sides1: tuple[int, int], sides2: tuple[int, int]) -> bool:
+    """No side of one cycle lies inside a side of the other."""
+    return all(a & ~b for a in sides1 for b in sides2)
 
 
 def cycles_cross(traced: TracedFaces, c1: Iterable[str], c2: Iterable[str]) -> bool:
@@ -563,35 +628,85 @@ def cycles_cross(traced: TracedFaces, c1: Iterable[str], c2: Iterable[str]) -> b
 
     Independent of any outer-face choice; equal cycles do not cross.
     """
-    a, a2 = cycle_sides(traced, c1)
-    b, b2 = cycle_sides(traced, c2)
-    return not (a <= b or a <= b2 or a2 <= b or a2 <= b2)
+    return _sides_cross(_side_bits(traced, c1), _side_bits(traced, c2))
+
+
+def _interior_bits(traced: TracedFaces, cycles: Mapping[str, frozenset[str]],
+                   outer_face: int) -> dict[str, int]:
+    """Each cycle's side away from the outer face, as a bitset over orbits."""
+    outer = 1 << outer_face
+    out = {}
+    for cid, edges in cycles.items():
+        side_a, side_b = _side_bits(traced, edges)
+        out[cid] = side_b if side_a & outer else side_a
+    return out
+
+
+def _children_index(parent: Mapping[str, str | None]) -> dict[str | None, tuple[str, ...]]:
+    """Sorted children of every node of a forest's parent map; roots under None."""
+    kids: dict[str | None, list[str]] = {}
+    for cid in sorted(parent):
+        kids.setdefault(parent[cid], []).append(cid)
+    return {p: tuple(cs) for p, cs in kids.items()}
+
+
+def _is_containment_forest(interiors: Mapping[str, int],
+                           parent: Mapping[str, str | None]) -> bool:
+    """Whether a parent map is the containment forest of laminar interiors.
+
+    Checks, in one pass, that every child lies strictly inside its parent
+    and that siblings, roots included, are pairwise disjoint.  For distinct
+    non-empty interiors this holds exactly when the family is laminar and
+    every parent is the smallest strict superset of its child: the ancestors
+    of a cycle are then exactly the interiors strictly containing it.
+    """
+    if parent.keys() != interiors.keys():
+        return False
+    covered: dict[str | None, int] = {}
+    for cid, p in parent.items():
+        inner = interiors[cid]
+        if p is not None:
+            outer = interiors.get(p)
+            if outer is None or inner & ~outer or inner == outer:
+                return False
+        taken = covered.get(p, 0)
+        if taken & inner:
+            return False
+        covered[p] = taken | inner
+    return True
 
 
 class NestingForest:
-    """Laminar containment forest of cycle interiors on a sphere tracing."""
+    """Laminar containment forest of cycle interiors on a sphere tracing.
 
-    def __init__(self, outer_face: int, interiors: Mapping[str, frozenset[int]],
+    Interiors are held as bitsets over orbits; `interiors` spells them out.
+    """
+
+    def __init__(self, outer_face: int, interior_bits: Mapping[str, int],
                  parent: Mapping[str, str | None]):
         self.outer_face = outer_face
-        self.interiors = dict(interiors)
+        self.interior_bits = dict(interior_bits)
         self.parent = dict(parent)
 
+    @cached_property
+    def interiors(self) -> dict[str, frozenset[int]]:
+        return {cid: _orbit_set(bits) for cid, bits in self.interior_bits.items()}
+
+    @cached_property
+    def _children(self) -> dict[str | None, tuple[str, ...]]:
+        return _children_index(self.parent)
+
     def roots(self) -> tuple[str, ...]:
-        return tuple(sorted(c for c, p in self.parent.items() if p is None))
+        return self._children.get(None, ())
 
     def children(self, cid: str) -> tuple[str, ...]:
-        return tuple(sorted(c for c, p in self.parent.items() if p == cid))
+        return self._children.get(cid, ())
 
     def is_laminar(self) -> bool:
-        ints = sorted(self.interiors.items())
-        for (_, a), (_, b) in itertools.combinations(ints, 2):
-            if not (a <= b or b <= a or not (a & b)):
-                return False
-        return True
+        return _is_containment_forest(self.interior_bits, self.parent)
 
     def __repr__(self) -> str:
-        return f"NestingForest({len(self.interiors)} cycles)"
+        return f"NestingForest({len(self.interior_bits)} cycles)"
 
 
 class CrossingPair:
@@ -608,32 +723,49 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
     """Containment forest of cycle interiors, or the first crossing pair.
 
     The outer face defaults to the first traced orbit; the interior of a
-    cycle is its side away from the outer face.  Crossing pairs are reported
-    in lexicographic order of cycle ids.
+    cycle is its side away from the outer face.  One laminar sweep builds
+    the forest; only when it finds the interiors not laminar are the pairs
+    scanned, in lexicographic order of cycle ids, for the first crossing.
+    Two cycles with the same edge set are rejected.
     """
     ids = sorted(cycles)
     edge_sets = {cid: frozenset(cycles[cid]) for cid in ids}
-    for ca, cb in itertools.combinations(ids, 2):
-        if cycles_cross(traced, edge_sets[ca], edge_sets[cb]):
-            return CrossingPair(ca, cb)
-    outer = traced.outer_face_index() if outer_face is None else outer_face
-    interiors: dict[str, frozenset[int]] = {}
+    first_with: dict[frozenset[str], str] = {}
     for cid in ids:
-        sa, sb = cycle_sides(traced, edge_sets[cid])
-        interiors[cid] = sb if outer in sa else sa
-    parent = _containment_forest(interiors)
-    return NestingForest(outer, interiors, parent)
+        other = first_with.setdefault(edge_sets[cid], cid)
+        if other != cid:
+            raise ValueError(f"cycles {other} and {cid} have the same edge set")
+    outer = 0 if outer_face is None else outer_face
+    interiors = _interior_bits(traced, edge_sets, outer)
+    parent = _laminar_sweep(interiors, len(traced.orbits))
+    if parent is not None:
+        return NestingForest(outer, interiors, parent)
+    sides = {cid: _side_bits(traced, edge_sets[cid]) for cid in ids}
+    for ca, cb in itertools.combinations(ids, 2):
+        if _sides_cross(sides[ca], sides[cb]):
+            return CrossingPair(ca, cb)
+    raise AssertionError("interiors not laminar, yet no pair of cycles crosses")
 
 
-def _containment_forest(interiors: Mapping[str, frozenset[int]]) -> dict[str, str | None]:
-    """Parent = minimal strict superset; equal interiors chain by id order."""
+def _laminar_sweep(interiors: Mapping[str, int], orbits: int) -> dict[str, str | None] | None:
+    """Parent (smallest strict superset) of every interior, or None if not laminar.
+
+    Visits interiors by decreasing size, then id, and keeps for every orbit
+    the innermost interior visited so far that holds it.  A cycle's parent
+    is the holder all its orbits share; when they disagree, some earlier
+    interior overlaps this one without containing it.  Interiors must be
+    distinct.
+    """
+    holder: list[str | None] = [None] * orbits
     parent: dict[str, str | None] = {}
-    for c in sorted(interiors):
-        candidates = [d for d in interiors
-                      if d != c and (interiors[c] < interiors[d]
-                                     or (interiors[c] == interiors[d] and d < c))]
-        if candidates:
-            parent[c] = min(candidates, key=lambda d: (len(interiors[d]), d))
-        else:
-            parent[c] = None
-    return parent
+    for cid in sorted(interiors, key=lambda c: (-interiors[c].bit_count(), c)):
+        bits = _bits(interiors[cid])
+        first = next(bits)
+        shared = holder[first]
+        holder[first] = cid
+        for i in bits:
+            if holder[i] != shared:
+                return None
+            holder[i] = cid
+        parent[cid] = shared
+    return dict(sorted(parent.items()))

@@ -41,7 +41,7 @@ def _check_id(line_no: int, token: str) -> str:
 
 def parse_complex(text: str) -> TwoComplex:
     """Parse a complex file; raises ParseError with the offending line."""
-    vertices: list[str] = []
+    vertices: set[str] = set()
     edges: dict[str, tuple[str, str]] = {}
     face_specs: list[tuple[int, str, str, list[str]]] = []
     seen: set[str] = set()
@@ -54,7 +54,7 @@ def parse_complex(text: str) -> TwoComplex:
             if vid in seen:
                 raise ParseError(line_no, f"duplicate id {vid}")
             seen.add(vid)
-            vertices.append(vid)
+            vertices.add(vid)
         elif directive == "edge":
             if len(toks) != 4:
                 raise ParseError(line_no, "edge takes an id and two endpoints")
@@ -160,12 +160,11 @@ def format_certificate(cert: NestedCertificate) -> list[str]:
         lines.append("  component " + " ".join(comp.vertices) + ":")
         lines.append("    outer: " + " ".join(_format_half_edge(d) for d in comp.outer_darts))
         lines.append("    forest:")
-        def emit(fid: str, depth: int) -> None:
+        stack = [(root, 0) for root in reversed(comp.roots())]
+        while stack:
+            fid, depth = stack.pop()
             lines.append(" " * (6 + 2 * depth) + fid)
-            for child in comp.children(fid):
-                emit(child, depth + 1)
-        for root in comp.roots():
-            emit(root, 0)
+            stack.extend((child, depth + 1) for child in reversed(comp.children(fid)))
     return lines
 
 

@@ -1,0 +1,281 @@
+"""The laminar sweep and the linear forest check against the pairwise algorithm.
+
+The reference below is the algorithm the sweep replaced, kept here only: a
+union-find over every non-cycle edge for the sides of a cycle, a pairwise
+crossing scan in lexicographic order, and a quadratic search for each
+interior's smallest strict superset.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from outerspatial import decider, embedding
+from outerspatial import generators as gen
+from outerspatial.complexes import Face, TwoComplex
+from outerspatial.decider import (ComponentCertificate, NestedCertificate,
+                                  Outerspatial, _sphere_rotation_from_links,
+                                  decide_outerspatial, verify_certificate)
+from outerspatial.embedding import (CrossingPair, NestingForest, RotationSystem,
+                                    cycle_sides, nesting_forest, trace_faces)
+from outerspatial.fileformat import (format_certificate, format_verdict,
+                                     parse_certificate_report)
+
+
+def reference_sides(traced, cycle_edges):
+    cyc = frozenset(cycle_edges)
+    n = len(traced.orbits)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for eid in traced.graph.edges:
+        if eid in cyc:
+            continue
+        a = find(traced.orbit_index_of((eid, 0)))
+        b = find(traced.orbit_index_of((eid, 1)))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), set()).add(i)
+    assert len(groups) == 2
+    side_a, side_b = sorted((frozenset(s) for s in groups.values()), key=min)
+    return side_a, side_b
+
+
+def reference_cross(sides1, sides2):
+    (a, a2), (b, b2) = sides1, sides2
+    return not (a <= b or a <= b2 or a2 <= b or a2 <= b2)
+
+
+def reference_containment_forest(interiors):
+    """Parent = minimal strict superset; equal interiors chain by id order."""
+    parent = {}
+    for c in sorted(interiors):
+        candidates = [d for d in interiors
+                      if d != c and (interiors[c] < interiors[d]
+                                     or (interiors[c] == interiors[d] and d < c))]
+        if candidates:
+            parent[c] = min(candidates, key=lambda d: (len(interiors[d]), d))
+        else:
+            parent[c] = None
+    return parent
+
+
+def reference_nesting(traced, cycles, outer_faces):
+    """The first crossing pair, or the parent map for each outer face."""
+    ids = sorted(cycles)
+    sides = {cid: reference_sides(traced, cycles[cid]) for cid in ids}
+    for ca, cb in itertools.combinations(ids, 2):
+        if reference_cross(sides[ca], sides[cb]):
+            return (ca, cb)
+    out = {}
+    for outer in outer_faces:
+        interiors = {cid: b if outer in a else a for cid, (a, b) in sides.items()}
+        out[outer] = reference_containment_forest(interiors)
+    return out
+
+
+def stacked_sphere(seed, vertices):
+    """Tetrahedron plus seeded insertions, with every separating triangle as a cycle."""
+    rng = random.Random(seed)
+    complex = gen.tetra()
+    separating = {}
+    for k in range(vertices - 4):
+        triangles = sorted(fid for fid in complex.face_ids())
+        fid = rng.choice(triangles)
+        separating[f"s{fid}"] = complex.face(fid).edge_set
+        complex = gen.insert_vertex(complex, fid, f"v{k}")
+    traced = trace_faces(complex.graph, _sphere_rotation_from_links(complex))
+    cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
+    cycles.update(separating)
+    return complex, traced, cycles
+
+
+@given(seed=st.integers(0, 10**6), vertices=st.integers(4, 60))
+@settings(max_examples=25, deadline=None)
+def test_sweep_matches_reference_for_every_outer_face(seed, vertices):
+    _, traced, cycles = stacked_sphere(seed, vertices)
+    outer_faces = range(len(traced.orbits))
+    expected = reference_nesting(traced, cycles, outer_faces)
+    for outer in outer_faces:
+        forest = nesting_forest(traced, cycles, outer_face=outer)
+        assert isinstance(forest, NestingForest)
+        assert forest.parent == expected[outer]
+        assert forest.is_laminar()
+
+
+@given(seed=st.integers(0, 10**6), vertices=st.integers(4, 60))
+@settings(max_examples=25, deadline=None)
+def test_sides_match_reference(seed, vertices):
+    _, traced, cycles = stacked_sphere(seed, vertices)
+    for edges in cycles.values():
+        assert cycle_sides(traced, edges) == reference_sides(traced, edges)
+
+
+def bipyramid_family(seed):
+    """The faces of a bipyramid plus random cycles, half the time with crossing squares."""
+    rng = random.Random(seed)
+    n = rng.randrange(4, 9)
+    base = gen.bipyramid(n)
+    traced = trace_faces(base.graph, _sphere_rotation_from_links(base))
+    graph = base.graph
+    chosen = [f.vertices for f in base.faces.values()]
+    chosen += rng.sample(gen.all_cycles(graph, 5), rng.randrange(0, 4))
+    if seed % 2:
+        chosen += [("n", "a", "s", "c"), ("n", "b", "s", "d")]
+    family = {}
+    for vs in chosen:
+        edges = frozenset(graph.edges_between(vs[i], vs[(i + 1) % len(vs)])[0]
+                          for i in range(len(vs)))
+        if edges not in family.values():
+            family[f"c{rng.randrange(10**6):06d}"] = edges
+    return traced, family
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_first_crossing_pair_matches_reference(seed):
+    traced, family = bipyramid_family(seed)
+    for edges in family.values():
+        assert cycle_sides(traced, edges) == reference_sides(traced, edges)
+    expected = reference_nesting(traced, family, [0])
+    got = nesting_forest(traced, family)
+    if isinstance(expected, tuple):
+        assert isinstance(got, CrossingPair)
+        assert (got.first, got.second) == expected
+    else:
+        assert isinstance(got, NestingForest)
+        assert got.parent == expected[0]
+
+
+def test_crossing_families_are_found_without_the_pairwise_test(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pairwise crossing test called")
+
+    monkeypatch.setattr(embedding, "cycles_cross", refuse)
+    for seed in range(20):
+        traced, family = bipyramid_family(seed)
+        expected = reference_nesting(traced, family, [0])
+        if isinstance(expected, tuple):
+            got = nesting_forest(traced, family)
+            assert (got.first, got.second) == expected
+
+
+def test_duplicate_edge_sets_are_rejected(bipyramid4):
+    traced = trace_faces(bipyramid4.graph, _sphere_rotation_from_links(bipyramid4))
+    square = frozenset({"na", "sa", "nc", "sc"})
+    with pytest.raises(ValueError, match="same edge set"):
+        nesting_forest(traced, {"p": square, "q": square})
+
+
+def test_verifier_uses_neither_the_forest_builder_nor_the_sweep(monkeypatch):
+    complex = gen.bipyramid_with_equator(5)
+    verdict = decide_outerspatial(complex)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verifier reached the forest builder")
+
+    for module, name in ((embedding, "nesting_forest"), (decider, "nesting_forest"),
+                         (embedding, "_laminar_sweep")):
+        monkeypatch.setattr(module, name, refuse)
+    assert verify_certificate(complex, verdict.certificate)
+
+
+def nested_certificate():
+    """A positive verdict on a complex whose forest is three levels deep."""
+    complex = gen.bipyramid_with_equator(5)
+    verdict = decide_outerspatial(complex)
+    (comp,) = verdict.certificate.components
+    assert any(p is not None and comp.parents[p] is not None for p in comp.parents.values())
+    return complex, verdict.certificate, comp
+
+
+def _with_parents(cert, comp, parents):
+    return NestedCertificate(
+        cert.rotation, [ComponentCertificate(comp.vertices, comp.outer_darts, parents)])
+
+
+def _edges(parents):
+    return [(c, p) for c, p in sorted(parents.items()) if p is not None]
+
+
+def test_parent_swapped_with_child_is_rejected():
+    complex, cert, comp = nested_certificate()
+    tried = 0
+    for child, par in _edges(comp.parents):
+        bad = dict(comp.parents)
+        bad[child], bad[par] = comp.parents[par], child
+        assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+        tried += 1
+    assert tried
+
+
+def test_child_promoted_to_root_is_rejected():
+    complex, cert, comp = nested_certificate()
+    for child, _ in _edges(comp.parents):
+        bad = dict(comp.parents)
+        bad[child] = None
+        assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+
+
+def test_child_moved_onto_a_sibling_is_rejected():
+    complex, cert, comp = nested_certificate()
+    tried = 0
+    for child, par in _edges(comp.parents):
+        for sibling in comp.children(par):
+            if sibling == child:
+                continue
+            bad = dict(comp.parents)
+            bad[child] = sibling
+            assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+            tried += 1
+    assert tried
+
+
+def test_unmutated_certificate_verifies():
+    complex, cert, comp = nested_certificate()
+    assert verify_certificate(complex, _with_parents(cert, comp, comp.parents))
+
+
+def test_deep_chain_formats_and_round_trips():
+    depth = 3000
+    parents = {f"c{i:04d}": (f"c{i - 1:04d}" if i else None) for i in range(depth)}
+    cert = NestedCertificate(RotationSystem({}),
+                             [ComponentCertificate(("v",), (), parents)])
+    lines = format_certificate(cert)
+    assert lines[-1] == " " * (6 + 2 * (depth - 1)) + f"c{depth - 1:04d}"
+    text = format_verdict(Outerspatial(cert))
+    (comp,) = parse_certificate_report(text).components
+    assert comp.parents == parents
+    assert comp.children("c0000") == ("c0001",)
+    assert comp.roots() == ("c0000",)
+
+
+def test_forest_emission_order_is_depth_first_by_id():
+    parents = {"b": None, "a": None, "a2": "a", "a1": "a", "a11": "a1"}
+    cert = NestedCertificate(RotationSystem({}),
+                             [ComponentCertificate(("v",), (), parents)])
+    forest = format_certificate(cert)[-5:]
+    assert [line.strip() for line in forest] == ["a", "a1", "a11", "a2", "b"]
+    assert [len(line) - len(line.lstrip()) for line in forest] == [6, 8, 10, 8, 6]
+
+
+def test_crossing_squares_are_the_first_crossing_pair():
+    base = gen.bipyramid(4)
+    faces = list(base.faces.values())
+    faces.append(Face.from_vertices(base.graph, "x1", ("n", "a", "s", "c")))
+    faces.append(Face.from_vertices(base.graph, "x2", ("n", "b", "s", "d")))
+    complex = TwoComplex(base.graph, faces)
+    traced = trace_faces(complex.graph, _sphere_rotation_from_links(base))
+    cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
+    expected = reference_nesting(traced, cycles, [0])
+    got = nesting_forest(traced, cycles)
+    assert (got.first, got.second) == expected == ("x1", "x2")
