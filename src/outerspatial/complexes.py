@@ -591,6 +591,19 @@ def delete_faces(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
     return TwoComplex(Graph(complex.graph.vertices, complex.graph.edges), kept_faces)
 
 
+def face_subcomplex(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
+    """The subcomplex generated by a face subset: those faces plus their cells."""
+    chosen = sorted(set(face_ids))
+    faces = [complex.face(fid) for fid in chosen]
+    edges: dict[str, tuple[str, str]] = {}
+    vertices: set[str] = set()
+    for f in faces:
+        for eid in f.edge_ids:
+            edges[eid] = complex.graph.endpoints(eid)
+        vertices |= set(f.vertices)
+    return TwoComplex(Graph(vertices, edges), faces)
+
+
 def vertex_sum(h1: Graph, h2: Graph, v: str, pairing: Mapping[str, str]) -> Graph:
     """Glue two graphs at a shared vertex by pairing its incident edges.
 

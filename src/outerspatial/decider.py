@@ -15,18 +15,21 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .complexes import (Graph, LinkGraph, Path, TwoComplex, contract_path,
-                        contracted_vertex_name, delete_faces, link_graph,
-                        skeleton, split_components, validate)
+                        contracted_vertex_name, delete_faces, face_subcomplex,
+                        link_graph, skeleton, split_components, validate)
 from .embedding import (CrossingPair, Dart, MinorWitness,
                         OuterplanarityResult, RotationSystem, TracedFaces,
                         cycle_sides, find_minor, is_2_connected,
                         nesting_forest, test_outerplanar, test_planar,
                         trace_faces, verify_minor_witness, _children_index,
                         _interior_bits, _is_containment_forest)
-from .surface import (SurfaceClass, classify_component,
+from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
+                      search_aspherical_subcomplex,
                       _component_is_closed_surface, _orient_faces)
 
-ASPHERICAL_SEARCH_MAX_FACES = 20
+# Nodes the salvage search may visit; it finishes within this on every input
+# of at most 20 faces (see `surface._closed_face_sets`).
+ASPHERICAL_SEARCH_BUDGET = 2 ** 20
 
 
 class NonOuterplanarLink:
@@ -324,9 +327,9 @@ def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdi
 
     Components without faces are settled by planarity alone.  When link
     checks fail, a direct aspherical-subcomplex search still runs (sound
-    regardless of the hypothesis); only if that finds nothing is
-    HypothesisViolated returned.  Every verdict is re-verified before it is
-    handed out.
+    regardless of the hypothesis); only if that finds nothing, or runs out
+    of its node budget (stated in a note), is HypothesisViolated returned.
+    Every verdict is re-verified before it is handed out.
     """
     problems = validate(complex)
     if problems:
@@ -384,15 +387,18 @@ def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdi
         return verdict
 
     # Salvage: an aspherical subcomplex is a sound obstruction regardless of
-    # the hypothesis; search directly when the face count permits.
-    if len(faces) <= ASPHERICAL_SEARCH_MAX_FACES:
-        from . import oracle
-        found = oracle.find_aspherical_subcomplex(complex)
-        if found is not None:
-            face_ids, sclass = found
-            verdict = NotOuterspatial(AsphericalSubcomplex(face_ids, sclass))
-            _self_check(complex, verdict)
-            return verdict
+    # the hypothesis; search for one within the node budget.
+    try:
+        found = search_aspherical_subcomplex(complex, ASPHERICAL_SEARCH_BUDGET)
+    except SearchBudgetExceeded as exc:
+        notes.append(f"aspherical-subcomplex search stopped after {exc.nodes} "
+                     f"nodes, its budget of {exc.budget}")
+        return HypothesisViolated(violations, notes)
+    if found is not None:
+        face_ids, sclass = found
+        verdict = NotOuterspatial(AsphericalSubcomplex(face_ids, sclass))
+        _self_check(complex, verdict)
+        return verdict
     return HypothesisViolated(violations, notes)
 
 
@@ -601,19 +607,6 @@ def verify_obstruction(complex: TwoComplex, obstruction: Obstruction,
         outcome = oracle.brute_force_nested(skeleton(complex), cycles, cap=cap)
         return isinstance(outcome, ExhaustiveFailure)
     return False
-
-
-def face_subcomplex(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
-    """The subcomplex generated by a face subset: those faces plus their cells."""
-    chosen = sorted(set(face_ids))
-    faces = [complex.face(fid) for fid in chosen]
-    edges: dict[str, tuple[str, str]] = {}
-    vertices: set[str] = set()
-    for f in faces:
-        for eid in f.edge_ids:
-            edges[eid] = complex.graph.endpoints(eid)
-        vertices |= set(f.vertices)
-    return TwoComplex(Graph(vertices, edges), faces)
 
 
 def _self_check(complex: TwoComplex, verdict: Verdict) -> None:

@@ -182,13 +182,27 @@ class NonPlanarityReport:
 
 
 class PlanarityResult:
-    def __init__(self, rotation: RotationSystem | None, report: NonPlanarityReport | None):
+    """A genus-zero rotation system, or the first non-planar component.
+
+    The Kuratowski evidence for a non-planar component costs one planarity
+    test per edge, so `report` builds it on first read only.
+    """
+
+    def __init__(self, rotation: RotationSystem | None, nonplanar: Graph | None = None):
         self.rotation = rotation
-        self.report = report
+        self._nonplanar = nonplanar
 
     @property
     def is_planar(self) -> bool:
         return self.rotation is not None
+
+    @cached_property
+    def report(self) -> NonPlanarityReport | None:
+        if self._nonplanar is None:
+            return None
+        _, counter = nx.check_planarity(_to_nx_simple(self._nonplanar), counterexample=True)
+        edges = tuple(sorted(tuple(sorted(e)) for e in counter.edges()))
+        return NonPlanarityReport(self._nonplanar.vertices, edges)
 
 
 def test_planar(graph: Graph) -> PlanarityResult:
@@ -203,10 +217,7 @@ def test_planar(graph: Graph) -> PlanarityResult:
         sub = graph.induced_subgraph(comp)
         comp_rot = _planar_rotators_connected(sub)
         if comp_rot is None:
-            nxg = _to_nx_simple(sub)
-            _, counter = nx.check_planarity(nxg, counterexample=True)
-            edges = tuple(sorted(tuple(sorted(e)) for e in counter.edges()))
-            return PlanarityResult(None, NonPlanarityReport(comp, edges))
+            return PlanarityResult(None, sub)
         rotators.update(comp_rot)
     rotation = RotationSystem(rotators)
     for comp in graph.components():
@@ -214,7 +225,7 @@ def test_planar(graph: Graph) -> PlanarityResult:
         traced = trace_faces(sub, rotation.restricted_to(comp))
         if traced.genus != 0:
             raise AssertionError("planar embedding traced to nonzero genus")
-    return PlanarityResult(rotation, None)
+    return PlanarityResult(rotation)
 
 
 def _to_nx_simple(graph: Graph) -> "nx.Graph":
@@ -283,19 +294,53 @@ _PATTERNS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
     "K2,3": (5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))),
 }
 
-_minor_cache: dict[tuple, "MinorWitness | None"] = {}
-
 
 def find_minor(graph: Graph, target: str) -> MinorWitness | None:
-    """Exact search for a K4 or K2,3 minor via branch-set enumeration."""
+    """Exact search for a K4 or K2,3 minor via branch-set enumeration.
+
+    A K4 search first runs the linear series-parallel test and returns None
+    without enumerating when the graph has no K4 minor.
+    """
     if target not in _PATTERNS:
         raise ValueError(f"unsupported minor target {target}")
-    key = (graph.canonical_key(), target)
-    if key in _minor_cache:
-        return _minor_cache[key]
-    witness = _search_minor(graph, target)
-    _minor_cache[key] = witness
-    return witness
+    if target == "K4" and _reduces_to_nothing(graph):
+        return None
+    return _search_minor(graph, target)
+
+
+def _reduces_to_nothing(graph: Graph) -> bool:
+    """Series-parallel reduction empties the simple underlying graph.
+
+    The reduction deletes vertices of degree <= 1 and suppresses vertices of
+    degree 2, merging the new edge into an existing one between the same
+    neighbours.  Each step keeps a K4 minor and K4-minor-freeness alike: a
+    vertex of degree <= 1 lies in no subdivided K4, and a vertex of degree 2
+    can only subdivide one of its edges (K4 minors and subdivisions coincide
+    because K4 is cubic).  A simple graph of minimum degree 3 has a K4 minor
+    (Dirac 1952), so the graph is K4-minor-free exactly when nothing is
+    left (Duffin 1965).  Every vertex is removed at most once and each step
+    touches two neighbours, so the work is linear.
+    """
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
+    for eid in graph.edge_ids():
+        u, v = graph.endpoints(eid)
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while low:
+        v = low.pop()
+        nbrs = adj.pop(v, None)
+        if nbrs is None:
+            continue
+        for w in nbrs:
+            adj[w].discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            adj[a].add(b)
+            adj[b].add(a)
+        low.extend(w for w in nbrs if len(adj[w]) <= 2)
+    return not adj
 
 
 def _search_minor(graph: Graph, target: str) -> MinorWitness | None:

@@ -12,10 +12,9 @@ import itertools
 import math
 from typing import Iterator, Mapping
 
-from .complexes import Graph, TwoComplex, skeleton
+from .complexes import Graph, TwoComplex, face_subcomplex, skeleton
 from .decider import (ComponentCertificate, ExhaustiveFailure,
-                      NestedCertificate, component_certificate,
-                      face_subcomplex)
+                      NestedCertificate, component_certificate)
 from .embedding import CrossingPair, RotationSystem, TracedFaces, test_planar, trace_faces
 from .surface import SurfaceClass, _component_is_closed_surface, classify_component
 

@@ -4,11 +4,18 @@ A component realizes a closed surface exactly when every link graph is a
 single cycle.  Classification is by Euler characteristic plus an orientation
 search over the face boundaries: the component is orientable when every face
 can be directed so that each edge is traversed once in each direction.
+
+`search_aspherical_subcomplex` finds the closed surfaces other than the
+sphere among face subsets by growing edge-connected face sets under the
+forced rule "an edge covered once needs exactly one more face", within an
+explicit node budget.
 """
 
 from __future__ import annotations
 
-from .complexes import TwoComplex, link_graph, split_components
+from typing import Sequence
+
+from .complexes import TwoComplex, face_subcomplex, link_graph, split_components
 
 
 class NotASurfaceError(ValueError):
@@ -151,3 +158,129 @@ def survey_surfaces(complex: TwoComplex) -> list[tuple[TwoComplex, SurfaceClass]
         else:
             out.append((comp, SurfaceClass(False, euler_characteristic(comp))))
     return out
+
+
+class SearchBudgetExceeded(Exception):
+    """A bounded search visited as many nodes as its budget allows."""
+
+    def __init__(self, nodes: int, budget: int):
+        super().__init__(f"search stopped after {nodes} nodes (budget {budget})")
+        self.nodes = nodes
+        self.budget = budget
+
+
+def search_aspherical_subcomplex(complex: TwoComplex, budget: int
+                                 ) -> tuple[frozenset[str], SurfaceClass] | None:
+    """First face subset inducing a closed surface with Euler characteristic != 2.
+
+    Same answer as the oracle's scan over all subsets: candidates are taken
+    by size, then by sorted face ids, and each must cover its edges exactly
+    twice, generate a connected subcomplex whose links are single cycles,
+    and have Euler characteristic other than two.  Such a subset is
+    edge-connected: two parts sharing no edge but meeting at a vertex v
+    would split the link at v.  So it suffices to test the edge-connected
+    face sets covering every edge zero or two times, which
+    `_closed_face_sets` lists.  Raises SearchBudgetExceeded when that
+    listing needs more than `budget` nodes.
+    """
+    fids = sorted(complex.face_ids())
+    by_size: dict[int, list[int]] = {}
+    for mask in _closed_face_sets([complex.face(fid).edge_set for fid in fids], budget):
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    top = len(fids) - 1
+    for size in sorted(by_size):
+        for mask in sorted(by_size[size], reverse=True):
+            chosen = [fid for i, fid in enumerate(fids) if mask >> (top - i) & 1]
+            sub = face_subcomplex(complex, chosen)
+            if not sub.graph.is_connected() or not _component_is_closed_surface(sub):
+                continue
+            sclass = classify_component(sub)
+            if sclass.euler != 2:
+                return frozenset(chosen), sclass
+    return None
+
+
+def _closed_face_sets(edge_sets: Sequence[frozenset[str]], budget: int) -> list[int]:
+    """Every edge-connected face set covering each of its edges exactly twice.
+
+    Faces are indices into `edge_sets`, and a set comes back as a bitmask in
+    which face i is bit F - 1 - i (F faces).  So of two sets of one size,
+    the one whose sorted face list comes first has the larger mask: the
+    highest bit where they differ is the smallest face in just one.  For each
+    seed face, a depth-first search starts from {seed} and, while the set
+    covers some edge once, takes the smallest such edge and branches on the
+    face that covers it a second time: a face with a larger index than the
+    seed whose edges the set covers at most once each.  (A chosen face
+    other than the seed covers the edge it was chosen for twice, so it is
+    never offered again.)  A set covering no edge once is closed and
+    reported.
+
+    Completeness: let T be a closed edge-connected set with smallest face s
+    and S a proper subset of T containing s.  As T is edge-connected, some
+    face of T outside S shares an edge e with S; as T covers e at most twice, S covers e once.
+    So S is not closed, and its forced edge e' is covered once by S and
+    twice by T, which leaves exactly one face of T to add: the search
+    reaches T along a single branch from {s}.
+
+    Bound: every node of the search is a distinct non-empty face set, so
+    there are at most 2^F - 1 nodes for F faces.  Sets grown from different
+    seeds have different smallest faces.  Below a node whose forced edge is
+    e, the branches add different faces f1 and f2 on e; every set below f1
+    covers e twice already, so none holds f2, while every set below f2
+    does.  A budget of 2^20 nodes therefore finishes on every input with at
+    most 20 faces; larger inputs finish too when the forced choices leave
+    few branches, as on triangulated surfaces.  When `budget` nodes have
+    been visited and another is due, SearchBudgetExceeded is raised.
+    """
+    edge_index: dict[str, int] = {}
+    # Edges are numbered in sorted order so that the search, and with it the
+    # point where a budget runs out, does not depend on string hashing.
+    faces = [tuple(edge_index.setdefault(e, len(edge_index)) for e in sorted(es))
+             for es in edge_sets]
+    on_edge: list[list[int]] = [[] for _ in edge_index]
+    for f, es in enumerate(faces):
+        for e in es:
+            on_edge[e].append(f)
+    count = [0] * len(edge_index)
+    once: set[int] = set()
+    chosen: list[int] = []
+    top = len(faces) - 1
+    mask = 0
+
+    def toggle(f: int, step: int) -> None:
+        nonlocal mask
+        mask ^= 1 << (top - f)
+        for e in faces[f]:
+            c = count[e] + step
+            count[e] = c
+            if c == 1:
+                once.add(e)
+            else:
+                once.discard(e)
+
+    closed: list[int] = []
+    nodes = 0
+    for seed in range(len(faces)):
+        # stack[i] iterates the candidates for the set's face number i; when
+        # it runs out, face number i - 1 is taken out again.
+        stack = [iter((seed,))]
+        while stack:
+            f = next(stack[-1], None)
+            if f is None:
+                stack.pop()
+                if chosen:
+                    toggle(chosen.pop(), -1)
+                continue
+            if nodes == budget:
+                raise SearchBudgetExceeded(nodes, budget)
+            nodes += 1
+            toggle(f, 1)
+            chosen.append(f)
+            if not once:
+                closed.append(mask)
+                toggle(chosen.pop(), -1)
+                continue
+            forced = min(once)
+            stack.append(iter([g for g in on_edge[forced]
+                               if g > seed and all(count[e] < 2 for e in faces[g])]))
+    return closed
