@@ -306,6 +306,7 @@ class TwoComplex:
                 if graph.endpoints(e)[o] != v:
                     raise ValueError(f"face {f.face_id}: walk not incident at {v}")
             self._faces[f.face_id] = f
+        self._corners: dict[str, list[tuple[str, str, HalfEdge, HalfEdge]]] | None = None
 
     @property
     def faces(self) -> dict[str, Face]:
@@ -319,6 +320,21 @@ class TwoComplex:
 
     def faces_with_edge(self, eid: str) -> tuple[str, ...]:
         return tuple(fid for fid, f in self._faces.items() if eid in f.edge_ids)
+
+    def _corners_at(self, v: str) -> list[tuple[str, str, HalfEdge, HalfEdge]]:
+        """Corners at v as (link edge id, face, half-edge in, half-edge out); one indexing pass."""
+        if self._corners is None:
+            self._corners = {}
+            for fid, f in self._faces.items():
+                seen: dict[str, int] = {}
+                for i, (w, eid, o) in enumerate(f.steps):
+                    # Arrive via the previous step's far end, leave via this step.
+                    _, pe, po = f.steps[i - 1]
+                    occ = seen.get(w, 0)
+                    seen[w] = occ + 1
+                    self._corners.setdefault(w, []).append(
+                        (fid if occ == 0 else f"{fid}@{occ}", fid, (pe, 1 - po), (eid, o)))
+        return self._corners.get(v, [])
 
     def edge_face_count(self) -> dict[str, int]:
         counts = {e: 0 for e in self.graph.edges}
@@ -400,20 +416,13 @@ class LinkGraph:
     the face it comes from.
     """
 
-    def __init__(self, host: str, graph: Graph, edge_face: dict[str, str],
-                 vertex_half_edge: dict[str, HalfEdge]):
+    def __init__(self, host: str, graph: Graph, edge_face: dict[str, str]):
         self.host = host
         self.graph = graph
         self.edge_face = dict(edge_face)
-        self.vertex_half_edge = dict(vertex_half_edge)
 
     def __repr__(self) -> str:
         return f"LinkGraph({self.host}: {self.graph!r})"
-
-
-def _link_vertex_name(graph: Graph, v: str, half_edge: HalfEdge) -> str:
-    eid, end = half_edge
-    return eid if not graph.is_loop(eid) else f"{eid}:{end}"
 
 
 def link_graph(complex: TwoComplex, v: str) -> LinkGraph:
@@ -421,29 +430,15 @@ def link_graph(complex: TwoComplex, v: str) -> LinkGraph:
     g = complex.graph
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v}")
-    names: dict[HalfEdge, str] = {}
-    for h in g.half_edges_at(v):
-        names[h] = _link_vertex_name(g, v, h)
+    # A loop gives two link vertices, one per end.
+    names = {(eid, end): f"{eid}:{end}" if g.is_loop(eid) else eid
+             for eid, end in g.half_edges_at(v)}
     link_edges: dict[str, tuple[str, str]] = {}
     edge_face: dict[str, str] = {}
-    for fid in complex.face_ids():
-        f = complex.face(fid)
-        k = len(f.steps)
-        occ = 0
-        for i, (w, eid, o) in enumerate(f.steps):
-            if w != v:
-                continue
-            # Corner at v: arrive via the previous step's far end, leave via this step.
-            pv, pe, po = f.steps[(i - 1) % k]
-            come = (pe, 1 - po)
-            go = (eid, o)
-            le_id = fid if occ == 0 else f"{fid}@{occ}"
-            link_edges[le_id] = (names[come], names[go])
-            edge_face[le_id] = fid
-            occ += 1
-    lg = Graph(sorted(set(names.values())), link_edges)
-    vhe = {name: h for h, name in names.items()}
-    return LinkGraph(v, lg, edge_face, vhe)
+    for le_id, fid, come, go in complex._corners_at(v):
+        link_edges[le_id] = (names[come], names[go])
+        edge_face[le_id] = fid
+    return LinkGraph(v, Graph(names.values(), link_edges), edge_face)
 
 
 def cone(complex: TwoComplex, apex: str | None = None) -> TwoComplex:
@@ -668,11 +663,3 @@ def split_components(complex: TwoComplex) -> list[TwoComplex]:
         out.append(TwoComplex(sub, faces))
     return out
 
-
-def graphs_match(g1: Graph, g2: Graph) -> bool:
-    """Same vertices and the same multiset of edge endpoint pairs (ids ignored)."""
-    if g1.vertices != g2.vertices:
-        return False
-    ends1 = sorted(tuple(sorted(uv)) for uv in g1.edges.values())
-    ends2 = sorted(tuple(sorted(uv)) for uv in g2.edges.values())
-    return ends1 == ends2

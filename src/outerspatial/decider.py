@@ -22,10 +22,9 @@ from .embedding import (CrossingPair, Dart, MinorWitness,
                         cycle_sides, find_minor, is_2_connected,
                         nesting_forest, test_outerplanar, test_planar,
                         trace_faces, verify_minor_witness, _children_index,
-                        _interior_bits, _is_containment_forest)
+                        _interior_bits, _is_containment_forest, _normalize_cycle)
 from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
-                      search_aspherical_subcomplex,
-                      _component_is_closed_surface, _orient_faces)
+                      search_aspherical_subcomplex, _orient_faces)
 
 # Nodes the salvage search may visit; it finishes within this on every input
 # of at most 20 faces (see `surface._closed_face_sets`).
@@ -75,7 +74,7 @@ class ComponentCertificate:
     def __init__(self, vertices: tuple[str, ...], outer_darts: tuple[Dart, ...],
                  parents: Mapping[str, str | None]):
         self.vertices = tuple(sorted(vertices))
-        self.outer_darts = _normalize_orbit(tuple(outer_darts))
+        self.outer_darts = _normalize_cycle(tuple(outer_darts))
         self.parents = dict(parents)
 
     @cached_property
@@ -87,13 +86,6 @@ class ComponentCertificate:
 
     def children(self, cid: str) -> tuple[str, ...]:
         return self._children.get(cid, ())
-
-
-def _normalize_orbit(orbit: tuple[Dart, ...]) -> tuple[Dart, ...]:
-    if not orbit:
-        return orbit
-    i = orbit.index(min(orbit))
-    return orbit[i:] + orbit[:i]
 
 
 class NestedCertificate:
@@ -155,34 +147,40 @@ Verdict = Outerspatial | NotOuterspatial | HypothesisViolated
 
 
 class LinkInfo:
-    def __init__(self, link: LinkGraph, simple: bool, two_connected: bool,
-                 outerplanarity: OuterplanarityResult):
+    def __init__(self, link: LinkGraph, outerplanarity: OuterplanarityResult):
         self.link = link
-        self.simple = simple
-        self.two_connected = two_connected
         self.outerplanarity = outerplanarity
 
     @property
     def is_2_outerplane(self) -> bool:
-        return self.simple and self.two_connected and self.outerplanarity.outerplanar
+        # `test_outerplanar` reports a Hamilton boundary exactly for
+        # outerplanar links that are 2-connected and simple.
+        return self.outerplanarity.boundary is not None
+
+    def violation(self) -> str | None:
+        """Why the link is not a 2-connected simple graph; None when it is."""
+        if self.is_2_outerplane:
+            return None
+        if not self.link.graph.is_simple():
+            return "link graph is not simple"
+        # A simple outerplanar link without a Hamilton boundary is not 2-connected.
+        if self.outerplanarity.outerplanar or not is_2_connected(self.link.graph):
+            return "link graph is not 2-connected"
+        return None
 
 
 def _link_structures(complex: TwoComplex) -> dict[str, LinkInfo]:
+    """Every link with its outerplanarity: the one per-vertex pass over links."""
     out: dict[str, LinkInfo] = {}
     for v in sorted(complex.graph.vertices):
         lg = link_graph(complex, v)
-        out[v] = LinkInfo(lg, lg.graph.is_simple(), is_2_connected(lg.graph),
-                          test_outerplanar(lg.graph))
+        out[v] = LinkInfo(lg, test_outerplanar(lg.graph))
     return out
 
 
 def is_locally_2_connected(complex: TwoComplex) -> bool:
     """Every link graph is a 2-connected simple graph."""
-    for v in sorted(complex.graph.vertices):
-        lg = link_graph(complex, v).graph
-        if not lg.is_simple() or not is_2_connected(lg):
-            return False
-    return True
+    return all(info.violation() is None for info in _link_structures(complex).values())
 
 
 def find_chordal_faces(complex: TwoComplex,
@@ -194,8 +192,7 @@ def find_chordal_faces(complex: TwoComplex,
         info = structures[v]
         if not info.is_2_outerplane:
             raise ValueError(f"link at {v} is not 2-connected simple outerplanar")
-        chords = info.outerplanarity.chords or frozenset()
-        for link_edge in sorted(chords):
+        for link_edge in sorted(info.outerplanarity.chords):
             fid = info.link.edge_face[link_edge]
             out.setdefault(fid, set()).add(v)
     return {fid: frozenset(vs) for fid, vs in sorted(out.items())}
@@ -410,25 +407,18 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     success, or None when hypothesis violations block a sound verdict.
     """
     structures = _link_structures(comp)
-
+    blocked = []
     for v in sorted(structures):
         info = structures[v]
         if not info.outerplanarity.outerplanar:
             path = Path((v,), ())
-            verdict = NotOuterspatial(
+            return NotOuterspatial(
                 NonOuterplanarLink(path, info.link, info.outerplanarity.witness))
-            return verdict
-
-    blocked = False
-    for v in sorted(structures):
-        info = structures[v]
-        if not info.simple:
-            violations.append(LinkViolation(v, "link graph is not simple"))
-            blocked = True
-        elif not info.two_connected:
-            violations.append(LinkViolation(v, "link graph is not 2-connected"))
-            blocked = True
+        reason = info.violation()
+        if reason is not None:
+            blocked.append(LinkViolation(v, reason))
     if blocked:
+        violations.extend(blocked)
         return None
 
     chordal = find_chordal_faces(comp, structures)
@@ -438,9 +428,9 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
             return NotOuterspatial(NonOuterplanarLink(got.path, got.link, got.witness))
 
     remainder = delete_faces(comp, set(chordal))
-    if not _component_is_closed_surface(remainder):
-        raise AssertionError("chord-free remainder is not a closed surface")
     sclass = classify_component(remainder)
+    if not sclass.is_surface:
+        raise AssertionError("chord-free remainder is not a closed surface")
     if not sclass.is_sphere:
         return NotOuterspatial(
             AsphericalSubcomplex(frozenset(remainder.face_ids()), sclass))
@@ -564,7 +554,7 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
                 return False
         else:
             matches = [i for i, orbit in enumerate(traced.orbits)
-                       if _normalize_orbit(orbit) == cert.outer_darts]
+                       if _normalize_cycle(orbit) == cert.outer_darts]
             if len(matches) != 1:
                 return False
             outer_index = matches[0]
@@ -596,10 +586,10 @@ def verify_obstruction(complex: TwoComplex, obstruction: Obstruction,
         if not obstruction.faces <= set(complex.face_ids()):
             return False
         sub = face_subcomplex(complex, obstruction.faces)
-        if not sub.graph.is_connected() or not _component_is_closed_surface(sub):
+        if not sub.graph.is_connected():
             return False
         sclass = classify_component(sub)
-        return sclass == obstruction.surface and sclass.euler != 2
+        return sclass.is_surface and sclass == obstruction.surface and sclass.euler != 2
     if isinstance(obstruction, ExhaustiveFailure):
         from . import oracle
         cycles = {fid: f.edge_set for fid, f in complex.faces.items()}

@@ -115,10 +115,10 @@ class TracedFaces:
                 self._orbit_of[d] = i
         self._side_cache: dict[frozenset[str], tuple[int, int]] = {}
 
-    @property
+    @cached_property
     def genus(self) -> int:
         v = len(self.graph.vertices)
-        e = len(self.graph.edges)
+        e = len(self.graph.edge_ids())
         f = len(self.orbits)
         if e == 0:
             return 0
@@ -230,12 +230,9 @@ def test_planar(graph: Graph) -> PlanarityResult:
 
 def _to_nx_simple(graph: Graph) -> "nx.Graph":
     g = nx.Graph()
-    for v in sorted(graph.vertices):
-        g.add_node(v)
-    for eid in sorted(graph.edges):
-        u, v = graph.endpoints(eid)
-        if u != v:
-            g.add_edge(u, v)
+    g.add_nodes_from(sorted(graph.vertices))
+    g.add_edges_from(graph.endpoints(eid) for eid in sorted(graph.edge_ids())
+                     if not graph.is_loop(eid))
     return g
 
 
@@ -265,15 +262,24 @@ def _planar_rotators_connected(graph: Graph) -> dict[str, tuple[HalfEdge, ...]] 
 
 def is_2_connected(graph: Graph) -> bool:
     """Connected, at least three vertices, no loops, and no cutvertex."""
-    if len(graph.vertices) < 3 or graph.loops():
-        return False
-    if not graph.is_connected():
-        return False
-    for v in graph.vertices:
-        rest = graph.induced_subgraph(graph.vertices - {v})
-        if not rest.is_connected():
-            return False
-    return True
+    return _is_one_block(graph, _blocks(graph))
+
+
+def _blocks(graph: Graph) -> list[dict[str, set[str]]]:
+    """Neighbour sets in each biconnected component of the simple underlying graph."""
+    blocks = []
+    for edges in nx.biconnected_component_edges(_to_nx_simple(graph)):
+        nbrs: dict[str, set[str]] = {}
+        for u, w in edges:
+            nbrs.setdefault(u, set()).add(w)
+            nbrs.setdefault(w, set()).add(u)
+        blocks.append(nbrs)
+    return blocks
+
+
+def _is_one_block(graph: Graph, blocks: list[dict[str, set[str]]]) -> bool:
+    return (len(graph.vertices) >= 3 and not graph.loops()
+            and len(blocks) == 1 and len(blocks[0]) == len(graph.vertices))
 
 
 class MinorWitness:
@@ -321,12 +327,7 @@ def _reduces_to_nothing(graph: Graph) -> bool:
     left (Duffin 1965).  Every vertex is removed at most once and each step
     touches two neighbours, so the work is linear.
     """
-    adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
-    for eid in graph.edge_ids():
-        u, v = graph.endpoints(eid)
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
+    adj = {v: set(nbrs) for v, nbrs in _to_nx_simple(graph).adj.items()}
     low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while low:
         v = low.pop()
@@ -472,94 +473,118 @@ class OuterplanarityResult:
 
     For 2-connected simple outerplanar graphs the unique Hamilton boundary
     cycle and the chord set are reported; otherwise only the verdict, with a
-    minor witness on negatives.
+    minor witness on negatives (K4, then K2,3), searched when first read.
     """
 
     def __init__(self, outerplanar: bool, boundary: tuple[str, ...] | None = None,
                  boundary_edges: frozenset[str] | None = None,
                  chords: frozenset[str] | None = None,
-                 witness: MinorWitness | None = None):
+                 nonouterplanar: Graph | None = None):
         self.outerplanar = outerplanar
         self.boundary = boundary
         self.boundary_edges = boundary_edges
         self.chords = chords
-        self.witness = witness
+        self._nonouterplanar = nonouterplanar
+
+    @cached_property
+    def witness(self) -> MinorWitness | None:
+        g = self._nonouterplanar
+        if g is None:
+            return None
+        witness = find_minor(g, "K4") or find_minor(g, "K2,3")
+        if witness is None:
+            raise AssertionError("non-outerplanar graph without K4 or K2,3 minor")
+        return witness
 
     def __repr__(self) -> str:
         return f"OuterplanarityResult({self.outerplanar})"
 
 
 def test_outerplanar(graph: Graph) -> OuterplanarityResult:
-    """Outerplanarity via planarity of the one-dimensional cone.
+    """Outerplanarity by one block pass and degree-2 elimination, in linear time.
 
-    On failure returns a K4 or K2,3 minor witness (searched in that order).
     Loops and parallel edges are ignored for the verdict; boundary and chord
-    structure is only computed for simple 2-connected graphs.
+    structure is only reported for simple 2-connected graphs.
+
+    Blocks (biconnected components; Hopcroft and Tarjan, CACM 16, 1973):
+    outerplane drawings of the blocks glue at the cut vertices, which lie
+    on the outer face of every block holding them, and subgraphs of
+    outerplanar graphs are outerplanar; so a graph is outerplanar exactly
+    when each of its blocks with three or more vertices is.
+
+    Elimination (Mitchell, IPL 9, 1979; Wiegers 1986) on such a block:
+    remove a vertex v of degree 2 with neighbours a and b, add the pair ab
+    if missing, and give va, vb and ab one triangle each.  It fails when a
+    pair reaches three triangles, or when three or more vertices remain and
+    none has degree 2.  A step keeps 2-connectivity and takes a minor
+    (contract va): no degree grows, none falls below 2 before the end.
+
+    An outerplanar block passes: on its outer Hamilton cycle C a vertex of
+    degree 2 lies between its two neighbours, so each step cuts the ear vab
+    off the polygon C and leaves a smaller outerplane one.  The triangles
+    tile C with disjoint interiors: a side of C lies in one, any other pair
+    in at most two.  And every outerplanar graph has a vertex of degree <= 2.
+
+    A passing block is outerplanar, with chords the pairs counting 2.  Count
+    only the triangles of one step and later ones: the graph before that
+    step has a Hamilton cycle of pairs counting 1, with non-crossing chords
+    counting 2.  It holds at the last triangle; undoing the removal of v,
+    ab counted at most 1 (it ends at most 2), so it was a side, and routing
+    the cycle a-v-b turns it into a chord.  A failing block is not
+    outerplanar: an overfull one by the above, a stuck one because it has a
+    minor of minimum degree 3.
     """
-    coned = _one_dim_cone(graph)
-    if test_planar(coned).is_planar:
-        result = OuterplanarityResult(True)
-        if graph.is_simple() and is_2_connected(graph):
-            boundary, bedges, chords = _boundary_structure(graph)
-            result = OuterplanarityResult(True, boundary, bedges, chords)
-        return result
-    witness = find_minor(graph, "K4") or find_minor(graph, "K2,3")
-    if witness is None:
-        raise AssertionError("non-outerplanar graph without K4 or K2,3 minor")
-    return OuterplanarityResult(False, witness=witness)
-
-
-def _one_dim_cone(graph: Graph) -> Graph:
-    apex = "apex"
-    while apex in graph.vertices:
-        apex += "x"
-    edges = graph.edges
-    used = set(edges)
-    for v in sorted(graph.vertices):
-        eid = f"{apex}{v}"
-        while eid in used:
-            eid += "x"
-        used.add(eid)
-        edges[eid] = (apex, v)
-    return Graph(set(graph.vertices) | {apex}, edges)
-
-
-def _boundary_structure(graph: Graph) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
-    """Hamilton boundary cycle and chords of a 2-connected outerplanar graph.
-
-    An edge is a chord exactly when its endpoints separate the graph; the
-    non-separating edges form the unique Hamilton cycle.
-    """
-    boundary_edges = set()
-    chords = set()
-    for eid in sorted(graph.edges):
+    blocks = _blocks(graph)
+    hamiltonian = graph.is_simple() and _is_one_block(graph, blocks)
+    triangles: dict[frozenset[str], int] = {}
+    for nbrs in blocks:
+        if len(nbrs) >= 3 and not _eliminate(nbrs, triangles):
+            return OuterplanarityResult(False, nonouterplanar=graph)
+    if not hamiltonian:
+        return OuterplanarityResult(True)
+    boundary_edges, chords = set(), set()
+    ring: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for eid in graph.edge_ids():
         u, v = graph.endpoints(eid)
-        rest = graph.induced_subgraph(graph.vertices - {u, v})
-        if len(rest.vertices) <= 1 or rest.is_connected():
-            boundary_edges.add(eid)
-        else:
+        if triangles[frozenset((u, v))] == 2:
             chords.add(eid)
-    # Walk the boundary cycle from the smallest vertex.
-    succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for eid in boundary_edges:
-        u, v = graph.endpoints(eid)
-        succ[u].append(v)
-        succ[v].append(u)
-    if any(len(ws) != 2 for ws in succ.values()):
-        raise AssertionError("boundary edges do not form a Hamilton cycle")
+        else:
+            boundary_edges.add(eid)
+            ring[u].append(v)
+            ring[v].append(u)
+    # Walk the boundary from the smallest vertex towards its smaller neighbour.
     start = min(graph.vertices)
     cycle = [start]
-    prev, at = None, start
-    while True:
-        nxt = sorted(w for w in succ[at] if w != prev)[0] if prev is None else \
-            (succ[at][0] if succ[at][1] == prev else succ[at][1])
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, at = at, nxt
-    if len(cycle) != len(graph.vertices):
-        raise AssertionError("boundary edges do not form a Hamilton cycle")
-    return tuple(cycle), frozenset(boundary_edges), frozenset(chords)
+    prev, at = start, min(ring[start])
+    while at != start:
+        cycle.append(at)
+        a, b = ring[at]
+        prev, at = at, (b if a == prev else a)
+    return OuterplanarityResult(True, tuple(cycle), frozenset(boundary_edges),
+                                frozenset(chords))
+
+
+def _eliminate(nbrs: dict[str, set[str]], triangles: dict[frozenset[str], int]) -> bool:
+    """Degree-2 elimination consuming one block's neighbour sets; False if not outerplanar."""
+    low = sorted(v for v, ws in nbrs.items() if len(ws) == 2)
+    while len(nbrs) > 2:
+        if not low:
+            return False
+        v = low.pop()
+        if v not in nbrs:
+            continue
+        a, b = nbrs.pop(v)
+        nbrs[a].discard(v)
+        nbrs[b].discard(v)
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+        for pair in (frozenset((v, a)), frozenset((v, b)), frozenset((a, b))):
+            count = triangles.get(pair, 0) + 1
+            if count == 3:
+                return False
+            triangles[pair] = count
+        low.extend(w for w in (a, b) if len(nbrs[w]) == 2)
+    return True
 
 
 def check_cycle(graph: Graph, cycle_edges: Iterable[str]) -> frozenset[str]:

@@ -16,7 +16,7 @@ from .complexes import Graph, TwoComplex, face_subcomplex, skeleton
 from .decider import (ComponentCertificate, ExhaustiveFailure,
                       NestedCertificate, component_certificate)
 from .embedding import CrossingPair, RotationSystem, TracedFaces, test_planar, trace_faces
-from .surface import SurfaceClass, _component_is_closed_surface, classify_component
+from .surface import SurfaceClass, classify_component
 
 DEFAULT_CAP = 10_000_000
 
@@ -212,9 +212,7 @@ def find_aspherical_subcomplex(complex: TwoComplex, max_faces: int = 20
             sub = face_subcomplex(complex, subset)
             if not sub.graph.is_connected():
                 continue
-            if not _component_is_closed_surface(sub):
-                continue
             sclass = classify_component(sub)
-            if sclass.euler != 2:
+            if sclass.is_surface and sclass.euler != 2:
                 return frozenset(subset), sclass
     return None

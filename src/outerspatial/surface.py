@@ -67,8 +67,8 @@ class SurfaceClass:
 
 
 def euler_characteristic(complex: TwoComplex) -> int:
-    return (len(complex.graph.vertices) - len(complex.graph.edges)
-            + len(complex.faces))
+    return (len(complex.graph.vertices) - len(complex.graph.edge_ids())
+            + len(complex.face_ids()))
 
 
 def _link_is_single_cycle(complex: TwoComplex, v: str) -> bool:
@@ -134,10 +134,10 @@ def _orient_faces(component: TwoComplex, first: str | None = None) -> dict[str, 
 
 
 def classify_component(component: TwoComplex) -> SurfaceClass:
-    """Classify one component; raises NotASurfaceError when links are not cycles."""
-    if not _component_is_closed_surface(component):
-        raise NotASurfaceError("component is not a closed surface")
+    """Classify one component; not-a-surface when some link is not a single cycle."""
     chi = euler_characteristic(component)
+    if not _component_is_closed_surface(component):
+        return SurfaceClass(False, chi)
     orientable = _orient_faces(component) is not None
     if orientable and chi % 2:
         raise AssertionError("orientable surface with odd Euler characteristic")
@@ -146,18 +146,15 @@ def classify_component(component: TwoComplex) -> SurfaceClass:
 
 def classify_surface(complex: TwoComplex) -> list[tuple[TwoComplex, SurfaceClass]]:
     """Classify every component; raises when some component is not a surface."""
-    return [(comp, classify_component(comp)) for comp in split_components(complex)]
+    out = survey_surfaces(complex)
+    if not all(sclass.is_surface for _, sclass in out):
+        raise NotASurfaceError("component is not a closed surface")
+    return out
 
 
 def survey_surfaces(complex: TwoComplex) -> list[tuple[TwoComplex, SurfaceClass]]:
     """Total variant: non-surface components get a not-a-surface class."""
-    out = []
-    for comp in split_components(complex):
-        if _component_is_closed_surface(comp):
-            out.append((comp, classify_component(comp)))
-        else:
-            out.append((comp, SurfaceClass(False, euler_characteristic(comp))))
-    return out
+    return [(comp, classify_component(comp)) for comp in split_components(complex)]
 
 
 class SearchBudgetExceeded(Exception):
@@ -192,10 +189,10 @@ def search_aspherical_subcomplex(complex: TwoComplex, budget: int
         for mask in sorted(by_size[size], reverse=True):
             chosen = [fid for i, fid in enumerate(fids) if mask >> (top - i) & 1]
             sub = face_subcomplex(complex, chosen)
-            if not sub.graph.is_connected() or not _component_is_closed_surface(sub):
+            if not sub.graph.is_connected():
                 continue
             sclass = classify_component(sub)
-            if sclass.euler != 2:
+            if sclass.is_surface and sclass.euler != 2:
                 return frozenset(chosen), sclass
     return None
 

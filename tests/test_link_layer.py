@@ -1,0 +1,292 @@
+"""The link layer: one block pass with degree-2 elimination, links built once.
+
+The reference below is the link layer that `test_outerplanar` and
+`is_2_connected` replaced, kept here only: outerplanarity as planarity of
+the one-dimensional cone, the Hamilton boundary and chords from the
+separating pairs of endpoints, and 2-connectivity by deleting each vertex
+in turn.
+"""
+
+import random
+from collections import Counter
+
+import networkx as nx
+import pytest
+
+from outerspatial import complexes, decider, embedding, surface
+from outerspatial import generators as gen
+from outerspatial.complexes import Graph, cone, delete_faces
+from outerspatial.decider import decide_outerspatial, is_locally_2_connected
+from outerspatial.embedding import is_2_connected
+from outerspatial.embedding import test_outerplanar as check_outerplanar
+from outerspatial.embedding import test_planar as check_planar
+from outerspatial.surface import classify_component
+
+
+def reference_is_2_connected(graph):
+    if len(graph.vertices) < 3 or graph.loops():
+        return False
+    if not graph.is_connected():
+        return False
+    for v in graph.vertices:
+        rest = graph.induced_subgraph(graph.vertices - {v})
+        if not rest.is_connected():
+            return False
+    return True
+
+
+def reference_cone(graph):
+    apex = "apex"
+    while apex in graph.vertices:
+        apex += "x"
+    edges = graph.edges
+    used = set(edges)
+    for v in sorted(graph.vertices):
+        eid = f"{apex}{v}"
+        while eid in used:
+            eid += "x"
+        used.add(eid)
+        edges[eid] = (apex, v)
+    return Graph(set(graph.vertices) | {apex}, edges)
+
+
+def reference_boundary_structure(graph):
+    """An edge is a chord exactly when its endpoints separate the graph."""
+    boundary_edges = set()
+    chords = set()
+    for eid in sorted(graph.edges):
+        u, v = graph.endpoints(eid)
+        rest = graph.induced_subgraph(graph.vertices - {u, v})
+        if len(rest.vertices) <= 1 or rest.is_connected():
+            boundary_edges.add(eid)
+        else:
+            chords.add(eid)
+    succ = {v: [] for v in graph.vertices}
+    for eid in boundary_edges:
+        u, v = graph.endpoints(eid)
+        succ[u].append(v)
+        succ[v].append(u)
+    assert all(len(ws) == 2 for ws in succ.values())
+    start = min(graph.vertices)
+    cycle = [start]
+    prev, at = None, start
+    while True:
+        nxt = sorted(w for w in succ[at] if w != prev)[0] if prev is None else \
+            (succ[at][0] if succ[at][1] == prev else succ[at][1])
+        if nxt == start:
+            break
+        cycle.append(nxt)
+        prev, at = at, nxt
+    assert len(cycle) == len(graph.vertices)
+    return tuple(cycle), frozenset(boundary_edges), frozenset(chords)
+
+
+def reference_outerplanar(graph):
+    """(verdict, boundary, boundary edges, chords) by the cone-planarity route."""
+    if not check_planar(reference_cone(graph)).is_planar:
+        return False, None, None, None
+    if graph.is_simple() and reference_is_2_connected(graph):
+        return (True,) + reference_boundary_structure(graph)
+    return True, None, None, None
+
+
+def from_pairs(pairs, vertices=()):
+    names = set(vertices) | {v for uv in pairs for v in uv}
+    return Graph(names, {f"e{i:03d}": uv for i, uv in enumerate(pairs)})
+
+
+def from_nx(nxg):
+    return from_pairs([(f"v{u}", f"v{v}") for u, v in sorted(nxg.edges())],
+                      [f"v{v}" for v in nxg.nodes])
+
+
+def random_outerplanar(rng, n, drop, extra):
+    """A polygon triangulated by ear attachment, chords dropped with
+    probability `drop`, plus one random non-edge when `extra`."""
+    labels = [f"w{i:02d}" for i in rng.sample(range(100), n)]
+    sides = [(0, 1), (1, 2), (0, 2)]
+    chords = []
+    for k in range(3, n):
+        a, b = sides.pop(rng.randrange(len(sides)))
+        chords.append((a, b))
+        sides += [(a, k), (k, b)]
+    kept = [uv for uv in chords if rng.random() >= drop]
+    pairs = {tuple(sorted(uv)) for uv in sides + kept}
+    if extra:
+        missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+        if missing:
+            pairs.add(rng.choice(missing))
+    return from_pairs([(labels[u], labels[v]) for u, v in sorted(pairs)])
+
+
+def with_parallels_and_loops(graph, rng):
+    edges = graph.edges
+    for eid in rng.sample(sorted(edges), min(2, len(edges))):
+        edges[f"{eid}p"] = edges[eid]
+    v = min(graph.vertices)
+    edges["loop"] = (v, v)
+    return Graph(graph.vertices, edges)
+
+
+def atlas_graphs():
+    return [from_nx(g) for g in nx.graph_atlas_g() if g.number_of_nodes() <= 7]
+
+
+def gnp_graphs(count=400, seed=3):
+    rng = random.Random(seed)
+    return [from_nx(nx.gnp_random_graph(rng.randrange(3, 15), rng.uniform(0.1, 0.5),
+                                        seed=rng.randrange(10 ** 9)))
+            for _ in range(count)]
+
+
+def outerplanar_graphs(seed=5):
+    rng = random.Random(seed)
+    out = []
+    for n in list(range(3, 61, 3)) + [60] * 10:
+        for drop in (0.0, 0.5):
+            for extra in (False, True):
+                out.append(random_outerplanar(rng, n, drop, extra))
+    return out
+
+
+def cut_vertex_graphs():
+    tri = [("a", "b"), ("b", "c"), ("a", "c")]
+    bowtie = tri + [("c", "d"), ("d", "e"), ("c", "e")]
+    k4 = [(u, v) for i, u in enumerate("pqrs") for v in "pqrs"[i + 1:]]
+    k23 = [(u, v) for u in "xy" for v in "klm"]
+    square = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+    return [from_pairs(pairs) for pairs in (
+        bowtie,
+        bowtie + [("e", "f"), ("f", "g"), ("e", "g")],
+        tri + [("c", "d")],
+        tri + k4 + [("c", "p")],
+        tri + k23 + [("c", "x")],
+        square + [("a", "c")] + [("c", "x"), ("x", "y"), ("c", "y")],
+        [("a", "b"), ("b", "c"), ("c", "d")],
+        [("h", f"s{i}") for i in range(5)],
+        k4 + [("s", "t"), ("t", "u"), ("s", "u")],
+    )]
+
+
+def small_and_disconnected_graphs():
+    return [
+        Graph((), {}),
+        Graph("a", {}),
+        Graph("a", {"l": ("a", "a")}),
+        Graph("ab", {}),
+        Graph("ab", {"e": ("a", "b")}),
+        Graph("ab", {"e": ("a", "b"), "f": ("a", "b")}),
+        Graph("abc", {"e": ("a", "b")}),
+        from_pairs([("a", "b"), ("b", "c"), ("a", "c")], "z"),
+        from_pairs([("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"), ("x", "z")]),
+        from_pairs([(u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1:]], "xy"),
+    ]
+
+
+def multigraphs():
+    rng = random.Random(11)
+    base = [from_nx(g) for g in nx.graph_atlas_g()[3:200:7] if g.number_of_edges()]
+    base += outerplanar_graphs(seed=13)[:12] + cut_vertex_graphs()
+    out = [with_parallels_and_loops(g, rng) for g in base]
+    # Parallel edges alone keep a graph 2-connected but not simple.
+    out += [Graph(g.vertices, {**g.edges, "par": g.endpoints(min(g.edge_ids()))})
+            for g in outerplanar_graphs(seed=17)[:12]]
+    return out
+
+
+FAMILIES = {
+    "atlas": atlas_graphs,
+    "gnp": gnp_graphs,
+    "outerplanar": outerplanar_graphs,
+    "multigraph": multigraphs,
+    "cut-vertex": cut_vertex_graphs,
+    "small-and-disconnected": small_and_disconnected_graphs,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_agrees_with_the_reference(family):
+    graphs = FAMILIES[family]()
+    assert graphs
+    for graph in graphs:
+        verdict, boundary, boundary_edges, chords = reference_outerplanar(graph)
+        got = check_outerplanar(graph)
+        assert got.outerplanar == verdict, graph.edges
+        assert got.boundary == boundary, graph.edges
+        assert got.boundary_edges == boundary_edges, graph.edges
+        assert got.chords == chords, graph.edges
+        assert is_2_connected(graph) == reference_is_2_connected(graph), graph.edges
+
+
+def test_families_reach_every_outcome():
+    outcomes = Counter()
+    for make in FAMILIES.values():
+        for graph in make():
+            got = check_outerplanar(graph)
+            outcomes[(got.outerplanar, got.boundary is not None,
+                      bool(got.chords), is_2_connected(graph))] += 1
+    # Non-outerplanar 2-connected and not; outerplanar with and without a
+    # boundary, with and without chords.
+    for key in ((False, False, False, True), (False, False, False, False),
+                (True, True, True, True), (True, True, False, True),
+                (True, False, False, True), (True, False, False, False)):
+        assert outcomes[key] > 0, key
+
+
+def test_witness_is_searched_when_read(monkeypatch):
+    calls = []
+    real = embedding.find_minor
+    monkeypatch.setattr(embedding, "find_minor",
+                        lambda g, target: calls.append(target) or real(g, target))
+    k23 = from_pairs([(u, v) for u in "xy" for v in "klm"])
+    result = check_outerplanar(k23)
+    assert not result.outerplanar and calls == []
+    assert result.witness.target == "K2,3"
+    assert result.witness is result.witness
+    assert calls == ["K4", "K2,3"]
+    assert check_outerplanar(from_pairs([("a", "b"), ("b", "c"), ("a", "c")])).witness is None
+
+
+def test_locally_2_connected_reads_the_link_table():
+    cone_tetra = cone(gen.tetra())  # every link is K4: 2-connected, not outerplanar
+    cones = [gen.cone_over_graph(gen.named_graph(name)) for name in ("k4", "k23")]
+    for complex in [gen.tetra(), gen.prism(5), gen.torus7(), cone_tetra,
+                    delete_faces(gen.tetra(), {"abc"})] + cones:
+        expected = all(lg.is_simple() and reference_is_2_connected(lg)
+                       for lg in (complexes.link_graph(complex, v).graph
+                                  for v in complex.graph.vertices))
+        assert is_locally_2_connected(complex) == expected
+    assert is_locally_2_connected(cone_tetra)
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap `name` in every namespace binding it; return the list of call args."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_prism_decides_without_cone_planarity_and_builds_links_at_most_twice(monkeypatch):
+    complex = gen.prism(20)
+    planar = _count_calls(monkeypatch, "test_planar", [embedding, decider])
+    links = _count_calls(monkeypatch, "link_graph", [complexes, decider, surface])
+    verdict = decide_outerspatial(complex)
+    assert verdict.kind == "outerspatial"
+    assert planar == []
+    builds = Counter(v for _, v in links)
+    assert set(builds) == complex.graph.vertices
+    assert max(builds.values()) <= 2
+
+
+def test_classify_component_is_total():
+    opened = delete_faces(gen.tetra(), {"abc"})
+    sclass = classify_component(opened)
+    assert sclass.kind == "not-a-surface"
+    assert not sclass.is_surface and sclass.euler == 1
