@@ -47,6 +47,9 @@ class Graph:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(self._edges)
 
+    def edge_count(self) -> int:
+        return len(self._edges)
+
     def has_edge(self, eid: str) -> bool:
         """Membership without the copy that `edges` makes."""
         return eid in self._edges

@@ -18,8 +18,8 @@ from .complexes import (Graph, LinkGraph, Path, TwoComplex, contract_path,
                         contracted_vertex_name, delete_faces, face_subcomplex,
                         link_graph, skeleton, split_components, validate)
 from .embedding import (CrossingPair, Dart, MinorWitness,
-                        OuterplanarityResult, RotationSystem, TracedFaces,
-                        cycle_sides, find_minor, is_2_connected,
+                        OuterplanarityResult, PlanarityResult, RotationSystem,
+                        TracedFaces, cycle_sides, find_minor, is_2_connected,
                         nesting_forest, test_outerplanar, test_planar,
                         trace_faces, verify_minor_witness, _children_index,
                         _interior_bits, _is_containment_forest, _normalize_cycle)
@@ -292,21 +292,34 @@ def component_certificate(traced: TracedFaces,
 
 
 def build_certificate(graph: Graph, cycles: Mapping[str, frozenset[str]],
-                      rotation: RotationSystem) -> NestedCertificate | CrossingPair:
-    """Assemble a certificate from a genus-zero rotation system of the graph."""
+                      planarity: PlanarityResult) -> NestedCertificate | CrossingPair:
+    """Assemble a certificate from the genus-zero tracings of a planar graph."""
     comps = []
-    for comp_vs in graph.components():
-        sub = graph.induced_subgraph(comp_vs)
-        traced = trace_faces(sub, rotation.restricted_to(comp_vs))
-        if traced.genus != 0:
-            raise ValueError("rotation system does not trace to genus zero")
+    for traced in planarity.traced:
+        comp_vs = traced.graph.vertices
         comp_cycles = {cid: es for cid, es in cycles.items()
                        if _cycle_vertices(graph, es) <= comp_vs}
         got = component_certificate(traced, comp_cycles)
         if isinstance(got, CrossingPair):
             return got
         comps.append(got)
-    return NestedCertificate(rotation, comps)
+    return NestedCertificate(planarity.rotation, comps)
+
+
+def _within_euler_bound(graph: Graph) -> bool:
+    """False when the simple underlying graph has n >= 3 vertices and more than 3n - 6 edges.
+
+    No planar graph does (Euler), so a graph refused here needs no
+    planarity test.  The raw edge count settles the common case; distinct
+    vertex pairs are counted only above it.
+    """
+    n = len(graph.vertices)
+    bound = 3 * n - 6
+    if n < 3 or graph.edge_count() <= bound:
+        return True
+    pairs = {frozenset(graph.endpoints(eid)) for eid in graph.edge_ids()
+             if not graph.is_loop(eid)}
+    return len(pairs) <= bound
 
 
 def _cycle_vertices(graph: Graph, edge_set: frozenset[str]) -> frozenset[str]:
@@ -333,11 +346,12 @@ def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdi
         raise ValueError(f"input complex is not validated: {problems[0].message}")
 
     faces = complex.faces
-    if fast_path and all(len(f) == 3 for f in faces.values()):
-        planarity = test_planar(skeleton(complex))
+    if (fast_path and all(len(f) == 3 for f in faces.values())
+            and _within_euler_bound(complex.graph)):
+        planarity = test_planar(complex.graph)
         if planarity.is_planar:
             cycles = {fid: f.edge_set for fid, f in faces.items()}
-            cert = build_certificate(complex.graph, cycles, planarity.rotation)
+            cert = build_certificate(complex.graph, cycles, planarity)
             if isinstance(cert, CrossingPair):
                 raise AssertionError("triangles crossed in a plane embedding")
             verdict = Outerspatial(cert)
@@ -355,7 +369,7 @@ def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdi
             planarity = test_planar(comp.graph)
             if planarity.is_planar:
                 cycles: dict[str, frozenset[str]] = {}
-                cert = build_certificate(comp.graph, cycles, planarity.rotation)
+                cert = build_certificate(comp.graph, cycles, planarity)
                 certificates.extend(cert.components)
                 for v in comp.graph.vertices:
                     rotation_parts[v] = planarity.rotation.rotator(v)

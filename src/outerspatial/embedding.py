@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .complexes import Graph, HalfEdge
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 # A dart traverses an edge away from endpoint o: same encoding as a half-edge.
 Dart = tuple[str, int]
@@ -118,7 +119,7 @@ class TracedFaces:
     @cached_property
     def genus(self) -> int:
         v = len(self.graph.vertices)
-        e = len(self.graph.edge_ids())
+        e = self.graph.edge_count()
         f = len(self.orbits)
         if e == 0:
             return 0
@@ -184,13 +185,17 @@ class NonPlanarityReport:
 class PlanarityResult:
     """A genus-zero rotation system, or the first non-planar component.
 
-    The Kuratowski evidence for a non-planar component costs one planarity
-    test per edge, so `report` builds it on first read only.
+    A planar result keeps the face tracing of each component, in component
+    order, that confirmed genus zero.  The Kuratowski evidence for a
+    non-planar component costs one planarity test per edge, so `report`
+    builds it on first read only.
     """
 
-    def __init__(self, rotation: RotationSystem | None, nonplanar: Graph | None = None):
+    def __init__(self, rotation: RotationSystem | None, nonplanar: Graph | None = None,
+                 traced: tuple[TracedFaces, ...] = ()):
         self.rotation = rotation
         self._nonplanar = nonplanar
+        self.traced = traced
 
     @property
     def is_planar(self) -> bool:
@@ -200,6 +205,7 @@ class PlanarityResult:
     def report(self) -> NonPlanarityReport | None:
         if self._nonplanar is None:
             return None
+        import networkx as nx
         _, counter = nx.check_planarity(_to_nx_simple(self._nonplanar), counterexample=True)
         edges = tuple(sorted(tuple(sorted(e)) for e in counter.edges()))
         return NonPlanarityReport(self._nonplanar.vertices, edges)
@@ -213,22 +219,21 @@ def test_planar(graph: Graph) -> PlanarityResult:
     the genus at zero.  Deterministic for a fixed input.
     """
     rotators: dict[str, tuple[HalfEdge, ...]] = {}
-    for comp in graph.components():
-        sub = graph.induced_subgraph(comp)
+    subs = [graph.induced_subgraph(comp) for comp in graph.components()]
+    for sub in subs:
         comp_rot = _planar_rotators_connected(sub)
         if comp_rot is None:
             return PlanarityResult(None, sub)
         rotators.update(comp_rot)
     rotation = RotationSystem(rotators)
-    for comp in graph.components():
-        sub = graph.induced_subgraph(comp)
-        traced = trace_faces(sub, rotation.restricted_to(comp))
-        if traced.genus != 0:
-            raise AssertionError("planar embedding traced to nonzero genus")
-    return PlanarityResult(rotation)
+    traced = tuple(trace_faces(sub, rotation.restricted_to(sub.vertices)) for sub in subs)
+    if any(t.genus != 0 for t in traced):
+        raise AssertionError("planar embedding traced to nonzero genus")
+    return PlanarityResult(rotation, traced=traced)
 
 
-def _to_nx_simple(graph: Graph) -> "nx.Graph":
+def _to_nx_simple(graph: Graph) -> nx.Graph:
+    import networkx as nx
     g = nx.Graph()
     g.add_nodes_from(sorted(graph.vertices))
     g.add_edges_from(graph.endpoints(eid) for eid in sorted(graph.edge_ids())
@@ -237,8 +242,8 @@ def _to_nx_simple(graph: Graph) -> "nx.Graph":
 
 
 def _planar_rotators_connected(graph: Graph) -> dict[str, tuple[HalfEdge, ...]] | None:
-    nxg = _to_nx_simple(graph)
-    ok, emb = nx.check_planarity(nxg)
+    import networkx as nx
+    ok, emb = nx.check_planarity(_to_nx_simple(graph))
     if not ok:
         return None
     order = emb.get_data()
@@ -265,15 +270,65 @@ def is_2_connected(graph: Graph) -> bool:
     return _is_one_block(graph, _blocks(graph))
 
 
+def _simple_adjacency(graph: Graph) -> dict[str, set[str]]:
+    """Neighbour sets of the simple underlying graph: loops dropped, parallels merged."""
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
+    for eid in graph.edge_ids():
+        u, w = graph.endpoints(eid)
+        if u != w:
+            adj[u].add(w)
+            adj[w].add(u)
+    return adj
+
+
 def _blocks(graph: Graph) -> list[dict[str, set[str]]]:
-    """Neighbour sets in each biconnected component of the simple underlying graph."""
-    blocks = []
-    for edges in nx.biconnected_component_edges(_to_nx_simple(graph)):
-        nbrs: dict[str, set[str]] = {}
-        for u, w in edges:
-            nbrs.setdefault(u, set()).add(w)
-            nbrs.setdefault(w, set()).add(u)
-        blocks.append(nbrs)
+    """Neighbour sets in each biconnected component of the simple underlying graph.
+
+    One depth-first pass (Hopcroft and Tarjan, CACM 16, 1973) numbers the
+    vertices in discovery order and keeps low[v], the smallest number a
+    back edge from the subtree of v reaches.  Every tree and back edge is
+    pushed on an edge stack when first walked; when the search returns
+    from w to its parent v with low[w] >= number[v], nothing below w
+    reaches above v, so the edges pushed since vw form one block.  A bridge
+    is a block of two vertices and an isolated vertex lies in no block.
+    The search keeps its own stack of neighbour iterators, so its depth is
+    not bounded by the interpreter's recursion limit.
+    """
+    adj = _simple_adjacency(graph)
+    number: dict[str, int] = {}
+    low: dict[str, int] = {}
+    blocks: list[dict[str, set[str]]] = []
+    for root in adj:
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        edges: list[tuple[str, str]] = []
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w not in number:
+                    number[w] = low[w] = len(number)
+                    edges.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and number[w] < number[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], number[w])
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= number[parent]:
+                    block: dict[str, set[str]] = {}
+                    while True:
+                        a, b = edge = edges.pop()
+                        block.setdefault(a, set()).add(b)
+                        block.setdefault(b, set()).add(a)
+                        if edge == (parent, v):
+                            break
+                    blocks.append(block)
     return blocks
 
 
@@ -327,7 +382,7 @@ def _reduces_to_nothing(graph: Graph) -> bool:
     left (Duffin 1965).  Every vertex is removed at most once and each step
     touches two neighbours, so the work is linear.
     """
-    adj = {v: set(nbrs) for v, nbrs in _to_nx_simple(graph).adj.items()}
+    adj = _simple_adjacency(graph)
     low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while low:
         v = low.pop()

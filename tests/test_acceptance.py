@@ -216,7 +216,8 @@ def test_criterion_6_outerplanarity_triple_agreement():
                 mismatches += 1
     ok = mismatches == 0 and bad_witnesses == 0
     report(6, ok,
-           f"cone-planarity, minor-freeness and the Hamilton route agree on "
+           "the block pass with degree-2 elimination, minor-freeness and the "
+           "Hamilton route agree on "
            f"{len(graphs)} graphs ({checked_hamilton} 2-connected); "
            f"all witnesses verify")
 

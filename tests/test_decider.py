@@ -1,7 +1,13 @@
 """The decision pipeline: verdicts, certificates, obstructions."""
 
+import itertools
+import random
+from pathlib import Path as FilePath
+
+import networkx as nx
 import pytest
 
+from outerspatial import decider, embedding
 from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_graph,
@@ -14,8 +20,15 @@ from outerspatial.decider import (AsphericalSubcomplex, ChordalDefect,
                                   find_chordal_faces, is_locally_2_connected,
                                   verify_certificate, verify_obstruction,
                                   _crossing_obstruction,
-                                  _sphere_rotation_from_links)
+                                  _sphere_rotation_from_links,
+                                  _within_euler_bound)
 from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
+from outerspatial.embedding import test_planar as check_planar
+from outerspatial.fileformat import format_verdict
+from test_link_layer import _count_calls
+from test_sweep import stacked_sphere
+
+GOLDEN = FilePath(__file__).parent / "golden"
 
 
 def imperfectly_chordal_complex():
@@ -171,6 +184,75 @@ class TestFastPathAgreement:
             if isinstance(fast, Outerspatial):
                 assert verify_certificate(complex, fast.certificate)
                 assert verify_certificate(complex, slow.certificate)
+
+
+def torus7_with_insertions(seed, count):
+    rng = random.Random(seed)
+    complex = gen.torus7()
+    for k in range(count):
+        complex = gen.insert_vertex(complex, rng.choice(sorted(complex.face_ids())), f"x{k}")
+    return complex
+
+
+def triangle_skeleton(graph):
+    """The 2-complex on a graph with every triangle of the graph as a face."""
+    faces = [Face.from_vertices(graph, f"t{a}{b}{c}", (a, b, c))
+             for a, b, c in itertools.combinations(sorted(graph.vertices), 3)
+             if graph.edges_between(a, b) and graph.edges_between(b, c)
+             and graph.edges_between(a, c)]
+    return TwoComplex(graph, faces)
+
+
+class TestFastPathTracesOnce:
+    def test_stacked_sphere_is_traced_for_the_genus_and_the_self_check(self, monkeypatch):
+        complex, _, _ = stacked_sphere(seed=64, vertices=64)
+        calls = _count_calls(monkeypatch, "trace_faces", [embedding, decider])
+        verdict = decide_outerspatial(complex)
+        assert isinstance(verdict, Outerspatial)
+        assert len(calls) == 2
+
+
+class TestEulerGate:
+    def test_gated_complexes_skip_planarity_and_keep_their_bytes(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "check_planarity", [nx])
+        torus = gen.torus7()
+        assert format_verdict(decide_outerspatial(torus)) == \
+            (GOLDEN / "torus7.decide").read_text()
+        for complex in (torus7_with_insertions(3, 5), torus7_with_insertions(4, 20),
+                        triangle_skeleton(complete_graph("abcdefg"))):
+            assert not _within_euler_bound(complex.graph)
+            fast = format_verdict(decide_outerspatial(complex))
+            assert fast == format_verdict(decide_outerspatial(complex, fast_path=False))
+        assert calls == []
+
+    def test_refused_graphs_are_not_planar(self):
+        graphs = [Graph([str(v) for v in g.nodes],
+                        {f"e{i}": (str(u), str(v)) for i, (u, v) in enumerate(g.edges)})
+                  for g in nx.graph_atlas_g()]
+        rng = random.Random(21)
+        for _ in range(300):
+            names = "abcdefghi"[:rng.randrange(3, 10)]
+            keep = rng.uniform(0.2, 0.9)
+            triangles = [t for t in itertools.combinations(names, 3) if rng.random() < keep]
+            edges = {f"{u}{v}": (u, v) for t in triangles
+                     for u, v in itertools.combinations(t, 2)}
+            graphs.append(Graph(names, edges))
+        refused = 0
+        for graph in graphs:
+            if not _within_euler_bound(graph):
+                refused += 1
+                assert not check_planar(graph).is_planar, graph.edges
+        assert refused > 100
+
+    def test_bound_counts_distinct_pairs(self):
+        doubled = Graph("abc", {"ab": ("a", "b"), "ab2": ("a", "b"), "bc": ("b", "c"),
+                                "bc2": ("b", "c"), "ca": ("c", "a"), "ca2": ("c", "a"),
+                                "l": ("a", "a")})
+        assert _within_euler_bound(doubled)
+        k5 = complete_graph("abcde")
+        assert not _within_euler_bound(k5)
+        assert not _within_euler_bound(Graph(k5.vertices, {**k5.edges, "l": ("a", "a")}))
+        assert _within_euler_bound(Graph("ab", {"e": ("a", "b"), "f": ("a", "b")}))
 
 
 class TestDecideNestedPlane:

@@ -290,3 +290,32 @@ def test_classify_component_is_total():
     sclass = classify_component(opened)
     assert sclass.kind == "not-a-surface"
     assert not sclass.is_surface and sclass.euler == 1
+
+
+def _edge_sets(blocks):
+    return {frozenset(frozenset((u, w)) for u, ws in block.items() for w in ws)
+            for block in blocks}
+
+
+class TestBlockPass:
+    @pytest.mark.parametrize("family", ["atlas", "gnp", "multigraph", "small-and-disconnected"])
+    def test_blocks_match_networkx(self, family):
+        graphs = FAMILIES[family]()
+        assert len(graphs) >= 10
+        for graph in graphs:
+            simple = nx.Graph()
+            simple.add_nodes_from(graph.vertices)
+            simple.add_edges_from(graph.endpoints(eid) for eid in graph.edge_ids()
+                                  if not graph.is_loop(eid))
+            expected = {frozenset(frozenset(e) for e in edges)
+                        for edges in nx.biconnected_component_edges(simple)}
+            assert _edge_sets(embedding._blocks(graph)) == expected, graph.edges
+
+    def test_long_path_and_cycle_need_no_recursion(self):
+        n = 50_000
+        names = [f"v{i}" for i in range(n)]
+        path = Graph(names, {f"e{i}": (names[i], names[i + 1]) for i in range(n - 1)})
+        cycle = Graph(names, {f"e{i}": (names[i], names[(i + 1) % n]) for i in range(n)})
+        assert not is_2_connected(path)
+        assert len(embedding._blocks(path)) == n - 1
+        assert is_2_connected(cycle)
