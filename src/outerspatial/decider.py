@@ -24,7 +24,7 @@ from .embedding import (CrossingPair, Dart, MinorWitness,
                         trace_faces, verify_minor_witness, _children_index,
                         _interior_bits, _is_containment_forest, _normalize_cycle)
 from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
-                      search_aspherical_subcomplex, _orient_faces)
+                      euler_characteristic, search_aspherical_subcomplex, _orient_faces)
 
 # Nodes the salvage search may visit; it finishes within this on every input
 # of at most 20 faces (see `surface._closed_face_sets`).
@@ -242,14 +242,16 @@ def check_perfectly_chordal(complex: TwoComplex, face_id: str,
     raise AssertionError("chordal face with no chord-to-nonchord transition")
 
 
-def _sphere_rotation_from_links(component: TwoComplex) -> RotationSystem:
+def _sphere_rotation_from_links(component: TwoComplex,
+                                orientation: Mapping[str, int] | None = None) -> RotationSystem:
     """Rotators of a closed sphere component read off its face structure.
 
     Faces are first directed coherently (possible exactly on orientable
-    components); consecutive darts within directed faces then define the
-    cyclic order at every vertex.
+    components), unless a coherent `orientation` is given; consecutive darts
+    within directed faces then define the cyclic order at every vertex.
     """
-    orientation = _orient_faces(component)
+    if orientation is None:
+        orientation = _orient_faces(component)
     if orientation is None:
         raise AssertionError("sphere component admits no coherent orientation")
     succ: dict[str, dict] = {v: {} for v in component.graph.vertices}
@@ -441,15 +443,20 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
         if isinstance(got, ChordalDefect):
             return NotOuterspatial(NonOuterplanarLink(got.path, got.link, got.witness))
 
+    # Every chordal face is a chord at each of its vertices, so deleting them
+    # leaves each vertex its Hamilton boundary as link: a closed surface.
+    for v, info in structures.items():
+        kept = {le for le, fid in info.link.edge_face.items() if fid not in chordal}
+        if kept != info.outerplanarity.boundary_edges:
+            raise AssertionError("chord-free remainder is not a closed surface")
     remainder = delete_faces(comp, set(chordal))
-    sclass = classify_component(remainder)
-    if not sclass.is_surface:
-        raise AssertionError("chord-free remainder is not a closed surface")
+    orientation = _orient_faces(remainder)
+    sclass = SurfaceClass(True, euler_characteristic(remainder), orientation is not None)
     if not sclass.is_sphere:
         return NotOuterspatial(
             AsphericalSubcomplex(frozenset(remainder.face_ids()), sclass))
 
-    rotation = _sphere_rotation_from_links(remainder)
+    rotation = _sphere_rotation_from_links(remainder, orientation)
     traced = trace_faces(comp.graph, rotation)
     if traced.genus != 0 or len(traced.orbits) != len(remainder.faces):
         raise AssertionError("sphere rotators traced inconsistently")

@@ -270,19 +270,24 @@ def is_2_connected(graph: Graph) -> bool:
     return _is_one_block(graph, _blocks(graph))
 
 
-def _simple_adjacency(graph: Graph) -> dict[str, set[str]]:
-    """Neighbour sets of the simple underlying graph: loops dropped, parallels merged."""
-    adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
+def _simple_adjacency(graph: Graph) -> dict[str, dict[str, None]]:
+    """Neighbours of the simple underlying graph: loops dropped, parallels merged.
+
+    Vertices come in sorted order and neighbours in the order of their first
+    edge id, so whatever is built by walking it is the same in every
+    process.  Each neighbour maps to None, which `_reduce` reads as an edge
+    of the graph itself.
+    """
+    adj: dict[str, dict[str, None]] = {v: {} for v in sorted(graph.vertices)}
     for eid in graph.edge_ids():
         u, w = graph.endpoints(eid)
         if u != w:
-            adj[u].add(w)
-            adj[w].add(u)
+            adj[u][w] = adj[w][u] = None
     return adj
 
 
-def _blocks(graph: Graph) -> list[dict[str, set[str]]]:
-    """Neighbour sets in each biconnected component of the simple underlying graph.
+def _blocks(graph: Graph) -> list[dict[str, dict[str, None]]]:
+    """Neighbours in each biconnected component of the simple underlying graph.
 
     One depth-first pass (Hopcroft and Tarjan, CACM 16, 1973) numbers the
     vertices in discovery order and keeps low[v], the smallest number a
@@ -297,7 +302,7 @@ def _blocks(graph: Graph) -> list[dict[str, set[str]]]:
     adj = _simple_adjacency(graph)
     number: dict[str, int] = {}
     low: dict[str, int] = {}
-    blocks: list[dict[str, set[str]]] = []
+    blocks: list[dict[str, dict[str, None]]] = []
     for root in adj:
         if root in number:
             continue
@@ -321,18 +326,18 @@ def _blocks(graph: Graph) -> list[dict[str, set[str]]]:
                     continue
                 low[parent] = min(low[parent], low[v])
                 if low[v] >= number[parent]:
-                    block: dict[str, set[str]] = {}
+                    block: dict[str, dict[str, None]] = {}
                     while True:
                         a, b = edge = edges.pop()
-                        block.setdefault(a, set()).add(b)
-                        block.setdefault(b, set()).add(a)
+                        block.setdefault(a, {})[b] = None
+                        block.setdefault(b, {})[a] = None
                         if edge == (parent, v):
                             break
                     blocks.append(block)
     return blocks
 
 
-def _is_one_block(graph: Graph, blocks: list[dict[str, set[str]]]) -> bool:
+def _is_one_block(graph: Graph, blocks: list[dict[str, dict[str, None]]]) -> bool:
     return (len(graph.vertices) >= 3 and not graph.loops()
             and len(blocks) == 1 and len(blocks[0]) == len(graph.vertices))
 
@@ -357,117 +362,271 @@ _PATTERNS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 
 
 def find_minor(graph: Graph, target: str) -> MinorWitness | None:
-    """Exact search for a K4 or K2,3 minor via branch-set enumeration.
+    """A K4 or K2,3 minor of the simple underlying graph, or None when it has none.
 
-    A K4 search first runs the linear series-parallel test and returns None
-    without enumerating when the graph has no K4 minor.
+    Both witnesses come from linear reductions; no vertex subset is listed
+    (`oracle._search_minor` does that, as ground truth).
+
+    K4.  The series-parallel reduction of `_reduce` keeps a K4 minor and
+    K4-minor-freeness alike, and it empties the graph exactly when there is
+    no K4 minor (Duffin 1965).  Each suppression links the new edge to the
+    two edges it replaces, so an edge of the kernel R that is left stands
+    for a path whose interior is suppressed vertices, and these paths are
+    internally disjoint.  R has minimum degree 3.  Its edges are tried in
+    decreasing order of endpoint degree sum, so a wheel's spokes go before
+    its rim, and each edge an earlier deletion made is tried in turn.  A
+    trial deletes the edge and re-reduces; when that empties R, the edge
+    lies on every K4 subdivision left and the trial is undone from its log.
+    Trials stop at four vertices, where minimum degree 3 means K4.  They
+    cannot run out first: were every edge of the kernel to fail, each would
+    lie on every K4 subdivision of it, so the kernel would be a subdivided
+    K4 of minimum degree 3, which is K4.  Its six edges expand to six
+    paths, and each path's interior goes to its smaller end.
+
+    K2,3.  A K2,3 minor lies in one block, and a block of at most four
+    vertices has none.  On each larger block, degree-2 elimination (see
+    `test_outerplanar`) passes, which means no K2,3 minor, or stops in one
+    of two ways.
+    - A pair {x, y} reaches a third triangle.  Two of its triangles came
+      from eliminating vertices v whose edges to x and y stand for paths
+      through earlier eliminated vertices, disjoint for different v.  The
+      third came from a third such v, or from eliminating x itself next to
+      y and some z, which adds a path from x through z to y in the
+      2-connected rest.  So three internally disjoint x-y paths of length
+      at least 2 exist, and by Menger's theorem three augmenting-path
+      searches that give each vertex capacity 1 and ignore the edge xy find
+      three.  {x}, {y} and the three interiors are the branch sets.  A
+      K4-minor-free block always ends here: its eliminated minor stays
+      2-connected and K4-minor-free, so it keeps a vertex of degree 2.
+    - No vertex of degree 2 is left: the block has a K4 minor, and the K4
+      step above gives a subdivided K4 in it.  If its path pq has an
+      interior, {p}, {q}, that interior, and each other corner together
+      with the interiors of its paths to p and q are branch sets.  If it is
+      a bare K4, the block's fifth vertex lies on an ear: a path outside the
+      K4 joining two corners x and y, which 2-connectivity provides; {x},
+      {y}, the ear's interior and the other two corners are branch sets.
+
+    Witnesses are canonical: K4 branch sets sorted by their smallest
+    vertex; for K2,3 the 2-side first, then the 3-side, each sorted the
+    same way; each connecting edge the smallest edge id between its sets.
+
+    Cost: the reductions, eliminations and the three searches are linear.
+    Each trial on the kernel R re-reduces in O(|V(R)| + |E(R)|), and there
+    are at most 2|E(R)| of them, as every edge made by a kept deletion
+    replaces two.  So the worst case is O(|E(R)| * (|V(R)| + |E(R)|)),
+    which is linear when R is bounded: every subdivision of a fixed graph.
     """
     if target not in _PATTERNS:
         raise ValueError(f"unsupported minor target {target}")
-    if target == "K4" and _reduces_to_nothing(graph):
-        return None
-    return _search_minor(graph, target)
+    if target == "K4":
+        paths = _k4_subdivision(_simple_adjacency(graph))
+        if paths is None:
+            return None
+        sets: dict[str, list[str]] = {}
+        for (p, q), inner in paths.items():
+            sets.setdefault(p, [p]).extend(inner)
+            sets.setdefault(q, [q])
+        return _witness(graph, target, sets.values())
+    for block in _blocks(graph):
+        sides = _k23_sides(block)
+        if sides is not None:
+            return _witness(graph, target, *sides)
+    return None
 
 
-def _reduces_to_nothing(graph: Graph) -> bool:
-    """Series-parallel reduction empties the simple underlying graph.
+def _witness(graph: Graph, target: str, *sides: Iterable[list[str]]) -> MinorWitness:
+    """Branch sets, each side sorted by smallest vertex, with their smallest connecting edges."""
+    branch_sets = [frozenset(s) for side in sides for s in sorted(side, key=min)]
+    index = {v: i for i, s in enumerate(branch_sets) for v in s}
+    pattern_edges = _PATTERNS[target][1]
+    connecting: dict[tuple[int, int], str] = {}
+    for eid in graph.edge_ids():  # ascending, so the first edge of a pair is its smallest
+        i, j = sorted(index.get(v, -1) for v in graph.endpoints(eid))
+        if i >= 0:
+            connecting.setdefault((i, j), eid)
+    return MinorWitness(target, branch_sets, {ij: connecting[ij] for ij in pattern_edges})
 
-    The reduction deletes vertices of degree <= 1 and suppresses vertices of
-    degree 2, merging the new edge into an existing one between the same
-    neighbours.  Each step keeps a K4 minor and K4-minor-freeness alike: a
-    vertex of degree <= 1 lies in no subdivided K4, and a vertex of degree 2
-    can only subdivide one of its edges (K4 minors and subdivisions coincide
-    because K4 is cubic).  A simple graph of minimum degree 3 has a K4 minor
-    (Dirac 1952), so the graph is K4-minor-free exactly when nothing is
-    left (Duffin 1965).  Every vertex is removed at most once and each step
-    touches two neighbours, so the work is linear.
+
+def _reduce(adj: dict[str, dict], low: list[str], log: list[tuple]) -> None:
+    """Series-parallel reduction from the vertices in `low`, logging each change.
+
+    Deletes vertices of degree <= 1 and suppresses vertices v of degree 2:
+    the new edge ab maps to the link (edge va, v, edge vb), unless a and b
+    are adjacent already.  Each step keeps a K4 minor and K4-minor-freeness
+    alike: a vertex of degree <= 1 lies in no subdivided K4, and a vertex of
+    degree 2 can only subdivide one of its edges (K4 minors and
+    subdivisions coincide because K4 is cubic).  A simple graph of minimum
+    degree 3 has a K4 minor (Dirac 1952), so the graph is K4-minor-free
+    exactly when nothing is left.  No degree grows, so a queued vertex stays
+    reducible; each vertex goes once and each step touches two neighbours,
+    so the work is linear.  Log entries: (v,) a deleted vertex, (a, b,
+    link) a deleted edge, (a, b) an added edge.
     """
-    adj = _simple_adjacency(graph)
-    low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
     while low:
         v = low.pop()
-        nbrs = adj.pop(v, None)
-        if nbrs is None:
+        at = adj.pop(v, None)
+        if at is None:
             continue
-        for w in nbrs:
-            adj[w].discard(v)
-        if len(nbrs) == 2:
-            a, b = nbrs
-            adj[a].add(b)
-            adj[b].add(a)
-        low.extend(w for w in nbrs if len(adj[w]) <= 2)
-    return not adj
+        for w, link in at.items():
+            del adj[w][v]
+            log.append((v, w, link))
+        log.append((v,))
+        if len(at) == 2:
+            (a, left), (b, right) = at.items()
+            if b not in adj[a]:
+                adj[a][b] = adj[b][a] = (left, v, right)
+                log.append((a, b))
+        low.extend(w for w in at if len(adj[w]) <= 2)
 
 
-def _search_minor(graph: Graph, target: str) -> MinorWitness | None:
-    k, pattern_edges = _PATTERNS[target]
-    verts = sorted(graph.vertices)
-    n = len(verts)
-    if n < k:
+def _undo(adj: dict[str, dict], log: list[tuple]) -> None:
+    """Reverse the changes of a `_reduce` log, last first."""
+    for entry in reversed(log):
+        if len(entry) == 1:
+            adj[entry[0]] = {}
+        elif len(entry) == 2:
+            a, b = entry
+            del adj[a][b], adj[b][a]
+        else:
+            a, b, link = entry
+            adj[a][b] = adj[b][a] = link
+
+
+def _k4_subdivision(adj: dict[str, dict]) -> dict[tuple[str, str], list[str]] | None:
+    """A subdivided K4 as the interiors of its six paths, keyed by corner pairs.
+
+    None when the graph has no K4 minor; consumes `adj`.  See `find_minor`.
+    """
+    _reduce(adj, [v for v, at in adj.items() if len(at) <= 2], [])
+    if not adj:
         return None
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    edge_for: dict[tuple[int, int], str] = {}
-    for eid in sorted(graph.edges):
-        u, v = graph.endpoints(eid)
-        if u == v:
+    trials = sorted(((a, b) for a, at in adj.items() for b in at if a < b),
+                    key=lambda ab: (-len(adj[ab[0]]) - len(adj[ab[1]]), ab))
+    for a, b in trials:
+        if len(adj) == 4:
+            break
+        if a not in adj or b not in adj[a]:
             continue
-        iu, iv = idx[u], idx[v]
-        adj[iu] |= 1 << iv
-        adj[iv] |= 1 << iu
-        pair = (min(iu, iv), max(iu, iv))
-        edge_for.setdefault(pair, eid)
+        log = [(a, b, adj[a].pop(b))]
+        del adj[b][a]
+        _reduce(adj, [w for w in (a, b) if len(adj[w]) <= 2], log)
+        if adj:
+            trials.extend(entry for entry in log if len(entry) == 2)
+        else:
+            _undo(adj, log)
+    if len(adj) != 4:
+        raise AssertionError("series-parallel kernel did not shrink to K4")
+    return {(a, b): _interior(link) for a, at in adj.items() for b, link in at.items()
+            if a < b}
 
-    connected_subsets = _connected_subsets(adj, n)
-    nbr_mask = list(adj)
 
-    def subset_nbrs(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            b = m & -m
-            out |= nbr_mask[b.bit_length() - 1]
-            m ^= b
-        return out & ~mask
+def _interior(link) -> list[str]:
+    """The suppressed vertices an edge of `_reduce` stands for."""
+    out = []
+    stack = [link]
+    while stack:
+        link = stack.pop()
+        if link is not None:
+            left, v, right = link
+            out.append(v)
+            stack += (left, right)
+    return out
 
-    requires: list[list[int]] = [[] for _ in range(k)]
-    for i, j in pattern_edges:
-        requires[max(i, j)].append(min(i, j))
 
-    chosen: list[int] = []
-
-    def place(i: int, used: int) -> bool:
-        if i == k:
-            return True
-        for mask in connected_subsets:
-            if mask & used:
-                continue
-            nb = subset_nbrs(mask)
-            if any(not (nb & chosen[j]) for j in requires[i]):
-                continue
-            chosen.append(mask)
-            if place(i + 1, used | mask):
-                return True
-            chosen.pop()
-        return False
-
-    if not place(0, 0):
+def _k23_sides(block: dict[str, dict]) -> tuple[list[list[str]], list[list[str]]] | None:
+    """The 2-side and the 3-side of a K2,3 minor within one block; see `find_minor`."""
+    if len(block) < 5:
         return None
+    pair = _eliminate({v: dict(at) for v, at in block.items()}, {})
+    if pair is None:
+        return None
+    if pair:
+        x, y = sorted(pair)
+        return [[x], [y]], _three_paths(block, x, y)
+    paths = _k4_subdivision({v: dict(at) for v, at in block.items()})
 
-    branch_sets = [frozenset(verts[b] for b in _bits(mask)) for mask in chosen]
-    connecting: dict[tuple[int, int], str] = {}
-    for i, j in pattern_edges:
-        found = None
-        for a in _bits(chosen[i]):
-            for b in _bits(chosen[j]):
-                pair = (min(a, b), max(a, b))
-                if pair in edge_for:
-                    found = edge_for[pair]
-                    break
-            if found:
+    def path(a: str, b: str) -> list[str]:
+        return paths[(a, b) if a < b else (b, a)]
+
+    corners = sorted({c for pq in paths for c in pq})
+    for (p, q), inner in sorted(paths.items()):
+        if inner:
+            r, s = (c for c in corners if c not in (p, q))
+            return [[p], [q]], [inner, [r, *path(p, r), *path(q, r)],
+                                [s, *path(p, s), *path(q, s)]]
+    # A bare K4: search from a fifth vertex v next to corner x, avoiding x,
+    # up to the first other corner reached.
+    x, v = next((c, w) for c in corners for w in block[c] if w not in corners)
+    came: dict[str, str | None] = {x: None, v: None}
+    queue = [v]
+    for u in queue:
+        for w in block[u]:
+            if w in came:
+                continue
+            came[w] = u
+            if w in corners:
+                ear = []
+                while u is not None:
+                    ear.append(u)
+                    u = came[u]
+                return [[x], [w]], [ear, *([c] for c in corners if c not in (x, w))]
+            queue.append(w)
+    raise AssertionError("a 2-connected block with a bare K4 has no ear")
+
+
+def _three_paths(adj: dict[str, dict], s: str, t: str) -> list[list[str]]:
+    """Interiors of three internally disjoint s-t paths that avoid the edge st.
+
+    Every vertex other than s and t gets capacity 1: it splits into an entry
+    (v, 0) and an exit (v, 1) joined by one unit arc, and an edge uw gives
+    the arcs (u, 1) -> (w, 0) and (w, 1) -> (u, 0).  Each of the three rounds
+    is one breadth-first search for an augmenting path from (s, 1) to (t, 0)
+    in the residual network, so by Menger's theorem the rounds succeed
+    exactly when three such paths exist.
+    """
+    flow: set[tuple[tuple[str, int], tuple[str, int]]] = set()
+    source, sink = (s, 1), (t, 0)
+    for _ in range(3):
+        came: dict = {source: None}
+        queue = [source]
+        for node in queue:
+            if node == sink:
                 break
-        connecting[(i, j)] = found
-    return MinorWitness(target, branch_sets, connecting)
+            v, side = node
+            if side:
+                moves = [((w, 0), False) for w in adj[v]
+                         if w != s and not (v == s and w == t) and (node, (w, 0)) not in flow]
+                if ((v, 0), node) in flow:
+                    moves.append(((v, 0), True))
+            else:
+                moves = [] if (node, (v, 1)) in flow else [((v, 1), False)]
+                moves += [((u, 1), True) for u in adj[v] if ((u, 1), node) in flow]
+            for nxt, back in moves:
+                if nxt not in came:
+                    came[nxt] = (node, back)
+                    queue.append(nxt)
+        else:
+            raise AssertionError(f"fewer than three disjoint paths join {s} and {t}")
+        node = sink
+        while node != source:
+            prev, back = came[node]
+            if back:
+                flow.discard((node, prev))
+            else:
+                flow.add((prev, node))
+            node = prev
+    paths = []
+    for w in adj[s]:
+        node = (w, 0)
+        if (source, node) not in flow:
+            continue
+        inner = []
+        while node != sink:
+            v = node[0]
+            inner.append(v)
+            node = next((u, 0) for u in adj[v] if ((v, 1), (u, 0)) in flow)
+        paths.append(inner)
+    return paths
 
 
 def _bits(mask: int):
@@ -475,27 +634,6 @@ def _bits(mask: int):
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
-
-
-def _connected_subsets(adj: list[int], n: int) -> list[int]:
-    """All nonempty connected vertex subsets as bitmasks, ascending."""
-    out = []
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        reach = low
-        while True:
-            grow = reach
-            m = reach
-            while m:
-                b = m & -m
-                grow |= adj[b.bit_length() - 1] & mask
-                m ^= b
-            if grow == reach:
-                break
-            reach = grow
-        if reach == mask:
-            out.append(mask)
-    return out
 
 
 def verify_minor_witness(graph: Graph, witness: MinorWitness) -> bool:
@@ -593,7 +731,7 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
     hamiltonian = graph.is_simple() and _is_one_block(graph, blocks)
     triangles: dict[frozenset[str], int] = {}
     for nbrs in blocks:
-        if len(nbrs) >= 3 and not _eliminate(nbrs, triangles):
+        if len(nbrs) >= 3 and _eliminate(nbrs, triangles) is not None:
             return OuterplanarityResult(False, nonouterplanar=graph)
     if not hamiltonian:
         return OuterplanarityResult(True)
@@ -619,49 +757,64 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
                                 frozenset(chords))
 
 
-def _eliminate(nbrs: dict[str, set[str]], triangles: dict[frozenset[str], int]) -> bool:
-    """Degree-2 elimination consuming one block's neighbour sets; False if not outerplanar."""
+def _eliminate(nbrs: dict[str, dict[str, None]],
+               triangles: dict[frozenset[str], int]) -> frozenset[str] | None:
+    """Degree-2 elimination consuming one block's neighbours.
+
+    None when the block passes, which means it is outerplanar; otherwise
+    the pair that reached a third triangle, or the empty set when three or
+    more vertices remain and none has degree 2.
+    """
     low = sorted(v for v, ws in nbrs.items() if len(ws) == 2)
     while len(nbrs) > 2:
         if not low:
-            return False
+            return frozenset()
         v = low.pop()
         if v not in nbrs:
             continue
         a, b = nbrs.pop(v)
-        nbrs[a].discard(v)
-        nbrs[b].discard(v)
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+        del nbrs[a][v], nbrs[b][v]
+        nbrs[a][b] = nbrs[b][a] = None
         for pair in (frozenset((v, a)), frozenset((v, b)), frozenset((a, b))):
             count = triangles.get(pair, 0) + 1
             if count == 3:
-                return False
+                return pair
             triangles[pair] = count
         low.extend(w for w in (a, b) if len(nbrs[w]) == 2)
-    return True
+    return None
 
 
 def check_cycle(graph: Graph, cycle_edges: Iterable[str]) -> frozenset[str]:
-    """Check edge ids form a genuine cycle of the graph; return its vertices."""
+    """Check edge ids form a genuine cycle of the graph; return its vertices.
+
+    Every vertex must meet two of the edges, and a walk along them from the
+    first edge must use all of them before it closes.
+    """
     es = sorted(set(cycle_edges))
     if not es:
         raise ValueError("empty cycle")
-    deg: dict[str, int] = {}
+    at: dict[str, list[str]] = {}
     for eid in es:
         if not graph.has_edge(eid):
             raise ValueError(f"unknown edge {eid}")
         u, v = graph.endpoints(eid)
         if u == v:
             raise ValueError(f"loop {eid} cannot lie on a cycle")
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(d != 2 for d in deg.values()):
+        at.setdefault(u, []).append(eid)
+        at.setdefault(v, []).append(eid)
+    if any(len(pair) != 2 for pair in at.values()):
         raise ValueError("edge set is not a cycle: wrong degrees")
-    sub = Graph(set(deg), {e: graph.endpoints(e) for e in es})
-    if not sub.is_connected():
+    start, v = graph.endpoints(es[0])
+    eid, walked = es[0], 1
+    while v != start:
+        a, b = at[v]
+        eid = b if a == eid else a
+        u, w = graph.endpoints(eid)
+        v = w if u == v else u
+        walked += 1
+    if walked != len(es):
         raise ValueError("edge set is not a cycle: disconnected")
-    return frozenset(deg)
+    return frozenset(at)
 
 
 def cycle_sides(traced: TracedFaces, cycle_edges: Iterable[str]) -> tuple[frozenset[int], frozenset[int]]:

@@ -3,7 +3,9 @@
 Enumerates every rotation system of a skeleton (the product of cyclic orders
 over all vertices), keeps the genus-zero ones, and tests nestedness of a
 cycle family directly against each sphere embedding.  Also searches face
-subsets for closed surfaces other than the sphere.
+subsets for closed surfaces other than the sphere, and connected vertex
+subsets for K4 and K2,3 branch sets (`_search_minor`, the ground truth for
+`embedding.find_minor`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Iterator, Mapping
 from .complexes import Graph, TwoComplex, face_subcomplex, skeleton
 from .decider import (ComponentCertificate, ExhaustiveFailure,
                       NestedCertificate, component_certificate)
-from .embedding import CrossingPair, RotationSystem, TracedFaces, test_planar, trace_faces
+from .embedding import (_PATTERNS, CrossingPair, MinorWitness, RotationSystem, TracedFaces,
+                        _bits, test_planar, trace_faces)
 from .surface import SurfaceClass, classify_component
 
 DEFAULT_CAP = 10_000_000
@@ -216,3 +219,96 @@ def find_aspherical_subcomplex(complex: TwoComplex, max_faces: int = 20
             if sclass.is_surface and sclass.euler != 2:
                 return frozenset(subset), sclass
     return None
+
+
+def _search_minor(graph: Graph, target: str) -> MinorWitness | None:
+    """First branch sets of the target minor over all connected vertex subsets, or None."""
+    k, pattern_edges = _PATTERNS[target]
+    verts = sorted(graph.vertices)
+    n = len(verts)
+    if n < k:
+        return None
+    idx = {v: i for i, v in enumerate(verts)}
+    adj = [0] * n
+    edge_for: dict[tuple[int, int], str] = {}
+    for eid in sorted(graph.edges):
+        u, v = graph.endpoints(eid)
+        if u == v:
+            continue
+        iu, iv = idx[u], idx[v]
+        adj[iu] |= 1 << iv
+        adj[iv] |= 1 << iu
+        pair = (min(iu, iv), max(iu, iv))
+        edge_for.setdefault(pair, eid)
+
+    connected_subsets = _connected_subsets(adj, n)
+    nbr_mask = list(adj)
+
+    def subset_nbrs(mask: int) -> int:
+        out = 0
+        m = mask
+        while m:
+            b = m & -m
+            out |= nbr_mask[b.bit_length() - 1]
+            m ^= b
+        return out & ~mask
+
+    requires: list[list[int]] = [[] for _ in range(k)]
+    for i, j in pattern_edges:
+        requires[max(i, j)].append(min(i, j))
+
+    chosen: list[int] = []
+
+    def place(i: int, used: int) -> bool:
+        if i == k:
+            return True
+        for mask in connected_subsets:
+            if mask & used:
+                continue
+            nb = subset_nbrs(mask)
+            if any(not (nb & chosen[j]) for j in requires[i]):
+                continue
+            chosen.append(mask)
+            if place(i + 1, used | mask):
+                return True
+            chosen.pop()
+        return False
+
+    if not place(0, 0):
+        return None
+
+    branch_sets = [frozenset(verts[b] for b in _bits(mask)) for mask in chosen]
+    connecting: dict[tuple[int, int], str] = {}
+    for i, j in pattern_edges:
+        found = None
+        for a in _bits(chosen[i]):
+            for b in _bits(chosen[j]):
+                pair = (min(a, b), max(a, b))
+                if pair in edge_for:
+                    found = edge_for[pair]
+                    break
+            if found:
+                break
+        connecting[(i, j)] = found
+    return MinorWitness(target, branch_sets, connecting)
+
+
+def _connected_subsets(adj: list[int], n: int) -> list[int]:
+    """All nonempty connected vertex subsets as bitmasks, ascending."""
+    out = []
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        reach = low
+        while True:
+            grow = reach
+            m = reach
+            while m:
+                b = m & -m
+                grow |= adj[b.bit_length() - 1] & mask
+                m ^= b
+            if grow == reach:
+                break
+            reach = grow
+        if reach == mask:
+            out.append(mask)
+    return out

@@ -20,8 +20,8 @@ from outerspatial.decider import (AsphericalSubcomplex, NestedCertificate,
                                   Outerspatial, decide_nested_plane,
                                   decide_outerspatial, verify_certificate,
                                   verify_obstruction)
-from outerspatial.embedding import find_minor, is_2_connected, verify_minor_witness
-from outerspatial.oracle import brute_force_outerspatial
+from outerspatial.embedding import is_2_connected, verify_minor_witness
+from outerspatial.oracle import _search_minor, brute_force_outerspatial
 from outerspatial.surface import classify_surface
 
 
@@ -203,8 +203,8 @@ def test_criterion_6_outerplanarity_triple_agreement():
     checked_hamilton = 0
     for graph in graphs:
         result = embedding.test_outerplanar(graph)
-        minor_free = (find_minor(graph, "K4") is None
-                      and find_minor(graph, "K2,3") is None)
+        minor_free = (_search_minor(graph, "K4") is None
+                      and _search_minor(graph, "K2,3") is None)
         if result.outerplanar != minor_free:
             mismatches += 1
         if not result.outerplanar:

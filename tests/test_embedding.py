@@ -12,7 +12,7 @@ from outerspatial.complexes import (Graph, complete_bipartite, complete_graph,
                                     cycle_graph)
 from outerspatial.decider import _sphere_rotation_from_links
 from outerspatial import embedding
-from outerspatial.embedding import (CrossingPair, RotationSystem,
+from outerspatial.embedding import (CrossingPair, RotationSystem, check_cycle,
                                     cycle_sides, cycles_cross, find_minor,
                                     is_2_connected, nesting_forest,
                                     trace_faces, verify_minor_witness)
@@ -282,6 +282,26 @@ class TestOuterFaceIndependence:
             forest = nesting_forest(traced, cycles, outer_face=outer)
             assert not isinstance(forest, CrossingPair)
             assert forest.is_laminar()
+
+
+class TestCheckCycle:
+    def test_cycles_give_their_vertices(self):
+        assert check_cycle(K4(), ["ab", "bc", "ac"]) == frozenset("abc")
+        digon = Graph("ab", {"e": ("a", "b"), "f": ("a", "b")})
+        assert check_cycle(digon, ["e", "f"]) == frozenset("ab")
+
+    @pytest.mark.parametrize("edges,message", [
+        ([], "empty cycle"),
+        (["ab", "zz"], "unknown edge zz"),
+        (["l"], "loop l cannot lie on a cycle"),
+        (["ab", "bc"], "edge set is not a cycle: wrong degrees"),
+        (["ab", "bc", "ac", "de", "ef", "df"], "edge set is not a cycle: disconnected"),
+    ])
+    def test_non_cycles_rejected(self, edges, message):
+        graph = Graph("abcdef", {**complete_graph("abc").edges, **complete_graph("def").edges,
+                                 "l": ("a", "a")})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_cycle(graph, edges)
 
 
 class TestMinorWitnesses:

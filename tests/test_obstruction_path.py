@@ -2,7 +2,7 @@
 
 Each fast piece is checked against the exhaustive search it stands in for:
 the surface search against `oracle.find_aspherical_subcomplex`, the
-series-parallel gate against branch-set enumeration, and the lazy planarity
+series-parallel gate against the oracle's branch-set enumeration, and the lazy planarity
 report against the Kuratowski subgraph networkx builds.
 """
 
@@ -11,16 +11,16 @@ import random
 import networkx as nx
 import pytest
 
-from outerspatial import decider, embedding, oracle
+from outerspatial import decider, oracle
 from outerspatial import generators as gen
 from outerspatial.complexes import (Graph, associated_complex,
                                     complete_graph, delete_faces)
 from outerspatial.decider import (AsphericalSubcomplex, HypothesisViolated,
                                   NotOuterspatial, decide_outerspatial,
                                   verify_obstruction)
-from outerspatial.embedding import (_reduces_to_nothing, _search_minor,
-                                    find_minor, test_planar as check_planar)
-from outerspatial.oracle import find_aspherical_subcomplex
+from outerspatial.embedding import (find_minor, test_planar as check_planar,
+                                    verify_minor_witness)
+from outerspatial.oracle import _search_minor, find_aspherical_subcomplex
 from outerspatial.surface import SearchBudgetExceeded, search_aspherical_subcomplex
 from test_surface import projective_plane
 
@@ -158,7 +158,7 @@ class TestK4Gate:
     def test_gate_matches_enumeration(self):
         checked = 0
         for graph in _atlas_and_random_graphs():
-            assert _reduces_to_nothing(graph) == (_search_minor(graph, "K4") is None)
+            assert (find_minor(graph, "K4") is None) == (_search_minor(graph, "K4") is None)
             checked += 1
         assert checked > 1500
 
@@ -166,17 +166,18 @@ class TestK4Gate:
         # A triangle with every edge doubled and a loop has no K4 minor.
         g = Graph("abc", {"ab": ("a", "b"), "ab2": ("a", "b"), "bc": ("b", "c"),
                           "bc2": ("b", "c"), "ca": ("c", "a"), "l": ("a", "a")})
-        assert _reduces_to_nothing(g)
-        assert not _reduces_to_nothing(complete_graph("abcd"))
+        assert find_minor(g, "K4") is None
+        assert find_minor(complete_graph("abcd"), "K4") is not None
 
     def test_k4_free_graph_skips_enumeration(self, monkeypatch):
-        def refuse(graph, target):
-            raise AssertionError("enumerated a K4-minor-free graph")
-        monkeypatch.setattr(embedding, "_search_minor", refuse)
+        def refuse(*args):
+            raise AssertionError("enumerated vertex subsets")
+        monkeypatch.setattr(oracle, "_search_minor", refuse)
+        monkeypatch.setattr(oracle, "_connected_subsets", refuse)
         k23 = gen.named_graph("k23")
         assert find_minor(k23, "K4") is None
-        with pytest.raises(AssertionError):
-            find_minor(k23, "K2,3")
+        witness = find_minor(k23, "K2,3")
+        assert witness.target == "K2,3" and verify_minor_witness(k23, witness)
 
 
 class TestLazyPlanarityReport:
