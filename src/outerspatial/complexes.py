@@ -35,6 +35,8 @@ class Graph:
             if v != u:
                 incident[v].append(eid)
         self._incident = {v: tuple(es) for v, es in incident.items()}
+        self._pairs: dict[tuple[str, str], tuple[str, ...]] | None = None
+        self._components: tuple[dict[str, int], tuple[Graph, ...]] | None = None
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -89,10 +91,16 @@ class Graph:
         return frozenset(out)
 
     def edges_between(self, u: str, v: str) -> tuple[str, ...]:
-        out = [e for e in self._incident.get(u, ()) if set(self._edges[e]) == {u, v}]
-        if u == v:
-            out = [e for e in self._incident.get(u, ()) if self.is_loop(e) and self._edges[e][0] == u]
-        return tuple(sorted(out))
+        """Edge ids joining u and v, sorted; the loops at u when u == v.
+
+        Reads an endpoint-pair index built on first call and kept.
+        """
+        if self._pairs is None:
+            pairs: dict[tuple[str, str], list[str]] = {}
+            for eid, (a, b) in self._edges.items():  # ascending ids
+                pairs.setdefault((a, b) if a <= b else (b, a), []).append(eid)
+            self._pairs = {ab: tuple(es) for ab, es in pairs.items()}
+        return self._pairs.get((u, v) if u <= v else (v, u), ())
 
     def loops(self) -> tuple[str, ...]:
         return tuple(e for e in self._edges if self.is_loop(e))
@@ -109,29 +117,55 @@ class Graph:
         return tuple(sorted(out))
 
     def is_simple(self) -> bool:
-        return not self.loops() and not self.parallel_pairs()
+        """No loop and no two edges with the same endpoints; stops at the first."""
+        seen: set[tuple[str, str]] = set()
+        for u, v in self._edges.values():
+            if u == v:
+                return False
+            uv = (u, v) if u < v else (v, u)
+            if uv in seen:
+                return False
+            seen.add(uv)
+        return True
+
+    def component_index(self) -> tuple[dict[str, int], tuple["Graph", ...]]:
+        """Vertex -> component id, and the components as graphs, ordered by smallest vertex.
+
+        Built on first call and kept: one search over the incidences and one
+        pass bucketing the edges.  A connected graph is its own component.
+        """
+        if self._components is None:
+            comp_of: dict[str, int] = {}
+            groups: list[list[str]] = []
+            for start in self._incident:  # sorted
+                if start in comp_of:
+                    continue
+                comp_of[start] = len(groups)
+                group = [start]
+                for v in group:
+                    for eid in self._incident[v]:
+                        u, w = self._edges[eid]
+                        w = u if w == v else w
+                        if w not in comp_of:
+                            comp_of[w] = len(groups)
+                            group.append(w)
+                groups.append(group)
+            if len(groups) == 1:
+                parts: tuple[Graph, ...] = (self,)
+            else:
+                edges: list[dict[str, tuple[str, str]]] = [{} for _ in groups]
+                for eid, uv in self._edges.items():
+                    edges[comp_of[uv[0]]][eid] = uv
+                parts = tuple(Graph(vs, es) for vs, es in zip(groups, edges))
+            self._components = (comp_of, parts)
+        return self._components
 
     def components(self) -> list[frozenset[str]]:
         """Vertex sets of connected components, sorted by smallest vertex."""
-        seen: set[str] = set()
-        comps = []
-        for start in sorted(self._vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        return [part.vertices for part in self.component_index()[1]]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self.component_index()[1]) <= 1
 
     def induced_subgraph(self, vertices: Iterable[str]) -> "Graph":
         vs = frozenset(vertices)
@@ -658,11 +692,16 @@ def associated_complex(graph: Graph, cycles: Mapping[str, Sequence[str]] | Itera
 
 
 def split_components(complex: TwoComplex) -> list[TwoComplex]:
-    """Connected components as complexes, ordered by smallest vertex."""
-    out = []
-    for comp in complex.graph.components():
-        sub = complex.graph.induced_subgraph(comp)
-        faces = [f for f in complex.faces.values() if set(f.vertices) <= comp]
-        out.append(TwoComplex(sub, faces))
-    return out
+    """Connected components as complexes, ordered by smallest vertex.
+
+    Faces go to the component of their first vertex, read from the graph's
+    component index; a connected complex is returned as it is.
+    """
+    comp_of, parts = complex.graph.component_index()
+    if len(parts) == 1:
+        return [complex]
+    faces: list[list[Face]] = [[] for _ in parts]
+    for f in complex._faces.values():
+        faces[comp_of[f.steps[0][0]]].append(f)
+    return [TwoComplex(part, fs) for part, fs in zip(parts, faces)]
 

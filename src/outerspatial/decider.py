@@ -22,7 +22,7 @@ from .embedding import (CrossingPair, Dart, MinorWitness,
                         TracedFaces, cycle_sides, find_minor, is_2_connected,
                         nesting_forest, test_outerplanar, test_planar,
                         trace_faces, verify_minor_witness, _children_index,
-                        _interior_bits, _is_containment_forest, _normalize_cycle)
+                        _normalize_cycle)
 from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
                       euler_characteristic, search_aspherical_subcomplex, _orient_faces)
 
@@ -295,12 +295,17 @@ def component_certificate(traced: TracedFaces,
 
 def build_certificate(graph: Graph, cycles: Mapping[str, frozenset[str]],
                       planarity: PlanarityResult) -> NestedCertificate | CrossingPair:
-    """Assemble a certificate from the genus-zero tracings of a planar graph."""
+    """Assemble a certificate from the genus-zero tracings of a planar graph.
+
+    `planarity` is `test_planar(graph)`, traced in the order of the graph's
+    component index; each cycle goes to the component of its smallest edge.
+    """
+    comp_of = graph.component_index()[0]
+    buckets: list[dict[str, frozenset[str]]] = [{} for _ in planarity.traced]
+    for cid, es in cycles.items():
+        buckets[comp_of[graph.endpoints(min(es))[0]]][cid] = es
     comps = []
-    for traced in planarity.traced:
-        comp_vs = traced.graph.vertices
-        comp_cycles = {cid: es for cid, es in cycles.items()
-                       if _cycle_vertices(graph, es) <= comp_vs}
+    for traced, comp_cycles in zip(planarity.traced, buckets):
         got = component_certificate(traced, comp_cycles)
         if isinstance(got, CrossingPair):
             return got
@@ -322,10 +327,6 @@ def _within_euler_bound(graph: Graph) -> bool:
     pairs = {frozenset(graph.endpoints(eid)) for eid in graph.edge_ids()
              if not graph.is_loop(eid)}
     return len(pairs) <= bound
-
-
-def _cycle_vertices(graph: Graph, edge_set: frozenset[str]) -> frozenset[str]:
-    return frozenset(v for e in edge_set for v in graph.endpoints(e))
 
 
 def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdict:
@@ -539,55 +540,113 @@ def decide_nested_plane(graph: Graph,
 
 
 def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> bool:
-    """Independent certificate check.
+    """Independent certificate check: a re-trace and a label walk over each claimed forest.
 
-    Re-traces the rotation system, checks genus zero per component, matches
-    the designated outer faces, recomputes all interiors, and checks the
-    forest covers every face boundary: each child strictly inside its
-    parent, siblings (roots included) pairwise disjoint.  For the distinct
-    non-empty interiors of a valid complex that is the same as laminar
-    interiors with each parent the smallest strict superset; it shares no
-    code with the sweep that built the forest.
+    Shape: the rotation system lists the half-edges at every vertex; each
+    component of the graph has exactly one certificate, re-traces to genus
+    zero and has the claimed outer orbit.  Every face is a genuine cycle,
+    no two with one edge set.  Each parent map names exactly the faces of
+    its component and is a forest: every walk up from a face reaches a
+    root without leaving the map or repeating, which gives the depths.
+
+    Walk: breadth first from the outer orbit, labelled none, each newly
+    reached orbit y gets a forest node as label from the orbit x it is
+    reached from over an edge e.  Let C be the faces whose boundary uses e.
+    From x's label, walk up the chain (the label and its ancestors) while
+    the node is in C; the rest of C, by depth, must then continue downwards
+    from where the walk stopped, and the node reached is y's label.  A
+    face of C higher up the chain cannot continue downwards, so the faces
+    walked up are exactly those of C on x's chain, its innermost part.
+
+    Soundness: a passing walk makes chain(y) = chain(x) xor C on the edges
+    of a spanning tree of the dual, with an empty chain at the outer orbit:
+    a consistent labelling in the sense of the `embedding` module
+    docstring.  Membership in an interior flips exactly across the
+    cycle's own edges, and a genuine cycle on the sphere has exactly two
+    sides, so every chain is then exactly the set of boundaries enclosing
+    its orbit; hence the boundaries are laminar and each claimed parent is
+    the smallest strict superset.  The forest built for a laminar family
+    passes, labelled by innermost enclosing boundaries.  The walk shares no
+    function with `nesting_forest`.
     """
     graph = complex.graph
+    rotation = certificate.rotation
     try:
-        certificate.rotation.validate_for(graph)
+        rotation.validate_for(graph)
     except ValueError:
         return False
-    comps = graph.components()
-    by_vertices = {tuple(sorted(vs)): vs for vs in comps}
-    cert_map = {c.vertices: c for c in certificate.components}
-    if set(by_vertices) != set(cert_map):
+    comp_of, parts = graph.component_index()
+    certs = {c.vertices: c for c in certificate.components}
+    faces = complex.faces
+    if (len(certs) != len(parts) or len(certificate.components) != len(parts)
+            or not all(f.is_genuine_cycle() for f in faces.values())
+            or len({f.edge_set for f in faces.values()}) != len(faces)):
         return False
-    covered: set[str] = set()
-    for key, comp_vs in sorted(by_vertices.items()):
-        cert = cert_map[key]
-        sub = graph.induced_subgraph(comp_vs)
+    comp_faces: list[dict[str, list[str]]] = [{} for _ in parts]
+    for fid, f in faces.items():
+        comp_faces[comp_of[f.steps[0][0]]][fid] = f.edge_ids
+    for part, part_faces in zip(parts, comp_faces):
+        cert = certs.get(tuple(sorted(part.vertices)))
+        if cert is None or cert.parents.keys() != part_faces.keys():
+            return False
         try:
-            traced = trace_faces(sub, certificate.rotation.restricted_to(comp_vs))
+            traced = trace_faces(part, rotation if len(parts) == 1
+                                 else rotation.restricted_to(part.vertices))
         except ValueError:
             return False
         if traced.genus != 0:
             return False
         if not traced.orbits:
-            outer_index = 0
             if cert.outer_darts != ():
                 return False
-        else:
-            matches = [i for i, orbit in enumerate(traced.orbits)
-                       if _normalize_cycle(orbit) == cert.outer_darts]
-            if len(matches) != 1:
+            continue
+        outer = traced._orbit_of.get(cert.outer_darts[0]) if cert.outer_darts else None
+        if outer is None or _normalize_cycle(traced.orbits[outer]) != cert.outer_darts:
+            return False
+        if not _labels_agree(traced, outer, cert.parents, part_faces):
+            return False
+    return True
+
+
+def _labels_agree(traced: TracedFaces, outer: int, parent: Mapping[str, str | None],
+                  faces: Mapping[str, Iterable[str]]) -> bool:
+    """The label walk of `verify_certificate` over one component's claimed forest."""
+    depth: dict[str | None, int] = {None: 0}
+    for cid in parent:
+        path: list[str] = []
+        while cid not in depth:
+            if cid not in parent or len(path) > len(parent):
                 return False
-            outer_index = matches[0]
-        comp_faces = {fid: f.edge_set for fid, f in complex.faces.items()
-                      if set(f.vertices) <= comp_vs}
-        if set(cert.parents) != set(comp_faces):
-            return False
-        covered |= set(comp_faces)
-        interiors = _interior_bits(traced, comp_faces, outer_index)
-        if not _is_containment_forest(interiors, cert.parents):
-            return False
-    return covered == set(complex.face_ids())
+            path.append(cid)
+            cid = parent[cid]
+        for c in reversed(path):
+            depth[c] = depth[cid] + 1
+            cid = c
+
+    through: dict[str, list[str]] = {}
+    for fid, edge_ids in faces.items():
+        for eid in edge_ids:
+            through.setdefault(eid, []).append(fid)
+    orbits, orbit_of = traced.orbits, traced._orbit_of
+    label: dict[int, str | None] = {outer: None}
+    queue = [outer]
+    for x in queue:
+        for eid, o in orbits[x]:
+            y = orbit_of[(eid, 1 - o)]
+            if y in label:
+                continue
+            got = label[x]
+            rest = set(through.get(eid, ()))
+            while got in rest:
+                rest.remove(got)
+                got = parent[got]
+            for c in sorted(rest, key=depth.__getitem__):
+                if parent[c] != got:
+                    return False
+                got = c
+            label[y] = got
+            queue.append(y)
+    return True
 
 
 def verify_obstruction(complex: TwoComplex, obstruction: Obstruction,

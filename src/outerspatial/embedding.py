@@ -1,36 +1,51 @@
 """Rotation systems, face tracing, planarity and outerplanarity, cycle sides.
 
 A rotation system assigns each vertex a cyclic order of its half-edges and
-determines a surface via face tracing.  On a genus-zero tracing every cycle
-splits the traced faces into exactly two sides, which gives a combinatorial
-notion of cycle interiors.  Two cycles cross when no side of one is contained
-in a side of the other; this is independent of which face is declared outer.
+determines a surface via face tracing.  On a genus-zero tracing of a
+connected graph every cycle splits the traced faces into exactly two sides,
+the components of the dual graph once the cycle's edges are cut (Jordan);
+the two faces at an edge of the cycle lie on different sides, so the edges
+separating the sides are exactly the cycle's own.  With an outer face o,
+the interior int(c) of cycle c is its side avoiding o.
 
-Non-crossing lemma: if no pair of cycles in a family crosses, then for any
-choice of outer face the interiors (the sides avoiding the outer face) form a
-laminar family.  Proof sketch: with outer face o, interior(c) is the side of
-c not containing o.  Given cycles c1, c2 with sides (A, A') and (B, B'),
-non-crossing gives a containment, say A <= B.  Whichever sides play the role
-of interiors, A <= B forces int(c1) and int(c2) to be nested or disjoint:
-if int(c1) = A and int(c2) = B they are nested; if int(c2) = B' then
-int(c1) = A is disjoint from B'; if int(c1) = A' then o in A <= B so
-int(c2) = B', and A' >= B' follows from A <= B.  This is exercised by tests
-over every outer-face choice.
+Label walk.  Crossing the dual edge over primal edge e changes membership
+in int(c) exactly for the cycles c through e, so a dual path from o ends
+inside c exactly when it crosses c's edges an odd number of times.  Give
+each face y a label L(y), a node of a forest over the cycles or none, read
+as its chain A(y): L(y) and its ancestors.  Call the labelling consistent
+on a spanning tree of the dual when L(o) is none and A(y) = A(x) xor C(e)
+across each tree edge x-y over e, with C(e) the cycles through e.  Then
+A(y) collects the cycles crossed an odd number of times on the tree path
+from o, which are exactly the cycles enclosing y.  So if c is an ancestor
+of d, every face inside d has d, hence c, on its chain, and int(d) lies in
+int(c), strictly since distinct edge sets give distinct interiors.  Two
+cycles sharing a face lie on its chain, hence are nested: the family is
+laminar.  And an interior strictly containing int(d) is on the chain of a
+face inside d but not below d, so it is above d: each parent is the
+smallest strict superset.  Conversely, for a laminar family, labelling
+each face with its innermost enclosing cycle in the containment forest is
+consistent, as the cycles enclosing a face are nested and form its chain.
 
-Converse: if for one outer face the interiors are laminar, no pair crosses.
-Nested interiors put a side of one cycle inside a side of the other, and
-disjoint interiors put int(c1) inside the complement of int(c2), which is
-the other side of c2.  So "no pair crosses", "laminar for some outer face"
-and "laminar for every outer face" are one property.  `nesting_forest`
-tests it with a single laminar sweep and scans pairs only to name the first
-crossing; `verify_certificate` tests it by checking the claimed forest.
+Both walks follow a spanning tree.  On a tree edge x-y over e the cycles
+of C(e) on A(x) are exited, and must be its innermost part; the others
+are entered, and must continue the chain downwards.  `nesting_forest`
+walks a depth-first tree and builds the forest as it goes: entered cycles
+all hold y, so in a laminar family they nest by interior size, which the
+parity above counts; two of equal size are never both right, and some
+check then fails.  `verify_certificate` walks a breadth-first tree
+against a claimed forest and orders the entered cycles by claimed depth.
 
-Equal interiors: the edges separating the two sides of a cycle are exactly
-its own edges, so two cycles have equal interiors only when they have the
-same edge set, which for genuine cycles is a duplicate boundary.  `validate`
-rejects duplicate boundaries in complexes and `nesting_forest` rejects them
-with ValueError; the forest check fails on them, as a child equal to its
-parent or to a sibling is neither strictly inside nor disjoint.
+Crossing pairs.  Two cycles cross when no side of one lies in a side of
+the other; this does not depend on o.  For any o the interiors are laminar
+exactly when no pair crosses: nested interiors put a side of one cycle in
+a side of the other, and disjoint ones put int(c1) in the side of c2 that
+is not int(c2).  Conversely, take sides A, A' of c1 and B, B' of c2 with
+A <= B: if int(c1) = A it lies in B, which is int(c2) or disjoint from it;
+if int(c1) = A' then o is in A <= B, so int(c2) = B' <= A' = int(c1).  So
+when the walk fails, `nesting_forest` scans pairs in lexicographic order
+of cycle ids for the first crossing one.  Two cycles with the same edge
+set have equal interiors; `validate` rejects such duplicate boundaries in
+complexes and `nesting_forest` rejects them with ValueError.
 """
 
 from __future__ import annotations
@@ -79,8 +94,7 @@ class RotationSystem:
         return tuple(self._rot.items())
 
     def restricted_to(self, vertices: Iterable[str]) -> "RotationSystem":
-        vs = set(vertices)
-        return RotationSystem({v: r for v, r in self._rot.items() if v in vs})
+        return RotationSystem({v: self._rot[v] for v in vertices if v in self._rot})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RotationSystem) and self.canonical_key() == other.canonical_key()
@@ -114,7 +128,6 @@ class TracedFaces:
         for i, orbit in enumerate(self.orbits):
             for d in orbit:
                 self._orbit_of[d] = i
-        self._side_cache: dict[frozenset[str], tuple[int, int]] = {}
 
     @cached_property
     def genus(self) -> int:
@@ -216,17 +229,21 @@ def test_planar(graph: Graph) -> PlanarityResult:
 
     Handles disconnected input per component and multigraphs: parallel edges
     are laid next to their partner and loops next to themselves, which keeps
-    the genus at zero.  Deterministic for a fixed input.
+    the genus at zero.  Deterministic for a fixed input.  Components come
+    from the graph's component index, in its order.
     """
     rotators: dict[str, tuple[HalfEdge, ...]] = {}
-    subs = [graph.induced_subgraph(comp) for comp in graph.components()]
-    for sub in subs:
+    parts = graph.component_index()[1]
+    part_rotators = []
+    for sub in parts:
         comp_rot = _planar_rotators_connected(sub)
         if comp_rot is None:
             return PlanarityResult(None, sub)
+        part_rotators.append(comp_rot)
         rotators.update(comp_rot)
     rotation = RotationSystem(rotators)
-    traced = tuple(trace_faces(sub, rotation.restricted_to(sub.vertices)) for sub in subs)
+    traced = tuple(trace_faces(sub, rotation if len(parts) == 1 else RotationSystem(rot))
+                   for sub, rot in zip(parts, part_rotators))
     if any(t.genus != 0 for t in traced):
         raise AssertionError("planar embedding traced to nonzero genus")
     return PlanarityResult(rotation, traced=traced)
@@ -838,12 +855,9 @@ def _side_bits(traced: TracedFaces, cycle_edges: Iterable[str]) -> tuple[int, in
     one face in S, and the closure X of S has Euler characteristic 1.  X is
     a connected proper subcomplex of the sphere, so by Alexander duality its
     complement has 2 - chi(X) components; with the cut edges exactly the
-    cycle, these are the components of the other side.  Cached per tracing.
+    cycle, these are the components of the other side.
     """
     cyc = frozenset(cycle_edges)
-    cached = traced._side_cache.get(cyc)
-    if cached is not None:
-        return cached
     if traced.genus != 0:
         raise ValueError("cycle sides are defined only on genus-zero tracings")
     check_cycle(traced.graph, cyc)
@@ -887,9 +901,7 @@ def _side_bits(traced: TracedFaces, cycle_edges: Iterable[str]) -> tuple[int, in
     if len(vertices) - len(edges) + len(small) != 1:
         raise AssertionError("cycle splits the sphere into more than two sides")
     other_bits = ((1 << len(traced.orbits)) - 1) ^ small_bits
-    sides = (small_bits, other_bits) if small_bits & 1 else (other_bits, small_bits)
-    traced._side_cache[cyc] = sides
-    return sides
+    return (small_bits, other_bits) if small_bits & 1 else (other_bits, small_bits)
 
 
 def _orbit_set(bits: int) -> frozenset[int]:
@@ -909,17 +921,6 @@ def cycles_cross(traced: TracedFaces, c1: Iterable[str], c2: Iterable[str]) -> b
     return _sides_cross(_side_bits(traced, c1), _side_bits(traced, c2))
 
 
-def _interior_bits(traced: TracedFaces, cycles: Mapping[str, frozenset[str]],
-                   outer_face: int) -> dict[str, int]:
-    """Each cycle's side away from the outer face, as a bitset over orbits."""
-    outer = 1 << outer_face
-    out = {}
-    for cid, edges in cycles.items():
-        side_a, side_b = _side_bits(traced, edges)
-        out[cid] = side_b if side_a & outer else side_a
-    return out
-
-
 def _children_index(parent: Mapping[str, str | None]) -> dict[str | None, tuple[str, ...]]:
     """Sorted children of every node of a forest's parent map; roots under None."""
     kids: dict[str | None, list[str]] = {}
@@ -928,47 +929,28 @@ def _children_index(parent: Mapping[str, str | None]) -> dict[str | None, tuple[
     return {p: tuple(cs) for p, cs in kids.items()}
 
 
-def _is_containment_forest(interiors: Mapping[str, int],
-                           parent: Mapping[str, str | None]) -> bool:
-    """Whether a parent map is the containment forest of laminar interiors.
-
-    Checks, in one pass, that every child lies strictly inside its parent
-    and that siblings, roots included, are pairwise disjoint.  For distinct
-    non-empty interiors this holds exactly when the family is laminar and
-    every parent is the smallest strict superset of its child: the ancestors
-    of a cycle are then exactly the interiors strictly containing it.
-    """
-    if parent.keys() != interiors.keys():
-        return False
-    covered: dict[str | None, int] = {}
-    for cid, p in parent.items():
-        inner = interiors[cid]
-        if p is not None:
-            outer = interiors.get(p)
-            if outer is None or inner & ~outer or inner == outer:
-                return False
-        taken = covered.get(p, 0)
-        if taken & inner:
-            return False
-        covered[p] = taken | inner
-    return True
-
-
 class NestingForest:
     """Laminar containment forest of cycle interiors on a sphere tracing.
 
-    Interiors are held as bitsets over orbits; `interiors` spells them out.
+    `parent` maps each cycle to the innermost cycle enclosing it.  The
+    interiors themselves, as orbit sets from `cycle_sides`, are computed
+    on first read of `interiors`.
     """
 
-    def __init__(self, outer_face: int, interior_bits: Mapping[str, int],
-                 parent: Mapping[str, str | None]):
+    def __init__(self, traced: TracedFaces, outer_face: int,
+                 cycles: Mapping[str, frozenset[str]], parent: Mapping[str, str | None]):
+        self.traced = traced
         self.outer_face = outer_face
-        self.interior_bits = dict(interior_bits)
+        self.cycles = dict(cycles)
         self.parent = dict(parent)
 
     @cached_property
     def interiors(self) -> dict[str, frozenset[int]]:
-        return {cid: _orbit_set(bits) for cid, bits in self.interior_bits.items()}
+        out = {}
+        for cid, edges in self.cycles.items():
+            side_a, side_b = cycle_sides(self.traced, edges)
+            out[cid] = side_b if self.outer_face in side_a else side_a
+        return out
 
     @cached_property
     def _children(self) -> dict[str | None, tuple[str, ...]]:
@@ -981,10 +963,19 @@ class NestingForest:
         return self._children.get(cid, ())
 
     def is_laminar(self) -> bool:
-        return _is_containment_forest(self.interior_bits, self.parent)
+        """Every child strictly inside its parent; siblings, roots included, disjoint."""
+        inner = self.interiors
+        taken: dict[str | None, frozenset[int]] = {}
+        for cid, p in self.parent.items():
+            if p is not None and not inner[cid] < inner[p]:
+                return False
+            if taken.get(p, frozenset()) & inner[cid]:
+                return False
+            taken[p] = taken.get(p, frozenset()) | inner[cid]
+        return True
 
     def __repr__(self) -> str:
-        return f"NestingForest({len(self.interior_bits)} cycles)"
+        return f"NestingForest({len(self.parent)} cycles)"
 
 
 class CrossingPair:
@@ -1001,10 +992,11 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
     """Containment forest of cycle interiors, or the first crossing pair.
 
     The outer face defaults to the first traced orbit; the interior of a
-    cycle is its side away from the outer face.  One laminar sweep builds
-    the forest; only when it finds the interiors not laminar are the pairs
-    scanned, in lexicographic order of cycle ids, for the first crossing.
-    Two cycles with the same edge set are rejected.
+    cycle is its side away from the outer face.  One label walk over the
+    dual builds the forest (see the module docstring); only when it finds
+    the interiors not laminar are the pairs scanned, in lexicographic order
+    of cycle ids, for the first crossing.  Every cycle must be a cycle of
+    the traced graph, and two cycles with the same edge set are rejected.
     """
     ids = sorted(cycles)
     edge_sets = {cid: frozenset(cycles[cid]) for cid in ids}
@@ -1014,10 +1006,15 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
         if other != cid:
             raise ValueError(f"cycles {other} and {cid} have the same edge set")
     outer = 0 if outer_face is None else outer_face
-    interiors = _interior_bits(traced, edge_sets, outer)
-    parent = _laminar_sweep(interiors, len(traced.orbits))
+    if not ids:
+        return NestingForest(traced, outer, {}, {})
+    if traced.genus != 0:
+        raise ValueError("cycle sides are defined only on genus-zero tracings")
+    for edges in edge_sets.values():
+        check_cycle(traced.graph, edges)
+    parent = _label_walk(traced, edge_sets, outer)
     if parent is not None:
-        return NestingForest(outer, interiors, parent)
+        return NestingForest(traced, outer, edge_sets, parent)
     sides = {cid: _side_bits(traced, edge_sets[cid]) for cid in ids}
     for ca, cb in itertools.combinations(ids, 2):
         if _sides_cross(sides[ca], sides[cb]):
@@ -1025,25 +1022,61 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
     raise AssertionError("interiors not laminar, yet no pair of cycles crosses")
 
 
-def _laminar_sweep(interiors: Mapping[str, int], orbits: int) -> dict[str, str | None] | None:
-    """Parent (smallest strict superset) of every interior, or None if not laminar.
+def _label_walk(traced: TracedFaces, cycles: Mapping[str, frozenset[str]],
+                outer: int) -> dict[str, str | None] | None:
+    """The parent of every cycle, from labels walked down the dual; None if not laminar.
 
-    Visits interiors by decreasing size, then id, and keeps for every orbit
-    the innermost interior visited so far that holds it.  A cycle's parent
-    is the holder all its orbits share; when they disagree, some earlier
-    interior overlaps this one without containing it.  Interiors must be
-    distinct.
+    A depth-first tree of the dual from the outer face numbers the faces in
+    preorder, so each subtree is an interval.  A face is inside c exactly
+    when an odd number of c's tree edges lie on its root path, that is,
+    when an odd number of their subtree intervals hold it, so one sorted
+    pass over those interval ends gives the size of c's interior.  The
+    walk then labels the faces in preorder.  Across the tree edge into a
+    face it walks up the parent face's chain while the node is a cycle
+    through that edge; the other cycles through it must continue the chain
+    downwards, innermost last by size.  A cycle through the edge higher up
+    the chain cannot, so the walk exits exactly the cycles through the edge
+    that hold the parent face, and a passing walk is consistent in the
+    sense of the module docstring.  Cost O(F + E + sum of |c| log |c|).
     """
-    holder: list[str | None] = [None] * orbits
+    dual = traced._dual_darts
+    up = [-1] * len(dual)
+    via = [""] * len(dual)
+    first = [-1] * len(dual)
+    order: list[int] = []
+    stack = [(outer, -1, "")]
+    while stack:
+        x, p, eid = stack.pop()
+        if first[x] >= 0:
+            continue
+        first[x] = len(order)
+        order.append(x)
+        up[x], via[x] = p, eid
+        stack.extend((y, x, e) for e, y, _ in dual[x] if first[y] < 0)
+    size = [1] * len(dual)
+    for x in reversed(order[1:]):
+        size[up[x]] += size[x]
+    below = {via[x]: x for x in order[1:]}
+
+    through: dict[str, dict[str, int]] = {}
+    for cid, edges in cycles.items():
+        kids = [below[e] for e in edges if e in below]
+        ends = sorted([first[x] for x in kids] + [first[x] + size[x] for x in kids])
+        inside = sum(ends[i + 1] - ends[i] for i in range(0, len(ends), 2))
+        for x in kids:
+            through.setdefault(via[x], {})[cid] = inside
+
+    label: list[str | None] = [None] * len(dual)
     parent: dict[str, str | None] = {}
-    for cid in sorted(interiors, key=lambda c: (-interiors[c].bit_count(), c)):
-        bits = _bits(interiors[cid])
-        first = next(bits)
-        shared = holder[first]
-        holder[first] = cid
-        for i in bits:
-            if holder[i] != shared:
+    for x in order[1:]:
+        here = label[up[x]]
+        rest = dict(through.get(via[x], ()))
+        while here in rest:
+            del rest[here]
+            here = parent[here]
+        for _, cid in sorted((-inside, cid) for cid, inside in rest.items()):
+            if parent.setdefault(cid, here) != here:
                 return None
-            holder[i] = cid
-        parent[cid] = shared
+            here = cid
+        label[x] = here
     return dict(sorted(parent.items()))

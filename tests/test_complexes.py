@@ -255,6 +255,44 @@ class TestComponents:
         assert [sorted(p.graph.vertices) for p in parts] == [["a", "b", "c"], ["x", "y", "z"]]
         assert [list(p.faces) for p in parts] == [["f1"], ["f2"]]
 
+    def test_index_matches_a_per_component_search(self):
+        g = Graph("abcdpqxyz", {"ab": ("a", "b"), "bc": ("b", "c"), "xy": ("x", "y"),
+                                "yy": ("y", "y"), "zx": ("z", "x"), "zx2": ("x", "z"),
+                                "pq": ("q", "p")})
+        comp_of, parts = g.component_index()
+        assert [sorted(p.vertices) for p in parts] == [["a", "b", "c"], ["d"], ["p", "q"],
+                                                       ["x", "y", "z"]]
+        assert all(comp_of[v] == i for i, p in enumerate(parts) for v in p.vertices)
+        assert [p.canonical_key() for p in parts] == \
+            [g.induced_subgraph(p.vertices).canonical_key() for p in parts]
+        assert g.components() == [p.vertices for p in parts] and not g.is_connected()
+        assert g.component_index() is g.component_index()
+        connected = complete_graph("abc")
+        assert connected.component_index()[1] == (connected,) and connected.is_connected()
+        assert Graph((), {}).components() == [] and Graph((), {}).is_connected()
+
+    def test_connected_complex_is_its_own_component(self, tetra):
+        assert split_components(tetra)[0] is tetra
+
+
+@st.composite
+def _multigraph(draw):
+    names = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                         max_size=12))
+    return Graph(names, {f"e{i:02d}": uv for i, uv in enumerate(ends)})
+
+
+@given(_multigraph())
+@settings(max_examples=80, deadline=None)
+def test_edge_lookup_and_simplicity_match_their_definitions(g):
+    for u in sorted(g.vertices) + ["absent"]:
+        for v in sorted(g.vertices) + ["absent"]:
+            want = sorted(e for e in g.edge_ids()
+                          if sorted(g.endpoints(e)) == sorted((u, v)))
+            assert g.edges_between(u, v) == tuple(want)
+    assert g.is_simple() == (not g.loops() and not g.parallel_pairs())
+
 
 @st.composite
 def _rotated_walk(draw):

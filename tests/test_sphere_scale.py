@@ -1,0 +1,81 @@
+"""The sphere layer at scale: positive decisions never search a cycle's sides,
+and the families that once hit quadratic cliffs decide within loose wall guards.
+"""
+
+import gc
+import json
+import sys
+import time
+from pathlib import Path
+
+import families
+import pytest
+
+from outerspatial import embedding
+from outerspatial import generators as gen
+from outerspatial.decider import Outerspatial, decide_outerspatial, verify_certificate
+from outerspatial.fileformat import parse_complex
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+WALL_GUARD_S = 5.0
+
+
+def _perfbench_texts(workload, seed):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import instances
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return [instances.render(x, f"w{i}q") for i, x in enumerate(workloads.instances(workload, seed))]
+
+
+def _positives():
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    out = [(case, parse_complex((GOLDEN / f"{case}.complex").read_text()))
+           for case in sorted(codes) if codes[case]["decide"] == 0]
+    for workload in ("chordal", "stacked"):
+        out += [(f"{workload}{i}", parse_complex(text))
+                for i, text in enumerate(_perfbench_texts(workload, 3))]
+    out.append(("tower40", families.tower(40)))
+    return out
+
+
+def test_positive_decisions_never_search_sides(monkeypatch):
+    cases = _positives()
+    assert len(cases) > 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a positive decision searched a cycle's sides")
+
+    monkeypatch.setattr(embedding, "_side_bits", refuse)
+    for name, complex in cases:
+        assert isinstance(decide_outerspatial(complex), Outerspatial), name
+
+
+@pytest.mark.parametrize("name,build", [
+    ("tower-2000", lambda: families.tower(2000)),
+    ("prism-1600", lambda: gen.prism(1600)),
+    ("tetrahedra-1600", lambda: families.disjoint_tetrahedra(1600)),
+    ("stacked-6400", lambda: families.stacked(6400, 6400)),
+])
+def test_cliff_families_decide_within_the_wall_guard(name, build):
+    complex = build()
+    # Objects left by earlier tests would be rescanned by every collection.
+    gc.collect()
+    gc.freeze()
+    try:
+        start = time.perf_counter()
+        verdict = decide_outerspatial(complex)
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.unfreeze()
+    assert isinstance(verdict, Outerspatial)
+    assert elapsed < WALL_GUARD_S, f"{name} took {elapsed:.2f} s"
+    assert len(verdict.certificate.components) == len(complex.graph.components())
+    if name.startswith("tower"):
+        (comp,) = verdict.certificate.components
+        assert families.forest_depth(comp.parents) >= 1000
+    assert verify_certificate(complex, verdict.certificate)
+

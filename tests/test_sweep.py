@@ -1,6 +1,6 @@
-"""The laminar sweep and the linear forest check against the pairwise algorithm.
+"""The label walks of the forest builder and of the verifier against the pairwise algorithm.
 
-The reference below is the algorithm the sweep replaced, kept here only: a
+The reference below is the algorithm the walks replaced, kept here only: a
 union-find over every non-cycle edge for the sides of a cycle, a pairwise
 crossing scan in lexicographic order, and a quadratic search for each
 interior's smallest strict superset.
@@ -9,13 +9,14 @@ interior's smallest strict superset.
 import itertools
 import random
 
+import families
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outerspatial import decider, embedding
 from outerspatial import generators as gen
-from outerspatial.complexes import Face, TwoComplex
+from outerspatial.complexes import Face, TwoComplex, delete_faces
 from outerspatial.decider import (ComponentCertificate, NestedCertificate,
                                   Outerspatial, _sphere_rotation_from_links,
                                   decide_outerspatial, verify_certificate)
@@ -177,16 +178,18 @@ def test_duplicate_edge_sets_are_rejected(bipyramid4):
 
 
 def test_verifier_uses_neither_the_forest_builder_nor_the_sweep(monkeypatch):
-    complex = gen.bipyramid_with_equator(5)
-    verdict = decide_outerspatial(complex)
+    cases = [gen.bipyramid_with_equator(5), families.tower(6), families.disjoint_tetrahedra(3)]
+    verdicts = [decide_outerspatial(complex) for complex in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("verifier reached the forest builder")
 
     for module, name in ((embedding, "nesting_forest"), (decider, "nesting_forest"),
-                         (embedding, "_laminar_sweep")):
+                         (embedding, "_label_walk"), (embedding, "_side_bits"),
+                         (embedding, "cycle_sides")):
         monkeypatch.setattr(module, name, refuse)
-    assert verify_certificate(complex, verdict.certificate)
+    for complex, verdict in zip(cases, verdicts):
+        assert verify_certificate(complex, verdict.certificate)
 
 
 def nested_certificate():
@@ -279,3 +282,179 @@ def test_crossing_squares_are_the_first_crossing_pair():
     expected = reference_nesting(traced, cycles, [0])
     got = nesting_forest(traced, cycles)
     assert (got.first, got.second) == expected == ("x1", "x2")
+
+
+# -- the label walk on families with deep nesting, ties and many components --
+
+def _edge_set(graph, vs):
+    return frozenset(graph.edges_between(vs[i], vs[(i + 1) % len(vs)])[0]
+                     for i in range(len(vs)))
+
+
+def tower_family(k):
+    """The tower's sphere (caps and quads) traced, with every ring as a cycle."""
+    complex = families.tower(k)
+    sphere = delete_faces(complex, set(families.tower_cycles(k)) - set(
+        families.tower_cycles(k, inner_rings=False)))
+    traced = trace_faces(complex.graph, _sphere_rotation_from_links(sphere))
+    return traced, {fid: f.edge_set for fid, f in complex.faces.items()}
+
+
+def prism_family(seed):
+    """A prism's faces, and for small prisms a few random cycles that may cross."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, 9)
+    base = gen.prism(n)
+    traced = trace_faces(base.graph, _sphere_rotation_from_links(base))
+    family = {fid: f.edge_set for fid, f in base.faces.items()}
+    if n <= 5:
+        for vs in rng.sample(gen.all_cycles(base.graph, 6), rng.randrange(0, 4)):
+            edges = _edge_set(base.graph, vs)
+            if edges not in family.values():
+                family[f"c{rng.randrange(10**6):06d}"] = edges
+    return traced, family
+
+
+def star_family(seed):
+    """A stacked sphere's triangles plus the neighbour cycles of a few vertices.
+
+    Stars of adjacent centres cross; stars of far-apart ones nest with the
+    triangles, like the faces of perfbench's `star_boundary` spheres.
+    """
+    rng = random.Random(seed)
+    complex = families.stacked(seed, rng.randrange(8, 22))
+    traced = trace_faces(complex.graph, _sphere_rotation_from_links(complex))
+    family = {fid: f.edge_set for fid, f in complex.faces.items()}
+    centres = [v for v in sorted(complex.graph.vertices) if complex.graph.degree(v) >= 4]
+    for v in rng.sample(centres, min(len(centres), rng.randrange(1, 4))):
+        family[f"s{v}"] = frozenset(
+            eid for f in complex.faces.values() if v in f.vertices
+            for eid in f.edge_ids if v not in complex.graph.endpoints(eid))
+    return traced, family
+
+
+def _assert_matches_reference(traced, family):
+    outer_faces = range(len(traced.orbits)) if len(traced.orbits) <= 60 else [0]
+    expected = reference_nesting(traced, family, outer_faces)
+    for outer in outer_faces:
+        got = nesting_forest(traced, family, outer_face=outer)
+        if isinstance(expected, tuple):
+            assert isinstance(got, CrossingPair)
+            assert (got.first, got.second) == expected
+        else:
+            assert isinstance(got, NestingForest)
+            assert got.parent == expected[outer]
+    return expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 20])
+def test_walk_matches_reference_on_towers(k):
+    expected = _assert_matches_reference(*tower_family(k))
+    assert families.forest_depth(expected[0]) >= k - 1
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_walk_matches_reference_on_prisms(seed):
+    _assert_matches_reference(*prism_family(seed))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_walk_matches_reference_on_star_spheres(seed):
+    _assert_matches_reference(*star_family(seed))
+
+
+def test_reference_families_include_crossings_and_forests():
+    kinds = set()
+    for seed in range(30):
+        for traced, family in (prism_family(seed), star_family(seed)):
+            expected = reference_nesting(traced, family, [0])
+            kinds.add("crossing" if isinstance(expected, tuple) else "forest")
+    assert kinds == {"crossing", "forest"}
+
+
+# -- the verifier's walk ------------------------------------------------------
+
+def test_parent_map_with_a_cycle_is_rejected():
+    complex, cert, comp = nested_certificate()
+    child, par = _edges(comp.parents)[0]
+    bad = dict(comp.parents)
+    bad[par] = child
+    assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+    loop = dict(comp.parents)
+    loop[child] = child
+    assert not verify_certificate(complex, _with_parents(cert, comp, loop))
+
+
+def test_parent_map_with_an_unknown_parent_is_rejected():
+    complex, cert, comp = nested_certificate()
+    for child in sorted(comp.parents):
+        bad = dict(comp.parents)
+        bad[child] = "unknown"
+        assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+
+
+def test_parent_map_with_a_missing_face_or_an_extra_id_is_rejected():
+    complex, cert, comp = nested_certificate()
+    for fid in sorted(comp.parents):
+        bad = dict(comp.parents)
+        del bad[fid]
+        assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+    for par in (None, sorted(comp.parents)[0]):
+        bad = dict(comp.parents)
+        bad["extra"] = par
+        assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+
+
+def test_wrong_outer_orbit_is_rejected():
+    complex, cert, comp = nested_certificate()
+    (part,) = complex.graph.component_index()[1]
+    traced = trace_faces(part, cert.rotation)
+    others = [orbit for orbit in traced.orbits
+              if embedding._normalize_cycle(orbit) != comp.outer_darts]
+    assert others
+    for orbit in others:
+        bad = NestedCertificate(cert.rotation, [ComponentCertificate(
+            comp.vertices, embedding._normalize_cycle(orbit), comp.parents)])
+        assert not verify_certificate(complex, bad)
+    for darts in ((("nope", 0),), comp.outer_darts[:-1], comp.outer_darts + comp.outer_darts):
+        bad = NestedCertificate(cert.rotation, [ComponentCertificate(
+            comp.vertices, darts, comp.parents)])
+        assert not verify_certificate(complex, bad)
+
+
+@pytest.mark.parametrize("build", [lambda: gen.bipyramid_with_equator(5),
+                                   lambda: gen.bipyramid_with_equator(8),
+                                   lambda: families.tower(5)])
+def test_every_single_parent_mutation_is_rejected(build):
+    complex = build()
+    cert = decide_outerspatial(complex).certificate
+    (comp,) = cert.components
+    tried = 0
+    for child in sorted(comp.parents):
+        for par in [None, *sorted(comp.parents)]:
+            if par == comp.parents[child]:
+                continue
+            bad = dict(comp.parents)
+            bad[child] = par
+            assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+            tried += 1
+    assert tried == len(comp.parents) ** 2
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_enclosing_face_listed_below_a_face_it_encloses_is_rejected(n):
+    # The equator and one of its children are entered across one shared
+    # edge, so this forgery passes every label step until the walk leaves
+    # the child while the equator is still on the chain below it.
+    complex = gen.bipyramid_with_equator(n)
+    cert = decide_outerspatial(complex).certificate
+    (comp,) = cert.components
+    kids = comp.children("eq")
+    assert kids
+    for top in kids:
+        bad = dict(comp.parents)
+        bad["eq"], bad[top] = top, comp.parents["eq"]
+        for kid in kids:
+            if kid != top:
+                bad[kid] = comp.parents["eq"]
+        assert not verify_certificate(complex, _with_parents(cert, comp, bad))
