@@ -13,13 +13,13 @@ from pathlib import Path as FsPath
 
 from . import generators
 from .complexes import TwoComplex, link_graph, skeleton, validate
-from .decider import (NestedCertificate, decide_nested_plane,
-                      decide_outerspatial, Outerspatial)
+from .decider import decide_nested_plane, decide_outerspatial
 from .embedding import test_outerplanar
 from .fileformat import (ParseError, format_complex, format_verdict,
                          parse_complex, parse_cycles)
 from .oracle import (DEFAULT_CAP, CapExceededError, brute_force_outerspatial)
 from .surface import survey_surfaces
+from .verdicts import NestedCertificate, NotOuterspatial, Outerspatial
 
 EXIT_USAGE = 3
 EXIT_CAP = 4
@@ -165,17 +165,10 @@ def _cmd_oracle(args) -> int:
     except CapExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
-    if isinstance(outcome, NestedCertificate):
-        print("verdict: outerspatial")
-        from .fileformat import format_certificate
-        print("\n".join(format_certificate(outcome)))
-        return 0
-    print("verdict: not-outerspatial")
-    print("obstruction: exhaustive-failure")
-    print(f"embeddings-tried: {outcome.embeddings_tried}")
-    if outcome.detail:
-        print(f"detail: {outcome.detail}")
-    return 1
+    verdict = (Outerspatial(outcome) if isinstance(outcome, NestedCertificate)
+               else NotOuterspatial(outcome))
+    sys.stdout.write(format_verdict(verdict))
+    return verdict.exit_code
 
 
 def _cmd_surface(args) -> int:

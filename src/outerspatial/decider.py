@@ -11,139 +11,30 @@ answer was established.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Mapping
 
-from .complexes import (Graph, LinkGraph, Path, TwoComplex, contract_path,
-                        contracted_vertex_name, delete_faces, face_subcomplex,
-                        link_graph, skeleton, split_components, validate)
-from .embedding import (CrossingPair, Dart, MinorWitness,
-                        OuterplanarityResult, PlanarityResult, RotationSystem,
-                        TracedFaces, cycle_sides, find_minor, is_2_connected,
-                        nesting_forest, test_outerplanar, test_planar,
-                        trace_faces, verify_minor_witness, _children_index,
+from .complexes import (Graph, LinkGraph, Path, TwoComplex, associated_complex,
+                        contract_path, contracted_vertex_name, delete_faces,
+                        face_subcomplex, link_graph, skeleton, split_components,
+                        validate)
+# `nesting_forest` is called from `verdicts` only; the benchmark's tracer
+# test still reads it as `decider.nesting_forest`.
+from .embedding import (CrossingPair, OuterplanarityResult, PlanarityResult,
+                        RotationSystem, TracedFaces, cycle_sides, find_minor,
+                        is_2_connected, nesting_forest, test_outerplanar,
+                        test_planar, trace_faces, verify_minor_witness,
                         _normalize_cycle)
+from .oracle import DEFAULT_CAP, CapExceededError, brute_force_nested
 from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
                       euler_characteristic, search_aspherical_subcomplex, _orient_faces)
+from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
+                       ExhaustiveFailure, HypothesisViolated, LinkViolation,
+                       NestedCertificate, NonOuterplanarLink, NotOuterspatial,
+                       Obstruction, Outerspatial, Verdict, component_certificate)
 
 # Nodes the salvage search may visit; it finishes within this on every input
 # of at most 20 faces (see `surface._closed_face_sets`).
 ASPHERICAL_SEARCH_BUDGET = 2 ** 20
-
-
-class NonOuterplanarLink:
-    """A path whose contraction leaves a non-outerplanar link at the merged vertex."""
-
-    def __init__(self, path: Path, link: LinkGraph, witness: MinorWitness):
-        self.path = path
-        self.link = link
-        self.witness = witness
-
-    def __repr__(self) -> str:
-        return f"NonOuterplanarLink(path={self.path!r}, witness={self.witness.target})"
-
-
-class AsphericalSubcomplex:
-    """A face subset inducing a closed surface with Euler characteristic != 2."""
-
-    def __init__(self, faces: frozenset[str], surface: SurfaceClass):
-        self.faces = faces
-        self.surface = surface
-
-    def __repr__(self) -> str:
-        return f"AsphericalSubcomplex({len(self.faces)} faces, {self.surface.kind})"
-
-
-class ExhaustiveFailure:
-    """Negative answer proved by exhausting every sphere embedding."""
-
-    def __init__(self, embeddings_tried: int, detail: str = ""):
-        self.embeddings_tried = embeddings_tried
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        return f"ExhaustiveFailure({self.embeddings_tried} embeddings)"
-
-
-Obstruction = NonOuterplanarLink | AsphericalSubcomplex | ExhaustiveFailure
-
-
-class ComponentCertificate:
-    """Per-component embedding data: outer face orbit and nesting forest."""
-
-    def __init__(self, vertices: tuple[str, ...], outer_darts: tuple[Dart, ...],
-                 parents: Mapping[str, str | None]):
-        self.vertices = tuple(sorted(vertices))
-        self.outer_darts = _normalize_cycle(tuple(outer_darts))
-        self.parents = dict(parents)
-
-    @cached_property
-    def _children(self) -> dict[str | None, tuple[str, ...]]:
-        return _children_index(self.parents)
-
-    def roots(self) -> tuple[str, ...]:
-        return self._children.get(None, ())
-
-    def children(self, cid: str) -> tuple[str, ...]:
-        return self._children.get(cid, ())
-
-
-class NestedCertificate:
-    """A genus-zero rotation system plus laminar forests over all face boundaries."""
-
-    def __init__(self, rotation: RotationSystem,
-                 components: Iterable[ComponentCertificate]):
-        self.rotation = rotation
-        self.components = tuple(sorted(components, key=lambda c: c.vertices))
-
-    def __repr__(self) -> str:
-        return f"NestedCertificate({len(self.components)} components)"
-
-
-class Outerspatial:
-    kind = "outerspatial"
-    exit_code = 0
-
-    def __init__(self, certificate: NestedCertificate):
-        self.certificate = certificate
-
-    def __repr__(self) -> str:
-        return "Outerspatial(...)"
-
-
-class NotOuterspatial:
-    kind = "not-outerspatial"
-    exit_code = 1
-
-    def __init__(self, obstruction: Obstruction):
-        self.obstruction = obstruction
-
-    def __repr__(self) -> str:
-        return f"NotOuterspatial({self.obstruction!r})"
-
-
-class LinkViolation:
-    def __init__(self, vertex: str, reason: str):
-        self.vertex = vertex
-        self.reason = reason
-
-    def __repr__(self) -> str:
-        return f"LinkViolation({self.vertex}: {self.reason})"
-
-
-class HypothesisViolated:
-    kind = "hypothesis-violated"
-    exit_code = 2
-
-    def __init__(self, violations: Iterable[LinkViolation], notes: Iterable[str] = ()):
-        self.violations = tuple(violations)
-        self.notes = tuple(notes)
-
-    def __repr__(self) -> str:
-        return f"HypothesisViolated({len(self.violations)} violations)"
-
-
-Verdict = Outerspatial | NotOuterspatial | HypothesisViolated
 
 
 class LinkInfo:
@@ -198,16 +89,6 @@ def find_chordal_faces(complex: TwoComplex,
     return {fid: frozenset(vs) for fid, vs in sorted(out.items())}
 
 
-class ChordalDefect:
-    """A face chordal at one endvertex of an edge but not at the other."""
-
-    def __init__(self, face_id: str, path: Path, link: LinkGraph, witness: MinorWitness):
-        self.face_id = face_id
-        self.path = path
-        self.link = link
-        self.witness = witness
-
-
 def check_perfectly_chordal(complex: TwoComplex, face_id: str,
                             structures: Mapping[str, LinkInfo] | None = None,
                             chordal: Mapping[str, frozenset[str]] | None = None):
@@ -215,7 +96,7 @@ def check_perfectly_chordal(complex: TwoComplex, face_id: str,
 
     Otherwise walks the boundary to the first edge whose tail has the face as
     a chord and whose head does not; contracting that edge produces a link
-    with a K2,3 minor, returned as a ChordalDefect.
+    with a K2,3 minor, returned as a NonOuterplanarLink.
     """
     structures = structures if structures is not None else _link_structures(complex)
     chordal = chordal if chordal is not None else find_chordal_faces(complex, structures)
@@ -238,7 +119,7 @@ def check_perfectly_chordal(complex: TwoComplex, face_id: str,
             witness = find_minor(link.graph, "K2,3")
             if witness is None:
                 raise AssertionError("imperfectly chordal face without K2,3 in the merged link")
-            return ChordalDefect(face_id, path, link, witness)
+            return NonOuterplanarLink(path, link, witness)
     raise AssertionError("chordal face with no chord-to-nonchord transition")
 
 
@@ -281,16 +162,6 @@ def _sphere_rotation_from_links(component: TwoComplex,
             raise AssertionError(f"link at {v} did not close into a single rotator")
         rotators[v] = tuple(cyc)
     return RotationSystem(rotators)
-
-
-def component_certificate(traced: TracedFaces,
-                          cycles: Mapping[str, frozenset[str]]) -> ComponentCertificate | CrossingPair:
-    """Certificate for one traced component, or the first crossing pair."""
-    forest = nesting_forest(traced, cycles)
-    if isinstance(forest, CrossingPair):
-        return forest
-    outer = traced.orbits[forest.outer_face] if traced.orbits else ()
-    return ComponentCertificate(tuple(traced.graph.vertices), outer, forest.parent)
 
 
 def build_certificate(graph: Graph, cycles: Mapping[str, frozenset[str]],
@@ -441,8 +312,8 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     chordal = find_chordal_faces(comp, structures)
     for fid in sorted(chordal):
         got = check_perfectly_chordal(comp, fid, structures, chordal)
-        if isinstance(got, ChordalDefect):
-            return NotOuterspatial(NonOuterplanarLink(got.path, got.link, got.witness))
+        if isinstance(got, NonOuterplanarLink):
+            return NotOuterspatial(got)
 
     # Every chordal face is a chord at each of its vertices, so deleting them
     # leaves each vertex its Hamilton boundary as link: a closed surface.
@@ -521,17 +392,15 @@ def decide_nested_plane(graph: Graph,
     Reduces to the associated complex; on a hypothesis-violated outcome falls
     back to exhaustive embedding search when the instance is within the cap.
     """
-    from . import oracle
-    from .complexes import associated_complex
     complex = associated_complex(graph, cycles)
     verdict = decide_outerspatial(complex)
     if not isinstance(verdict, HypothesisViolated):
         return verdict
-    cap = oracle.DEFAULT_CAP if cap is None else cap
+    cap = DEFAULT_CAP if cap is None else cap
     cycle_sets = {fid: f.edge_set for fid, f in complex.faces.items()}
     try:
-        outcome = oracle.brute_force_nested(graph, cycle_sets, cap=cap)
-    except oracle.CapExceededError as exc:
+        outcome = brute_force_nested(graph, cycle_sets, cap=cap)
+    except CapExceededError as exc:
         return HypothesisViolated(verdict.violations,
                                   verdict.notes + (f"oracle fallback refused: {exc}",))
     if isinstance(outcome, NestedCertificate):
@@ -671,10 +540,9 @@ def verify_obstruction(complex: TwoComplex, obstruction: Obstruction,
         sclass = classify_component(sub)
         return sclass.is_surface and sclass == obstruction.surface and sclass.euler != 2
     if isinstance(obstruction, ExhaustiveFailure):
-        from . import oracle
         cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
-        cap = oracle.DEFAULT_CAP if cap is None else cap
-        outcome = oracle.brute_force_nested(skeleton(complex), cycles, cap=cap)
+        cap = DEFAULT_CAP if cap is None else cap
+        outcome = brute_force_nested(skeleton(complex), cycles, cap=cap)
         return isinstance(outcome, ExhaustiveFailure)
     return False
 

@@ -917,65 +917,10 @@ def cycles_cross(traced: TracedFaces, c1: Iterable[str], c2: Iterable[str]) -> b
     """Whether two cycles cross: no side of one contains a side of the other.
 
     Independent of any outer-face choice; equal cycles do not cross.
+    Nothing in the package calls it; the benchmark's per-layer metric
+    `embedding.cycles_cross.calls` still names it.
     """
     return _sides_cross(_side_bits(traced, c1), _side_bits(traced, c2))
-
-
-def _children_index(parent: Mapping[str, str | None]) -> dict[str | None, tuple[str, ...]]:
-    """Sorted children of every node of a forest's parent map; roots under None."""
-    kids: dict[str | None, list[str]] = {}
-    for cid in sorted(parent):
-        kids.setdefault(parent[cid], []).append(cid)
-    return {p: tuple(cs) for p, cs in kids.items()}
-
-
-class NestingForest:
-    """Laminar containment forest of cycle interiors on a sphere tracing.
-
-    `parent` maps each cycle to the innermost cycle enclosing it.  The
-    interiors themselves, as orbit sets from `cycle_sides`, are computed
-    on first read of `interiors`.
-    """
-
-    def __init__(self, traced: TracedFaces, outer_face: int,
-                 cycles: Mapping[str, frozenset[str]], parent: Mapping[str, str | None]):
-        self.traced = traced
-        self.outer_face = outer_face
-        self.cycles = dict(cycles)
-        self.parent = dict(parent)
-
-    @cached_property
-    def interiors(self) -> dict[str, frozenset[int]]:
-        out = {}
-        for cid, edges in self.cycles.items():
-            side_a, side_b = cycle_sides(self.traced, edges)
-            out[cid] = side_b if self.outer_face in side_a else side_a
-        return out
-
-    @cached_property
-    def _children(self) -> dict[str | None, tuple[str, ...]]:
-        return _children_index(self.parent)
-
-    def roots(self) -> tuple[str, ...]:
-        return self._children.get(None, ())
-
-    def children(self, cid: str) -> tuple[str, ...]:
-        return self._children.get(cid, ())
-
-    def is_laminar(self) -> bool:
-        """Every child strictly inside its parent; siblings, roots included, disjoint."""
-        inner = self.interiors
-        taken: dict[str | None, frozenset[int]] = {}
-        for cid, p in self.parent.items():
-            if p is not None and not inner[cid] < inner[p]:
-                return False
-            if taken.get(p, frozenset()) & inner[cid]:
-                return False
-            taken[p] = taken.get(p, frozenset()) | inner[cid]
-        return True
-
-    def __repr__(self) -> str:
-        return f"NestingForest({len(self.parent)} cycles)"
 
 
 class CrossingPair:
@@ -988,12 +933,13 @@ class CrossingPair:
 
 
 def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
-                   outer_face: int | None = None) -> NestingForest | CrossingPair:
-    """Containment forest of cycle interiors, or the first crossing pair.
+                   outer_face: int = 0) -> dict[str, str | None] | CrossingPair:
+    """Containment forest of cycle interiors as a parent map, or the first crossing pair.
 
-    The outer face defaults to the first traced orbit; the interior of a
-    cycle is its side away from the outer face.  One label walk over the
-    dual builds the forest (see the module docstring); only when it finds
+    The parent of a cycle is the innermost cycle enclosing it, None for a
+    root.  The outer face defaults to the first traced orbit; the interior
+    of a cycle is its side away from the outer face.  One label walk over
+    the dual builds the forest (see the module docstring); only when it finds
     the interiors not laminar are the pairs scanned, in lexicographic order
     of cycle ids, for the first crossing.  Every cycle must be a cycle of
     the traced graph, and two cycles with the same edge set are rejected.
@@ -1005,16 +951,15 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
         other = first_with.setdefault(edge_sets[cid], cid)
         if other != cid:
             raise ValueError(f"cycles {other} and {cid} have the same edge set")
-    outer = 0 if outer_face is None else outer_face
     if not ids:
-        return NestingForest(traced, outer, {}, {})
+        return {}
     if traced.genus != 0:
         raise ValueError("cycle sides are defined only on genus-zero tracings")
     for edges in edge_sets.values():
         check_cycle(traced.graph, edges)
-    parent = _label_walk(traced, edge_sets, outer)
+    parent = _label_walk(traced, edge_sets, outer_face)
     if parent is not None:
-        return NestingForest(traced, outer, edge_sets, parent)
+        return parent
     sides = {cid: _side_bits(traced, edge_sets[cid]) for cid in ids}
     for ca, cb in itertools.combinations(ids, 2):
         if _sides_cross(sides[ca], sides[cb]):

@@ -13,10 +13,10 @@ certificate checker.
 from __future__ import annotations
 
 from .complexes import Face, Graph, TwoComplex
-from .decider import (AsphericalSubcomplex, ComponentCertificate,
-                      NestedCertificate, NonOuterplanarLink,
-                      NotOuterspatial, Outerspatial, Verdict)
 from .embedding import RotationSystem
+from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
+                       NestedCertificate, NonOuterplanarLink,
+                       NotOuterspatial, Outerspatial, Verdict)
 
 
 class ParseError(ValueError):

@@ -12,16 +12,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .complexes import Graph, TwoComplex, face_subcomplex, skeleton
-from .decider import (ComponentCertificate, ExhaustiveFailure,
-                      NestedCertificate, component_certificate)
 from .embedding import (_PATTERNS, CrossingPair, MinorWitness, RotationSystem, TracedFaces,
                         _bits, test_planar, trace_faces)
 from .surface import SurfaceClass, classify_component
+from .verdicts import (ComponentCertificate, ExhaustiveFailure,
+                       NestedCertificate, component_certificate)
 
 DEFAULT_CAP = 10_000_000
+
+# Skeletons whose traced sphere embeddings `brute_force_nested` keeps; a
+# corpus of random complexes repeats a handful of skeletons many times.
+SPHERE_TRACINGS_KEPT = 32
 
 
 class CapExceededError(Exception):
@@ -120,18 +125,13 @@ def _genus0_rotations(graph: Graph) -> Iterator[RotationSystem]:
         yield RotationSystem(rotators)
 
 
-# Sphere embeddings are enumerated once per labelled skeleton and reused;
-# the TracedFaces objects also keep their cycle-side caches warm.
-_embedding_cache: dict[tuple, tuple[TracedFaces, ...]] = {}
+@lru_cache(maxsize=SPHERE_TRACINGS_KEPT)
+def _sphere_tracings(graph: Graph) -> tuple[TracedFaces, ...]:
+    """Every genus-zero tracing of a connected graph; the caller checks the cap.
 
-
-def _cached_embeddings(graph: Graph, cap: int) -> tuple[TracedFaces, ...]:
-    key = graph.canonical_key()
-    if key not in _embedding_cache:
-        traceds = tuple(trace_faces(graph, rot)
-                        for rot in enumerate_sphere_embeddings(graph, cap))
-        _embedding_cache[key] = traceds
-    return _embedding_cache[key]
+    The tracings keep their dual graphs between calls.
+    """
+    return tuple(trace_faces(graph, rot) for rot in _genus0_rotations(graph))
 
 
 def brute_force_nested(graph: Graph, cycles: Mapping[str, frozenset[str]],
@@ -169,7 +169,7 @@ def brute_force_nested(graph: Graph, cycles: Mapping[str, frozenset[str]],
         sub = comp_graphs[vs]
         found = None
         tried = 0
-        for traced in _cached_embeddings(sub, cap):
+        for traced in _sphere_tracings(sub):
             tried += 1
             got = component_certificate(traced, comp_cycles[vs])
             if not isinstance(got, CrossingPair):

@@ -4,6 +4,9 @@ Unlike `outerspatial.generators`, which cold CLI starts import, these build
 each complex once, so they reach sizes where the generators' step-by-step
 builders would copy the complex thousands of times.  Names are zero-padded,
 so sort order follows construction order.
+
+The `reference_*` functions are the pairwise algorithm that the label walk
+of `embedding.nesting_forest` replaced, kept as the tests' ground truth.
 """
 
 from __future__ import annotations
@@ -90,3 +93,64 @@ def forest_depth(parent: Mapping[str, str | None]) -> int:
             depth[c] = depth[at] + 1
             at = c
     return max(depth.values())
+
+
+def reference_sides(traced, cycle_edges):
+    """The two sides of a cycle by union-find over the other edges, the side holding orbit 0 first."""
+    cyc = frozenset(cycle_edges)
+    n = len(traced.orbits)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for eid in traced.graph.edges:
+        if eid in cyc:
+            continue
+        a = find(traced.orbit_index_of((eid, 0)))
+        b = find(traced.orbit_index_of((eid, 1)))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), set()).add(i)
+    assert len(groups) == 2
+    side_a, side_b = sorted((frozenset(s) for s in groups.values()), key=min)
+    return side_a, side_b
+
+
+def reference_cross(sides1, sides2):
+    """No side of one cycle lies in a side of the other."""
+    (a, a2), (b, b2) = sides1, sides2
+    return not (a <= b or a <= b2 or a2 <= b or a2 <= b2)
+
+
+def reference_containment_forest(interiors):
+    """Parent = minimal strict superset; equal interiors chain by id order."""
+    parent = {}
+    for c in sorted(interiors):
+        candidates = [d for d in interiors
+                      if d != c and (interiors[c] < interiors[d]
+                                     or (interiors[c] == interiors[d] and d < c))]
+        if candidates:
+            parent[c] = min(candidates, key=lambda d: (len(interiors[d]), d))
+        else:
+            parent[c] = None
+    return parent
+
+
+def reference_nesting(traced, cycles, outer_faces):
+    """The first crossing pair, or the parent map for each outer face."""
+    ids = sorted(cycles)
+    sides = {cid: reference_sides(traced, cycles[cid]) for cid in ids}
+    for ca, cb in itertools.combinations(ids, 2):
+        if reference_cross(sides[ca], sides[cb]):
+            return (ca, cb)
+    out = {}
+    for outer in outer_faces:
+        interiors = {cid: b if outer in a else a for cid, (a, b) in sides.items()}
+        out[outer] = reference_containment_forest(interiors)
+    return out

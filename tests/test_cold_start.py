@@ -1,4 +1,4 @@
-"""Cold start: only a planarity embedding imports networkx.
+"""Cold start: only a planarity embedding imports networkx; the package leaves dataclasses and inspect out.
 
 Each case runs a fresh interpreter with `src/` first on `PYTHONPATH` and
 `-X importtime`, whose log on stderr names every module the process
@@ -34,6 +34,9 @@ def _cli(command: str, case: str) -> tuple[subprocess.CompletedProcess, set[str]
 def test_package_import_leaves_networkx_out():
     _, imported = _run("-c", "import outerspatial")
     assert "networkx" not in imported
+    # Each would add milliseconds to every cold start.
+    assert "dataclasses" not in imported
+    assert "inspect" not in imported
 
 
 @pytest.mark.parametrize("case", ["tetra", "prism8", "torus7", "cone-k23"])

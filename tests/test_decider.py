@@ -12,7 +12,7 @@ from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_graph,
                                     skeleton)
-from outerspatial.decider import (AsphericalSubcomplex, ChordalDefect,
+from outerspatial.decider import (AsphericalSubcomplex,
                                   ExhaustiveFailure, HypothesisViolated,
                                   NonOuterplanarLink, NotOuterspatial,
                                   Outerspatial, check_perfectly_chordal,
@@ -78,11 +78,10 @@ class TestChordalFaces:
         chordal = find_chordal_faces(complex)
         assert chordal == {"f14": frozenset({"a", "c"}), "f7": frozenset({"b", "d"})}
         got = check_perfectly_chordal(complex, "f14")
-        assert isinstance(got, ChordalDefect)
+        assert isinstance(got, NonOuterplanarLink)
         assert got.path.vertices == ("a", "b")
         assert got.witness.target == "K2,3"
-        assert verify_obstruction(
-            complex, NonOuterplanarLink(got.path, got.link, got.witness))
+        assert verify_obstruction(complex, got)
 
 
 class TestDecideNamedInstances:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from families import reference_nesting
 from outerspatial import generators as gen
 from outerspatial.complexes import (Graph, complete_bipartite, complete_graph,
                                     cycle_graph)
@@ -249,20 +250,17 @@ class TestNestingForest:
                   "abd": frozenset({"ab", "bd", "ad"}),
                   "acd": frozenset({"ac", "cd", "ad"}),
                   "bcd": frozenset({"bc", "cd", "bd"})}
-        forest = nesting_forest(traced, cycles)
-        roots = forest.roots()
+        parents = nesting_forest(traced, cycles)
+        roots = [c for c, p in parents.items() if p is None]
         assert len(roots) == 1
-        root = roots[0]
-        children = [c for c, p in forest.parent.items() if p == root]
+        children = [c for c, p in parents.items() if p == roots[0]]
         assert len(children) == 3
-        assert all(not (forest.interiors[a] & forest.interiors[b])
-                   for a, b in itertools.combinations(children, 2))
-        assert forest.is_laminar()
+        # No crossing pair, so the interiors are laminar: the children's are disjoint.
+        assert parents == reference_nesting(traced, cycles, [0])[0]
 
     def test_empty(self, bipyramid4):
         traced = bipyramid_traced(bipyramid4)
-        forest = nesting_forest(traced, {})
-        assert forest.parent == {}
+        assert nesting_forest(traced, {}) == {}
 
     def test_crossing_pair_reported(self, bipyramid4):
         traced = bipyramid_traced(bipyramid4)
@@ -278,10 +276,11 @@ class TestOuterFaceIndependence:
         traced = bipyramid_traced(bipyramid4)
         cycles = {fid: f.edge_set for fid, f in bipyramid4.faces.items()}
         cycles["eq"] = frozenset({"ab", "bc", "cd", "ad"})
-        for outer in range(len(traced.orbits)):
-            forest = nesting_forest(traced, cycles, outer_face=outer)
-            assert not isinstance(forest, CrossingPair)
-            assert forest.is_laminar()
+        outer_faces = range(len(traced.orbits))
+        expected = reference_nesting(traced, cycles, outer_faces)
+        assert isinstance(expected, dict)
+        for outer in outer_faces:
+            assert nesting_forest(traced, cycles, outer_face=outer) == expected[outer]
 
 
 class TestCheckCycle:

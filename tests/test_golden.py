@@ -1,12 +1,14 @@
-"""Behaviour lock: `decide`, `links` and `surface` reproduce committed outputs byte for byte.
+"""Behaviour lock: `decide`, `links`, `surface` and `oracle` reproduce committed outputs byte for byte.
 
 The inputs in `tests/golden/*.complex` are the bundled generators' output
 plus two crossing cases: `crossing-squares` (two diagonal squares of the
 square bipyramid, caught at the crossing vertex) and `crossing-path` (a
 stacked sphere with two extra cycles that cross along an edge, so the
 verdict comes from a crossing pair of face boundaries and a contracted
-path).  To regenerate after an intended change, run each command on each
-input and overwrite `<case>.<command>` and `exit_codes.json`.
+path).  `oracle` is locked on every case within the default enumeration
+cap except `bipyramid5`, whose exhaustive search takes half a minute.  To
+regenerate after an intended change, run each command on each input and
+overwrite `<case>.<command>` and `exit_codes.json`.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from outerspatial import cli
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 COMMANDS = ("decide", "links", "surface")
+ORACLE_CASES = sorted(case for case, codes in EXIT_CODES.items() if "oracle" in codes)
 
 GENERATED = {"tetra": ["tetra"], "bipyramid5": ["bipyramid", "5"],
              "bipyramid-equator6": ["bipyramid-equator", "6"],
@@ -40,6 +43,8 @@ def test_every_case_is_locked():
     cases = {p.stem for p in GOLDEN.glob("*.complex")}
     assert cases == set(EXIT_CODES)
     assert set(GENERATED) <= cases
+    assert {p.stem for p in GOLDEN.glob("*.oracle")} == set(ORACLE_CASES)
+    assert len(ORACLE_CASES) == 25
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CODES))
@@ -48,6 +53,13 @@ def test_output_bytes(case, command):
     code, out = _run([command, str(GOLDEN / f"{case}.complex")])
     assert out == (GOLDEN / f"{case}.{command}").read_text()
     assert code == EXIT_CODES[case][command]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_oracle_output_bytes(case):
+    code, out = _run(["oracle", str(GOLDEN / f"{case}.complex")])
+    assert out == (GOLDEN / f"{case}.oracle").read_text()
+    assert code == EXIT_CODES[case]["oracle"]
 
 
 @pytest.mark.parametrize("case", sorted(GENERATED))

@@ -1,12 +1,11 @@
 """The label walks of the forest builder and of the verifier against the pairwise algorithm.
 
-The reference below is the algorithm the walks replaced, kept here only: a
-union-find over every non-cycle edge for the sides of a cycle, a pairwise
-crossing scan in lexicographic order, and a quadratic search for each
-interior's smallest strict superset.
+The reference is the algorithm the walks replaced, kept in the tests only
+(`families.reference_nesting`): a union-find over every non-cycle edge for
+the sides of a cycle, a pairwise crossing scan in lexicographic order, and
+a quadratic search for each interior's smallest strict superset.
 """
 
-import itertools
 import random
 
 import families
@@ -14,75 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outerspatial import decider, embedding
+from families import reference_nesting, reference_sides
+from outerspatial import decider, embedding, verdicts
 from outerspatial import generators as gen
 from outerspatial.complexes import Face, TwoComplex, delete_faces
 from outerspatial.decider import (ComponentCertificate, NestedCertificate,
                                   Outerspatial, _sphere_rotation_from_links,
                                   decide_outerspatial, verify_certificate)
-from outerspatial.embedding import (CrossingPair, NestingForest, RotationSystem,
-                                    cycle_sides, nesting_forest, trace_faces)
+from outerspatial.embedding import (CrossingPair, RotationSystem, cycle_sides,
+                                    nesting_forest, trace_faces)
 from outerspatial.fileformat import (format_certificate, format_verdict,
                                      parse_certificate_report)
-
-
-def reference_sides(traced, cycle_edges):
-    cyc = frozenset(cycle_edges)
-    n = len(traced.orbits)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in traced.graph.edges:
-        if eid in cyc:
-            continue
-        a = find(traced.orbit_index_of((eid, 0)))
-        b = find(traced.orbit_index_of((eid, 1)))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), set()).add(i)
-    assert len(groups) == 2
-    side_a, side_b = sorted((frozenset(s) for s in groups.values()), key=min)
-    return side_a, side_b
-
-
-def reference_cross(sides1, sides2):
-    (a, a2), (b, b2) = sides1, sides2
-    return not (a <= b or a <= b2 or a2 <= b or a2 <= b2)
-
-
-def reference_containment_forest(interiors):
-    """Parent = minimal strict superset; equal interiors chain by id order."""
-    parent = {}
-    for c in sorted(interiors):
-        candidates = [d for d in interiors
-                      if d != c and (interiors[c] < interiors[d]
-                                     or (interiors[c] == interiors[d] and d < c))]
-        if candidates:
-            parent[c] = min(candidates, key=lambda d: (len(interiors[d]), d))
-        else:
-            parent[c] = None
-    return parent
-
-
-def reference_nesting(traced, cycles, outer_faces):
-    """The first crossing pair, or the parent map for each outer face."""
-    ids = sorted(cycles)
-    sides = {cid: reference_sides(traced, cycles[cid]) for cid in ids}
-    for ca, cb in itertools.combinations(ids, 2):
-        if reference_cross(sides[ca], sides[cb]):
-            return (ca, cb)
-    out = {}
-    for outer in outer_faces:
-        interiors = {cid: b if outer in a else a for cid, (a, b) in sides.items()}
-        out[outer] = reference_containment_forest(interiors)
-    return out
 
 
 def stacked_sphere(seed, vertices):
@@ -107,11 +48,9 @@ def test_sweep_matches_reference_for_every_outer_face(seed, vertices):
     _, traced, cycles = stacked_sphere(seed, vertices)
     outer_faces = range(len(traced.orbits))
     expected = reference_nesting(traced, cycles, outer_faces)
+    assert isinstance(expected, dict)
     for outer in outer_faces:
-        forest = nesting_forest(traced, cycles, outer_face=outer)
-        assert isinstance(forest, NestingForest)
-        assert forest.parent == expected[outer]
-        assert forest.is_laminar()
+        assert nesting_forest(traced, cycles, outer_face=outer) == expected[outer]
 
 
 @given(seed=st.integers(0, 10**6), vertices=st.integers(4, 60))
@@ -153,21 +92,33 @@ def test_first_crossing_pair_matches_reference(seed):
         assert isinstance(got, CrossingPair)
         assert (got.first, got.second) == expected
     else:
-        assert isinstance(got, NestingForest)
-        assert got.parent == expected[0]
+        assert got == expected[0]
 
 
 def test_crossing_families_are_found_without_the_pairwise_test(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("pairwise crossing test called")
+    # The sides of a cycle are split once, and only after the walk fails;
+    # the scan for the first crossing pair then compares bitsets.
+    split = []
+    side_bits = embedding._side_bits
 
-    monkeypatch.setattr(embedding, "cycles_cross", refuse)
+    def counted(traced, edges):
+        split.append(edges)
+        return side_bits(traced, edges)
+
+    monkeypatch.setattr(embedding, "_side_bits", counted)
+    kinds = set()
     for seed in range(20):
         traced, family = bipyramid_family(seed)
         expected = reference_nesting(traced, family, [0])
+        split.clear()
+        got = nesting_forest(traced, family)
         if isinstance(expected, tuple):
-            got = nesting_forest(traced, family)
             assert (got.first, got.second) == expected
+            assert sorted(map(sorted, split)) == sorted(map(sorted, family.values()))
+        else:
+            assert split == []
+        kinds.add(type(expected))
+    assert kinds == {tuple, dict}
 
 
 def test_duplicate_edge_sets_are_rejected(bipyramid4):
@@ -179,16 +130,17 @@ def test_duplicate_edge_sets_are_rejected(bipyramid4):
 
 def test_verifier_uses_neither_the_forest_builder_nor_the_sweep(monkeypatch):
     cases = [gen.bipyramid_with_equator(5), families.tower(6), families.disjoint_tetrahedra(3)]
-    verdicts = [decide_outerspatial(complex) for complex in cases]
+    decided = [decide_outerspatial(complex) for complex in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("verifier reached the forest builder")
 
     for module, name in ((embedding, "nesting_forest"), (decider, "nesting_forest"),
+                         (verdicts, "nesting_forest"),
                          (embedding, "_label_walk"), (embedding, "_side_bits"),
                          (embedding, "cycle_sides")):
         monkeypatch.setattr(module, name, refuse)
-    for complex, verdict in zip(cases, verdicts):
+    for complex, verdict in zip(cases, decided):
         assert verify_certificate(complex, verdict.certificate)
 
 
@@ -342,8 +294,7 @@ def _assert_matches_reference(traced, family):
             assert isinstance(got, CrossingPair)
             assert (got.first, got.second) == expected
         else:
-            assert isinstance(got, NestingForest)
-            assert got.parent == expected[outer]
+            assert got == expected[outer]
     return expected
 
 
