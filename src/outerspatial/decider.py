@@ -411,12 +411,14 @@ def decide_nested_plane(graph: Graph,
 def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> bool:
     """Independent certificate check: a re-trace and a label walk over each claimed forest.
 
-    Shape: the rotation system lists the half-edges at every vertex; each
-    component of the graph has exactly one certificate, re-traces to genus
-    zero and has the claimed outer orbit.  Every face is a genuine cycle,
-    no two with one edge set.  Each parent map names exactly the faces of
-    its component and is a forest: every walk up from a face reaches a
-    root without leaving the map or repeating, which gives the depths.
+    Shape: the rotation system has a rotator at exactly the graph's
+    vertices; each component of the graph has exactly one certificate and
+    re-traces to genus zero, which checks that its rotators list the
+    half-edges at its vertices, and has the claimed outer orbit.  Every
+    face is a genuine cycle, no two with one edge set.  Each parent map
+    names exactly the faces of its component and is a forest: every walk
+    up from a face reaches a root without leaving the map or repeating,
+    which gives the depths.
 
     Walk: breadth first from the outer orbit, labelled none, each newly
     reached orbit y gets a forest node as label from the orbit x it is
@@ -440,9 +442,7 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
     """
     graph = complex.graph
     rotation = certificate.rotation
-    try:
-        rotation.validate_for(graph)
-    except ValueError:
+    if frozenset(rotation.vertices()) != graph.vertices:
         return False
     comp_of, parts = graph.component_index()
     certs = {c.vertices: c for c in certificate.components}
@@ -459,8 +459,7 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
         if cert is None or cert.parents.keys() != part_faces.keys():
             return False
         try:
-            traced = trace_faces(part, rotation if len(parts) == 1
-                                 else rotation.restricted_to(part.vertices))
+            traced = trace_faces(part, rotation)
         except ValueError:
             return False
         if traced.genus != 0:

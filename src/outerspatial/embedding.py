@@ -34,6 +34,9 @@ all hold y, so in a laminar family they nest by interior size, which the
 parity above counts; two of equal size are never both right, and some
 check then fails.  `verify_certificate` walks a breadth-first tree
 against a claimed forest and orders the entered cycles by claimed depth.
+By the same parity, the interior of c in a depth-first tree is the XOR of
+the preorder intervals of the subtrees below c's tree edges; the module
+reads every cycle's interior and sides off that tree.
 
 Crossing pairs.  Two cycles cross when no side of one lies in a side of
 the other; this does not depend on o.  For any o the interiors are laminar
@@ -42,22 +45,21 @@ a side of the other, and disjoint ones put int(c1) in the side of c2 that
 is not int(c2).  Conversely, take sides A, A' of c1 and B, B' of c2 with
 A <= B: if int(c1) = A it lies in B, which is int(c2) or disjoint from it;
 if int(c1) = A' then o is in A <= B, so int(c2) = B' <= A' = int(c1).  So
-when the walk fails, `nesting_forest` scans pairs in lexicographic order
-of cycle ids for the first crossing one.  Two cycles with the same edge
-set have equal interiors; `validate` rejects such duplicate boundaries in
-complexes and `nesting_forest` rejects them with ValueError.
+two cycles cross exactly when their interiors meet and neither contains
+the other.  When the walk fails, `nesting_forest` computes the interiors
+from its tree and scans pairs in lexicographic order of cycle ids for the
+first crossing one.  Two cycles with the same edge set have equal
+interiors; `validate` rejects such duplicate boundaries in complexes and
+`nesting_forest` rejects them with ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .complexes import Graph, HalfEdge
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 # A dart traverses an edge away from endpoint o: same encoding as a half-edge.
 Dart = tuple[str, int]
@@ -84,17 +86,19 @@ class RotationSystem:
         return self._succ[v][h]
 
     def validate_for(self, graph: Graph) -> None:
-        if set(self._rot) != set(graph.vertices):
-            raise ValueError("rotation system does not cover the vertex set")
+        """Every vertex of the graph has a rotator listing exactly its half-edges.
+
+        Other vertices may have rotators too, so one rotation system serves
+        each component of a graph.
+        """
         for v in graph.vertices:
+            if v not in self._rot:
+                raise ValueError("rotation system does not cover the vertex set")
             if tuple(sorted(self._rot[v])) != graph.half_edges_at(v):
                 raise ValueError(f"rotator at {v} does not list the half-edges at {v}")
 
     def canonical_key(self) -> tuple:
         return tuple(self._rot.items())
-
-    def restricted_to(self, vertices: Iterable[str]) -> "RotationSystem":
-        return RotationSystem({v: self._rot[v] for v in vertices if v in self._rot})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RotationSystem) and self.canonical_key() == other.canonical_key()
@@ -145,10 +149,9 @@ class TracedFaces:
         return self._orbit_of[dart]
 
     @cached_property
-    def _dual_darts(self) -> tuple[tuple[tuple[str, int, str], ...], ...]:
-        """Per orbit, one (edge id, orbit across that edge, tail vertex) per dart."""
-        ends = self.graph.endpoints
-        return tuple(tuple((eid, self._orbit_of[(eid, 1 - o)], ends(eid)[o]) for eid, o in orbit)
+    def _dual_darts(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """Per orbit, one (edge id, orbit across that edge) per dart."""
+        return tuple(tuple((eid, self._orbit_of[(eid, 1 - o)]) for eid, o in orbit)
                      for orbit in self.orbits)
 
     def __repr__(self) -> str:
@@ -184,85 +187,40 @@ def trace_faces(graph: Graph, rotation: RotationSystem) -> TracedFaces:
     return TracedFaces(graph, rotation)
 
 
-class NonPlanarityReport:
-    """Evidence of non-planarity: a subdivided Kuratowski subgraph."""
-
-    def __init__(self, component: frozenset[str], subgraph_edges: tuple[tuple[str, str], ...]):
-        self.component = component
-        self.subgraph_edges = subgraph_edges
-
-    def __repr__(self) -> str:
-        return f"NonPlanarityReport({len(self.component)} vertices)"
-
-
 class PlanarityResult:
-    """A genus-zero rotation system, or the first non-planar component.
+    """A genus-zero rotation system, or None for a non-planar graph.
 
     A planar result keeps the face tracing of each component, in component
-    order, that confirmed genus zero.  The Kuratowski evidence for a
-    non-planar component costs one planarity test per edge, so `report`
-    builds it on first read only.
+    order, that confirmed genus zero.
     """
 
-    def __init__(self, rotation: RotationSystem | None, nonplanar: Graph | None = None,
-                 traced: tuple[TracedFaces, ...] = ()):
+    def __init__(self, rotation: RotationSystem | None, traced: tuple[TracedFaces, ...] = ()):
         self.rotation = rotation
-        self._nonplanar = nonplanar
         self.traced = traced
 
     @property
     def is_planar(self) -> bool:
         return self.rotation is not None
 
-    @cached_property
-    def report(self) -> NonPlanarityReport | None:
-        if self._nonplanar is None:
-            return None
-        import networkx as nx
-        _, counter = nx.check_planarity(_to_nx_simple(self._nonplanar), counterexample=True)
-        edges = tuple(sorted(tuple(sorted(e)) for e in counter.edges()))
-        return NonPlanarityReport(self._nonplanar.vertices, edges)
-
 
 def test_planar(graph: Graph) -> PlanarityResult:
     """Planarity with an embedding: a rotation system tracing to genus zero.
 
-    Handles disconnected input per component and multigraphs: parallel edges
+    One networkx planarity test of the simple underlying graph orders the
+    neighbours at every vertex.  Multigraphs are handled too: parallel edges
     are laid next to their partner and loops next to themselves, which keeps
-    the genus at zero.  Deterministic for a fixed input.  Components come
-    from the graph's component index, in its order.
+    the genus at zero.  Each component of the graph's component index, in
+    its order, is traced with the whole rotation system.  Deterministic for
+    a fixed input.
     """
-    rotators: dict[str, tuple[HalfEdge, ...]] = {}
-    parts = graph.component_index()[1]
-    part_rotators = []
-    for sub in parts:
-        comp_rot = _planar_rotators_connected(sub)
-        if comp_rot is None:
-            return PlanarityResult(None, sub)
-        part_rotators.append(comp_rot)
-        rotators.update(comp_rot)
-    rotation = RotationSystem(rotators)
-    traced = tuple(trace_faces(sub, rotation if len(parts) == 1 else RotationSystem(rot))
-                   for sub, rot in zip(parts, part_rotators))
-    if any(t.genus != 0 for t in traced):
-        raise AssertionError("planar embedding traced to nonzero genus")
-    return PlanarityResult(rotation, traced=traced)
-
-
-def _to_nx_simple(graph: Graph) -> nx.Graph:
     import networkx as nx
-    g = nx.Graph()
-    g.add_nodes_from(sorted(graph.vertices))
-    g.add_edges_from(graph.endpoints(eid) for eid in sorted(graph.edge_ids())
-                     if not graph.is_loop(eid))
-    return g
-
-
-def _planar_rotators_connected(graph: Graph) -> dict[str, tuple[HalfEdge, ...]] | None:
-    import networkx as nx
-    ok, emb = nx.check_planarity(_to_nx_simple(graph))
+    simple = nx.Graph()
+    simple.add_nodes_from(sorted(graph.vertices))
+    simple.add_edges_from(graph.endpoints(eid) for eid in sorted(graph.edge_ids())
+                          if not graph.is_loop(eid))
+    ok, emb = nx.check_planarity(simple)
     if not ok:
-        return None
+        return PlanarityResult(None)
     order = emb.get_data()
     rotators: dict[str, tuple[HalfEdge, ...]] = {}
     for v in sorted(graph.vertices):
@@ -279,7 +237,11 @@ def _planar_rotators_connected(graph: Graph) -> dict[str, tuple[HalfEdge, ...]] 
         for eid in sorted(graph.edges_between(v, v)):
             cyc.extend([(eid, 0), (eid, 1)])
         rotators[v] = tuple(cyc)
-    return rotators
+    rotation = RotationSystem(rotators)
+    traced = tuple(trace_faces(part, rotation) for part in graph.component_index()[1])
+    if any(t.genus != 0 for t in traced):
+        raise AssertionError("planar embedding traced to nonzero genus")
+    return PlanarityResult(rotation, traced)
 
 
 def is_2_connected(graph: Graph) -> bool:
@@ -837,80 +799,16 @@ def check_cycle(graph: Graph, cycle_edges: Iterable[str]) -> frozenset[str]:
 def cycle_sides(traced: TracedFaces, cycle_edges: Iterable[str]) -> tuple[frozenset[int], frozenset[int]]:
     """Split the traced faces into the two sides of a cycle.
 
-    Removing the dual edges that cross the cycle must leave exactly two
-    components of the dual graph; requires genus zero.  The side holding
-    orbit 0 comes first.
-    """
-    side_a, side_b = _side_bits(traced, cycle_edges)
-    return _orbit_set(side_a), _orbit_set(side_b)
-
-
-def _side_bits(traced: TracedFaces, cycle_edges: Iterable[str]) -> tuple[int, int]:
-    """The two sides of a cycle as bitsets over orbits, the side holding orbit 0 first.
-
-    Two searches of the dual graph, barred from crossing the cycle, start at
-    the faces on either side of one cycle edge and take turns, so the work
-    is bounded by the smaller side S.  That exactly two sides remain is then
-    checked on S alone: the searches never meet, every cycle edge has exactly
-    one face in S, and the closure X of S has Euler characteristic 1.  X is
-    a connected proper subcomplex of the sphere, so by Alexander duality its
-    complement has 2 - chi(X) components; with the cut edges exactly the
-    cycle, these are the components of the other side.
+    Requires genus zero.  The side holding orbit 0 comes first; the other is
+    the cycle's interior in a dual tree rooted at orbit 0.
     """
     cyc = frozenset(cycle_edges)
     if traced.genus != 0:
         raise ValueError("cycle sides are defined only on genus-zero tracings")
     check_cycle(traced.graph, cyc)
-    dual = traced._dual_darts
-    e0 = min(cyc)
-    starts = (traced.orbit_index_of((e0, 0)), traced.orbit_index_of((e0, 1)))
-    if starts[0] == starts[1]:
-        raise AssertionError("cycle leaves the sphere in one piece")
-    side_of = {starts[0]: 0, starts[1]: 1}
-    stacks = ([starts[0]], [starts[1]])
-    done = None
-    while done is None:
-        for s, stack in enumerate(stacks):
-            if not stack:
-                done = s
-                break
-            for eid, y, _ in dual[stack.pop()]:
-                if eid in cyc:
-                    continue
-                t = side_of.get(y)
-                if t is None:
-                    side_of[y] = s
-                    stack.append(y)
-                elif t != s:
-                    raise AssertionError("cycle leaves the sphere in one piece")
-    small = [x for x, s in side_of.items() if s == done]
-    small_bits = 0
-    for x in small:
-        small_bits |= 1 << x
-    for eid in cyc:
-        ends_inside = ((small_bits >> traced.orbit_index_of((eid, 0))) & 1) + \
-            ((small_bits >> traced.orbit_index_of((eid, 1))) & 1)
-        if ends_inside != 1:
-            raise AssertionError("cycle edges do not all bound the smaller side")
-    vertices: set[str] = set()
-    edges: set[str] = set()
-    for x in small:
-        for eid, _, tail in dual[x]:
-            edges.add(eid)
-            vertices.add(tail)
-    if len(vertices) - len(edges) + len(small) != 1:
-        raise AssertionError("cycle splits the sphere into more than two sides")
-    other_bits = ((1 << len(traced.orbits)) - 1) ^ small_bits
-    return (small_bits, other_bits) if small_bits & 1 else (other_bits, small_bits)
-
-
-def _orbit_set(bits: int) -> frozenset[int]:
-    return frozenset(_bits(bits))
-
-
-def _sides_cross(sides1: tuple[int, int], sides2: tuple[int, int]) -> bool:
-    """No side of one cycle lies inside a side of the other."""
-    return all(a & ~b for a in sides1 for b in sides2)
+    tree = _DualTree(traced, 0)
+    inside = frozenset(tree.order[p] for p in _bits(_cycle_interior(traced, tree, cyc)))
+    return frozenset(range(len(traced.orbits))) - inside, inside
 
 
 def cycles_cross(traced: TracedFaces, c1: Iterable[str], c2: Iterable[str]) -> bool:
@@ -920,7 +818,9 @@ def cycles_cross(traced: TracedFaces, c1: Iterable[str], c2: Iterable[str]) -> b
     Nothing in the package calls it; the benchmark's per-layer metric
     `embedding.cycles_cross.calls` still names it.
     """
-    return _sides_cross(_side_bits(traced, c1), _side_bits(traced, c2))
+    c1, c2 = frozenset(c1), frozenset(c2)
+    pair = {"1": c1} if c1 == c2 else {"1": c1, "2": c2}
+    return isinstance(nesting_forest(traced, pair), CrossingPair)
 
 
 class CrossingPair:
@@ -938,11 +838,13 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
 
     The parent of a cycle is the innermost cycle enclosing it, None for a
     root.  The outer face defaults to the first traced orbit; the interior
-    of a cycle is its side away from the outer face.  One label walk over
-    the dual builds the forest (see the module docstring); only when it finds
-    the interiors not laminar are the pairs scanned, in lexicographic order
-    of cycle ids, for the first crossing.  Every cycle must be a cycle of
-    the traced graph, and two cycles with the same edge set are rejected.
+    of a cycle is its side away from the outer face.  One label walk down a
+    dual tree rooted at the outer face builds the forest (see the module
+    docstring); only when it finds the interiors not laminar are they
+    computed from that tree and the pairs scanned, in lexicographic order
+    of cycle ids, for the first two interiors that meet with neither
+    containing the other.  Every cycle must be a cycle of the traced graph,
+    and two cycles with the same edge set are rejected.
     """
     ids = sorted(cycles)
     edge_sets = {cid: frozenset(cycles[cid]) for cid in ids}
@@ -957,61 +859,94 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
         raise ValueError("cycle sides are defined only on genus-zero tracings")
     for edges in edge_sets.values():
         check_cycle(traced.graph, edges)
-    parent = _label_walk(traced, edge_sets, outer_face)
+    tree = _DualTree(traced, outer_face)
+    parent = _label_walk(tree, edge_sets)
     if parent is not None:
         return parent
-    sides = {cid: _side_bits(traced, edge_sets[cid]) for cid in ids}
+    inside = {cid: _cycle_interior(traced, tree, edge_sets[cid]) for cid in ids}
     for ca, cb in itertools.combinations(ids, 2):
-        if _sides_cross(sides[ca], sides[cb]):
+        a, b = inside[ca], inside[cb]
+        if a & b and a & ~b and b & ~a:
             return CrossingPair(ca, cb)
     raise AssertionError("interiors not laminar, yet no pair of cycles crosses")
 
 
-def _label_walk(traced: TracedFaces, cycles: Mapping[str, frozenset[str]],
-                outer: int) -> dict[str, str | None] | None:
-    """The parent of every cycle, from labels walked down the dual; None if not laminar.
+class _DualTree:
+    """A depth-first spanning tree of the dual of a traced graph, from a root orbit.
 
-    A depth-first tree of the dual from the outer face numbers the faces in
-    preorder, so each subtree is an interval.  A face is inside c exactly
-    when an odd number of c's tree edges lie on its root path, that is,
-    when an odd number of their subtree intervals hold it, so one sorted
-    pass over those interval ends gives the size of c's interior.  The
-    walk then labels the faces in preorder.  Across the tree edge into a
-    face it walks up the parent face's chain while the node is a cycle
-    through that edge; the other cycles through it must continue the chain
-    downwards, innermost last by size.  A cycle through the edge higher up
-    the chain cannot, so the walk exits exactly the cycles through the edge
-    that hold the parent face, and a passing walk is consistent in the
-    sense of the module docstring.  Cost O(F + E + sum of |c| log |c|).
+    `order` lists the orbits in preorder and first[x] is the position of x
+    in it, so the orbits below x fill the interval [first[x], first[x] +
+    size[x]).  Every orbit x but the root is reached from its tree parent
+    up[x] across the edge via[x], and `below` maps that edge back to x.
     """
-    dual = traced._dual_darts
-    up = [-1] * len(dual)
-    via = [""] * len(dual)
-    first = [-1] * len(dual)
-    order: list[int] = []
-    stack = [(outer, -1, "")]
-    while stack:
-        x, p, eid = stack.pop()
-        if first[x] >= 0:
-            continue
-        first[x] = len(order)
-        order.append(x)
-        up[x], via[x] = p, eid
-        stack.extend((y, x, e) for e, y, _ in dual[x] if first[y] < 0)
-    size = [1] * len(dual)
-    for x in reversed(order[1:]):
-        size[up[x]] += size[x]
-    below = {via[x]: x for x in order[1:]}
 
+    def __init__(self, traced: TracedFaces, root: int):
+        dual = traced._dual_darts
+        self.up = up = [-1] * len(dual)
+        self.via = via = [""] * len(dual)
+        self.first = first = [-1] * len(dual)
+        self.order = order = []
+        stack = [(root, -1, "")]
+        while stack:
+            x, p, eid = stack.pop()
+            if first[x] >= 0:
+                continue
+            first[x] = len(order)
+            order.append(x)
+            up[x], via[x] = p, eid
+            stack.extend((y, x, e) for e, y in dual[x] if first[y] < 0)
+        self.size = size = [1] * len(dual)
+        for x in reversed(order[1:]):
+            size[up[x]] += size[x]
+        self.below = {via[x]: x for x in order[1:]}
+
+
+def _cycle_interior(traced: TracedFaces, tree: _DualTree, edges: Iterable[str]) -> int:
+    """The orbits inside a cycle of a genus-zero tracing, as bits at their preorder numbers.
+
+    An orbit is inside exactly when an odd number of the cycle's tree edges
+    lie on its path from the root (module docstring), that is, when an odd
+    number of their subtree intervals hold it: the interior is the XOR of
+    those intervals.  The two orbits at each cycle edge lie on opposite
+    sides, which one bit test per edge asserts.
+    """
+    inside = 0
+    for eid in edges:
+        x = tree.below.get(eid)
+        if x is not None:
+            inside ^= ((1 << tree.size[x]) - 1) << tree.first[x]
+    first, orbit_of = tree.first, traced._orbit_of
+    for eid in edges:
+        if not (inside >> first[orbit_of[(eid, 0)]] ^ inside >> first[orbit_of[(eid, 1)]]) & 1:
+            raise AssertionError("both faces at a cycle edge lie on one side")
+    return inside
+
+
+def _label_walk(tree: _DualTree, cycles: Mapping[str, frozenset[str]]) -> dict[str, str | None] | None:
+    """The parent of every cycle, from labels walked down the dual tree; None if not laminar.
+
+    A face is inside c exactly when an odd number of c's tree edges lie on
+    its root path, that is, when an odd number of their subtree intervals
+    hold it, so one sorted pass over those interval ends gives the size of
+    c's interior.  The walk then labels the faces in preorder.  Across the
+    tree edge into a face it walks up the parent face's chain while the
+    node is a cycle through that edge; the other cycles through it must
+    continue the chain downwards, innermost last by size.  A cycle through
+    the edge higher up the chain cannot, so the walk exits exactly the
+    cycles through the edge that hold the parent face, and a passing walk
+    is consistent in the sense of the module docstring.  Cost O(F + E + sum
+    of |c| log |c|).
+    """
+    order, up, via, first, size = tree.order, tree.up, tree.via, tree.first, tree.size
     through: dict[str, dict[str, int]] = {}
     for cid, edges in cycles.items():
-        kids = [below[e] for e in edges if e in below]
+        kids = [tree.below[e] for e in edges if e in tree.below]
         ends = sorted([first[x] for x in kids] + [first[x] + size[x] for x in kids])
         inside = sum(ends[i + 1] - ends[i] for i in range(0, len(ends), 2))
         for x in kids:
             through.setdefault(via[x], {})[cid] = inside
 
-    label: list[str | None] = [None] * len(dual)
+    label: list[str | None] = [None] * len(first)
     parent: dict[str, str | None] = {}
     for x in order[1:]:
         here = label[up[x]]

@@ -201,8 +201,11 @@ def random_complex(seed: int, max_vertices: int = 8, max_faces: int = 12,
     Starts from a small sphere (triangulated or quad-sided), optionally
     inserts vertices into triangles, then adds extra cycle faces while links
     stay simple.  The rotation-space size is kept within the given budget so
-    exhaustive embedding enumeration stays cheap.
+    exhaustive embedding enumeration stays cheap.  Every base sphere has at
+    least four vertices, so fewer is a ValueError.
     """
+    if max_vertices < 4:
+        raise ValueError(f"a random complex needs at least 4 vertices, not {max_vertices}")
     rng = random.Random(seed)
     for _ in range(64):
         complex = _base_complex(rng.choice(_BASES))

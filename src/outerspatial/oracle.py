@@ -142,46 +142,41 @@ def brute_force_nested(graph: Graph, cycles: Mapping[str, frozenset[str]],
     when each part is).  A non-planar component has no genus-zero rotation
     system at all, so it short-circuits to failure without enumeration.
     """
-    comps = graph.components()
-    comp_graphs = {vs: graph.induced_subgraph(vs) for vs in comps}
-    for vs in comps:
-        if not test_planar(comp_graphs[vs]).is_planar:
+    comp_of, parts = graph.component_index()
+    for part in parts:
+        if not test_planar(part).is_planar:
             return ExhaustiveFailure(
-                0, f"component of {min(vs)} has a non-planar skeleton")
+                0, f"component of {min(part.vertices)} has a non-planar skeleton")
     size = rotation_space_size(graph)
     if size > cap:
         raise CapExceededError(size, cap)
 
-    comp_cycles: dict[frozenset, dict[str, frozenset[str]]] = {vs: {} for vs in comps}
+    part_cycles: list[dict[str, frozenset[str]]] = [{} for _ in parts]
     for cid in sorted(cycles):
         es = frozenset(cycles[cid])
-        cyc_vs = {v for e in es for v in graph.endpoints(e)}
-        for vs in comps:
-            if cyc_vs <= vs:
-                comp_cycles[vs][cid] = es
-                break
-        else:
+        where = {comp_of[v] for e in es for v in graph.endpoints(e)}
+        if len(where) != 1:
             raise ValueError(f"cycle {cid} does not lie in one component")
+        part_cycles[where.pop()][cid] = es
 
     rotation_parts: dict = {}
     certs: list[ComponentCertificate] = []
-    for vs in comps:
-        sub = comp_graphs[vs]
+    for part, comp_cycles in zip(parts, part_cycles):
         found = None
         tried = 0
-        for traced in _sphere_tracings(sub):
+        for traced in _sphere_tracings(part):
             tried += 1
-            got = component_certificate(traced, comp_cycles[vs])
+            got = component_certificate(traced, comp_cycles)
             if not isinstance(got, CrossingPair):
                 found = (traced, got)
                 break
         if found is None:
             return ExhaustiveFailure(
                 tried, f"all {tried} sphere embeddings of the component of "
-                       f"{min(vs)} leave a crossing pair")
+                       f"{min(part.vertices)} leave a crossing pair")
         traced, cert = found
         certs.append(cert)
-        for v in vs:
+        for v in part.vertices:
             rotation_parts[v] = traced.rotation.rotator(v)
     return NestedCertificate(RotationSystem(rotation_parts), certs)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from outerspatial.complexes import Face, Graph, TwoComplex
@@ -79,6 +81,18 @@ def stacked_cycles(seed: int, n: int) -> dict[str, tuple[str, ...]]:
 def stacked(seed: int, n: int) -> TwoComplex:
     """A stacked sphere on n >= 4 vertices; see `stacked_cycles`."""
     return from_cycles(stacked_cycles(seed, n))
+
+
+def perfbench_modules():
+    """The `instances` and `workloads` modules of the benchmark directory, which is not a package."""
+    where = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, where)
+    try:
+        import instances
+        import workloads
+    finally:
+        sys.path.remove(where)
+    return instances, workloads
 
 
 def forest_depth(parent: Mapping[str, str | None]) -> int:

@@ -132,6 +132,12 @@ class TestCommands:
         complex = parse_complex(text)
         assert not validate(complex)
 
+    @pytest.mark.parametrize("n", ["-1", "0", "2", "3"])
+    def test_generate_random_below_four_vertices_is_a_usage_error(self, n, capsys):
+        code, text = run_cli("generate", "random", "--vertices", n)
+        assert (code, text) == (3, "")
+        assert capsys.readouterr().err.startswith("error: a random complex needs at least 4")
+
     def test_decide_exit_codes(self, tmp_path):
         _, tetra_text = run_cli("generate", "tetra")
         p = write(tmp_path, "tetra.txt", tetra_text)

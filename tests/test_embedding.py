@@ -77,7 +77,6 @@ class TestPlanarity:
     def test_k5_not_planar(self):
         result = check_planar(complete_graph("abcde"))
         assert not result.is_planar
-        assert result.report.subgraph_edges
 
     def test_wheel_planar(self):
         # C4 plus a hub adjacent to every rim vertex.
@@ -95,7 +94,7 @@ class TestPlanarity:
         assert result.is_planar
         for comp in g.components():
             sub = g.induced_subgraph(comp)
-            assert trace_faces(sub, result.rotation.restricted_to(comp)).genus == 0
+            assert trace_faces(sub, result.rotation).genus == 0
 
     def test_multigraph_theta_and_loop(self):
         theta = Graph("uv", {"e1": ("u", "v"), "e2": ("u", "v"), "e3": ("u", "v")})

@@ -1,0 +1,58 @@
+"""Metamorphic properties of `decide` on complexes of 50 or more vertices.
+
+The oracle cannot reach these sizes, so the verdicts are checked against
+each other.  The instances are the benchmark's `stacked`, `chordal` and
+`obstruct` cases.  `instances.render` names every id `<tag><index>`, so
+rendering instances under distinct tags and joining the texts gives their
+disjoint union.  Tags are uppercase: no other text of a verdict report
+holds them, so a report can be mapped from one tag to another by
+substitution.
+"""
+
+import pytest
+
+import families
+from outerspatial.decider import Outerspatial, decide_outerspatial
+from outerspatial.fileformat import format_verdict, parse_complex
+
+instances, workloads = families.perfbench_modules()
+SEED = 3
+LARGE = [x for w in ("stacked", "chordal") for x in workloads.instances(w, SEED)
+         if len(x.vertices) >= 50]
+OBSTRUCT = workloads.instances("obstruct", SEED)
+# Every obstruct instance beside a large positive, large positives side by
+# side, and the two largest obstructions together.
+UNIONS = ([(y, LARGE[i % len(LARGE)]) for i, y in enumerate(OBSTRUCT)]
+          + list(zip(LARGE[::2], LARGE[1::2]))
+          + [tuple(sorted(OBSTRUCT, key=lambda x: len(x.vertices))[-2:])])
+
+
+def _name(parts):
+    return "+".join(x.name for x in parts)
+
+
+def _report(parts, tag):
+    text = "".join(instances.render(x, f"{tag}{chr(ord('A') + i)}") for i, x in enumerate(parts))
+    return format_verdict(decide_outerspatial(parse_complex(text)))
+
+
+def test_every_case_has_fifty_vertices_and_both_verdicts_occur():
+    cases = [(x,) for x in LARGE] + UNIONS
+    assert all(sum(len(x.vertices) for x in parts) >= 50 for parts in cases)
+    expects = {x.expect for parts in UNIONS for x in parts}
+    assert expects == {instances.POSITIVE, instances.NEGATIVE}
+
+
+@pytest.mark.parametrize("parts", [(x,) for x in LARGE] + UNIONS, ids=_name)
+def test_another_tag_gives_the_same_bytes(parts):
+    assert _report(parts, "QX").replace("QX", "ZJ") == _report(parts, "ZJ")
+
+
+@pytest.mark.parametrize("parts", UNIONS, ids=_name)
+def test_disjoint_union_is_outerspatial_exactly_when_both_parts_are(parts):
+    alone = [decide_outerspatial(parse_complex(instances.render(x, "QX"))) for x in parts]
+    assert [isinstance(v, Outerspatial) for v in alone] == \
+        [x.expect == instances.POSITIVE for x in parts]
+    union = _report(parts, "QX")
+    assert union.startswith("verdict: outerspatial\n") == all(
+        isinstance(v, Outerspatial) for v in alone)

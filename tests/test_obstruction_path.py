@@ -1,9 +1,8 @@
-"""The obstruction path of `decide`: forced-face surface search, K4 gate, lazy reports.
+"""The obstruction path of `decide`: forced-face surface search and K4 gate.
 
 Each fast piece is checked against the exhaustive search it stands in for:
-the surface search against `oracle.find_aspherical_subcomplex`, the
-series-parallel gate against the oracle's branch-set enumeration, and the lazy planarity
-report against the Kuratowski subgraph networkx builds.
+the surface search against `oracle.find_aspherical_subcomplex`, and the
+series-parallel gate against the oracle's branch-set enumeration.
 """
 
 import random
@@ -18,8 +17,7 @@ from outerspatial.complexes import (Graph, associated_complex,
 from outerspatial.decider import (AsphericalSubcomplex, HypothesisViolated,
                                   NotOuterspatial, decide_outerspatial,
                                   verify_obstruction)
-from outerspatial.embedding import (find_minor, test_planar as check_planar,
-                                    verify_minor_witness)
+from outerspatial.embedding import find_minor, verify_minor_witness
 from outerspatial.oracle import _search_minor, find_aspherical_subcomplex
 from outerspatial.surface import SearchBudgetExceeded, search_aspherical_subcomplex
 from test_surface import projective_plane
@@ -178,31 +176,3 @@ class TestK4Gate:
         assert find_minor(k23, "K4") is None
         witness = find_minor(k23, "K2,3")
         assert witness.target == "K2,3" and verify_minor_witness(k23, witness)
-
-
-class TestLazyPlanarityReport:
-    def test_counterexample_built_only_when_read(self, monkeypatch):
-        calls = []
-        real = nx.check_planarity
-
-        def spy(graph, counterexample=False):
-            calls.append(counterexample)
-            return real(graph, counterexample=counterexample)
-        monkeypatch.setattr(nx, "check_planarity", spy)
-        result = check_planar(complete_graph("abcde"))
-        assert not result.is_planar
-        assert True not in calls
-        report = result.report
-        assert calls.count(True) == 1
-        assert report.component == frozenset("abcde")
-        assert len(report.subgraph_edges) == 10
-        assert result.report is report
-        assert calls.count(True) == 1
-
-    def test_planar_graph_has_no_report(self):
-        assert check_planar(complete_graph("abcd")).report is None
-
-    def test_nonplanar_component_is_the_first_one(self):
-        g = Graph("abcdevwxyz", {**complete_graph("abcde").edges,
-                                 **complete_graph("vwxyz").edges})
-        assert check_planar(g).report.component == frozenset("abcde")

@@ -4,7 +4,6 @@ and the families that once hit quadratic cliffs decide within loose wall guards.
 
 import gc
 import json
-import sys
 import time
 from pathlib import Path
 
@@ -22,12 +21,7 @@ WALL_GUARD_S = 5.0
 
 
 def _perfbench_texts(workload, seed):
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import instances
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
+    instances, workloads = families.perfbench_modules()
     return [instances.render(x, f"w{i}q") for i, x in enumerate(workloads.instances(workload, seed))]
 
 
@@ -49,7 +43,7 @@ def test_positive_decisions_never_search_sides(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a positive decision searched a cycle's sides")
 
-    monkeypatch.setattr(embedding, "_side_bits", refuse)
+    monkeypatch.setattr(embedding, "_cycle_interior", refuse)
     for name, complex in cases:
         assert isinstance(decide_outerspatial(complex), Outerspatial), name
 

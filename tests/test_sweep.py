@@ -96,16 +96,16 @@ def test_first_crossing_pair_matches_reference(seed):
 
 
 def test_crossing_families_are_found_without_the_pairwise_test(monkeypatch):
-    # The sides of a cycle are split once, and only after the walk fails;
-    # the scan for the first crossing pair then compares bitsets.
+    # Each interior is computed once, and only after the walk fails; the
+    # scan for the first crossing pair then compares bitsets.
     split = []
-    side_bits = embedding._side_bits
+    interior = embedding._cycle_interior
 
-    def counted(traced, edges):
+    def counted(traced, tree, edges):
         split.append(edges)
-        return side_bits(traced, edges)
+        return interior(traced, tree, edges)
 
-    monkeypatch.setattr(embedding, "_side_bits", counted)
+    monkeypatch.setattr(embedding, "_cycle_interior", counted)
     kinds = set()
     for seed in range(20):
         traced, family = bipyramid_family(seed)
@@ -137,7 +137,7 @@ def test_verifier_uses_neither_the_forest_builder_nor_the_sweep(monkeypatch):
 
     for module, name in ((embedding, "nesting_forest"), (decider, "nesting_forest"),
                          (verdicts, "nesting_forest"),
-                         (embedding, "_label_walk"), (embedding, "_side_bits"),
+                         (embedding, "_label_walk"), (embedding, "_cycle_interior"),
                          (embedding, "cycle_sides")):
         monkeypatch.setattr(module, name, refuse)
     for complex, verdict in zip(cases, decided):
@@ -354,6 +354,16 @@ def test_parent_map_with_a_missing_face_or_an_extra_id_is_rejected():
         bad = dict(comp.parents)
         bad["extra"] = par
         assert not verify_certificate(complex, _with_parents(cert, comp, bad))
+
+
+def test_rotation_with_a_missing_or_an_extra_vertex_is_rejected():
+    complex, cert, _ = nested_certificate()
+    rotators = {v: cert.rotation.rotator(v) for v in cert.rotation.vertices()}
+    missing = dict(rotators)
+    del missing[min(missing)]
+    for bad in (missing, {**rotators, "extra": ()}):
+        forged = NestedCertificate(RotationSystem(bad), cert.components)
+        assert not verify_certificate(complex, forged)
 
 
 def test_wrong_outer_orbit_is_rejected():
