@@ -606,6 +606,12 @@ def contract_path(complex: TwoComplex, path: Path) -> TwoComplex:
     return TwoComplex(new_graph, faces)
 
 
+def contracted_link(complex: TwoComplex, path: Path) -> LinkGraph:
+    """The link at the merged vertex once a path is contracted."""
+    merged = contracted_vertex_name(path, complex.graph.vertices)
+    return link_graph(contract_path(complex, path), merged)
+
+
 def delete_faces(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
     """Delete faces; cells incident only with the removed faces and nothing
     else go with them.

@@ -46,8 +46,11 @@ is not int(c2).  Conversely, take sides A, A' of c1 and B, B' of c2 with
 A <= B: if int(c1) = A it lies in B, which is int(c2) or disjoint from it;
 if int(c1) = A' then o is in A <= B, so int(c2) = B' <= A' = int(c1).  So
 two cycles cross exactly when their interiors meet and neither contains
-the other.  When the walk fails, `nesting_forest` computes the interiors
-from its tree and scans pairs in lexicographic order of cycle ids for the
+the other.  Cycles without a common vertex never cross: c1 meets one side
+B' of c2 only, so the faces of the other side B meet no edge of c1 and,
+being connected across non-c2 edges, lie in one side of c1.  When the walk
+fails, `nesting_forest` computes the interiors from its tree and scans the
+pairs with a common vertex, in lexicographic order of cycle ids, for the
 first crossing one.  Two cycles with the same edge set have equal
 interiors; `validate` rejects such duplicate boundaries in complexes and
 `nesting_forest` rejects them with ValueError.
@@ -824,9 +827,12 @@ def cycles_cross(traced: TracedFaces, c1: Iterable[str], c2: Iterable[str]) -> b
 
 
 class CrossingPair:
-    def __init__(self, first: str, second: str):
+    """Two crossing cycles, with the traced orbits inside the first."""
+
+    def __init__(self, first: str, second: str, inside: frozenset[int]):
         self.first = first
         self.second = second
+        self.inside = inside
 
     def __repr__(self) -> str:
         return f"CrossingPair({self.first}, {self.second})"
@@ -841,10 +847,11 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
     of a cycle is its side away from the outer face.  One label walk down a
     dual tree rooted at the outer face builds the forest (see the module
     docstring); only when it finds the interiors not laminar are they
-    computed from that tree and the pairs scanned, in lexicographic order
-    of cycle ids, for the first two interiors that meet with neither
-    containing the other.  Every cycle must be a cycle of the traced graph,
-    and two cycles with the same edge set are rejected.
+    computed from that tree and the pairs with a common vertex scanned, in
+    lexicographic order of cycle ids, for the first two interiors that meet
+    with neither containing the other; the pair carries the orbits inside
+    its first cycle.  Every cycle must be a cycle of the traced graph, and
+    two cycles with the same edge set are rejected.
     """
     ids = sorted(cycles)
     edge_sets = {cid: frozenset(cycles[cid]) for cid in ids}
@@ -857,17 +864,23 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
         return {}
     if traced.genus != 0:
         raise ValueError("cycle sides are defined only on genus-zero tracings")
-    for edges in edge_sets.values():
-        check_cycle(traced.graph, edges)
+    vertices = {cid: check_cycle(traced.graph, edge_sets[cid]) for cid in ids}
     tree = _DualTree(traced, outer_face)
     parent = _label_walk(tree, edge_sets)
     if parent is not None:
         return parent
     inside = {cid: _cycle_interior(traced, tree, edge_sets[cid]) for cid in ids}
-    for ca, cb in itertools.combinations(ids, 2):
-        a, b = inside[ca], inside[cb]
-        if a & b and a & ~b and b & ~a:
-            return CrossingPair(ca, cb)
+    # Cycles without a common vertex never cross (module docstring).
+    at: dict[str, list[str]] = {}
+    for cid in ids:
+        for v in vertices[cid]:
+            at.setdefault(v, []).append(cid)
+    for ca in ids:
+        a = inside[ca]
+        for cb in sorted({cb for v in vertices[ca] for cb in at[v] if cb > ca}):
+            b = inside[cb]
+            if a & b and a & ~b and b & ~a:
+                return CrossingPair(ca, cb, frozenset(tree.order[p] for p in _bits(a)))
     raise AssertionError("interiors not laminar, yet no pair of cycles crosses")
 
 

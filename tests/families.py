@@ -11,6 +11,7 @@ of `embedding.nesting_forest` replaced, kept as the tests' ground truth.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 import sys
@@ -83,16 +84,17 @@ def stacked(seed: int, n: int) -> TwoComplex:
     return from_cycles(stacked_cycles(seed, n))
 
 
-def perfbench_modules():
-    """The `instances` and `workloads` modules of the benchmark directory, which is not a package."""
+def perfbench_modules(*names: str):
+    """Modules of the benchmark directory, which is not a package.
+
+    The `instances` and `workloads` modules unless others are named.
+    """
     where = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, where)
     try:
-        import instances
-        import workloads
+        return tuple(importlib.import_module(name) for name in names or ("instances", "workloads"))
     finally:
         sys.path.remove(where)
-    return instances, workloads
 
 
 def forest_depth(parent: Mapping[str, str | None]) -> int:

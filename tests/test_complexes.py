@@ -8,9 +8,9 @@ from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_bipartite,
                                     complete_graph, cone, contract_path,
-                                    contracted_vertex_name, delete_faces,
-                                    link_graph, skeleton, split_components,
-                                    validate, vertex_sum)
+                                    contracted_link, contracted_vertex_name,
+                                    delete_faces, link_graph, skeleton,
+                                    split_components, validate, vertex_sum)
 
 
 def K4():
@@ -168,6 +168,7 @@ class TestContractPath:
                 path = Path((u, v), (eid,))
                 merged = contracted_vertex_name(path, c.graph.vertices)
                 actual = link_graph(contract_path(c, path), merged)
+                assert contracted_link(c, path).graph == actual.graph
                 pairing = {fid: fid for fid in c.faces_with_edge(eid)}
                 expected = vertex_sum(link_graph(c, u).graph, link_graph(c, v).graph,
                                       eid, pairing)
@@ -176,6 +177,12 @@ class TestContractPath:
     def test_not_a_path_rejected(self, tetra):
         with pytest.raises(ValueError):
             contract_path(tetra, Path(("a", "b"), ("cd",)))
+        with pytest.raises(ValueError):
+            contracted_link(tetra, Path(("a", "b"), ("cd",)))
+
+    def test_contracted_link_of_a_trivial_path_is_the_link(self, tetra):
+        got = contracted_link(tetra, Path(("a",), ()))
+        assert got.host == "a" and got.graph == link_graph(tetra, "a").graph
 
 
 class TestDeleteFaces:

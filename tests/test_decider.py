@@ -19,9 +19,7 @@ from outerspatial.decider import (AsphericalSubcomplex,
                                   decide_nested_plane, decide_outerspatial,
                                   find_chordal_faces, is_locally_2_connected,
                                   verify_certificate, verify_obstruction,
-                                  _crossing_obstruction,
-                                  _sphere_rotation_from_links,
-                                  _within_euler_bound)
+                                  _crossing_obstruction, _within_euler_bound)
 from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
 from outerspatial.embedding import test_planar as check_planar
 from outerspatial.fileformat import format_verdict
@@ -337,9 +335,12 @@ class TestCrossingObstruction:
     def test_derivation_on_crossing_squares(self):
         complex = crossing_squares_complex()
         base = gen.bipyramid(4)
-        traced = trace_faces(complex.graph, _sphere_rotation_from_links(base))
-        verdict = _crossing_obstruction(complex, complex, traced,
-                                        CrossingPair("x1", "x2"))
+        traced = trace_faces(complex.graph, decide_outerspatial(base).certificate.rotation)
+        cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
+        pair = embedding.nesting_forest(traced, cycles)
+        assert isinstance(pair, CrossingPair)
+        assert (pair.first, pair.second) == ("x1", "x2")
+        verdict = _crossing_obstruction(complex, complex, traced, pair)
         assert isinstance(verdict, NotOuterspatial)
         ob = verdict.obstruction
         assert ob.path.is_trivial()

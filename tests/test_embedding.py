@@ -11,7 +11,7 @@ from families import reference_nesting
 from outerspatial import generators as gen
 from outerspatial.complexes import (Graph, complete_bipartite, complete_graph,
                                     cycle_graph)
-from outerspatial.decider import _sphere_rotation_from_links
+from outerspatial.decider import decide_outerspatial
 from outerspatial import embedding
 from outerspatial.embedding import (CrossingPair, RotationSystem, check_cycle,
                                     cycle_sides, cycles_cross, find_minor,
@@ -166,7 +166,7 @@ class TestTwoConnected:
 
 
 def bipyramid_traced(bipyramid4):
-    rotation = _sphere_rotation_from_links(bipyramid4)
+    rotation = decide_outerspatial(bipyramid4).certificate.rotation
     return trace_faces(bipyramid4.graph, rotation)
 
 
@@ -225,7 +225,7 @@ def _orbit_face_id(complex, traced, orbit_index):
 class TestCyclesCross:
     def test_disjoint_triangles(self):
         prism = gen.prism(3)
-        traced = trace_faces(prism.graph, _sphere_rotation_from_links(prism))
+        traced = trace_faces(prism.graph, decide_outerspatial(prism).certificate.rotation)
         top = prism.face("top").edge_set
         bot = prism.face("bot").edge_set
         assert not cycles_cross(traced, top, bot)

@@ -6,13 +6,19 @@ each other.  The instances are the benchmark's `stacked`, `chordal` and
 rendering instances under distinct tags and joining the texts gives their
 disjoint union.  Tags are uppercase: no other text of a verdict report
 holds them, so a report can be mapped from one tag to another by
-substitution.
+substitution.  A random one-to-one renaming of the ids keeps the verdict
+kind but not the bytes: reports list ids in sort order, and the triangle
+fast path may embed a sphere as the mirror image.
 """
+
+import random
+import re
 
 import pytest
 
 import families
-from outerspatial.decider import Outerspatial, decide_outerspatial
+from outerspatial.decider import (NotOuterspatial, Outerspatial, decide_outerspatial,
+                                  verify_certificate, verify_obstruction)
 from outerspatial.fileformat import format_verdict, parse_complex
 
 instances, workloads = families.perfbench_modules()
@@ -31,9 +37,12 @@ def _name(parts):
     return "+".join(x.name for x in parts)
 
 
+def _text(parts, tag):
+    return "".join(instances.render(x, f"{tag}{chr(ord('A') + i)}") for i, x in enumerate(parts))
+
+
 def _report(parts, tag):
-    text = "".join(instances.render(x, f"{tag}{chr(ord('A') + i)}") for i, x in enumerate(parts))
-    return format_verdict(decide_outerspatial(parse_complex(text)))
+    return format_verdict(decide_outerspatial(parse_complex(_text(parts, tag))))
 
 
 def test_every_case_has_fifty_vertices_and_both_verdicts_occur():
@@ -56,3 +65,26 @@ def test_disjoint_union_is_outerspatial_exactly_when_both_parts_are(parts):
     union = _report(parts, "QX")
     assert union.startswith("verdict: outerspatial\n") == all(
         isinstance(v, Outerspatial) for v in alone)
+
+
+def _renamed(text, rng):
+    """The text with its ids mapped one-to-one onto names in a random sort order."""
+    ids = sorted(set(re.findall(r"\bQX[A-Z]\d+\b", text)))
+    names = dict(zip(ids, (f"R{k:06d}" for k in rng.sample(range(10 ** 6), len(ids)))))
+    return re.sub(r"\bQX[A-Z]\d+\b", lambda m: names[m.group()], text)
+
+
+@pytest.mark.parametrize("parts", [(x,) for x in LARGE] + UNIONS, ids=_name)
+def test_random_renaming_keeps_the_verdict_kind(parts):
+    text = _text(parts, "QX")
+    kind = type(decide_outerspatial(parse_complex(text)))
+    rng = random.Random(f"{SEED}:{_name(parts)}")
+    for _ in range(2):
+        complex = parse_complex(_renamed(text, rng))
+        verdict = decide_outerspatial(complex)
+        assert type(verdict) is kind
+        if isinstance(verdict, Outerspatial):
+            assert verify_certificate(complex, verdict.certificate)
+        else:
+            assert isinstance(verdict, NotOuterspatial)
+            assert verify_obstruction(complex, verdict.obstruction)

@@ -1,5 +1,6 @@
 """The sphere layer at scale: positive decisions never search a cycle's sides,
-and the families that once hit quadratic cliffs decide within loose wall guards.
+and the families that once hit quadratic cliffs decide, or find their
+crossing pair, within loose wall guards.
 """
 
 import gc
@@ -13,6 +14,7 @@ import pytest
 from outerspatial import embedding
 from outerspatial import generators as gen
 from outerspatial.decider import Outerspatial, decide_outerspatial, verify_certificate
+from outerspatial.embedding import CrossingPair, nesting_forest, trace_faces
 from outerspatial.fileformat import parse_complex
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +50,18 @@ def test_positive_decisions_never_search_sides(monkeypatch):
         assert isinstance(decide_outerspatial(complex), Outerspatial), name
 
 
+def _timed(fn, *args):
+    # Objects left by earlier tests would be rescanned by every collection.
+    gc.collect()
+    gc.freeze()
+    try:
+        start = time.perf_counter()
+        got = fn(*args)
+        return got, time.perf_counter() - start
+    finally:
+        gc.unfreeze()
+
+
 @pytest.mark.parametrize("name,build", [
     ("tower-2000", lambda: families.tower(2000)),
     ("prism-1600", lambda: gen.prism(1600)),
@@ -56,15 +70,7 @@ def test_positive_decisions_never_search_sides(monkeypatch):
 ])
 def test_cliff_families_decide_within_the_wall_guard(name, build):
     complex = build()
-    # Objects left by earlier tests would be rescanned by every collection.
-    gc.collect()
-    gc.freeze()
-    try:
-        start = time.perf_counter()
-        verdict = decide_outerspatial(complex)
-        elapsed = time.perf_counter() - start
-    finally:
-        gc.unfreeze()
+    verdict, elapsed = _timed(decide_outerspatial, complex)
     assert isinstance(verdict, Outerspatial)
     assert elapsed < WALL_GUARD_S, f"{name} took {elapsed:.2f} s"
     assert len(verdict.certificate.components) == len(complex.graph.components())
@@ -73,3 +79,25 @@ def test_cliff_families_decide_within_the_wall_guard(name, build):
         assert families.forest_depth(comp.parents) >= 1000
     assert verify_certificate(complex, verdict.certificate)
 
+
+def test_late_crossing_pair_is_found_within_the_wall_guard():
+    # Stars of two adjacent centres cross, and their ids sort after every
+    # triangle's.  Scanning every pair in id order takes 12 s at this size
+    # on a shared Xeon; the pairs with a common vertex take 0.24 s.
+    sphere = families.stacked(6000, 6000)
+    g = sphere.graph
+    traced = trace_faces(g, decide_outerspatial(sphere).certificate.rotation)
+    cycles = {fid: f.edge_set for fid, f in sphere.faces.items()}
+
+    def star(v):
+        return frozenset(e for f in sphere.faces.values() if v in f.vertices
+                         for e in f.edge_ids if v not in g.endpoints(e))
+
+    u = max(sorted(g.vertices), key=g.degree)
+    cycles["zz1"], cycles["zz2"] = star(u), star(min(g.neighbors(u)))
+    got, elapsed = _timed(nesting_forest, traced, cycles)
+    assert isinstance(got, CrossingPair)
+    assert (got.first, got.second) == ("zz1", "zz2")
+    assert elapsed < WALL_GUARD_S, f"crossing scan took {elapsed:.2f} s"
+    # The star of u encloses the triangles at u, or everything else.
+    assert len(got.inside) in (g.degree(u), len(traced.orbits) - g.degree(u))

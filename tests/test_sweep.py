@@ -18,8 +18,8 @@ from outerspatial import decider, embedding, verdicts
 from outerspatial import generators as gen
 from outerspatial.complexes import Face, TwoComplex, delete_faces
 from outerspatial.decider import (ComponentCertificate, NestedCertificate,
-                                  Outerspatial, _sphere_rotation_from_links,
-                                  decide_outerspatial, verify_certificate)
+                                  Outerspatial, decide_outerspatial,
+                                  verify_certificate)
 from outerspatial.embedding import (CrossingPair, RotationSystem, cycle_sides,
                                     nesting_forest, trace_faces)
 from outerspatial.fileformat import (format_certificate, format_verdict,
@@ -36,7 +36,7 @@ def stacked_sphere(seed, vertices):
         fid = rng.choice(triangles)
         separating[f"s{fid}"] = complex.face(fid).edge_set
         complex = gen.insert_vertex(complex, fid, f"v{k}")
-    traced = trace_faces(complex.graph, _sphere_rotation_from_links(complex))
+    traced = trace_faces(complex.graph, decide_outerspatial(complex).certificate.rotation)
     cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
     cycles.update(separating)
     return complex, traced, cycles
@@ -66,7 +66,7 @@ def bipyramid_family(seed):
     rng = random.Random(seed)
     n = rng.randrange(4, 9)
     base = gen.bipyramid(n)
-    traced = trace_faces(base.graph, _sphere_rotation_from_links(base))
+    traced = trace_faces(base.graph, decide_outerspatial(base).certificate.rotation)
     graph = base.graph
     chosen = [f.vertices for f in base.faces.values()]
     chosen += rng.sample(gen.all_cycles(graph, 5), rng.randrange(0, 4))
@@ -122,7 +122,7 @@ def test_crossing_families_are_found_without_the_pairwise_test(monkeypatch):
 
 
 def test_duplicate_edge_sets_are_rejected(bipyramid4):
-    traced = trace_faces(bipyramid4.graph, _sphere_rotation_from_links(bipyramid4))
+    traced = trace_faces(bipyramid4.graph, decide_outerspatial(bipyramid4).certificate.rotation)
     square = frozenset({"na", "sa", "nc", "sc"})
     with pytest.raises(ValueError, match="same edge set"):
         nesting_forest(traced, {"p": square, "q": square})
@@ -229,7 +229,7 @@ def test_crossing_squares_are_the_first_crossing_pair():
     faces.append(Face.from_vertices(base.graph, "x1", ("n", "a", "s", "c")))
     faces.append(Face.from_vertices(base.graph, "x2", ("n", "b", "s", "d")))
     complex = TwoComplex(base.graph, faces)
-    traced = trace_faces(complex.graph, _sphere_rotation_from_links(base))
+    traced = trace_faces(complex.graph, decide_outerspatial(base).certificate.rotation)
     cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
     expected = reference_nesting(traced, cycles, [0])
     got = nesting_forest(traced, cycles)
@@ -248,7 +248,7 @@ def tower_family(k):
     complex = families.tower(k)
     sphere = delete_faces(complex, set(families.tower_cycles(k)) - set(
         families.tower_cycles(k, inner_rings=False)))
-    traced = trace_faces(complex.graph, _sphere_rotation_from_links(sphere))
+    traced = trace_faces(complex.graph, decide_outerspatial(sphere).certificate.rotation)
     return traced, {fid: f.edge_set for fid, f in complex.faces.items()}
 
 
@@ -257,7 +257,7 @@ def prism_family(seed):
     rng = random.Random(seed)
     n = rng.randrange(3, 9)
     base = gen.prism(n)
-    traced = trace_faces(base.graph, _sphere_rotation_from_links(base))
+    traced = trace_faces(base.graph, decide_outerspatial(base).certificate.rotation)
     family = {fid: f.edge_set for fid, f in base.faces.items()}
     if n <= 5:
         for vs in rng.sample(gen.all_cycles(base.graph, 6), rng.randrange(0, 4)):
@@ -275,7 +275,7 @@ def star_family(seed):
     """
     rng = random.Random(seed)
     complex = families.stacked(seed, rng.randrange(8, 22))
-    traced = trace_faces(complex.graph, _sphere_rotation_from_links(complex))
+    traced = trace_faces(complex.graph, decide_outerspatial(complex).certificate.rotation)
     family = {fid: f.edge_set for fid, f in complex.faces.items()}
     centres = [v for v in sorted(complex.graph.vertices) if complex.graph.degree(v) >= 4]
     for v in rng.sample(centres, min(len(centres), rng.randrange(1, 4))):
