@@ -159,34 +159,25 @@ def _within_euler_bound(graph: Graph) -> bool:
 def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdict:
     """Decide outerspatiality with a checkable certificate or obstruction.
 
-    Pipeline: triangle fast path; per-vertex link checks (a non-outerplanar
-    link is an immediate sound obstruction); perfect chordality of chordal
-    faces; deletion of chordal faces must leave spheres, else an aspherical
+    Pipeline, per component: link checks (a non-outerplanar link is an
+    immediate sound obstruction); perfect chordality of chordal faces;
+    deletion of chordal faces must leave spheres, else an aspherical
     subcomplex; finally a nesting forest over all boundaries in the sphere
-    embedding read off the remaining faces.
+    embedding whose rotators are the links' Hamilton boundaries.
+    Components without faces are settled by planarity alone.
 
-    Components without faces are settled by planarity alone.  When link
-    checks fail, a direct aspherical-subcomplex search still runs (sound
-    regardless of the hypothesis); only if that finds nothing, or runs out
-    of its node budget (stated in a note), is HypothesisViolated returned.
-    Every verdict is re-verified before it is handed out.
+    When link checks fail, two sound routes outside the theorem's
+    hypothesis follow.  First the triangle fallback: if every face is a
+    triangle and the skeleton is within Euler's bound, a planar skeleton
+    is outerspatial, certified from its plane embedding.  `fast_path=False`
+    skips this fallback.  Then a direct aspherical-subcomplex search; only
+    if that finds nothing, or runs out of its node budget (stated in a
+    note), is HypothesisViolated returned.  Every verdict is re-verified
+    before it is handed out.
     """
     problems = validate(complex)
     if problems:
         raise ValueError(f"input complex is not validated: {problems[0].message}")
-
-    faces = complex.faces
-    if (fast_path and all(len(f) == 3 for f in faces.values())
-            and _within_euler_bound(complex.graph)):
-        planarity = test_planar(complex.graph)
-        if planarity.is_planar:
-            cycles = {fid: f.edge_set for fid, f in faces.items()}
-            cert = build_certificate(complex.graph, cycles, planarity)
-            if isinstance(cert, CrossingPair):
-                raise AssertionError("triangles crossed in a plane embedding")
-            verdict = Outerspatial(cert)
-            _self_check(complex, verdict)
-            return verdict
 
     violations: list[LinkViolation] = []
     notes: list[str] = []
@@ -226,6 +217,23 @@ def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdi
         verdict = Outerspatial(NestedCertificate(RotationSystem(rotation_parts), certificates))
         _self_check(complex, verdict)
         return verdict
+
+    # Triangle fallback: a plane embedding of the skeleton nests every family
+    # of triangles, so a planar one proves outerspatiality in or out of the
+    # hypothesis.  Without link violations the loop stopped only at a
+    # non-planar faceless component, and then the skeleton is not planar.
+    faces = complex.faces
+    if (fast_path and violations and all(len(f) == 3 for f in faces.values())
+            and _within_euler_bound(complex.graph)):
+        planarity = test_planar(complex.graph)
+        if planarity.is_planar:
+            cycles = {fid: f.edge_set for fid, f in faces.items()}
+            cert = build_certificate(complex.graph, cycles, planarity)
+            if isinstance(cert, CrossingPair):
+                raise AssertionError("triangles crossed in a plane embedding")
+            verdict = Outerspatial(cert)
+            _self_check(complex, verdict)
+            return verdict
 
     # Salvage: an aspherical subcomplex is a sound obstruction regardless of
     # the hypothesis; search for one within the node budget.

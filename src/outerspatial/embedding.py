@@ -708,7 +708,14 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
     the cycle a-v-b turns it into a chord.  A failing block is not
     outerplanar: an overfull one by the above, a stuck one because it has a
     minor of minimum degree 3.
+
+    A graph that is one simple cycle, as every link of a triangulated
+    closed surface is, skips the block pass: it is its own Hamilton
+    boundary, with no chords.
     """
+    cycle = _single_cycle(graph)
+    if cycle is not None:
+        return OuterplanarityResult(True, cycle, frozenset(graph.edge_ids()), frozenset())
     blocks = _blocks(graph)
     hamiltonian = graph.is_simple() and _is_one_block(graph, blocks)
     triangles: dict[frozenset[str], int] = {}
@@ -727,16 +734,45 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
             boundary_edges.add(eid)
             ring[u].append(v)
             ring[v].append(u)
-    # Walk the boundary from the smallest vertex towards its smaller neighbour.
-    start = min(graph.vertices)
+    return OuterplanarityResult(True, _walk_ring(ring), frozenset(boundary_edges),
+                                frozenset(chords))
+
+
+def _single_cycle(graph: Graph) -> tuple[str, ...] | None:
+    """The walk of `_walk_ring` when the graph is one simple cycle on three or more vertices.
+
+    As many edges as vertices, two incident edges at every vertex, and one
+    walk covers every vertex; None otherwise.  That leaves no loop: a loop
+    is listed once among its vertex's incident edges, so n vertices with
+    two each would hold fewer than n edges.  Nor a doubled edge: it would
+    close a component of two vertices, and no walk covers all n >= 3.
+    """
+    n = len(graph.vertices)
+    if n < 3 or graph.edge_count() != n:
+        return None
+    ring: dict[str, list[str]] = {}
+    for v in graph.vertices:
+        ends = graph.incident_edges(v)
+        if len(ends) != 2:
+            return None
+        ring[v] = [u if u != v else w for u, w in map(graph.endpoints, ends)]
+    cycle = _walk_ring(ring)
+    return cycle if len(cycle) == n else None
+
+
+def _walk_ring(ring: Mapping[str, list[str]]) -> tuple[str, ...]:
+    """The cycle through the smallest vertex of a ring of two neighbours each.
+
+    The walk starts towards the smaller neighbour of that vertex.
+    """
+    start = min(ring)
     cycle = [start]
     prev, at = start, min(ring[start])
     while at != start:
         cycle.append(at)
         a, b = ring[at]
         prev, at = at, (b if a == prev else a)
-    return OuterplanarityResult(True, tuple(cycle), frozenset(boundary_edges),
-                                frozenset(chords))
+    return tuple(cycle)
 
 
 def _eliminate(nbrs: dict[str, dict[str, None]],

@@ -1,10 +1,16 @@
 """Cold start: only a planarity embedding imports networkx; the package leaves dataclasses and inspect out.
 
+`decide` reaches a planarity test only for faceless components and for the
+triangle fallback outside the theorem's hypothesis, so it decides every
+golden triangle complex, and the prism and bipyramid cases, without
+networkx.
+
 Each case runs a fresh interpreter with `src/` first on `PYTHONPATH` and
 `-X importtime`, whose log on stderr names every module the process
 imported.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +18,14 @@ from pathlib import Path
 
 import pytest
 
+from outerspatial.fileformat import parse_complex
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+TRIANGLE_CASES = sorted(
+    p.stem for p in GOLDEN.glob("*.complex")
+    if all(len(f) == 3 for f in parse_complex(p.read_text()).faces.values()))
 
 
 def _run(*args: str) -> tuple[subprocess.CompletedProcess, set[str]]:
@@ -47,14 +59,14 @@ def test_commands_without_planarity_leave_networkx_out(command, case):
     assert "networkx" not in imported
 
 
-@pytest.mark.parametrize("case", ["prism8", "bipyramid-equator6", "torus7"])
+def test_every_golden_triangle_case_is_a_decide_case():
+    assert len(TRIANGLE_CASES) >= 13
+    assert {"tetra", "torus7", "cone-k23", "bipyramid5"} <= set(TRIANGLE_CASES)
+
+
+@pytest.mark.parametrize("case", ["prism8", "bipyramid-equator6"] + TRIANGLE_CASES)
 def test_decide_without_a_planar_fast_path_leaves_networkx_out(case):
     proc, imported = _cli("decide", case)
+    assert proc.returncode == EXIT_CODES[case]["decide"]
     assert proc.stdout == (GOLDEN / f"{case}.decide").read_text()
     assert "networkx" not in imported
-
-
-def test_decide_on_tetra_keeps_its_golden_bytes():
-    proc, _ = _cli("decide", "tetra")
-    assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "tetra.decide").read_text()

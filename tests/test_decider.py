@@ -23,6 +23,7 @@ from outerspatial.decider import (AsphericalSubcomplex,
 from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
 from outerspatial.embedding import test_planar as check_planar
 from outerspatial.fileformat import format_verdict
+from families import from_cycles, stacked
 from test_link_layer import _count_calls
 from test_sweep import stacked_sphere
 
@@ -207,6 +208,44 @@ class TestFastPathTracesOnce:
         verdict = decide_outerspatial(complex)
         assert isinstance(verdict, Outerspatial)
         assert len(calls) == 2
+
+
+def fallback_triangle_complexes():
+    """All-triangle complexes outside the hypothesis whose skeleton is planar."""
+    tetrahedron = ("abc", "abd", "acd", "bcd")
+    glued = str.maketrans("bcd", "xyz")  # a second tetrahedron on a
+    return [
+        from_cycles({"t": "abc"}),
+        from_cycles({"t1": "abc", "t2": "bcd"}),
+        from_cycles({"t1": "oab", "t2": "obc", "t3": "ocd", "t4": "oda"}),
+        from_cycles({**{f"f{t}": t for t in tetrahedron},
+                     **{f"g{t}": t.translate(glued) for t in tetrahedron}}),
+    ]
+
+
+class TestTriangleFallback:
+    """The skeleton planarity test runs only after link violations."""
+
+    def test_fallback_decides_triangles_outside_the_hypothesis(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "check_planarity", [nx])
+        for complex in fallback_triangle_complexes():
+            del calls[:]
+            verdict = decide_outerspatial(complex)
+            assert isinstance(verdict, Outerspatial)
+            assert verify_certificate(complex, verdict.certificate)
+            assert len(calls) == 1
+            assert isinstance(decide_outerspatial(complex, fast_path=False), HypothesisViolated)
+
+    def test_link_route_decides_without_planarity(self, monkeypatch):
+        subdivided_k4 = Graph("abcdx", {"ab": ("a", "b"), "ac": ("a", "c"), "ad": ("a", "d"),
+                                        "bc": ("b", "c"), "bd": ("b", "d"),
+                                        "cx": ("c", "x"), "dx": ("d", "x")})
+        calls = _count_calls(monkeypatch, "check_planarity", [nx])
+        assert isinstance(decide_outerspatial(stacked(64, 64)), Outerspatial)
+        verdict = decide_outerspatial(gen.cone_over_graph(subdivided_k4))
+        assert isinstance(verdict, NotOuterspatial)
+        assert isinstance(verdict.obstruction, NonOuterplanarLink)
+        assert calls == []
 
 
 class TestEulerGate:

@@ -319,3 +319,56 @@ class TestBlockPass:
         assert not is_2_connected(path)
         assert len(embedding._blocks(path)) == n - 1
         assert is_2_connected(cycle)
+
+
+def relabelled_cycle(rng, n):
+    """The cycle C_n under random vertex names, edge ids and edge directions."""
+    names = [f"u{i:03d}" for i in rng.sample(range(1000), n)]
+    ids = [f"e{i:03d}" for i in rng.sample(range(1000), n)]
+    edges = {}
+    for i, eid in enumerate(ids):
+        u, v = names[i], names[(i + 1) % n]
+        edges[eid] = (u, v) if rng.random() < 0.5 else (v, u)
+    return Graph(names, edges)
+
+
+def near_miss_cycles():
+    """Graphs one step from a single simple cycle, each failing one of its conditions."""
+    hexagon = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("a", "f")]
+    triangle = [("a", "b"), ("b", "c"), ("a", "c")]
+    return [
+        from_pairs(hexagon + [("a", "d")]),                       # a chord
+        from_pairs(triangle + [("x", "y"), ("y", "z"), ("x", "z")]),  # two triangles
+        from_pairs(hexagon + [("c", "d")]),                       # a doubled edge
+        from_pairs(hexagon + [("c", "c")]),                       # a loop
+        from_pairs(triangle + [("x", "y"), ("x", "y")]),          # a digon beside a triangle
+        from_pairs([(u, v) for w in "abc" for u, v in (("s", w), (w, "t"))]),  # theta
+        from_pairs(hexagon[:-1]),                                 # a path
+        from_pairs(triangle + [("c", "p")]),                      # a pendant vertex
+    ]
+
+
+def _outcome(result):
+    return result.outerplanar, result.boundary, result.boundary_edges, result.chords
+
+
+class TestSingleCycleShortcut:
+    """`test_outerplanar` answers a single simple cycle before the block pass."""
+
+    def test_cycles_agree_with_the_block_pass_and_the_reference(self, monkeypatch):
+        rng = random.Random(29)
+        cycles = [relabelled_cycle(rng, n) for n in range(3, 301)]
+        assert all(embedding._single_cycle(g) is not None for g in cycles)
+        fast = [_outcome(check_outerplanar(g)) for g in cycles]
+        for graph, got in zip(cycles, fast):
+            assert got[2] == frozenset(graph.edge_ids()) and got[3] == frozenset()
+        for graph, got in zip(cycles[:40] + cycles[-1:], fast[:40] + fast[-1:]):
+            assert got == reference_outerplanar(graph), graph.edges
+        monkeypatch.setattr(embedding, "_single_cycle", lambda graph: None)
+        for graph, got in zip(cycles, fast):
+            assert got == _outcome(check_outerplanar(graph)), graph.edges
+
+    def test_near_misses_take_the_block_pass(self):
+        for graph in near_miss_cycles():
+            assert embedding._single_cycle(graph) is None, graph.edges
+            assert _outcome(check_outerplanar(graph)) == reference_outerplanar(graph), graph.edges

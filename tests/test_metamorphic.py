@@ -7,8 +7,9 @@ rendering instances under distinct tags and joining the texts gives their
 disjoint union.  Tags are uppercase: no other text of a verdict report
 holds them, so a report can be mapped from one tag to another by
 substitution.  A random one-to-one renaming of the ids keeps the verdict
-kind but not the bytes: reports list ids in sort order, and the triangle
-fast path may embed a sphere as the mirror image.
+kind but not the bytes: reports list ids in sort order, and a sphere's
+sense is read off its faces in that order, so it may come out as the
+mirror image.
 """
 
 import random
