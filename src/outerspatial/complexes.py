@@ -308,14 +308,32 @@ def _walk_from(graph: Graph, edge_ids: Sequence[str], start: str) -> tuple[Step,
 
 def _canonical_walk(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     """Lexicographically minimal rotation or reflection of the walk."""
-    k = len(steps)
-    variants = []
-    for r in range(k):
-        variants.append(steps[r:] + steps[:r])
-    reflected = _reflect(steps)
-    for r in range(k):
-        variants.append(reflected[r:] + reflected[:r])
-    return min(variants)
+    return min(_least_rotation(steps), _least_rotation(_reflect(steps)))
+
+
+def _least_rotation(seq: tuple) -> tuple:
+    """The lexicographically least rotation, in linear time and space.
+
+    Starts i and j first differ k steps on, i with the larger step: then
+    i, ..., i + k all lose, as the rotation from i + t agrees with the one
+    from j + t for k - t steps and then is larger.
+    """
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    r = min(i, j)
+    return seq[r:] + seq[:r]
 
 
 def _reflect(steps: tuple[Step, ...]) -> tuple[Step, ...]:

@@ -18,7 +18,7 @@ from .complexes import (Graph, LinkGraph, Path, TwoComplex, associated_complex,
                         link_graph, skeleton, split_components, validate)
 # `nesting_forest` is called from `verdicts` only; the benchmark's tracer
 # test still reads it as `decider.nesting_forest`.
-from .embedding import (CrossingPair, OuterplanarityResult, PlanarityResult,
+from .embedding import (CrossingPair, OuterplanarityResult,
                         RotationSystem, TracedFaces, find_minor,
                         is_2_connected, nesting_forest, test_outerplanar,
                         test_planar, trace_faces, verify_minor_witness,
@@ -29,7 +29,8 @@ from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
 from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
                        ExhaustiveFailure, HypothesisViolated, LinkViolation,
                        NestedCertificate, NonOuterplanarLink, NotOuterspatial,
-                       Obstruction, Outerspatial, Verdict, component_certificate)
+                       Obstruction, Outerspatial, Verdict, component_certificate,
+                       cycles_by_component, nested_certificate)
 
 # Nodes the salvage search may visit; it finishes within this on every input
 # of at most 20 faces (see `surface._closed_face_sets`).
@@ -120,24 +121,23 @@ def check_perfectly_chordal(complex: TwoComplex, face_id: str,
     raise AssertionError("chordal face with no chord-to-nonchord transition")
 
 
-def build_certificate(graph: Graph, cycles: Mapping[str, frozenset[str]],
-                      planarity: PlanarityResult) -> NestedCertificate | CrossingPair:
-    """Assemble a certificate from the genus-zero tracings of a planar graph.
+def _plane_parts(graph: Graph, cycles: Mapping[str, frozenset[str]]
+                 ) -> list[tuple[TracedFaces, ComponentCertificate]] | None:
+    """Per component, a plane embedding's tracing and certificate; None when not planar.
 
-    `planarity` is `test_planar(graph)`, traced in the order of the graph's
-    component index; each cycle goes to the component of its smallest edge.
+    A plane embedding nests every family of triangles, so callers pass only
+    triangles, or no cycles at all.
     """
-    comp_of = graph.component_index()[0]
-    buckets: list[dict[str, frozenset[str]]] = [{} for _ in planarity.traced]
-    for cid, es in cycles.items():
-        buckets[comp_of[graph.endpoints(min(es))[0]]][cid] = es
-    comps = []
-    for traced, comp_cycles in zip(planarity.traced, buckets):
+    planarity = test_planar(graph)
+    if not planarity.is_planar:
+        return None
+    parts = []
+    for traced, comp_cycles in zip(planarity.traced, cycles_by_component(graph, cycles)):
         got = component_certificate(traced, comp_cycles)
         if isinstance(got, CrossingPair):
-            return got
-        comps.append(got)
-    return NestedCertificate(planarity.rotation, comps)
+            raise AssertionError("triangles crossed in a plane embedding")
+        parts.append((traced, got))
+    return parts
 
 
 def _within_euler_bound(graph: Graph) -> bool:
@@ -156,7 +156,7 @@ def _within_euler_bound(graph: Graph) -> bool:
     return len(pairs) <= bound
 
 
-def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdict:
+def decide_outerspatial(complex: TwoComplex) -> Verdict:
     """Decide outerspatiality with a checkable certificate or obstruction.
 
     Pipeline, per component: link checks (a non-outerplanar link is an
@@ -167,87 +167,64 @@ def decide_outerspatial(complex: TwoComplex, *, fast_path: bool = True) -> Verdi
     Components without faces are settled by planarity alone.
 
     When link checks fail, two sound routes outside the theorem's
-    hypothesis follow.  First the triangle fallback: if every face is a
-    triangle and the skeleton is within Euler's bound, a planar skeleton
-    is outerspatial, certified from its plane embedding.  `fast_path=False`
-    skips this fallback.  Then a direct aspherical-subcomplex search; only
-    if that finds nothing, or runs out of its node budget (stated in a
-    note), is HypothesisViolated returned.  Every verdict is re-verified
-    before it is handed out.
+    hypothesis follow: the triangle fallback (a planar skeleton whose faces
+    are all triangles is outerspatial), then a direct aspherical-subcomplex
+    search.  Only if neither answers, or the search runs out of its node
+    budget (stated in a note), is HypothesisViolated returned.  Every
+    verdict passes one self-check before it is handed out.
     """
     problems = validate(complex)
     if problems:
         raise ValueError(f"input complex is not validated: {problems[0].message}")
+    verdict = _decide(complex)
+    _self_check(complex, verdict)
+    return verdict
 
+
+def _decide(complex: TwoComplex) -> Verdict:
+    """The verdict of `decide_outerspatial` on a validated complex, unchecked."""
     violations: list[LinkViolation] = []
     notes: list[str] = []
-    certificates: list[ComponentCertificate] = []
-    rotation_parts: dict = {}
-    decided_all = True
-
+    parts: list[tuple[TracedFaces, ComponentCertificate]] = []
+    # A component that blocks a sound verdict leaves a violation or a note.
     for comp in split_components(complex):
-        if not comp.faces:
-            planarity = test_planar(comp.graph)
-            if planarity.is_planar:
-                cycles: dict[str, frozenset[str]] = {}
-                cert = build_certificate(comp.graph, cycles, planarity)
-                certificates.extend(cert.components)
-                for v in comp.graph.vertices:
-                    rotation_parts[v] = planarity.rotation.rotator(v)
-            else:
-                decided_all = False
-                notes.append(
-                    "a component with no faces has a non-planar skeleton; "
-                    "not outerspatial, but no obstruction of the supported kinds exists")
+        if comp.faces:
+            outcome = _decide_component(complex, comp, violations)
+            if isinstance(outcome, NotOuterspatial):
+                return outcome
+            if outcome is not None:
+                parts.append(outcome)
             continue
-
-        outcome = _decide_component(complex, comp, violations)
-        if isinstance(outcome, NotOuterspatial):
-            _self_check(complex, outcome)
-            return outcome
-        if outcome is None:
-            decided_all = False
-            continue
-        comp_rotation, comp_certs = outcome
-        certificates.extend(comp_certs)
-        for v in comp.graph.vertices:
-            rotation_parts[v] = comp_rotation.rotator(v)
-
-    if decided_all and not violations:
-        verdict = Outerspatial(NestedCertificate(RotationSystem(rotation_parts), certificates))
-        _self_check(complex, verdict)
-        return verdict
+        plane = _plane_parts(comp.graph, {})
+        if plane is None:
+            notes.append("a component with no faces has a non-planar skeleton; "
+                         "not outerspatial, but no obstruction of the supported kinds exists")
+        else:
+            parts.extend(plane)
+    if not violations and not notes:
+        return Outerspatial(nested_certificate(parts))
 
     # Triangle fallback: a plane embedding of the skeleton nests every family
     # of triangles, so a planar one proves outerspatiality in or out of the
     # hypothesis.  Without link violations the loop stopped only at a
     # non-planar faceless component, and then the skeleton is not planar.
     faces = complex.faces
-    if (fast_path and violations and all(len(f) == 3 for f in faces.values())
+    if (violations and all(len(f) == 3 for f in faces.values())
             and _within_euler_bound(complex.graph)):
-        planarity = test_planar(complex.graph)
-        if planarity.is_planar:
-            cycles = {fid: f.edge_set for fid, f in faces.items()}
-            cert = build_certificate(complex.graph, cycles, planarity)
-            if isinstance(cert, CrossingPair):
-                raise AssertionError("triangles crossed in a plane embedding")
-            verdict = Outerspatial(cert)
-            _self_check(complex, verdict)
-            return verdict
+        plane = _plane_parts(complex.graph, {fid: f.edge_set for fid, f in faces.items()})
+        if plane is not None:
+            return Outerspatial(nested_certificate(plane))
 
     # Salvage: an aspherical subcomplex is a sound obstruction regardless of
     # the hypothesis; search for one within the node budget.
     try:
         found = search_aspherical_subcomplex(complex, ASPHERICAL_SEARCH_BUDGET)
     except SearchBudgetExceeded as exc:
+        found = None
         notes.append(f"aspherical-subcomplex search stopped after {exc.nodes} "
                      f"nodes, its budget of {exc.budget}")
-        return HypothesisViolated(violations, notes)
     if found is not None:
-        face_ids, sclass = found
-        verdict = NotOuterspatial(AsphericalSubcomplex(face_ids, sclass))
-        _self_check(complex, verdict)
-        return verdict
+        return NotOuterspatial(AsphericalSubcomplex(*found))
     return HypothesisViolated(violations, notes)
 
 
@@ -255,7 +232,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
                       violations: list[LinkViolation]):
     """Steps 1-5 on one component.
 
-    Returns NotOuterspatial, or (rotation, component certificates) on
+    Returns NotOuterspatial, or (tracing, component certificate) on
     success, or None when hypothesis violations block a sound verdict.
     """
     structures = _link_structures(comp)
@@ -315,7 +292,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     got = component_certificate(traced, cycles)
     if isinstance(got, CrossingPair):
         return _crossing_obstruction(complex, comp, traced, got)
-    return rotation, [got]
+    return traced, got
 
 
 def _crossing_obstruction(complex: TwoComplex, comp: TwoComplex,
@@ -378,9 +355,10 @@ def decide_nested_plane(graph: Graph,
     except CapExceededError as exc:
         return HypothesisViolated(verdict.violations,
                                   verdict.notes + (f"oracle fallback refused: {exc}",))
-    if isinstance(outcome, NestedCertificate):
-        return Outerspatial(outcome)
-    return NotOuterspatial(outcome)
+    verdict = (Outerspatial(outcome) if isinstance(outcome, NestedCertificate)
+               else NotOuterspatial(outcome))
+    _self_check(complex, verdict)
+    return verdict
 
 
 def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> bool:

@@ -713,7 +713,7 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
     closed surface is, skips the block pass: it is its own Hamilton
     boundary, with no chords.
     """
-    cycle = _single_cycle(graph)
+    cycle = _single_cycle(graph) if len(graph.vertices) >= 3 else None
     if cycle is not None:
         return OuterplanarityResult(True, cycle, frozenset(graph.edge_ids()), frozenset())
     blocks = _blocks(graph)
@@ -739,16 +739,17 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
 
 
 def _single_cycle(graph: Graph) -> tuple[str, ...] | None:
-    """The walk of `_walk_ring` when the graph is one simple cycle on three or more vertices.
+    """The walk of `_walk_ring` when the graph is one cycle on two or more vertices.
 
     As many edges as vertices, two incident edges at every vertex, and one
     walk covers every vertex; None otherwise.  That leaves no loop: a loop
     is listed once among its vertex's incident edges, so n vertices with
-    two each would hold fewer than n edges.  Nor a doubled edge: it would
-    close a component of two vertices, and no walk covers all n >= 3.
+    two each would hold fewer than n edges.  A doubled edge closes a
+    component of two vertices, so it passes only as the digon, n = 2; for
+    n >= 3 the cycle is simple.
     """
     n = len(graph.vertices)
-    if n < 3 or graph.edge_count() != n:
+    if n < 2 or graph.edge_count() != n:
         return None
     ring: dict[str, list[str]] = {}
     for v in graph.vertices:

@@ -19,8 +19,8 @@ from .complexes import Graph, TwoComplex, face_subcomplex, skeleton
 from .embedding import (_PATTERNS, CrossingPair, MinorWitness, RotationSystem, TracedFaces,
                         _bits, test_planar, trace_faces)
 from .surface import SurfaceClass, classify_component
-from .verdicts import (ComponentCertificate, ExhaustiveFailure,
-                       NestedCertificate, component_certificate)
+from .verdicts import (ExhaustiveFailure, NestedCertificate, component_certificate,
+                       cycles_by_component, nested_certificate)
 
 DEFAULT_CAP = 10_000_000
 
@@ -142,7 +142,7 @@ def brute_force_nested(graph: Graph, cycles: Mapping[str, frozenset[str]],
     when each part is).  A non-planar component has no genus-zero rotation
     system at all, so it short-circuits to failure without enumeration.
     """
-    comp_of, parts = graph.component_index()
+    parts = graph.component_index()[1]
     for part in parts:
         if not test_planar(part).is_planar:
             return ExhaustiveFailure(
@@ -151,34 +151,20 @@ def brute_force_nested(graph: Graph, cycles: Mapping[str, frozenset[str]],
     if size > cap:
         raise CapExceededError(size, cap)
 
-    part_cycles: list[dict[str, frozenset[str]]] = [{} for _ in parts]
-    for cid in sorted(cycles):
-        es = frozenset(cycles[cid])
-        where = {comp_of[v] for e in es for v in graph.endpoints(e)}
-        if len(where) != 1:
-            raise ValueError(f"cycle {cid} does not lie in one component")
-        part_cycles[where.pop()][cid] = es
-
-    rotation_parts: dict = {}
-    certs: list[ComponentCertificate] = []
-    for part, comp_cycles in zip(parts, part_cycles):
-        found = None
+    found = []
+    for part, comp_cycles in zip(parts, cycles_by_component(graph, cycles)):
         tried = 0
         for traced in _sphere_tracings(part):
             tried += 1
             got = component_certificate(traced, comp_cycles)
             if not isinstance(got, CrossingPair):
-                found = (traced, got)
+                found.append((traced, got))
                 break
-        if found is None:
+        else:
             return ExhaustiveFailure(
                 tried, f"all {tried} sphere embeddings of the component of "
                        f"{min(part.vertices)} leave a crossing pair")
-        traced, cert = found
-        certs.append(cert)
-        for v in part.vertices:
-            rotation_parts[v] = traced.rotation.rotator(v)
-    return NestedCertificate(RotationSystem(rotation_parts), certs)
+    return nested_certificate(found)
 
 
 def brute_force_outerspatial(complex: TwoComplex,

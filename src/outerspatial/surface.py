@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .complexes import TwoComplex, face_subcomplex, link_graph, split_components
+from .embedding import _single_cycle
 
 
 class NotASurfaceError(ValueError):
@@ -71,16 +72,9 @@ def euler_characteristic(complex: TwoComplex) -> int:
             + len(complex.face_ids()))
 
 
-def _link_is_single_cycle(complex: TwoComplex, v: str) -> bool:
-    lg = link_graph(complex, v).graph
-    if not lg.vertices:
-        return False
-    degs = [lg.degree(u) for u in lg.vertices]
-    return all(d == 2 for d in degs) and lg.is_connected() and not lg.loops()
-
-
 def _component_is_closed_surface(component: TwoComplex) -> bool:
-    return all(_link_is_single_cycle(component, v)
+    """Every link is one cycle; a digon link, from two faces on two edges, counts."""
+    return all(_single_cycle(link_graph(component, v).graph) is not None
                for v in sorted(component.graph.vertices))
 
 
@@ -90,16 +84,14 @@ def is_closed_surface(complex: TwoComplex) -> list[tuple[TwoComplex, bool]]:
             for comp in split_components(complex)]
 
 
-def _orient_faces(component: TwoComplex, first: str | None = None) -> dict[str, int] | None:
+def _orient_faces(component: TwoComplex) -> dict[str, int] | None:
     """Direct every face boundary so each edge runs once in each direction.
 
     Returns face id -> 0/1 (keep or reverse the stored walk), or None when no
-    consistent orientation exists.  The outcome is start-face independent;
-    `first` only reorders the search for tests.
+    consistent orientation exists.  Whether one exists does not depend on
+    the face the search starts from.
     """
     face_ids = sorted(component.face_ids())
-    if first is not None:
-        face_ids = [first] + [f for f in face_ids if f != first]
     # Each edge lies in exactly two faces on a closed surface.
     edge_faces: dict[str, list[tuple[str, int]]] = {}
     for fid in face_ids:

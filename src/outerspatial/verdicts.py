@@ -5,7 +5,8 @@ component, the outer face orbit and the laminar forest over the face
 boundaries.  A negative answer is an obstruction: a contracted link with a
 K4 or K2,3 minor, a closed surface other than the sphere, or the exhaustion
 of every sphere embedding.  `decider`, `oracle` and `fileformat` build,
-check and print these records; this module imports none of them.
+check and print these records; this module imports none of them.  Every
+positive answer, whichever route embedded it, is assembled here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .complexes import LinkGraph, Path
+from .complexes import Graph, LinkGraph, Path
 from .embedding import (CrossingPair, Dart, MinorWitness, RotationSystem,
                         TracedFaces, nesting_forest, _normalize_cycle)
 from .surface import SurfaceClass
@@ -146,3 +147,26 @@ def component_certificate(traced: TracedFaces,
         return parents
     outer = traced.orbits[0] if traced.orbits else ()
     return ComponentCertificate(tuple(traced.graph.vertices), outer, parents)
+
+
+def cycles_by_component(graph: Graph, cycles: Mapping[str, Iterable[str]]
+                        ) -> list[dict[str, frozenset[str]]]:
+    """Each component's cycles, in component index order; ValueError if one spans two."""
+    comp_of, parts = graph.component_index()
+    out: list[dict[str, frozenset[str]]] = [{} for _ in parts]
+    for cid in sorted(cycles):
+        es = frozenset(cycles[cid])
+        where = {comp_of[v] for e in es for v in graph.endpoints(e)}
+        if len(where) != 1:
+            raise ValueError(f"cycle {cid} does not lie in one component")
+        out[where.pop()][cid] = es
+    return out
+
+
+def nested_certificate(parts: Iterable[tuple[TracedFaces, ComponentCertificate]]
+                       ) -> NestedCertificate:
+    """One certificate from each component's genus-zero tracing and certificate."""
+    parts = list(parts)
+    rotators = {v: traced.rotation.rotator(v)
+                for traced, _ in parts for v in traced.graph.vertices}
+    return NestedCertificate(RotationSystem(rotators), [cert for _, cert in parts])

@@ -1,10 +1,14 @@
 """Core complex representation and space-minor operations."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outerspatial import generators as gen
+from outerspatial.complexes import _reflect
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_bipartite,
                                     complete_graph, cone, contract_path,
@@ -325,3 +329,39 @@ def test_canonicalization_idempotent_and_rotation_invariant(data):
     canonical, variant = data
     assert Face("f", variant).steps == canonical
     assert Face("f", canonical).steps == canonical
+
+
+def reference_canonical_walk(steps):
+    """The least of all 2k rotations and reflections of a k-step walk, all built at once."""
+    reflected = _reflect(steps)
+    k = len(steps)
+    return min([steps[r:] + steps[:r] for r in range(k)]
+               + [reflected[r:] + reflected[:r] for r in range(k)])
+
+
+def random_degenerate_walk(rng):
+    """A step tuple over a small alphabet, often a block repeated, so steps repeat."""
+    alphabet = [(v, e, o) for v in "ab" for e in "xy" for o in (0, 1)][:rng.randint(1, 8)]
+    block = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+    return block * rng.randint(1, 4)
+
+
+class TestCanonicalWalk:
+    def test_agrees_with_every_rotation_and_reflection(self):
+        rng = random.Random(17)
+        for _ in range(20_000):
+            steps = random_degenerate_walk(rng)
+            assert Face("f", steps).steps == reference_canonical_walk(steps), steps
+
+    def test_long_face_is_built_in_linear_memory(self):
+        k = 4000
+        steps = [(f"v{i:04d}", f"e{i:04d}", 0) for i in range(k)]
+        turned = steps[1234:] + steps[:1234]
+        tracemalloc.start()
+        try:
+            face = Face("f", turned)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert face.steps == tuple(steps)
+        assert peak < 16 * 2 ** 20

@@ -23,6 +23,7 @@ from outerspatial.decider import (AsphericalSubcomplex,
 from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
 from outerspatial.embedding import test_planar as check_planar
 from outerspatial.fileformat import format_verdict
+from outerspatial.verdicts import cycles_by_component, nested_certificate
 from families import from_cycles, stacked
 from test_link_layer import _count_calls
 from test_sweep import stacked_sphere
@@ -170,14 +171,20 @@ class TestDecideNamedInstances:
         assert any("2-connected" in v.reason for v in verdict.violations)
 
 
+def refuse_triangle_fallback(monkeypatch):
+    """Make the Euler gate refuse every skeleton, so the triangle fallback never runs."""
+    monkeypatch.setattr(decider, "_within_euler_bound", lambda graph: False)
+
+
 class TestFastPathAgreement:
-    def test_simplicial_instances(self, tetra, small_corpus):
+    def test_simplicial_instances(self, tetra, small_corpus, monkeypatch):
         instances = [tetra, gen.bipyramid(3), gen.bipyramid(5)]
         instances += [c for _, c in small_corpus
                       if all(len(f) == 3 for f in c.faces.values())][:20]
-        for complex in instances:
-            fast = decide_outerspatial(complex, fast_path=True)
-            slow = decide_outerspatial(complex, fast_path=False)
+        with_fallback = [decide_outerspatial(complex) for complex in instances]
+        refuse_triangle_fallback(monkeypatch)
+        for complex, fast in zip(instances, with_fallback):
+            slow = decide_outerspatial(complex)
             assert fast.kind == slow.kind
             if isinstance(fast, Outerspatial):
                 assert verify_certificate(complex, fast.certificate)
@@ -228,13 +235,16 @@ class TestTriangleFallback:
 
     def test_fallback_decides_triangles_outside_the_hypothesis(self, monkeypatch):
         calls = _count_calls(monkeypatch, "check_planarity", [nx])
-        for complex in fallback_triangle_complexes():
+        complexes = fallback_triangle_complexes()
+        for complex in complexes:
             del calls[:]
             verdict = decide_outerspatial(complex)
             assert isinstance(verdict, Outerspatial)
             assert verify_certificate(complex, verdict.certificate)
             assert len(calls) == 1
-            assert isinstance(decide_outerspatial(complex, fast_path=False), HypothesisViolated)
+        refuse_triangle_fallback(monkeypatch)
+        for complex in complexes:
+            assert isinstance(decide_outerspatial(complex), HypothesisViolated)
 
     def test_link_route_decides_without_planarity(self, monkeypatch):
         subdivided_k4 = Graph("abcdx", {"ab": ("a", "b"), "ac": ("a", "c"), "ad": ("a", "d"),
@@ -254,12 +264,18 @@ class TestEulerGate:
         torus = gen.torus7()
         assert format_verdict(decide_outerspatial(torus)) == \
             (GOLDEN / "torus7.decide").read_text()
-        for complex in (torus7_with_insertions(3, 5), torus7_with_insertions(4, 20),
-                        triangle_skeleton(complete_graph("abcdefg"))):
+        gated = (torus7_with_insertions(3, 5), torus7_with_insertions(4, 20),
+                 triangle_skeleton(complete_graph("abcdefg")))
+        fast = []
+        for complex in gated:
             assert not _within_euler_bound(complex.graph)
-            fast = format_verdict(decide_outerspatial(complex))
-            assert fast == format_verdict(decide_outerspatial(complex, fast_path=False))
+            fast.append(format_verdict(decide_outerspatial(complex)))
         assert calls == []
+        # Without the gate, a planarity test that finds no embedding gives
+        # the same bytes: the gate only saves that test.
+        monkeypatch.setattr(decider, "_within_euler_bound", lambda graph: True)
+        monkeypatch.setattr(decider, "test_planar", lambda graph: embedding.PlanarityResult(None))
+        assert [format_verdict(decide_outerspatial(complex)) for complex in gated] == fast
 
     def test_refused_graphs_are_not_planar(self):
         graphs = [Graph([str(v) for v in g.nodes],
@@ -322,6 +338,13 @@ class TestDecideNestedPlane:
     def test_non_cycle_rejected(self):
         with pytest.raises(ValueError):
             decide_nested_plane(complete_graph("abcd"), {"c": ("a", "b")})
+
+    def test_oracle_answer_passes_the_self_check(self, bipyramid4, monkeypatch):
+        # One square of the bipyramid violates the hypothesis, so the oracle
+        # answers; its certificate must be re-verified like any other.
+        monkeypatch.setattr(decider, "verify_certificate", lambda complex, cert: False)
+        with pytest.raises(AssertionError, match="certificate failed verification"):
+            decide_nested_plane(skeleton(bipyramid4), {"c1": ("n", "a", "s", "c")})
 
     def test_cap_refusal_keeps_hypothesis_verdict(self, bipyramid4):
         verdict = decide_nested_plane(
@@ -450,3 +473,37 @@ class TestObstructionTampering:
         ob = verdict.obstruction
         bad = NonOuterplanarLink(Path(("a",), ()), ob.link, ob.witness)
         assert not verify_obstruction(complex, bad)
+
+
+class TestCertificateAssembly:
+    def test_cycles_go_to_their_component(self, tetra):
+        other = gen.prism(3)
+        union = Graph(set(tetra.graph.vertices) | set(other.graph.vertices),
+                      {**tetra.graph.edges, **other.graph.edges})
+        cycles = {fid: f.edge_set for c in (tetra, other) for fid, f in c.faces.items()}
+        parts = cycles_by_component(union, cycles)
+        assert [set(p) for p in parts] == [set(tetra.faces), set(other.faces)]
+        assert parts[0]["abc"] == tetra.face("abc").edge_set
+
+    def test_cycle_spanning_two_components_is_refused(self):
+        graph = Graph("abcd", {"ab": ("a", "b"), "ba": ("b", "a"),
+                               "cd": ("c", "d"), "dc": ("d", "c")})
+        with pytest.raises(ValueError, match="one component"):
+            cycles_by_component(graph, {"x": {"ab", "cd"}})
+
+    def test_nested_certificate_merges_components(self, tetra):
+        other = gen.prism(3)
+        union = TwoComplex(
+            Graph(set(tetra.graph.vertices) | set(other.graph.vertices),
+                  {**tetra.graph.edges, **other.graph.edges}),
+            [*tetra.faces.values(), *other.faces.values()])
+        parts = []
+        for part in (tetra, other):
+            cert = decide_outerspatial(part).certificate
+            traced = trace_faces(part.graph, cert.rotation)
+            (comp,) = cert.components
+            parts.append((traced, comp))
+        merged = nested_certificate(reversed(parts))
+        assert [c.vertices for c in merged.components] == \
+            sorted(c.vertices for _, c in parts)
+        assert verify_certificate(union, merged)

@@ -372,3 +372,23 @@ class TestSingleCycleShortcut:
         for graph in near_miss_cycles():
             assert embedding._single_cycle(graph) is None, graph.edges
             assert _outcome(check_outerplanar(graph)) == reference_outerplanar(graph), graph.edges
+
+
+def reference_link_is_single_cycle(graph):
+    """The closed-surface link test that `embedding._single_cycle` replaced."""
+    if not graph.vertices:
+        return False
+    return (all(graph.degree(u) == 2 for u in graph.vertices)
+            and graph.is_connected() and not graph.loops())
+
+
+def test_single_cycle_is_the_closed_surface_link_test():
+    rng = random.Random(37)
+    graphs = [graph for make in FAMILIES.values() for graph in make()]
+    graphs += [relabelled_cycle(rng, n) for n in range(2, 12)] + near_miss_cycles()
+    for graph in graphs:
+        got = embedding._single_cycle(graph) is not None
+        assert got == reference_link_is_single_cycle(graph), graph.edges
+    digon = relabelled_cycle(rng, 2)
+    assert embedding._single_cycle(digon) == tuple(sorted(digon.vertices))
+    assert _outcome(check_outerplanar(digon)) == reference_outerplanar(digon)

@@ -116,12 +116,15 @@ class TestSalvageStep:
     def test_24_face_tetra_chain_is_searched(self, monkeypatch):
         complex = from_cycles(tetra_chain(6))
         assert len(complex.faces) == 24
-        verdict = decide_outerspatial(complex, fast_path=False)
+        # The chain's skeleton is planar; refuse the triangle fallback so
+        # that the salvage search runs.
+        monkeypatch.setattr(decider, "_within_euler_bound", lambda graph: False)
+        verdict = decide_outerspatial(complex)
         assert isinstance(verdict, HypothesisViolated)
         assert not any("search" in note for note in verdict.notes)
         # A budget far below 2^24 still suffices: each choice is forced.
         monkeypatch.setattr(decider, "ASPHERICAL_SEARCH_BUDGET", 200)
-        assert decide_outerspatial(complex, fast_path=False).notes == verdict.notes
+        assert decide_outerspatial(complex).notes == verdict.notes
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_torus_glued_to_long_chain_is_obstructed(self, k):
