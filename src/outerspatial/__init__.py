@@ -15,7 +15,7 @@ from .embedding import (MinorWitness, RotationSystem, TracedFaces,
 from .oracle import (CapExceededError, brute_force_nested,
                      brute_force_outerspatial, enumerate_sphere_embeddings,
                      find_aspherical_subcomplex)
-from .surface import SurfaceClass, classify_surface, is_closed_surface, survey_surfaces
+from .surface import SurfaceClass, survey_surfaces
 from .verdicts import (AsphericalSubcomplex, ExhaustiveFailure,
                        HypothesisViolated, NestedCertificate, NonOuterplanarLink,
                        NotOuterspatial, Outerspatial, Verdict)

@@ -1,7 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 outerspatial / success, 1 not outerspatial / violations found,
-2 hypothesis violated, 3 usage or I/O error, 4 enumeration cap exceeded.
+2 hypothesis violated, 3 usage, parse or I/O error, 4 enumeration cap
+exceeded.  Only `oracle` exits 4: `nested` reports a refused oracle fallback
+as hypothesis-violated (exit 2) with an `oracle fallback refused` note.
+Commands raise; `main` alone turns an error into its exit code and an
+`error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from pathlib import Path as FsPath
 
 from . import generators
 from .complexes import TwoComplex, link_graph, skeleton, validate
-from .decider import decide_nested_plane, decide_outerspatial
+from .decider import decide_nested_plane, decide_outerspatial, oracle_verdict
 from .embedding import test_outerplanar
-from .fileformat import (ParseError, format_complex, format_verdict,
-                         parse_complex, parse_cycles)
-from .oracle import (DEFAULT_CAP, CapExceededError, brute_force_outerspatial)
+from .fileformat import (ParseError, format_complex, format_link,
+                         format_verdict, parse_complex, parse_cycles)
+from .oracle import DEFAULT_CAP, CapExceededError
 from .surface import survey_surfaces
-from .verdicts import NestedCertificate, NotOuterspatial, Outerspatial
+from .verdicts import Outerspatial
 
 EXIT_USAGE = 3
 EXIT_CAP = 4
@@ -83,24 +87,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read(path: str) -> str:
+def _load(parse, path: str):
+    """Parse a file; a parse error names the file."""
+    text = FsPath(path).read_text()
     try:
-        return FsPath(path).read_text()
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
-def _load_complex(path: str) -> TwoComplex:
-    try:
-        return parse_complex(_read(path))
+        return parse(text)
     except ParseError as exc:
-        sys.stderr.write(f"error: {path}: {exc}\n")
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_validate(args) -> int:
-    complex = _load_complex(args.file)
+    complex = _load(parse_complex, args.file)
     problems = validate(complex)
     if not problems:
         print("ok")
@@ -111,68 +108,42 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_links(args) -> int:
-    complex = _load_complex(args.file)
+    complex = _load(parse_complex, args.file)
     for v in sorted(complex.graph.vertices):
         lg = link_graph(complex, v)
         result = test_outerplanar(lg.graph)
-        print(f"link at {v}:")
-        print("  vertices: " + " ".join(sorted(lg.graph.vertices)))
-        for le in sorted(lg.graph.edges):
-            a, b = lg.graph.endpoints(le)
-            print(f"  edge {le}: {a} {b} face {lg.edge_face[le]}")
+        print("\n".join(format_link(lg)))
         status = "yes" if result.outerplanar else f"no ({result.witness.target} minor)"
         print(f"  outerplanar: {status}")
     return 0
 
 
 def _cmd_decide(args) -> int:
-    complex = _load_complex(args.file)
-    try:
-        verdict = decide_outerspatial(complex)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    verdict = decide_outerspatial(_load(parse_complex, args.file))
     sys.stdout.write(format_verdict(verdict))
     return verdict.exit_code
 
 
 def _cmd_nested(args) -> int:
-    complex = _load_complex(args.file)
-    try:
-        cycles = parse_cycles(_read(args.cycles))
-        verdict = decide_nested_plane(skeleton(complex), cycles, cap=args.cap)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {args.cycles}: {exc}\n")
-        return EXIT_USAGE
-    except CapExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAP
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    complex = _load(parse_complex, args.file)
+    cycles = _load(parse_cycles, args.cycles)
+    verdict = decide_nested_plane(skeleton(complex), cycles, cap=args.cap)
     sys.stdout.write(format_verdict(verdict))
     return verdict.exit_code
 
 
 def _cmd_oracle(args) -> int:
-    complex = _load_complex(args.file)
+    complex = _load(parse_complex, args.file)
     problems = validate(complex)
     if problems:
-        sys.stderr.write(f"error: {problems[0].message}\n")
-        return EXIT_USAGE
-    try:
-        outcome = brute_force_outerspatial(complex, cap=args.cap)
-    except CapExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAP
-    verdict = (Outerspatial(outcome) if isinstance(outcome, NestedCertificate)
-               else NotOuterspatial(outcome))
+        raise ValueError(problems[0].message)
+    verdict = oracle_verdict(complex, cap=args.cap)
     sys.stdout.write(format_verdict(verdict))
     return verdict.exit_code
 
 
 def _cmd_surface(args) -> int:
-    complex = _load_complex(args.file)
+    complex = _load(parse_complex, args.file)
     for comp, sclass in survey_surfaces(complex):
         names = " ".join(sorted(comp.graph.vertices))
         print(f"component {names}: {sclass.kind} (euler {sclass.euler})")
@@ -221,21 +192,14 @@ def _render_svg(graph, annotations: list[str]) -> str:
 
 
 def _cmd_render(args) -> int:
-    complex = _load_complex(args.file)
+    complex = _load(parse_complex, args.file)
     if args.link is not None:
-        if args.link not in complex.graph.vertices:
-            sys.stderr.write(f"error: unknown vertex {args.link}\n")
-            return EXIT_USAGE
         graph = link_graph(complex, args.link).graph
         annotations = [f"link graph at {args.link}"]
     else:
         graph = complex.graph
         annotations = []
-        try:
-            verdict = decide_outerspatial(complex)
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_USAGE
+        verdict = decide_outerspatial(complex)
         if isinstance(verdict, Outerspatial):
             rot = verdict.certificate.rotation
             for v in rot.vertices():
@@ -250,35 +214,28 @@ def _cmd_render(args) -> int:
 
 def _cmd_generate(args) -> int:
     name = args.name
-    try:
-        if name == "tetra":
-            complex = generators.tetra()
-        elif name == "bipyramid":
-            complex = generators.bipyramid(int(args.arg or 4))
-        elif name == "bipyramid-equator":
-            complex = generators.bipyramid_with_equator(int(args.arg or 4))
-        elif name == "prism":
-            complex = generators.prism(int(args.arg or 3))
-        elif name == "torus7":
-            complex = generators.torus7()
-        elif name in ("k4", "k23"):
-            complex = TwoComplex(generators.named_graph(name), [])
-        elif name in ("cone-k4", "cone-k23"):
-            complex = generators.cone_over_graph(generators.named_graph(name[5:]))
-        elif name == "cone":
-            if args.arg is None:
-                sys.stderr.write("error: cone needs a graph file\n")
-                return EXIT_USAGE
-            base = _load_complex(args.arg)
-            complex = generators.cone_over_graph(skeleton(base))
-        elif name == "random":
-            complex = generators.random_complex(args.seed, max_vertices=args.vertices)
-        else:
-            sys.stderr.write(f"error: unknown generator {name!r}\n")
-            return EXIT_USAGE
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    if name == "tetra":
+        complex = generators.tetra()
+    elif name == "bipyramid":
+        complex = generators.bipyramid(int(args.arg or 4))
+    elif name == "bipyramid-equator":
+        complex = generators.bipyramid_with_equator(int(args.arg or 4))
+    elif name == "prism":
+        complex = generators.prism(int(args.arg or 3))
+    elif name == "torus7":
+        complex = generators.torus7()
+    elif name in ("k4", "k23"):
+        complex = TwoComplex(generators.named_graph(name), [])
+    elif name in ("cone-k4", "cone-k23"):
+        complex = generators.cone_over_graph(generators.named_graph(name[5:]))
+    elif name == "cone":
+        if args.arg is None:
+            raise ValueError("cone needs a graph file")
+        complex = generators.cone_over_graph(skeleton(_load(parse_complex, args.arg)))
+    elif name == "random":
+        complex = generators.random_complex(args.seed, max_vertices=args.vertices)
+    else:
+        raise ValueError(f"unknown generator {name!r}")
     sys.stdout.write(format_complex(complex))
     return 0
 
@@ -296,12 +253,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place where an error becomes an exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except (CapExceededError, OSError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

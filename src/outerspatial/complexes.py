@@ -459,8 +459,8 @@ def validate(complex: TwoComplex) -> list[Violation]:
 
 
 def skeleton(complex: TwoComplex) -> Graph:
-    """The underlying graph, faces dropped."""
-    return Graph(complex.graph.vertices, complex.graph.edges)
+    """The underlying graph, faces dropped; a Graph is immutable, so it is shared."""
+    return complex.graph
 
 
 class LinkGraph:
@@ -644,7 +644,7 @@ def delete_faces(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
     if unknown:
         raise ValueError(f"unknown face ids: {sorted(unknown)}")
     kept_faces = [f for fid, f in complex.faces.items() if fid not in doomed]
-    return TwoComplex(Graph(complex.graph.vertices, complex.graph.edges), kept_faces)
+    return TwoComplex(complex.graph, kept_faces)
 
 
 def face_subcomplex(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:

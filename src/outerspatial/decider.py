@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 from .complexes import (Graph, LinkGraph, Path, TwoComplex, associated_complex,
                         contracted_link, delete_faces, face_subcomplex,
-                        link_graph, skeleton, split_components, validate)
+                        link_graph, split_components, validate)
 # `nesting_forest` is called from `verdicts` only; the benchmark's tracer
 # test still reads it as `decider.nesting_forest`.
 from .embedding import (CrossingPair, OuterplanarityResult,
@@ -23,7 +23,7 @@ from .embedding import (CrossingPair, OuterplanarityResult,
                         is_2_connected, nesting_forest, test_outerplanar,
                         test_planar, trace_faces, verify_minor_witness,
                         _normalize_cycle)
-from .oracle import DEFAULT_CAP, CapExceededError, brute_force_nested
+from .oracle import DEFAULT_CAP, CapExceededError, brute_force_outerspatial
 from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
                       euler_characteristic, search_aspherical_subcomplex, _orient_faces)
 from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
@@ -348,13 +348,20 @@ def decide_nested_plane(graph: Graph,
     verdict = decide_outerspatial(complex)
     if not isinstance(verdict, HypothesisViolated):
         return verdict
-    cap = DEFAULT_CAP if cap is None else cap
-    cycle_sets = {fid: f.edge_set for fid, f in complex.faces.items()}
     try:
-        outcome = brute_force_nested(graph, cycle_sets, cap=cap)
+        return oracle_verdict(complex, cap=cap)
     except CapExceededError as exc:
         return HypothesisViolated(verdict.violations,
                                   verdict.notes + (f"oracle fallback refused: {exc}",))
+
+
+def oracle_verdict(complex: TwoComplex, *, cap: int | None = None) -> Verdict:
+    """The exhaustive search's verdict on a validated complex, self-checked.
+
+    Raises CapExceededError when the rotation space exceeds the cap.  An
+    ExhaustiveFailure is not searched again.
+    """
+    outcome = brute_force_outerspatial(complex, cap=DEFAULT_CAP if cap is None else cap)
     verdict = (Outerspatial(outcome) if isinstance(outcome, NestedCertificate)
                else NotOuterspatial(outcome))
     _self_check(complex, verdict)
@@ -488,9 +495,7 @@ def verify_obstruction(complex: TwoComplex, obstruction: Obstruction,
         sclass = classify_component(sub)
         return sclass.is_surface and sclass == obstruction.surface and sclass.euler != 2
     if isinstance(obstruction, ExhaustiveFailure):
-        cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
-        cap = DEFAULT_CAP if cap is None else cap
-        outcome = brute_force_nested(skeleton(complex), cycles, cap=cap)
+        outcome = brute_force_outerspatial(complex, cap=DEFAULT_CAP if cap is None else cap)
         return isinstance(outcome, ExhaustiveFailure)
     return False
 

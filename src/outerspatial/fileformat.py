@@ -12,7 +12,7 @@ certificate checker.
 
 from __future__ import annotations
 
-from .complexes import Face, Graph, TwoComplex
+from .complexes import Face, Graph, LinkGraph, TwoComplex
 from .embedding import RotationSystem
 from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
                        NestedCertificate, NonOuterplanarLink,
@@ -220,6 +220,16 @@ def parse_certificate_report(text: str) -> NestedCertificate:
     return NestedCertificate(RotationSystem(rotators), components)
 
 
+def format_link(link: LinkGraph) -> list[str]:
+    """A link graph's report: its host, its vertices and one line per edge."""
+    lines = [f"link at {link.host}:",
+             "  vertices: " + " ".join(sorted(link.graph.vertices))]
+    for le in sorted(link.graph.edges):
+        u, v = link.graph.endpoints(le)
+        lines.append(f"  edge {le}: {u} {v} face {link.edge_face[le]}")
+    return lines
+
+
 def format_verdict(verdict: Verdict) -> str:
     lines = [f"verdict: {verdict.kind}"]
     if isinstance(verdict, Outerspatial):
@@ -229,12 +239,7 @@ def format_verdict(verdict: Verdict) -> str:
         if isinstance(obstruction, NonOuterplanarLink):
             lines.append("obstruction: non-outerplanar-link")
             lines.append("path: " + " ".join(obstruction.path.vertices))
-            link = obstruction.link
-            lines.append(f"link at {link.host}:")
-            lines.append("  vertices: " + " ".join(sorted(link.graph.vertices)))
-            for le in sorted(link.graph.edges):
-                u, v = link.graph.endpoints(le)
-                lines.append(f"  edge {le}: {u} {v} face {link.edge_face[le]}")
+            lines.extend(format_link(obstruction.link))
             w = obstruction.witness
             lines.append(f"witness: {w.target}")
             for i, bs in enumerate(w.branch_sets):

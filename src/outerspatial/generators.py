@@ -183,6 +183,11 @@ def _corner_conflicts(complex: TwoComplex, cycle: Sequence[str]) -> bool:
 
 _BASES = ("tetra", "bipyramid3", "bipyramid4", "prism3", "prism4")
 
+# A random complex gets no extra face once it has this many faces, and its
+# skeleton has at most this many rotation systems.
+RANDOM_MAX_FACES = 12
+RANDOM_ROTATION_BUDGET = 60_000
+
 
 def _base_complex(name: str) -> TwoComplex:
     if name == "tetra":
@@ -194,15 +199,15 @@ def _base_complex(name: str) -> TwoComplex:
     raise ValueError(name)
 
 
-def random_complex(seed: int, max_vertices: int = 8, max_faces: int = 12,
-                   budget: int = 60_000) -> TwoComplex:
+def random_complex(seed: int, max_vertices: int = 8) -> TwoComplex:
     """A seeded random locally 2-connected complex.
 
     Starts from a small sphere (triangulated or quad-sided), optionally
     inserts vertices into triangles, then adds extra cycle faces while links
-    stay simple.  The rotation-space size is kept within the given budget so
-    exhaustive embedding enumeration stays cheap.  Every base sphere has at
-    least four vertices, so fewer is a ValueError.
+    stay simple.  The rotation-space size is kept within
+    `RANDOM_ROTATION_BUDGET` so exhaustive embedding enumeration stays
+    cheap.  Every base sphere has at least four vertices, so fewer is a
+    ValueError.
     """
     if max_vertices < 4:
         raise ValueError(f"a random complex needs at least 4 vertices, not {max_vertices}")
@@ -219,10 +224,10 @@ def random_complex(seed: int, max_vertices: int = 8, max_faces: int = 12,
             fid = rng.choice(triangles)
             name = f"v{len(complex.graph.vertices)}"
             cand = insert_vertex(complex, fid, name)
-            if rotation_space_size(cand.graph) <= budget:
+            if rotation_space_size(cand.graph) <= RANDOM_ROTATION_BUDGET:
                 complex = cand
         for _ in range(rng.randrange(3)):
-            if len(complex.faces) >= max_faces:
+            if len(complex.faces) >= RANDOM_MAX_FACES:
                 break
             cycles = all_cycles(complex.graph, max_len=min(6, len(complex.graph.vertices)))
             rng.shuffle(cycles)
@@ -237,7 +242,7 @@ def random_complex(seed: int, max_vertices: int = 8, max_faces: int = 12,
                 break
         if (not validate(complex) and is_locally_2_connected(complex)
                 and len(complex.graph.vertices) <= max_vertices
-                and rotation_space_size(complex.graph) <= budget):
+                and rotation_space_size(complex.graph) <= RANDOM_ROTATION_BUDGET):
             return complex
     raise AssertionError("random complex generation failed to converge")
 

@@ -19,10 +19,6 @@ from .complexes import TwoComplex, face_subcomplex, link_graph, split_components
 from .embedding import _single_cycle
 
 
-class NotASurfaceError(ValueError):
-    pass
-
-
 class SurfaceClass:
     """Classification of one connected component."""
 
@@ -78,12 +74,6 @@ def _component_is_closed_surface(component: TwoComplex) -> bool:
                for v in sorted(component.graph.vertices))
 
 
-def is_closed_surface(complex: TwoComplex) -> list[tuple[TwoComplex, bool]]:
-    """Per component: does the realisation close up into a surface?"""
-    return [(comp, _component_is_closed_surface(comp))
-            for comp in split_components(complex)]
-
-
 def _orient_faces(component: TwoComplex) -> dict[str, int] | None:
     """Direct every face boundary so each edge runs once in each direction.
 
@@ -136,16 +126,8 @@ def classify_component(component: TwoComplex) -> SurfaceClass:
     return SurfaceClass(True, chi, orientable)
 
 
-def classify_surface(complex: TwoComplex) -> list[tuple[TwoComplex, SurfaceClass]]:
-    """Classify every component; raises when some component is not a surface."""
-    out = survey_surfaces(complex)
-    if not all(sclass.is_surface for _, sclass in out):
-        raise NotASurfaceError("component is not a closed surface")
-    return out
-
-
 def survey_surfaces(complex: TwoComplex) -> list[tuple[TwoComplex, SurfaceClass]]:
-    """Total variant: non-surface components get a not-a-surface class."""
+    """Classify every component; a non-surface component gets a not-a-surface class."""
     return [(comp, classify_component(comp)) for comp in split_components(complex)]
 
 

@@ -22,7 +22,7 @@ from outerspatial.decider import (AsphericalSubcomplex, NestedCertificate,
                                   verify_obstruction)
 from outerspatial.embedding import is_2_connected, verify_minor_witness
 from outerspatial.oracle import _search_minor, brute_force_outerspatial
-from outerspatial.surface import classify_surface
+from outerspatial.surface import survey_surfaces
 
 
 def report(criterion: int, ok: bool, message: str) -> None:
@@ -224,12 +224,12 @@ def test_criterion_6_outerplanarity_triple_agreement():
 
 def test_criterion_7_surface_classifier():
     checks = []
-    ((_, sclass),) = classify_surface(gen.tetra())
+    ((_, sclass),) = survey_surfaces(gen.tetra())
     checks.append(sclass.is_sphere and sclass.euler == 2)
     for n in range(3, 9):
-        ((_, sclass),) = classify_surface(gen.bipyramid(n))
+        ((_, sclass),) = survey_surfaces(gen.bipyramid(n))
         checks.append(sclass.is_sphere and sclass.euler == 2)
-    ((_, sclass),) = classify_surface(gen.torus7())
+    ((_, sclass),) = survey_surfaces(gen.torus7())
     checks.append(sclass.euler == 0 and sclass.orientable and sclass.genus == 1)
     report(7, all(checks),
            "tetra and bipyramids n=3..8 classify as spheres (euler 2); "

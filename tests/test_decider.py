@@ -22,7 +22,8 @@ from outerspatial.decider import (AsphericalSubcomplex,
                                   _crossing_obstruction, _within_euler_bound)
 from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
 from outerspatial.embedding import test_planar as check_planar
-from outerspatial.fileformat import format_verdict
+from outerspatial.cli import main
+from outerspatial.fileformat import format_complex, format_verdict
 from outerspatial.verdicts import cycles_by_component, nested_certificate
 from families import from_cycles, stacked
 from test_link_layer import _count_calls
@@ -345,6 +346,13 @@ class TestDecideNestedPlane:
         monkeypatch.setattr(decider, "verify_certificate", lambda complex, cert: False)
         with pytest.raises(AssertionError, match="certificate failed verification"):
             decide_nested_plane(skeleton(bipyramid4), {"c1": ("n", "a", "s", "c")})
+
+    def test_oracle_command_answer_passes_the_self_check(self, tetra, tmp_path, monkeypatch):
+        path = tmp_path / "tetra"
+        path.write_text(format_complex(tetra))
+        monkeypatch.setattr(decider, "verify_certificate", lambda complex, cert: False)
+        with pytest.raises(AssertionError, match="certificate failed verification"):
+            main(["oracle", str(path)])
 
     def test_cap_refusal_keeps_hypothesis_verdict(self, bipyramid4):
         verdict = decide_nested_plane(

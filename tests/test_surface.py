@@ -5,9 +5,7 @@ import pytest
 from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Path, TwoComplex, complete_graph,
                                     contract_path, delete_faces)
-from outerspatial.surface import (NotASurfaceError, classify_surface,
-                                  euler_characteristic, is_closed_surface,
-                                  survey_surfaces, _orient_faces)
+from outerspatial.surface import euler_characteristic, survey_surfaces, _orient_faces
 
 
 def projective_plane():
@@ -21,14 +19,14 @@ def projective_plane():
 
 class TestIsClosedSurface:
     def test_tetra(self, tetra):
-        assert [ok for _, ok in is_closed_surface(tetra)] == [True]
+        assert [c.is_surface for _, c in survey_surfaces(tetra)] == [True]
 
     def test_tetra_minus_face(self, tetra):
         opened = delete_faces(tetra, {"abc"})
-        assert [ok for _, ok in is_closed_surface(opened)] == [False]
+        assert [c.is_surface for _, c in survey_surfaces(opened)] == [False]
 
     def test_torus7(self, torus7):
-        assert [ok for _, ok in is_closed_surface(torus7)] == [True]
+        assert [c.is_surface for _, c in survey_surfaces(torus7)] == [True]
 
     def test_every_edge_in_two_faces(self, torus7, tetra):
         for complex in (torus7, tetra, gen.prism(4)):
@@ -38,13 +36,13 @@ class TestIsClosedSurface:
 
 class TestClassify:
     def test_tetra_sphere(self, tetra):
-        ((_, sclass),) = classify_surface(tetra)
+        ((_, sclass),) = survey_surfaces(tetra)
         assert sclass.is_sphere
         assert sclass.euler == 2
         assert sclass.kind == "sphere"
 
     def test_torus7(self, torus7):
-        ((_, sclass),) = classify_surface(torus7)
+        ((_, sclass),) = survey_surfaces(torus7)
         assert sclass.euler == 0
         assert sclass.orientable
         assert sclass.genus == 1
@@ -52,22 +50,17 @@ class TestClassify:
 
     def test_bipyramids_are_spheres(self):
         for n in range(3, 9):
-            ((_, sclass),) = classify_surface(gen.bipyramid(n))
+            ((_, sclass),) = survey_surfaces(gen.bipyramid(n))
             assert sclass.is_sphere and sclass.euler == 2
 
     def test_projective_plane(self):
         rp2 = projective_plane()
         assert euler_characteristic(rp2) == 1
-        ((_, sclass),) = classify_surface(rp2)
+        ((_, sclass),) = survey_surfaces(rp2)
         assert sclass.euler == 1
         assert sclass.orientable is False
         assert sclass.crosscaps == 1
         assert sclass.kind == "non-orientable crosscaps 1"
-
-    def test_non_surface_raises(self, tetra):
-        opened = delete_faces(tetra, {"abc"})
-        with pytest.raises(NotASurfaceError):
-            classify_surface(opened)
 
     def test_survey_is_total(self, tetra):
         opened = delete_faces(tetra, {"abc"})
@@ -86,7 +79,7 @@ class TestClassify:
         faces = [Face(f.face_id, f.steps) for f in tetra.faces.values()]
         faces += [Face(f.face_id, f.steps) for f in torus7.faces.values()]
         union = TwoComplex(merged, faces)
-        classes = [sclass for _, sclass in classify_surface(union)]
+        classes = [sclass for _, sclass in survey_surfaces(union)]
         assert sorted(c.euler for c in classes) == [0, 2]
 
 
@@ -99,7 +92,7 @@ class TestEulerInvariance:
             if any(not f.is_genuine_cycle() for f in contracted.faces.values()):
                 continue
             assert euler_characteristic(contracted) == euler_characteristic(cube)
-            ((_, sclass),) = classify_surface(contracted)
+            ((_, sclass),) = survey_surfaces(contracted)
             assert sclass.is_sphere
 
 
