@@ -47,37 +47,33 @@ def _build_parser() -> _Parser:
                                  "nested plane embeddings of graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help):
-        p = sub.add_parser(name, help=help)
-        return p
-
-    p = add("validate", "check a complex file for violations")
+    p = sub.add_parser("validate", help="check a complex file for violations")
     p.add_argument("file")
 
-    p = add("links", "print every link graph with its outerplanarity status")
+    p = sub.add_parser("links", help="print every link graph with its outerplanarity status")
     p.add_argument("file")
 
-    p = add("decide", "decide outerspatiality with certificate or obstruction")
+    p = sub.add_parser("decide", help="decide outerspatiality with certificate or obstruction")
     p.add_argument("file")
 
-    p = add("nested", "decide nested plane embeddings for a graph plus cycles")
+    p = sub.add_parser("nested", help="decide nested plane embeddings for a graph plus cycles")
     p.add_argument("file")
     p.add_argument("cycles")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
 
-    p = add("oracle", "decide by exhaustive sphere-embedding enumeration")
+    p = sub.add_parser("oracle", help="decide by exhaustive sphere-embedding enumeration")
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
 
-    p = add("surface", "classify each component as a surface")
+    p = sub.add_parser("surface", help="classify each component as a surface")
     p.add_argument("file")
 
-    p = add("render", "emit a dot or SVG drawing of an embedding or link graph")
+    p = sub.add_parser("render", help="emit a dot or SVG drawing of an embedding or link graph")
     p.add_argument("file")
     p.add_argument("--format", choices=("dot", "svg"), default="dot")
     p.add_argument("--link", metavar="VERTEX", default=None)
 
-    p = add("generate", "print a named example complex")
+    p = sub.add_parser("generate", help="print a named example complex")
     p.add_argument("name", help="tetra | bipyramid N | bipyramid-equator N | "
                                 "prism N | torus7 | k4 | k23 | cone-k4 | cone-k23 | "
                                 "cone FILE | random")

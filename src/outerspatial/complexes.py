@@ -439,11 +439,6 @@ def validate(complex: TwoComplex) -> list[Violation]:
     for a, b in g.parallel_pairs():
         out.append(Violation("parallel-edge", b, f"edges {a} and {b} are parallel"))
     for fid, f in complex.faces.items():
-        for v, e, o in f.steps:
-            if not g.has_edge(e) or g.endpoints(e)[o] != v:
-                out.append(Violation("dangling-reference", fid,
-                                     f"face {fid} references missing incidence"))
-                break
         if not f.is_genuine_cycle():
             out.append(Violation("non-cycle-face", fid,
                                  f"face {fid} boundary is not a genuine cycle"))

@@ -20,9 +20,8 @@ from .complexes import (Graph, LinkGraph, Path, TwoComplex, associated_complex,
 # test still reads it as `decider.nesting_forest`.
 from .embedding import (CrossingPair, OuterplanarityResult,
                         RotationSystem, TracedFaces, find_minor,
-                        is_2_connected, nesting_forest, test_outerplanar,
-                        test_planar, trace_faces, verify_minor_witness,
-                        _normalize_cycle)
+                        nesting_forest, test_outerplanar, test_planar,
+                        trace_faces, verify_minor_witness, _normalize_cycle)
 from .oracle import DEFAULT_CAP, CapExceededError, brute_force_outerspatial
 from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
                       euler_characteristic, search_aspherical_subcomplex, _orient_faces)
@@ -37,61 +36,43 @@ from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
 ASPHERICAL_SEARCH_BUDGET = 2 ** 20
 
 
-class LinkInfo:
-    def __init__(self, link: LinkGraph, outerplanarity: OuterplanarityResult):
-        self.link = link
-        self.outerplanarity = outerplanarity
-
-    @property
-    def is_2_outerplane(self) -> bool:
-        # `test_outerplanar` reports a Hamilton boundary exactly for
-        # outerplanar links that are 2-connected and simple.
-        return self.outerplanarity.boundary is not None
-
-    def violation(self) -> str | None:
-        """Why the link is not a 2-connected simple graph; None when it is."""
-        if self.is_2_outerplane:
-            return None
-        if not self.link.graph.is_simple():
-            return "link graph is not simple"
-        # A simple outerplanar link without a Hamilton boundary is not 2-connected.
-        if self.outerplanarity.outerplanar or not is_2_connected(self.link.graph):
-            return "link graph is not 2-connected"
-        return None
-
-
-def _link_structures(complex: TwoComplex) -> dict[str, LinkInfo]:
+def _link_structures(complex: TwoComplex) -> dict[str, tuple[LinkGraph, OuterplanarityResult]]:
     """Every link with its outerplanarity: the one per-vertex pass over links."""
-    out: dict[str, LinkInfo] = {}
+    out = {}
     for v in sorted(complex.graph.vertices):
         lg = link_graph(complex, v)
-        out[v] = LinkInfo(lg, test_outerplanar(lg.graph))
+        out[v] = (lg, test_outerplanar(lg.graph))
     return out
 
 
 def is_locally_2_connected(complex: TwoComplex) -> bool:
     """Every link graph is a 2-connected simple graph."""
-    return all(info.violation() is None for info in _link_structures(complex).values())
+    return all(result.violation is None for _, result in _link_structures(complex).values())
 
 
-def find_chordal_faces(complex: TwoComplex,
-                       structures: Mapping[str, LinkInfo] | None = None) -> dict[str, frozenset[str]]:
+def find_chordal_faces(
+        complex: TwoComplex,
+        structures: Mapping[str, tuple[LinkGraph, OuterplanarityResult]] | None = None
+) -> dict[str, frozenset[str]]:
     """Faces that are chords in some link, with the vertices where they are chords."""
     structures = structures if structures is not None else _link_structures(complex)
     out: dict[str, set[str]] = {}
     for v in sorted(structures):
-        info = structures[v]
-        if not info.is_2_outerplane:
+        link, result = structures[v]
+        # `test_outerplanar` reports a Hamilton boundary exactly for
+        # outerplanar links that are 2-connected and simple.
+        if result.boundary is None:
             raise ValueError(f"link at {v} is not 2-connected simple outerplanar")
-        for link_edge in sorted(info.outerplanarity.chords):
-            fid = info.link.edge_face[link_edge]
+        for link_edge in sorted(result.chords):
+            fid = link.edge_face[link_edge]
             out.setdefault(fid, set()).add(v)
     return {fid: frozenset(vs) for fid, vs in sorted(out.items())}
 
 
-def check_perfectly_chordal(complex: TwoComplex, face_id: str,
-                            structures: Mapping[str, LinkInfo] | None = None,
-                            chordal: Mapping[str, frozenset[str]] | None = None):
+def check_perfectly_chordal(
+        complex: TwoComplex, face_id: str,
+        structures: Mapping[str, tuple[LinkGraph, OuterplanarityResult]] | None = None,
+        chordal: Mapping[str, frozenset[str]] | None = None):
     """True when the face is a chord at every endvertex.
 
     Otherwise walks the boundary to the first edge whose tail has the face as
@@ -111,14 +92,17 @@ def check_perfectly_chordal(complex: TwoComplex, face_id: str,
     for i in range(k):
         u, x = vs[i], vs[(i + 1) % k]
         if u in chord_at and x not in chord_at:
-            edge_id = face.steps[i][1]
-            path = Path((u, x), (edge_id,))
-            link = contracted_link(complex, path)
-            witness = find_minor(link.graph, "K2,3")
-            if witness is None:
-                raise AssertionError("imperfectly chordal face without K2,3 in the merged link")
-            return NonOuterplanarLink(path, link, witness)
+            return _merged_link_obstruction(complex, Path((u, x), (face.steps[i][1],)), "K2,3")
     raise AssertionError("chordal face with no chord-to-nonchord transition")
+
+
+def _merged_link_obstruction(complex: TwoComplex, path: Path, target: str) -> NonOuterplanarLink:
+    """The link at the vertex that contracting the path merges, with its `target` minor."""
+    link = contracted_link(complex, path)
+    witness = find_minor(link.graph, target)
+    if witness is None:
+        raise AssertionError(f"no {target} minor in the link of a contracted bad path")
+    return NonOuterplanarLink(path, link, witness)
 
 
 def _plane_parts(graph: Graph, cycles: Mapping[str, frozenset[str]]
@@ -128,11 +112,11 @@ def _plane_parts(graph: Graph, cycles: Mapping[str, frozenset[str]]
     A plane embedding nests every family of triangles, so callers pass only
     triangles, or no cycles at all.
     """
-    planarity = test_planar(graph)
-    if not planarity.is_planar:
+    tracings = test_planar(graph)
+    if tracings is None:
         return None
     parts = []
-    for traced, comp_cycles in zip(planarity.traced, cycles_by_component(graph, cycles)):
+    for traced, comp_cycles in zip(tracings, cycles_by_component(graph, cycles)):
         got = component_certificate(traced, comp_cycles)
         if isinstance(got, CrossingPair):
             raise AssertionError("triangles crossed in a plane embedding")
@@ -238,14 +222,11 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     structures = _link_structures(comp)
     blocked = []
     for v in sorted(structures):
-        info = structures[v]
-        if not info.outerplanarity.outerplanar:
-            path = Path((v,), ())
-            return NotOuterspatial(
-                NonOuterplanarLink(path, info.link, info.outerplanarity.witness))
-        reason = info.violation()
-        if reason is not None:
-            blocked.append(LinkViolation(v, reason))
+        link, result = structures[v]
+        if not result.outerplanar:
+            return NotOuterspatial(NonOuterplanarLink(Path((v,), ()), link, result.witness))
+        if result.violation is not None:
+            blocked.append(LinkViolation(v, f"link graph is {result.violation}"))
     if blocked:
         violations.extend(blocked)
         return None
@@ -258,9 +239,9 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
 
     # Every chordal face is a chord at each of its vertices, so deleting them
     # leaves each vertex its Hamilton boundary as link: a closed surface.
-    for v, info in structures.items():
-        kept = {le for le, fid in info.link.edge_face.items() if fid not in chordal}
-        if kept != info.outerplanarity.boundary_edges:
+    for link, result in structures.values():
+        kept = {le for le, fid in link.edge_face.items() if fid not in chordal}
+        if kept != result.boundary_edges:
             raise AssertionError("chord-free remainder is not a closed surface")
     remainder = delete_faces(comp, set(chordal))
     orientation = _orient_faces(remainder)
@@ -274,11 +255,11 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     # sense.  Link vertices are edge ids, as a validated complex has no loops.
     g = comp.graph
     rotators = {}
-    for v, info in structures.items():
-        cyc = info.outerplanarity.boundary
-        le = min(info.outerplanarity.boundary_edges)
-        come, go = info.link.graph.endpoints(le)
-        if orientation[info.link.edge_face[le]]:
+    for v, (link, result) in structures.items():
+        cyc = result.boundary
+        le = min(result.boundary_edges)
+        come, go = link.graph.endpoints(le)
+        if orientation[link.edge_face[le]]:
             come, go = go, come
         if cyc[cyc.index(come) - 1] == go:
             cyc = cyc[::-1]
@@ -327,18 +308,14 @@ def _crossing_obstruction(complex: TwoComplex, comp: TwoComplex,
             continue
         inner_vertices = tuple(steps[(i + 1 + t) % k][0] for t in range(j - i))
         inner_edges = tuple(steps[(i + 1 + t) % k][1] for t in range(j - i - 1))
-        path = Path(inner_vertices, inner_edges)
-        link = contracted_link(complex, path)
-        witness = find_minor(link.graph, "K4")
-        if witness is None:
-            raise AssertionError("crossing boundaries without K4 in the merged link")
-        return NotOuterspatial(NonOuterplanarLink(path, link, witness))
+        return NotOuterspatial(
+            _merged_link_obstruction(complex, Path(inner_vertices, inner_edges), "K4"))
     raise AssertionError("crossing pair admits no transversal subpath")
 
 
 def decide_nested_plane(graph: Graph,
                         cycles: Mapping[str, Iterable[str]] | Iterable[tuple[str, Iterable[str]]],
-                        *, cap: int | None = None) -> Verdict:
+                        *, cap: int = DEFAULT_CAP) -> Verdict:
     """Decide existence of a nested plane embedding for a graph and cycle set.
 
     Reduces to the associated complex; on a hypothesis-violated outcome falls
@@ -355,13 +332,13 @@ def decide_nested_plane(graph: Graph,
                                   verdict.notes + (f"oracle fallback refused: {exc}",))
 
 
-def oracle_verdict(complex: TwoComplex, *, cap: int | None = None) -> Verdict:
+def oracle_verdict(complex: TwoComplex, *, cap: int = DEFAULT_CAP) -> Verdict:
     """The exhaustive search's verdict on a validated complex, self-checked.
 
     Raises CapExceededError when the rotation space exceeds the cap.  An
     ExhaustiveFailure is not searched again.
     """
-    outcome = brute_force_outerspatial(complex, cap=DEFAULT_CAP if cap is None else cap)
+    outcome = brute_force_outerspatial(complex, cap=cap)
     verdict = (Outerspatial(outcome) if isinstance(outcome, NestedCertificate)
                else NotOuterspatial(outcome))
     _self_check(complex, verdict)
@@ -477,8 +454,7 @@ def _labels_agree(traced: TracedFaces, outer: int, parent: Mapping[str, str | No
     return True
 
 
-def verify_obstruction(complex: TwoComplex, obstruction: Obstruction,
-                       *, cap: int | None = None) -> bool:
+def verify_obstruction(complex: TwoComplex, obstruction: Obstruction) -> bool:
     """Independent obstruction check (minor witness, surface, or oracle re-run)."""
     if isinstance(obstruction, NonOuterplanarLink):
         try:
@@ -495,8 +471,7 @@ def verify_obstruction(complex: TwoComplex, obstruction: Obstruction,
         sclass = classify_component(sub)
         return sclass.is_surface and sclass == obstruction.surface and sclass.euler != 2
     if isinstance(obstruction, ExhaustiveFailure):
-        outcome = brute_force_outerspatial(complex, cap=DEFAULT_CAP if cap is None else cap)
-        return isinstance(outcome, ExhaustiveFailure)
+        return isinstance(brute_force_outerspatial(complex), ExhaustiveFailure)
     return False
 
 

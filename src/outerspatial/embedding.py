@@ -190,31 +190,15 @@ def trace_faces(graph: Graph, rotation: RotationSystem) -> TracedFaces:
     return TracedFaces(graph, rotation)
 
 
-class PlanarityResult:
-    """A genus-zero rotation system, or None for a non-planar graph.
+def test_planar(graph: Graph) -> tuple[TracedFaces, ...] | None:
+    """Planarity with an embedding: per component, a genus-zero face tracing.
 
-    A planar result keeps the face tracing of each component, in component
-    order, that confirmed genus zero.
-    """
-
-    def __init__(self, rotation: RotationSystem | None, traced: tuple[TracedFaces, ...] = ()):
-        self.rotation = rotation
-        self.traced = traced
-
-    @property
-    def is_planar(self) -> bool:
-        return self.rotation is not None
-
-
-def test_planar(graph: Graph) -> PlanarityResult:
-    """Planarity with an embedding: a rotation system tracing to genus zero.
-
-    One networkx planarity test of the simple underlying graph orders the
-    neighbours at every vertex.  Multigraphs are handled too: parallel edges
-    are laid next to their partner and loops next to themselves, which keeps
-    the genus at zero.  Each component of the graph's component index, in
-    its order, is traced with the whole rotation system.  Deterministic for
-    a fixed input.
+    None when the graph is not planar.  One networkx planarity test of the
+    simple underlying graph orders the neighbours at every vertex.
+    Multigraphs are handled too: parallel edges are laid next to their
+    partner and loops next to themselves, which keeps the genus at zero.
+    Each component of the graph's component index, in its order, is traced
+    with the whole rotation system.  Deterministic for a fixed input.
     """
     import networkx as nx
     simple = nx.Graph()
@@ -223,7 +207,7 @@ def test_planar(graph: Graph) -> PlanarityResult:
                           if not graph.is_loop(eid))
     ok, emb = nx.check_planarity(simple)
     if not ok:
-        return PlanarityResult(None)
+        return None
     order = emb.get_data()
     rotators: dict[str, tuple[HalfEdge, ...]] = {}
     for v in sorted(graph.vertices):
@@ -244,7 +228,7 @@ def test_planar(graph: Graph) -> PlanarityResult:
     traced = tuple(trace_faces(part, rotation) for part in graph.component_index()[1])
     if any(t.genus != 0 for t in traced):
         raise AssertionError("planar embedding traced to nonzero genus")
-    return PlanarityResult(rotation, traced)
+    return traced
 
 
 def is_2_connected(graph: Graph) -> bool:
@@ -649,13 +633,17 @@ class OuterplanarityResult:
     For 2-connected simple outerplanar graphs the unique Hamilton boundary
     cycle and the chord set are reported; otherwise only the verdict, with a
     minor witness on negatives (K4, then K2,3), searched when first read.
+    `violation` says why the graph is not 2-connected and simple, "not
+    simple" before "not 2-connected", and is None when it is both.
     """
 
-    def __init__(self, outerplanar: bool, boundary: tuple[str, ...] | None = None,
+    def __init__(self, outerplanar: bool, violation: str | None,
+                 boundary: tuple[str, ...] | None = None,
                  boundary_edges: frozenset[str] | None = None,
                  chords: frozenset[str] | None = None,
                  nonouterplanar: Graph | None = None):
         self.outerplanar = outerplanar
+        self.violation = violation
         self.boundary = boundary
         self.boundary_edges = boundary_edges
         self.chords = chords
@@ -679,7 +667,8 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
     """Outerplanarity by one block pass and degree-2 elimination, in linear time.
 
     Loops and parallel edges are ignored for the verdict; boundary and chord
-    structure is only reported for simple 2-connected graphs.
+    structure is only reported for simple 2-connected graphs, which the
+    block pass recognises too.
 
     Blocks (biconnected components; Hopcroft and Tarjan, CACM 16, 1973):
     outerplane drawings of the blocks glue at the cut vertices, which lie
@@ -715,15 +704,20 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
     """
     cycle = _single_cycle(graph) if len(graph.vertices) >= 3 else None
     if cycle is not None:
-        return OuterplanarityResult(True, cycle, frozenset(graph.edge_ids()), frozenset())
+        return OuterplanarityResult(True, None, cycle, frozenset(graph.edge_ids()), frozenset())
     blocks = _blocks(graph)
-    hamiltonian = graph.is_simple() and _is_one_block(graph, blocks)
+    if not graph.is_simple():
+        violation = "not simple"
+    elif not _is_one_block(graph, blocks):
+        violation = "not 2-connected"
+    else:
+        violation = None
     triangles: dict[frozenset[str], int] = {}
     for nbrs in blocks:
         if len(nbrs) >= 3 and _eliminate(nbrs, triangles) is not None:
-            return OuterplanarityResult(False, nonouterplanar=graph)
-    if not hamiltonian:
-        return OuterplanarityResult(True)
+            return OuterplanarityResult(False, violation, nonouterplanar=graph)
+    if violation is not None:
+        return OuterplanarityResult(True, violation)
     boundary_edges, chords = set(), set()
     ring: dict[str, list[str]] = {v: [] for v in graph.vertices}
     for eid in graph.edge_ids():
@@ -734,7 +728,7 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
             boundary_edges.add(eid)
             ring[u].append(v)
             ring[v].append(u)
-    return OuterplanarityResult(True, _walk_ring(ring), frozenset(boundary_edges),
+    return OuterplanarityResult(True, None, _walk_ring(ring), frozenset(boundary_edges),
                                 frozenset(chords))
 
 

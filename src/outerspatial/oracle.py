@@ -144,7 +144,7 @@ def brute_force_nested(graph: Graph, cycles: Mapping[str, frozenset[str]],
     """
     parts = graph.component_index()[1]
     for part in parts:
-        if not test_planar(part).is_planar:
+        if test_planar(part) is None:
             return ExhaustiveFailure(
                 0, f"component of {min(part.vertices)} has a non-planar skeleton")
     size = rotation_space_size(graph)

@@ -64,6 +64,16 @@ class TestValidate:
         out = validate(TwoComplex(g, [f1, f2]))
         assert [p.kind for p in out] == ["duplicate-face"]
 
+    def test_constructor_refuses_a_face_off_the_graph(self):
+        # `validate` has no diagnostic for these: no complex holds them.
+        g = Graph("abc", {"x": ("a", "b"), "y": ("b", "c"), "z": ("c", "a")})
+        face = Face.from_vertices(g, "f", ("a", "b", "c"))
+        with pytest.raises(ValueError, match="face f: unknown edge z"):
+            TwoComplex(Graph("abc", {"x": ("a", "b"), "y": ("b", "c")}), [face])
+        moved = Graph("abcde", {"x": ("a", "b"), "y": ("b", "c"), "z": ("d", "e")})
+        with pytest.raises(ValueError, match="face f: walk not incident at"):
+            TwoComplex(moved, [face])
+
 
 class TestSkeleton:
     def test_tetra_skeleton_is_k4(self, tetra):

@@ -3,8 +3,9 @@
 The reference below is the link layer that `test_outerplanar` and
 `is_2_connected` replaced, kept here only: outerplanarity as planarity of
 the one-dimensional cone, the Hamilton boundary and chords from the
-separating pairs of endpoints, and 2-connectivity by deleting each vertex
-in turn.
+separating pairs of endpoints, 2-connectivity by deleting each vertex in
+turn, and the reason a link is outside the hypothesis as the decider once
+asked it, by a second simplicity test and a second block pass.
 """
 
 import random
@@ -81,13 +82,26 @@ def reference_boundary_structure(graph):
     return tuple(cycle), frozenset(boundary_edges), frozenset(chords)
 
 
+def reference_violation(graph, outerplanar, boundary):
+    """Why the graph is not 2-connected and simple, as the decider's link record once said."""
+    if boundary is not None:
+        return None
+    if not graph.is_simple():
+        return "not simple"
+    if outerplanar or not is_2_connected(graph):
+        return "not 2-connected"
+    return None
+
+
 def reference_outerplanar(graph):
-    """(verdict, boundary, boundary edges, chords) by the cone-planarity route."""
-    if not check_planar(reference_cone(graph)).is_planar:
-        return False, None, None, None
-    if graph.is_simple() and reference_is_2_connected(graph):
-        return (True,) + reference_boundary_structure(graph)
-    return True, None, None, None
+    """(verdict, boundary, boundary edges, chords, violation) by the cone-planarity route."""
+    if check_planar(reference_cone(graph)) is None:
+        verdict, structure = False, (None, None, None)
+    elif graph.is_simple() and reference_is_2_connected(graph):
+        verdict, structure = True, reference_boundary_structure(graph)
+    else:
+        verdict, structure = True, (None, None, None)
+    return (verdict,) + structure + (reference_violation(graph, verdict, structure[0]),)
 
 
 def from_pairs(pairs, vertices=()):
@@ -209,28 +223,35 @@ def test_agrees_with_the_reference(family):
     graphs = FAMILIES[family]()
     assert graphs
     for graph in graphs:
-        verdict, boundary, boundary_edges, chords = reference_outerplanar(graph)
+        verdict, boundary, boundary_edges, chords, violation = reference_outerplanar(graph)
         got = check_outerplanar(graph)
         assert got.outerplanar == verdict, graph.edges
         assert got.boundary == boundary, graph.edges
         assert got.boundary_edges == boundary_edges, graph.edges
         assert got.chords == chords, graph.edges
+        assert got.violation == violation, graph.edges
         assert is_2_connected(graph) == reference_is_2_connected(graph), graph.edges
 
 
 def test_families_reach_every_outcome():
     outcomes = Counter()
+    violations = Counter()
     for make in FAMILIES.values():
         for graph in make():
             got = check_outerplanar(graph)
             outcomes[(got.outerplanar, got.boundary is not None,
                       bool(got.chords), is_2_connected(graph))] += 1
+            violations[(got.outerplanar, got.violation)] += 1
     # Non-outerplanar 2-connected and not; outerplanar with and without a
     # boundary, with and without chords.
     for key in ((False, False, False, True), (False, False, False, False),
                 (True, True, True, True), (True, True, False, True),
                 (True, False, False, True), (True, False, False, False)):
         assert outcomes[key] > 0, key
+    # Every reason, and none, on both sides of the verdict.
+    for outerplanar in (False, True):
+        for violation in (None, "not simple", "not 2-connected"):
+            assert violations[(outerplanar, violation)] > 0, (outerplanar, violation)
 
 
 def test_witness_is_searched_when_read(monkeypatch):
@@ -257,6 +278,18 @@ def test_locally_2_connected_reads_the_link_table():
                                   for v in complex.graph.vertices))
         assert is_locally_2_connected(complex) == expected
     assert is_locally_2_connected(cone_tetra)
+
+
+def test_a_link_gets_at_most_one_block_pass(monkeypatch):
+    """The reason a link is outside the hypothesis comes from the outerplanarity pass."""
+    cone_tetra = cone(gen.tetra())  # every link is K4: 2-connected, not outerplanar
+    cones = [gen.cone_over_graph(gen.named_graph(name)) for name in ("k4", "k23")]
+    for complex in [cone_tetra, delete_faces(gen.tetra(), {"abc"})] + cones:
+        passes = _count_calls(monkeypatch, "_blocks", [embedding])
+        is_locally_2_connected(complex)
+        assert 0 < len(passes) <= len(complex.graph.vertices)
+        if complex is cone_tetra:
+            assert len(passes) == len(complex.graph.vertices)
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -349,7 +382,8 @@ def near_miss_cycles():
 
 
 def _outcome(result):
-    return result.outerplanar, result.boundary, result.boundary_edges, result.chords
+    return (result.outerplanar, result.boundary, result.boundary_edges, result.chords,
+            result.violation)
 
 
 class TestSingleCycleShortcut:

@@ -10,6 +10,12 @@ substitution.  A random one-to-one renaming of the ids keeps the verdict
 kind but not the bytes: reports list ids in sort order, and a sphere's
 sense is read off its faces in that order, so it may come out as the
 mirror image.
+
+An obstruction of a complex re-verifies in every complex that contains
+it: outerspatiality is closed under deleting faces, and a minor of a
+contracted link or a closed surface of faces stays where it was when
+faces are added.  The larger complexes here add triangle fins, each on an
+edge of the obstructed complex and a new vertex, beside a large positive.
 """
 
 import random
@@ -32,6 +38,9 @@ OBSTRUCT = workloads.instances("obstruct", SEED)
 UNIONS = ([(y, LARGE[i % len(LARGE)]) for i, y in enumerate(OBSTRUCT)]
           + list(zip(LARGE[::2], LARGE[1::2]))
           + [tuple(sorted(OBSTRUCT, key=lambda x: len(x.vertices))[-2:])])
+# Every obstruct instance of seeds 1-5 with the large positive it is placed beside.
+FINNED = [(seed, x, LARGE[i % len(LARGE)]) for seed in range(1, 6)
+          for i, x in enumerate(workloads.instances("obstruct", seed))]
 
 
 def _name(parts):
@@ -89,3 +98,28 @@ def test_random_renaming_keeps_the_verdict_kind(parts):
         else:
             assert isinstance(verdict, NotOuterspatial)
             assert verify_obstruction(complex, verdict.obstruction)
+
+
+def _with_fins(text, rng):
+    """The complex text plus five triangle fins, each on one of its edges and a new vertex."""
+    graph = parse_complex(text).graph
+    lines = []
+    for i, eid in enumerate(rng.sample(sorted(graph.edge_ids()), 5)):
+        u, v = graph.endpoints(eid)
+        w = f"FN{i}"
+        lines += [f"vertex {w}", f"edge {w}u {u} {w}", f"edge {w}v {v} {w}",
+                  f"face {w}f {u} {v} {w}"]
+    return text + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed, part, beside", FINNED,
+                         ids=[f"{seed}-{x.name}" for seed, x, _ in FINNED])
+def test_an_obstruction_reverifies_in_a_larger_complex(seed, part, beside):
+    text = instances.render(part, "QXA")
+    verdict = decide_outerspatial(parse_complex(text))
+    assert isinstance(verdict, NotOuterspatial)
+    larger = parse_complex(_with_fins(text, random.Random(f"{seed}:{part.name}"))
+                           + instances.render(beside, "QXB"))
+    assert len(larger.graph.vertices) >= 50
+    assert verify_obstruction(larger, verdict.obstruction)
+    assert isinstance(decide_outerspatial(larger), NotOuterspatial)
