@@ -16,11 +16,10 @@ import sys
 from pathlib import Path as FsPath
 
 from . import generators
-from .complexes import TwoComplex, link_graph, skeleton, validate
-from .decider import decide_nested_plane, decide_outerspatial, oracle_verdict
+from .complexes import TwoComplex, associated_complex, link_graph, skeleton, validate
+from .decider import decide_outerspatial, nested_plane_verdict, oracle_verdict
 from .embedding import test_outerplanar
-from .fileformat import (ParseError, format_complex, format_link,
-                         format_verdict, parse_complex, parse_cycles)
+from .fileformat import format_complex, format_link, format_verdict, parse_complex, parse_cycles
 from .oracle import DEFAULT_CAP, CapExceededError
 from .surface import survey_surfaces
 from .verdicts import Outerspatial
@@ -84,11 +83,11 @@ def _build_parser() -> _Parser:
 
 
 def _load(parse, path: str):
-    """Parse a file; a parse error names the file."""
+    """Parse a file; an error in its contents names the file."""
     text = FsPath(path).read_text()
     try:
         return parse(text)
-    except ParseError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -107,7 +106,7 @@ def _cmd_links(args) -> int:
     complex = _load(parse_complex, args.file)
     for v in sorted(complex.graph.vertices):
         lg = link_graph(complex, v)
-        result = test_outerplanar(lg.graph)
+        result = test_outerplanar(lg)
         print("\n".join(format_link(lg)))
         status = "yes" if result.outerplanar else f"no ({result.witness.target} minor)"
         print(f"  outerplanar: {status}")
@@ -121,9 +120,9 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_nested(args) -> int:
-    complex = _load(parse_complex, args.file)
-    cycles = _load(parse_cycles, args.cycles)
-    verdict = decide_nested_plane(skeleton(complex), cycles, cap=args.cap)
+    graph = skeleton(_load(parse_complex, args.file))
+    complex = _load(lambda text: associated_complex(graph, parse_cycles(text)), args.cycles)
+    verdict = nested_plane_verdict(complex, cap=args.cap)
     sys.stdout.write(format_verdict(verdict))
     return verdict.exit_code
 

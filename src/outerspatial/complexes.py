@@ -10,6 +10,7 @@ construction and every operation returns a new value.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 # A half-edge is (edge id, end index); end 0/1 refer to the stored endpoint
@@ -222,18 +223,19 @@ class Face:
         self.steps = _canonical_walk(tuple(steps))
 
     @classmethod
-    def from_vertices(cls, graph: Graph, face_id: str, vertices: Sequence[str]) -> "Face":
-        """Build from a vertex sequence; edges are inferred and must be unique."""
+    def from_vertices(cls, graph: Graph, face_id: str, vertices: Sequence[str],
+                      kind: str = "face") -> "Face":
+        """Build from a vertex sequence; edges are inferred and must be unique; errors say `kind`."""
         k = len(vertices)
         steps = []
         for i in range(k):
             u, v = vertices[i], vertices[(i + 1) % k]
             cands = graph.edges_between(u, v)
             if not cands:
-                raise ValueError(f"face {face_id}: no edge between {u} and {v}")
+                raise ValueError(f"{kind} {face_id}: no edge between {u} and {v}")
             if len(cands) > 1:
                 raise ValueError(
-                    f"face {face_id}: ambiguous edge between {u} and {v}; list edge ids instead")
+                    f"{kind} {face_id}: ambiguous edge between {u} and {v}; list edge ids instead")
             eid = cands[0]
             o = 0 if graph.endpoints(eid)[0] == u else 1
             steps.append((u, eid, o))
@@ -355,11 +357,17 @@ class TwoComplex:
         for f in sorted(faces, key=lambda f: f.face_id):
             if f.face_id in self._faces:
                 raise ValueError(f"duplicate face id {f.face_id}")
-            for v, e, o in f.steps:
+            # Each step leaves its vertex and ends at the next step's vertex, w.
+            w = f.steps[0][0]
+            for v, e, o in reversed(f.steps):
                 if not graph.has_edge(e):
                     raise ValueError(f"face {f.face_id}: unknown edge {e}")
-                if graph.endpoints(e)[o] != v:
+                ends = graph.endpoints(e)
+                if ends[o] != v:
                     raise ValueError(f"face {f.face_id}: walk not incident at {v}")
+                if ends[1 - o] != w:
+                    raise ValueError(f"face {f.face_id}: edge {e} does not end at {w}")
+                w = v
             self._faces[f.face_id] = f
         self._corners: dict[str, list[tuple[str, str, HalfEdge, HalfEdge]]] | None = None
 
@@ -459,36 +467,45 @@ def skeleton(complex: TwoComplex) -> Graph:
 
 
 class LinkGraph:
-    """The local structure around a vertex.
+    """The local structure around a vertex, read off the corner index.
 
     Vertices are the half-edges at the host vertex (named by edge id for
-    non-loops) and there is one edge per face corner at the host, labelled by
-    the face it comes from.
+    non-loops, `e:0` and `e:1` for the ends of a loop e) and there is one
+    edge per face corner at the host: `ends` maps it to the half-edges the
+    face arrives and leaves by, and `edge_face` to the face.  The validated
+    `Graph` on these is built on first read of `graph`.
     """
 
-    def __init__(self, host: str, graph: Graph, edge_face: dict[str, str]):
+    def __init__(self, host: str, vertices: Iterable[str],
+                 ends: dict[str, tuple[str, str]], edge_face: dict[str, str]):
         self.host = host
-        self.graph = graph
-        self.edge_face = dict(edge_face)
+        self.vertices = tuple(vertices)
+        self.ends = ends
+        self.edge_face = edge_face
+
+    @cached_property
+    def graph(self) -> Graph:
+        return Graph(self.vertices, self.ends)
 
     def __repr__(self) -> str:
-        return f"LinkGraph({self.host}: {self.graph!r})"
+        return f"LinkGraph({self.host}: {len(self.vertices)} vertices, {len(self.ends)} edges)"
 
 
 def link_graph(complex: TwoComplex, v: str) -> LinkGraph:
-    """Link graph at v via the corner rule: one edge per face corner at v."""
+    """Link at v via the corner rule: one edge per face corner at v; no `Graph` is built."""
     g = complex.graph
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v}")
-    # A loop gives two link vertices, one per end.
-    names = {(eid, end): f"{eid}:{end}" if g.is_loop(eid) else eid
-             for eid, end in g.half_edges_at(v)}
-    link_edges: dict[str, tuple[str, str]] = {}
-    edge_face: dict[str, str] = {}
-    for le_id, fid, come, go in complex._corners_at(v):
-        link_edges[le_id] = (names[come], names[go])
-        edge_face[le_id] = fid
-    return LinkGraph(v, Graph(names.values(), link_edges), edge_face)
+    names: dict[HalfEdge, str] = {}
+    for eid in g.incident_edges(v):
+        a, b = g.endpoints(eid)
+        if a == b:  # A loop gives two link vertices, one per end.
+            names[eid, 0], names[eid, 1] = f"{eid}:0", f"{eid}:1"
+        else:
+            names[eid, 0 if a == v else 1] = eid
+    corners = complex._corners_at(v)
+    ends = {le_id: (names[come], names[go]) for le_id, _, come, go in corners}
+    return LinkGraph(v, names.values(), ends, {le_id: fid for le_id, fid, _, _ in corners})
 
 
 def cone(complex: TwoComplex, apex: str | None = None) -> TwoComplex:
@@ -699,12 +716,12 @@ def associated_complex(graph: Graph, cycles: Mapping[str, Sequence[str]] | Itera
     faces = []
     seen: dict[tuple, str] = {}
     for fid, vs in items:
-        f = Face.from_vertices(graph, fid, tuple(vs))
+        f = Face.from_vertices(graph, fid, tuple(vs), kind="cycle")
         if not f.is_genuine_cycle():
-            raise ValueError(f"constraint {fid} is not a genuine cycle")
+            raise ValueError(f"cycle {fid} is not a genuine cycle")
         key = f.boundary_key()
         if key in seen:
-            raise ValueError(f"constraints {seen[key]} and {fid} are the same cycle")
+            raise ValueError(f"cycles {seen[key]} and {fid} are the same cycle")
         seen[key] = fid
         faces.append(f)
     return TwoComplex(graph, faces)

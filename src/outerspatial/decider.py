@@ -37,11 +37,12 @@ ASPHERICAL_SEARCH_BUDGET = 2 ** 20
 
 
 def _link_structures(complex: TwoComplex) -> dict[str, tuple[LinkGraph, OuterplanarityResult]]:
-    """Every link with its outerplanarity: the one per-vertex pass over links."""
+    """Every link with its outerplanarity, read off the corner index: the one per-vertex
+    pass over links.  Only a link that is not one cycle builds a `Graph`, for the block pass."""
     out = {}
     for v in sorted(complex.graph.vertices):
-        lg = link_graph(complex, v)
-        out[v] = (lg, test_outerplanar(lg.graph))
+        link = link_graph(complex, v)
+        out[v] = (link, test_outerplanar(link))
     return out
 
 
@@ -258,7 +259,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     for v, (link, result) in structures.items():
         cyc = result.boundary
         le = min(result.boundary_edges)
-        come, go = link.graph.endpoints(le)
+        come, go = link.ends[le]
         if orientation[link.edge_face[le]]:
             come, go = go, come
         if cyc[cyc.index(come) - 1] == go:
@@ -321,7 +322,11 @@ def decide_nested_plane(graph: Graph,
     Reduces to the associated complex; on a hypothesis-violated outcome falls
     back to exhaustive embedding search when the instance is within the cap.
     """
-    complex = associated_complex(graph, cycles)
+    return nested_plane_verdict(associated_complex(graph, cycles), cap=cap)
+
+
+def nested_plane_verdict(complex: TwoComplex, *, cap: int = DEFAULT_CAP) -> Verdict:
+    """`decide_nested_plane` on the associated complex of a graph and its cycles."""
     verdict = decide_outerspatial(complex)
     if not isinstance(verdict, HypothesisViolated):
         return verdict

@@ -60,9 +60,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
-from .complexes import Graph, HalfEdge
+from .complexes import Graph, HalfEdge, LinkGraph
 
 # A dart traverses an edge away from endpoint o: same encoding as a half-edge.
 Dart = tuple[str, int]
@@ -663,7 +663,7 @@ class OuterplanarityResult:
         return f"OuterplanarityResult({self.outerplanar})"
 
 
-def test_outerplanar(graph: Graph) -> OuterplanarityResult:
+def test_outerplanar(graph: Graph | LinkGraph) -> OuterplanarityResult:
     """Outerplanarity by one block pass and degree-2 elimination, in linear time.
 
     Loops and parallel edges are ignored for the verdict; boundary and chord
@@ -700,11 +700,14 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
 
     A graph that is one simple cycle, as every link of a triangulated
     closed surface is, skips the block pass: it is its own Hamilton
-    boundary, with no chords.
+    boundary, with no chords.  A `LinkGraph` is read through its ends map
+    for that test; its validated `Graph` is built only for the block pass.
     """
-    cycle = _single_cycle(graph) if len(graph.vertices) >= 3 else None
+    ends = graph.ends if isinstance(graph, LinkGraph) else graph.edges
+    cycle = _single_cycle(graph.vertices, ends) if len(graph.vertices) >= 3 else None
     if cycle is not None:
-        return OuterplanarityResult(True, None, cycle, frozenset(graph.edge_ids()), frozenset())
+        return OuterplanarityResult(True, None, cycle, frozenset(ends), frozenset())
+    graph = graph.graph if isinstance(graph, LinkGraph) else graph
     blocks = _blocks(graph)
     if not graph.is_simple():
         violation = "not simple"
@@ -732,25 +735,25 @@ def test_outerplanar(graph: Graph) -> OuterplanarityResult:
                                 frozenset(chords))
 
 
-def _single_cycle(graph: Graph) -> tuple[str, ...] | None:
-    """The walk of `_walk_ring` when the graph is one cycle on two or more vertices.
+def _single_cycle(vertices: Collection[str],
+                  ends: Mapping[str, tuple[str, str]]) -> tuple[str, ...] | None:
+    """The walk of `_walk_ring` when the graph on `vertices` with edges `ends` is one cycle.
 
-    As many edges as vertices, two incident edges at every vertex, and one
-    walk covers every vertex; None otherwise.  That leaves no loop: a loop
-    is listed once among its vertex's incident edges, so n vertices with
-    two each would hold fewer than n edges.  A doubled edge closes a
-    component of two vertices, so it passes only as the digon, n = 2; for
-    n >= 3 the cycle is simple.
+    Two or more vertices, as many edges, two edge ends at every vertex, and
+    one walk covers every vertex; None otherwise.  That leaves no loop: a
+    loop's vertex holds both its ends, so it is a component the walk misses.
+    A doubled edge closes a component of two vertices, so it passes only as
+    the digon, n = 2; for n >= 3 the cycle is simple.
     """
-    n = len(graph.vertices)
-    if n < 2 or graph.edge_count() != n:
+    n = len(vertices)
+    if n < 2 or len(ends) != n:
         return None
-    ring: dict[str, list[str]] = {}
-    for v in graph.vertices:
-        ends = graph.incident_edges(v)
-        if len(ends) != 2:
-            return None
-        ring[v] = [u if u != v else w for u, w in map(graph.endpoints, ends)]
+    ring: dict[str, list[str]] = {v: [] for v in vertices}
+    for u, w in ends.values():
+        ring[u].append(w)
+        ring[w].append(u)
+    if any(len(nbrs) != 2 for nbrs in ring.values()):
+        return None
     cycle = _walk_ring(ring)
     return cycle if len(cycle) == n else None
 

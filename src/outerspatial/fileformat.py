@@ -223,9 +223,9 @@ def parse_certificate_report(text: str) -> NestedCertificate:
 def format_link(link: LinkGraph) -> list[str]:
     """A link graph's report: its host, its vertices and one line per edge."""
     lines = [f"link at {link.host}:",
-             "  vertices: " + " ".join(sorted(link.graph.vertices))]
-    for le in sorted(link.graph.edges):
-        u, v = link.graph.endpoints(le)
+             "  vertices: " + " ".join(sorted(link.vertices))]
+    for le in sorted(link.ends):
+        u, v = link.ends[le]
         lines.append(f"  edge {le}: {u} {v} face {link.edge_face[le]}")
     return lines
 

@@ -70,8 +70,8 @@ def euler_characteristic(complex: TwoComplex) -> int:
 
 def _component_is_closed_surface(component: TwoComplex) -> bool:
     """Every link is one cycle; a digon link, from two faces on two edges, counts."""
-    return all(_single_cycle(link_graph(component, v).graph) is not None
-               for v in sorted(component.graph.vertices))
+    links = (link_graph(component, v) for v in sorted(component.graph.vertices))
+    return all(_single_cycle(link.vertices, link.ends) is not None for link in links)
 
 
 def _orient_faces(component: TwoComplex) -> dict[str, int] | None:

@@ -74,6 +74,21 @@ class TestValidate:
         with pytest.raises(ValueError, match="face f: walk not incident at"):
             TwoComplex(moved, [face])
 
+    def test_constructor_refuses_a_face_whose_edge_leaves_its_walk(self):
+        # z starts at c, where the walk has it, but ends at d, not back at a.
+        g = Graph("abc", {"x": ("a", "b"), "y": ("b", "c"), "z": ("c", "a")})
+        face = Face.from_vertices(g, "f", ("a", "b", "c"))
+        off = Graph("abcd", {"x": ("a", "b"), "y": ("b", "c"), "z": ("c", "d")})
+        with pytest.raises(ValueError, match="face f: edge z does not end at a"):
+            TwoComplex(off, [face])
+
+    def test_contraction_keeps_degenerate_walks(self, tetra):
+        # Contracting two sides of the triangle abc leaves it a loop at the
+        # merged vertex; the faces through one of them become digons.
+        out = contract_path(tetra, Path.from_vertices(tetra.graph, ("a", "b", "c")))
+        assert [len(out.face(fid)) for fid in sorted(out.face_ids())] == [1, 2, 3, 2]
+        assert validate(out)
+
 
 class TestSkeleton:
     def test_tetra_skeleton_is_k4(self, tetra):

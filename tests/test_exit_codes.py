@@ -67,9 +67,9 @@ ROWS = [
     ('nested g badcyc', 3, 'e3b0c44298fc1c14',
      'error: badcyc: line 1: cycle needs an id and at least three vertices\n'),
     ('nested g missing', 3, 'e3b0c44298fc1c14',
-     'error: face x: no edge between b and z\n'),
+     'error: missing: cycle x: no edge between b and z\n'),
     ('nested multi c1', 3, 'e3b0c44298fc1c14',
-     'error: face x: ambiguous edge between a and b; list edge ids instead\n'),
+     'error: c1: cycle x: ambiguous edge between a and b; list edge ids instead\n'),
     ('nested g nofile', 3, 'e3b0c44298fc1c14',
      "error: [Errno 2] No such file or directory: 'nofile'\n"),
     ('generate nosuch', 3, 'e3b0c44298fc1c14',

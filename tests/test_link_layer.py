@@ -10,17 +10,20 @@ asked it, by a second simplicity test and a second block pass.
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import families
 from outerspatial import complexes, decider, embedding, surface
 from outerspatial import generators as gen
-from outerspatial.complexes import Graph, cone, delete_faces
+from outerspatial.complexes import Face, Graph, TwoComplex, cone, delete_faces, link_graph
 from outerspatial.decider import decide_outerspatial, is_locally_2_connected
 from outerspatial.embedding import is_2_connected
 from outerspatial.embedding import test_outerplanar as check_outerplanar
 from outerspatial.embedding import test_planar as check_planar
+from outerspatial.fileformat import parse_complex
 from outerspatial.surface import classify_component
 
 
@@ -306,16 +309,101 @@ def _count_calls(monkeypatch, name, modules):
     return calls
 
 
+def _count_link_graphs(monkeypatch):
+    """The host of every link whose validated `Graph` is built, once per build."""
+    built = []
+    prop = complexes.LinkGraph.graph
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda link: built.append(link.host) or real(link))
+    return built
+
+
 def test_prism_decides_without_cone_planarity_and_builds_links_at_most_twice(monkeypatch):
-    complex = gen.prism(20)
-    planar = _count_calls(monkeypatch, "test_planar", [embedding, decider])
-    links = _count_calls(monkeypatch, "link_graph", [complexes, decider, surface])
+    """Positives read each link off the corner index and build no link `Graph`."""
+    for complex in (gen.prism(20), families.stacked(3, 120)):
+        with monkeypatch.context() as mp:
+            planar = _count_calls(mp, "test_planar", [embedding, decider])
+            links = _count_calls(mp, "link_graph", [complexes, decider, surface])
+            graphs = _count_link_graphs(mp)
+            verdict = decide_outerspatial(complex)
+        assert verdict.kind == "outerspatial"
+        assert planar == [] and graphs == []
+        builds = Counter(v for _, v in links)
+        assert set(builds) == complex.graph.vertices
+        assert max(builds.values()) <= 2
+
+
+def test_a_cone_over_k4_builds_the_link_graphs_it_reads(monkeypatch):
+    """No link of the cone is one cycle: each builds its `Graph` once for the
+    block pass, and the self-check builds the apex link's again to verify the
+    obstruction."""
+    complex = gen.cone_over_graph(gen.named_graph("k4"))
+    graphs = _count_link_graphs(monkeypatch)
     verdict = decide_outerspatial(complex)
-    assert verdict.kind == "outerspatial"
-    assert planar == []
-    builds = Counter(v for _, v in links)
-    assert set(builds) == complex.graph.vertices
-    assert max(builds.values()) <= 2
+    assert verdict.kind == "not-outerspatial" and verdict.obstruction.path.vertices == ("t",)
+    assert Counter(graphs) == {"t": 2, "a": 1, "b": 1, "c": 1, "d": 1}
+
+
+def link_edge_cases():
+    """Complexes whose links hold loop ends, a digon, an isolated vertex and a loop."""
+    # The link at a is the 4-cycle l:0 y l:1 x on the ends of the loop l;
+    # the link at b is the digon on x and y.
+    g = Graph("ab", {"l": ("a", "a"), "x": ("a", "b"), "y": ("a", "b")})
+    loop_ends = TwoComplex(g, [Face.from_edges(g, "p", ["l", "x", "y"]),
+                               Face.from_edges(g, "q", ["l", "y", "x"])])
+    # The pendant edge ae is an isolated vertex of the link at a, and the
+    # face d, from a to b and back along ab, a loop at ab in the links at a and b.
+    tetra = gen.tetra()
+    g = Graph(tetra.graph.vertices | {"e"}, {**tetra.graph.edges, "ae": ("a", "e")})
+    pendant = TwoComplex(g, list(tetra.faces.values()) + [Face.from_edges(g, "d", ["ab", "ab"])])
+    # Two tetrahedra sharing a vertex: the link there is two triangles.
+    bowtie = families.from_cycles({**families.stacked_cycles(1, 4),
+                                   "g1": ("v0", "w1", "w2"), "g2": ("v0", "w2", "w3"),
+                                   "g3": ("v0", "w1", "w3"), "g4": ("w1", "w2", "w3")})
+    return [loop_ends, pendant, bowtie]
+
+
+def reference_link(complex, v):
+    """Vertices and ends of the link at v as the corner rule names them (loop e: e:0, e:1)."""
+    g = complex.graph
+
+    def name(half_edge):
+        eid, end = half_edge
+        return f"{eid}:{end}" if g.is_loop(eid) else eid
+
+    ends = {le: (name(come), name(go)) for le, _, come, go in complex._corners_at(v)}
+    return {name(h) for h in g.half_edges_at(v)}, ends
+
+
+def test_links_from_the_corner_index_answer_as_their_graphs():
+    """The per-vertex pass answers as `test_outerplanar` on the validated link
+    `Graph`, and builds that `Graph` exactly for links that are not one cycle."""
+    golden = Path(__file__).parent / "golden"
+    complexes_ = [parse_complex(p.read_text()) for p in sorted(golden.glob("*.complex"))]
+    complexes_ += [families.stacked(11, 150), gen.prism(30), families.tower(6),
+                   families.disjoint_tetrahedra(3), cone(gen.tetra()), cone(gen.prism(5)),
+                   cone(families.stacked(2, 12))]
+    complexes_ += [gen.cone_over_graph(gen.named_graph(name)) for name in ("k4", "k23")]
+    complexes_ += link_edge_cases()
+    shortcut = 0
+    for complex in complexes_:
+        for v, (link, result) in decider._link_structures(complex).items():
+            assert (set(link.vertices), link.ends) == reference_link(complex, v), (complex, v)
+            one_cycle = result.boundary is not None and not result.chords
+            assert ("graph" in vars(link)) != one_cycle, (complex, v)
+            shortcut += one_cycle
+            expected = check_outerplanar(link_graph(complex, v).graph)
+            assert _outcome(result) == _outcome(expected), (complex, v)
+    assert shortcut > 400
+
+
+def test_link_edge_cases_reach_each_shape():
+    loop_ends, pendant, bowtie = link_edge_cases()
+    assert check_outerplanar(link_graph(loop_ends, "a")).boundary == ("l:0", "x", "l:1", "y")
+    assert link_graph(loop_ends, "b").graph.parallel_pairs() == (("p", "q"),)
+    assert link_graph(pendant, "a").graph.degree("ae") == 0
+    assert link_graph(pendant, "a").graph.loops() == ("d",)
+    assert len(link_graph(bowtie, "v0").graph.components()) == 2
 
 
 def test_classify_component_is_total():
@@ -378,7 +466,13 @@ def near_miss_cycles():
         from_pairs([(u, v) for w in "abc" for u, v in (("s", w), (w, "t"))]),  # theta
         from_pairs(hexagon[:-1]),                                 # a path
         from_pairs(triangle + [("c", "p")]),                      # a pendant vertex
+        from_pairs([("p", "p"), ("q", "r"), ("q", "r")]),         # a loop beside a digon
     ]
+
+
+def single_cycle(graph):
+    """`embedding._single_cycle` on a graph's vertices and edge ends."""
+    return embedding._single_cycle(graph.vertices, graph.edges)
 
 
 def _outcome(result):
@@ -392,19 +486,19 @@ class TestSingleCycleShortcut:
     def test_cycles_agree_with_the_block_pass_and_the_reference(self, monkeypatch):
         rng = random.Random(29)
         cycles = [relabelled_cycle(rng, n) for n in range(3, 301)]
-        assert all(embedding._single_cycle(g) is not None for g in cycles)
+        assert all(single_cycle(g) is not None for g in cycles)
         fast = [_outcome(check_outerplanar(g)) for g in cycles]
         for graph, got in zip(cycles, fast):
             assert got[2] == frozenset(graph.edge_ids()) and got[3] == frozenset()
         for graph, got in zip(cycles[:40] + cycles[-1:], fast[:40] + fast[-1:]):
             assert got == reference_outerplanar(graph), graph.edges
-        monkeypatch.setattr(embedding, "_single_cycle", lambda graph: None)
+        monkeypatch.setattr(embedding, "_single_cycle", lambda vertices, ends: None)
         for graph, got in zip(cycles, fast):
             assert got == _outcome(check_outerplanar(graph)), graph.edges
 
     def test_near_misses_take_the_block_pass(self):
         for graph in near_miss_cycles():
-            assert embedding._single_cycle(graph) is None, graph.edges
+            assert single_cycle(graph) is None, graph.edges
             assert _outcome(check_outerplanar(graph)) == reference_outerplanar(graph), graph.edges
 
 
@@ -421,8 +515,8 @@ def test_single_cycle_is_the_closed_surface_link_test():
     graphs = [graph for make in FAMILIES.values() for graph in make()]
     graphs += [relabelled_cycle(rng, n) for n in range(2, 12)] + near_miss_cycles()
     for graph in graphs:
-        got = embedding._single_cycle(graph) is not None
+        got = single_cycle(graph) is not None
         assert got == reference_link_is_single_cycle(graph), graph.edges
     digon = relabelled_cycle(rng, 2)
-    assert embedding._single_cycle(digon) == tuple(sorted(digon.vertices))
+    assert single_cycle(digon) == tuple(sorted(digon.vertices))
     assert _outcome(check_outerplanar(digon)) == reference_outerplanar(digon)
