@@ -234,8 +234,8 @@ class Face:
             if not cands:
                 raise ValueError(f"{kind} {face_id}: no edge between {u} and {v}")
             if len(cands) > 1:
-                raise ValueError(
-                    f"{kind} {face_id}: ambiguous edge between {u} and {v}; list edge ids instead")
+                hint = "; list edge ids instead" if kind == "face" else ""  # a cycle has no `facee`
+                raise ValueError(f"{kind} {face_id}: ambiguous edge between {u} and {v}{hint}")
             eid = cands[0]
             o = 0 if graph.endpoints(eid)[0] == u else 1
             steps.append((u, eid, o))
@@ -309,7 +309,17 @@ def _walk_from(graph: Graph, edge_ids: Sequence[str], start: str) -> tuple[Step,
 
 
 def _canonical_walk(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    """Lexicographically minimal rotation or reflection of the walk."""
+    """Lexicographically minimal rotation or reflection of the walk.
+
+    On a genuine cycle, the lesser of the whole forward and reflected walks
+    from the least vertex (steps compare by vertex first, and the first edges
+    may tie); a walk with a repeated vertex takes each direction's least rotation.
+    """
+    vs = [s[0] for s in steps]
+    if len(vs) >= 3 and len(set(vs)) == len(vs):
+        i = vs.index(min(vs))
+        forward = steps[i:] + steps[:i]
+        return min(forward, _reflect(forward))
     return min(_least_rotation(steps), _least_rotation(_reflect(steps)))
 
 
@@ -370,6 +380,17 @@ class TwoComplex:
                 w = v
             self._faces[f.face_id] = f
         self._corners: dict[str, list[tuple[str, str, HalfEdge, HalfEdge]]] | None = None
+
+    @classmethod
+    def _regroup(cls, graph: Graph, faces: Iterable[Face]) -> "TwoComplex":
+        """The complex on faces sorted by id, without the per-step check; each caller's faces fit:
+        `delete_faces`, `face_subcomplex` and `split_components` keep each face's
+        edges, with their ends, from a built complex; `parse_complex` and
+        `associated_complex` build faces by walking the graph and refuse repeated ids.
+        """
+        out = cls(graph, ())
+        out._faces = {f.face_id: f for f in sorted(faces, key=lambda f: f.face_id)}
+        return out
 
     @property
     def faces(self) -> dict[str, Face]:
@@ -649,18 +670,18 @@ def delete_faces(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
     Boundary cells of a genuine-cycle face are always also incident with
     their own subcells (an edge with its endpoints, a vertex with its edges),
     so in practice the skeleton persists: deleting every face of the
-    tetrahedron leaves the bare K4 graph.
+    tetrahedron leaves the bare K4 graph.  Kept faces are not re-checked.
     """
     doomed = set(face_ids)
     unknown = doomed - set(complex.face_ids())
     if unknown:
         raise ValueError(f"unknown face ids: {sorted(unknown)}")
-    kept_faces = [f for fid, f in complex.faces.items() if fid not in doomed]
-    return TwoComplex(complex.graph, kept_faces)
+    kept_faces = [f for fid, f in complex._faces.items() if fid not in doomed]
+    return TwoComplex._regroup(complex.graph, kept_faces)
 
 
 def face_subcomplex(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
-    """The subcomplex generated by a face subset: those faces plus their cells."""
+    """The subcomplex generated by a face subset: those faces, not re-checked, plus their cells."""
     chosen = sorted(set(face_ids))
     faces = [complex.face(fid) for fid in chosen]
     edges: dict[str, tuple[str, str]] = {}
@@ -669,7 +690,7 @@ def face_subcomplex(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
         for eid in f.edge_ids:
             edges[eid] = complex.graph.endpoints(eid)
         vertices |= set(f.vertices)
-    return TwoComplex(Graph(vertices, edges), faces)
+    return TwoComplex._regroup(Graph(vertices, edges), faces)
 
 
 def vertex_sum(h1: Graph, h2: Graph, v: str, pairing: Mapping[str, str]) -> Graph:
@@ -713,7 +734,7 @@ def vertex_sum(h1: Graph, h2: Graph, v: str, pairing: Mapping[str, str]) -> Grap
 def associated_complex(graph: Graph, cycles: Mapping[str, Sequence[str]] | Iterable[tuple[str, Sequence[str]]]) -> TwoComplex:
     """The complex whose skeleton is the graph and whose faces are the cycles."""
     items = cycles.items() if isinstance(cycles, Mapping) else list(cycles)
-    faces = []
+    faces: dict[str, Face] = {}
     seen: dict[tuple, str] = {}
     for fid, vs in items:
         f = Face.from_vertices(graph, fid, tuple(vs), kind="cycle")
@@ -722,16 +743,19 @@ def associated_complex(graph: Graph, cycles: Mapping[str, Sequence[str]] | Itera
         key = f.boundary_key()
         if key in seen:
             raise ValueError(f"cycles {seen[key]} and {fid} are the same cycle")
+        if fid in faces:
+            raise ValueError(f"duplicate face id {fid}")
         seen[key] = fid
-        faces.append(f)
-    return TwoComplex(graph, faces)
+        faces[fid] = f
+    return TwoComplex._regroup(graph, faces.values())
 
 
 def split_components(complex: TwoComplex) -> list[TwoComplex]:
     """Connected components as complexes, ordered by smallest vertex.
 
     Faces go to the component of their first vertex, read from the graph's
-    component index; a connected complex is returned as it is.
+    component index, and are not re-checked, as a walk stays in its
+    component; a connected complex is returned as it is.
     """
     comp_of, parts = complex.graph.component_index()
     if len(parts) == 1:
@@ -739,5 +763,5 @@ def split_components(complex: TwoComplex) -> list[TwoComplex]:
     faces: list[list[Face]] = [[] for _ in parts]
     for f in complex._faces.values():
         faces[comp_of[f.steps[0][0]]].append(f)
-    return [TwoComplex(part, fs) for part, fs in zip(parts, faces)]
+    return [TwoComplex._regroup(part, fs) for part, fs in zip(parts, faces)]
 

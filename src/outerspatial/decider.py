@@ -37,8 +37,8 @@ ASPHERICAL_SEARCH_BUDGET = 2 ** 20
 
 
 def _link_structures(complex: TwoComplex) -> dict[str, tuple[LinkGraph, OuterplanarityResult]]:
-    """Every link with its outerplanarity, read off the corner index: the one per-vertex
-    pass over links.  Only a link that is not one cycle builds a `Graph`, for the block pass."""
+    """Every link with its outerplanarity, read off the corner index (`_decide_component` stops
+    at the first non-outerplanar one).  Only a link that is not one cycle builds a `Graph`."""
     out = {}
     for v in sorted(complex.graph.vertices):
         link = link_graph(complex, v)
@@ -144,8 +144,9 @@ def _within_euler_bound(graph: Graph) -> bool:
 def decide_outerspatial(complex: TwoComplex) -> Verdict:
     """Decide outerspatiality with a checkable certificate or obstruction.
 
-    Pipeline, per component: link checks (a non-outerplanar link is an
-    immediate sound obstruction); perfect chordality of chordal faces;
+    Pipeline, per component: link checks in sorted vertex order (the first
+    non-outerplanar link is an immediate sound obstruction, and no link
+    after it is built); perfect chordality of chordal faces;
     deletion of chordal faces must leave spheres, else an aspherical
     subcomplex; finally a nesting forest over all boundaries in the sphere
     embedding whose rotators are the links' Hamilton boundaries.
@@ -219,15 +220,19 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
 
     Returns NotOuterspatial, or (tracing, component certificate) on
     success, or None when hypothesis violations block a sound verdict.
+    The link pass stops at the first non-outerplanar link in sorted vertex
+    order; links outside the hypothesis count only when there is none.
     """
-    structures = _link_structures(comp)
+    structures = {}
     blocked = []
-    for v in sorted(structures):
-        link, result = structures[v]
+    for v in sorted(comp.graph.vertices):
+        link = link_graph(comp, v)
+        result = test_outerplanar(link)
         if not result.outerplanar:
             return NotOuterspatial(NonOuterplanarLink(Path((v,), ()), link, result.witness))
         if result.violation is not None:
             blocked.append(LinkViolation(v, f"link graph is {result.violation}"))
+        structures[v] = (link, result)
     if blocked:
         violations.extend(blocked)
         return None

@@ -99,7 +99,7 @@ def parse_complex(text: str) -> TwoComplex:
                              f"face {fid} duplicates the boundary of {boundaries[key]}")
         boundaries[key] = fid
         faces.append(face)
-    return TwoComplex(graph, faces)
+    return TwoComplex._regroup(graph, faces)
 
 
 def format_complex(complex: TwoComplex) -> str:

@@ -2,11 +2,13 @@
 
 import random
 import tracemalloc
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import families
 from outerspatial import generators as gen
 from outerspatial.complexes import _reflect
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
@@ -14,7 +16,9 @@ from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     complete_graph, cone, contract_path,
                                     contracted_link, contracted_vertex_name,
                                     delete_faces, link_graph, skeleton,
-                                    split_components, validate, vertex_sum)
+                                    face_subcomplex, split_components, validate,
+                                    vertex_sum)
+from outerspatial.fileformat import format_complex, parse_complex
 
 
 def K4():
@@ -280,6 +284,8 @@ class TestAssociatedComplex:
     def test_duplicate_cycle_rejected(self):
         with pytest.raises(ValueError):
             associated_complex(K4(), {"f": ("a", "b", "c"), "g": ("b", "c", "a")})
+        with pytest.raises(ValueError, match="duplicate face id x"):
+            associated_complex(K4(), [("x", "abc"), ("x", "abd")])
 
 
 class TestComponents:
@@ -371,12 +377,30 @@ def random_degenerate_walk(rng):
     return block * rng.randint(1, 4)
 
 
+def random_genuine_cycle_walk(rng):
+    """Steps on 3 to 8 distinct vertices with random orientations and two edge ids.
+
+    The forward and reflected walks from the least vertex start with the
+    same step when the edges there repeat an id and their orientation bits
+    differ, about one draw in four.
+    """
+    vertices = rng.sample("abcdefgh", rng.randint(3, 8))
+    return tuple((v, rng.choice("xy"), rng.randint(0, 1)) for v in vertices)
+
+
 class TestCanonicalWalk:
     def test_agrees_with_every_rotation_and_reflection(self):
         rng = random.Random(17)
         for _ in range(20_000):
             steps = random_degenerate_walk(rng)
             assert Face("f", steps).steps == reference_canonical_walk(steps), steps
+        ties = 0
+        for _ in range(20_000):
+            steps = random_genuine_cycle_walk(rng)
+            assert Face("f", steps).steps == reference_canonical_walk(steps), steps
+            start = steps.index(min(steps))
+            ties += steps[start][1:] == (steps[start - 1][1], 1 - steps[start - 1][2])
+        assert ties > 2_000
 
     def test_long_face_is_built_in_linear_memory(self):
         k = 4000
@@ -390,3 +414,31 @@ class TestCanonicalWalk:
             tracemalloc.stop()
         assert face.steps == tuple(steps)
         assert peak < 16 * 2 ** 20
+
+
+def regrouping_inputs():
+    """Every golden complex and a few of the shared families, one on several components."""
+    golden = sorted((FilePath(__file__).parent / "golden").glob("*.complex"))
+    return ([parse_complex(p.read_text()) for p in golden]
+            + [families.tower(3), families.disjoint_tetrahedra(3), families.stacked(5, 12),
+               families.from_cycles(families.tower_cycles(2, inner_rings=False))])
+
+
+def test_regrouped_complexes_equal_the_checked_constructor():
+    """The operations that skip the per-step check build what `TwoComplex` would."""
+    inputs = regrouping_inputs()
+    for c in inputs:
+        ids = c.face_ids()
+        half = ids[::2]
+        faces = [c.face(fid) for fid in half]
+        sub = face_subcomplex(c, half)
+        results = [(delete_faces(c, ids[1::2]), c.graph, faces), (sub, sub.graph, faces),
+                   (parse_complex(format_complex(c)), c.graph, c.faces.values())]
+        results += [(part, part.graph, [c.face(fid) for fid in part.face_ids()])
+                    for part in split_components(c)]
+        if not validate(c):
+            cycles = {fid: f.vertices for fid, f in c.faces.items()}
+            results.append((associated_complex(c.graph, cycles), c.graph, c.faces.values()))
+        for got, graph, want in results:
+            assert got.canonical_key() == TwoComplex(graph, want).canonical_key()
+    assert any(len(split_components(c)) > 1 for c in inputs)

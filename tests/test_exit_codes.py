@@ -69,7 +69,7 @@ ROWS = [
     ('nested g missing', 3, 'e3b0c44298fc1c14',
      'error: missing: cycle x: no edge between b and z\n'),
     ('nested multi c1', 3, 'e3b0c44298fc1c14',
-     'error: c1: cycle x: ambiguous edge between a and b; list edge ids instead\n'),
+     'error: c1: cycle x: ambiguous edge between a and b\n'),
     ('nested g nofile', 3, 'e3b0c44298fc1c14',
      "error: [Errno 2] No such file or directory: 'nofile'\n"),
     ('generate nosuch', 3, 'e3b0c44298fc1c14',

@@ -344,6 +344,19 @@ def test_a_cone_over_k4_builds_the_link_graphs_it_reads(monkeypatch):
     assert Counter(graphs) == {"t": 2, "a": 1, "b": 1, "c": 1, "d": 1}
 
 
+def test_the_link_pass_stops_at_the_first_non_outerplanar_link(monkeypatch):
+    """The apex A sorts before every base vertex and its link, K4, is not
+    outerplanar, so `decide` builds no other link; the self-check builds
+    the apex link once more to verify the obstruction."""
+    complex = cone(TwoComplex(gen.named_graph("k4"), []), apex="A")
+    links = _count_calls(monkeypatch, "link_graph", [complexes, decider, surface])
+    graphs = _count_link_graphs(monkeypatch)
+    verdict = decide_outerspatial(complex)
+    assert verdict.kind == "not-outerspatial" and verdict.obstruction.path.vertices == ("A",)
+    assert [v for _, v in links] == ["A", "A"]
+    assert graphs == ["A", "A"]
+
+
 def link_edge_cases():
     """Complexes whose links hold loop ends, a digon, an isolated vertex and a loop."""
     # The link at a is the 4-cycle l:0 y l:1 x on the ends of the loop l;
