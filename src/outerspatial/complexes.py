@@ -161,10 +161,6 @@ class Graph:
             self._components = (comp_of, parts)
         return self._components
 
-    def components(self) -> list[frozenset[str]]:
-        """Vertex sets of connected components, sorted by smallest vertex."""
-        return [part.vertices for part in self.component_index()[1]]
-
     def is_connected(self) -> bool:
         return len(self.component_index()[1]) <= 1
 
@@ -188,16 +184,6 @@ class Graph:
 
 def complete_graph(names: Sequence[str]) -> Graph:
     edges = {f"{u}{v}": (u, v) for u, v in itertools.combinations(sorted(names), 2)}
-    return Graph(names, edges)
-
-
-def cycle_graph(names: Sequence[str]) -> Graph:
-    n = len(names)
-    edges = {}
-    for i in range(n):
-        u, v = names[i], names[(i + 1) % n]
-        a, b = sorted((u, v))
-        edges[f"{a}{b}"] = (a, b)
     return Graph(names, edges)
 
 
@@ -277,10 +263,6 @@ class Face:
         """No repeated vertex and length at least three."""
         vs = self.vertices
         return len(vs) >= 3 and len(set(vs)) == len(vs)
-
-    def boundary_key(self) -> tuple:
-        """Canonical boundary, used to detect duplicate faces."""
-        return self.steps
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Face) and (self.face_id, self.steps) == (other.face_id, other.steps)
@@ -402,9 +384,6 @@ class TwoComplex:
     def face(self, fid: str) -> Face:
         return self._faces[fid]
 
-    def faces_with_edge(self, eid: str) -> tuple[str, ...]:
-        return tuple(fid for fid, f in self._faces.items() if eid in f.edge_ids)
-
     def _corners_at(self, v: str) -> list[tuple[str, str, HalfEdge, HalfEdge]]:
         """Corners at v as (link edge id, face, half-edge in, half-edge out); one indexing pass."""
         if self._corners is None:
@@ -419,13 +398,6 @@ class TwoComplex:
                     self._corners.setdefault(w, []).append(
                         (fid if occ == 0 else f"{fid}@{occ}", fid, (pe, 1 - po), (eid, o)))
         return self._corners.get(v, [])
-
-    def edge_face_count(self) -> dict[str, int]:
-        counts = {e: 0 for e in self.graph.edges}
-        for f in self._faces.values():
-            for e in f.edge_ids:
-                counts[e] += 1
-        return counts
 
     def canonical_key(self) -> tuple:
         return (self.graph.canonical_key(),
@@ -473,12 +445,11 @@ def validate(complex: TwoComplex) -> list[Violation]:
                                  f"face {fid} boundary is not a genuine cycle"))
     seen: dict[tuple, str] = {}
     for fid, f in complex.faces.items():
-        key = f.boundary_key()
-        if key in seen:
+        if f.steps in seen:
             out.append(Violation("duplicate-face", fid,
-                                 f"faces {seen[key]} and {fid} have the same boundary"))
+                                 f"faces {seen[f.steps]} and {fid} have the same boundary"))
         else:
-            seen[key] = fid
+            seen[f.steps] = fid
     return out
 
 
@@ -693,44 +664,6 @@ def face_subcomplex(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
     return TwoComplex._regroup(Graph(vertices, edges), faces)
 
 
-def vertex_sum(h1: Graph, h2: Graph, v: str, pairing: Mapping[str, str]) -> Graph:
-    """Glue two graphs at a shared vertex by pairing its incident edges.
-
-    The result is the disjoint union minus v, with one new edge per pair of
-    incident edges identified by the pairing.
-    """
-    if v not in h1.vertices or v not in h2.vertices:
-        raise ValueError(f"{v} must be a vertex of both graphs")
-    shared = h1.vertices & h2.vertices
-    if shared != {v}:
-        raise ValueError(f"graphs must be disjoint apart from {v}; shared: {sorted(shared)}")
-    inc1, inc2 = set(h1.incident_edges(v)), set(h2.incident_edges(v))
-    if any(h.is_loop(e) for h, es in ((h1, inc1), (h2, inc2)) for e in es):
-        raise ValueError("vertex sum is undefined with loops at the summing vertex")
-    if set(pairing) != inc1 or set(pairing.values()) != inc2 or len(set(pairing.values())) != len(pairing):
-        raise ValueError("pairing must be a bijection between the incident edge sets")
-
-    vertices = (h1.vertices | h2.vertices) - {v}
-    edges: dict[str, tuple[str, str]] = {}
-    for h, inc in ((h1, inc1), (h2, inc2)):
-        for eid, (a, b) in h.edges.items():
-            if eid in inc:
-                continue
-            edges[eid] = (a, b)
-
-    def other(h: Graph, eid: str) -> str:
-        a, b = h.endpoints(eid)
-        return b if a == v else a
-
-    used = set(edges)
-    for e1 in sorted(pairing):
-        e2 = pairing[e1]
-        nid = _fresh_name(e1 if e1 == e2 else f"{e1}~{e2}", used)
-        used.add(nid)
-        edges[nid] = (other(h1, e1), other(h2, e2))
-    return Graph(vertices, edges)
-
-
 def associated_complex(graph: Graph, cycles: Mapping[str, Sequence[str]] | Iterable[tuple[str, Sequence[str]]]) -> TwoComplex:
     """The complex whose skeleton is the graph and whose faces are the cycles."""
     items = cycles.items() if isinstance(cycles, Mapping) else list(cycles)
@@ -740,12 +673,11 @@ def associated_complex(graph: Graph, cycles: Mapping[str, Sequence[str]] | Itera
         f = Face.from_vertices(graph, fid, tuple(vs), kind="cycle")
         if not f.is_genuine_cycle():
             raise ValueError(f"cycle {fid} is not a genuine cycle")
-        key = f.boundary_key()
-        if key in seen:
-            raise ValueError(f"cycles {seen[key]} and {fid} are the same cycle")
+        if f.steps in seen:
+            raise ValueError(f"cycles {seen[f.steps]} and {fid} are the same cycle")
         if fid in faces:
             raise ValueError(f"duplicate face id {fid}")
-        seen[key] = fid
+        seen[f.steps] = fid
         faces[fid] = f
     return TwoComplex._regroup(graph, faces.values())
 

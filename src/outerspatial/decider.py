@@ -11,7 +11,7 @@ answer was established.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .complexes import (Graph, LinkGraph, Path, TwoComplex, associated_complex,
                         contracted_link, delete_faces, face_subcomplex,
@@ -36,19 +36,18 @@ from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
 ASPHERICAL_SEARCH_BUDGET = 2 ** 20
 
 
-def _link_structures(complex: TwoComplex) -> dict[str, tuple[LinkGraph, OuterplanarityResult]]:
-    """Every link with its outerplanarity, read off the corner index (`_decide_component` stops
-    at the first non-outerplanar one).  Only a link that is not one cycle builds a `Graph`."""
-    out = {}
+def _links(complex: TwoComplex) -> Iterator[tuple[str, LinkGraph, OuterplanarityResult]]:
+    """Each vertex with its link and the link's outerplanarity, in sorted vertex order, read
+    off the corner index; a reader that stops early builds no later link.  Only a link that
+    is not one cycle builds a `Graph`."""
     for v in sorted(complex.graph.vertices):
         link = link_graph(complex, v)
-        out[v] = (link, test_outerplanar(link))
-    return out
+        yield v, link, test_outerplanar(link)
 
 
 def is_locally_2_connected(complex: TwoComplex) -> bool:
     """Every link graph is a 2-connected simple graph."""
-    return all(result.violation is None for _, result in _link_structures(complex).values())
+    return all(result.violation is None for _, _, result in _links(complex))
 
 
 def find_chordal_faces(
@@ -56,7 +55,8 @@ def find_chordal_faces(
         structures: Mapping[str, tuple[LinkGraph, OuterplanarityResult]] | None = None
 ) -> dict[str, frozenset[str]]:
     """Faces that are chords in some link, with the vertices where they are chords."""
-    structures = structures if structures is not None else _link_structures(complex)
+    if structures is None:
+        structures = {v: (link, result) for v, link, result in _links(complex)}
     out: dict[str, set[str]] = {}
     for v in sorted(structures):
         link, result = structures[v]
@@ -80,7 +80,6 @@ def check_perfectly_chordal(
     a chord and whose head does not; contracting that edge produces a link
     with a K2,3 minor, returned as a NonOuterplanarLink.
     """
-    structures = structures if structures is not None else _link_structures(complex)
     chordal = chordal if chordal is not None else find_chordal_faces(complex, structures)
     if face_id not in chordal:
         raise ValueError(f"face {face_id} is not chordal at any vertex")
@@ -225,9 +224,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     """
     structures = {}
     blocked = []
-    for v in sorted(comp.graph.vertices):
-        link = link_graph(comp, v)
-        result = test_outerplanar(link)
+    for v, link, result in _links(comp):
         if not result.outerplanar:
             return NotOuterspatial(NonOuterplanarLink(Path((v,), ()), link, result.witness))
         if result.violation is not None:

@@ -93,11 +93,10 @@ def parse_complex(text: str) -> TwoComplex:
             raise
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from exc
-        key = face.boundary_key()
-        if key in boundaries:
+        if face.steps in boundaries:
             raise ParseError(line_no,
-                             f"face {fid} duplicates the boundary of {boundaries[key]}")
-        boundaries[key] = fid
+                             f"face {fid} duplicates the boundary of {boundaries[face.steps]}")
+        boundaries[face.steps] = fid
         faces.append(face)
     return TwoComplex._regroup(graph, faces)
 

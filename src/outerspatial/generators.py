@@ -8,7 +8,8 @@ import string
 from typing import Sequence
 
 from .complexes import (Face, Graph, TwoComplex, _fresh_name,
-                        complete_bipartite, complete_graph, cone, validate)
+                        complete_bipartite, complete_graph, cone, link_graph,
+                        validate)
 from .decider import is_locally_2_connected
 from .oracle import rotation_space_size
 
@@ -161,23 +162,18 @@ def _canonical_cycle(path: Sequence[str]) -> tuple[str, ...]:
 
 
 def _corner_conflicts(complex: TwoComplex, cycle: Sequence[str]) -> bool:
-    """Would adding this cycle as a face give some link a parallel edge?"""
+    """Would adding this genuine cycle as a face give some link a parallel edge?
+
+    The complex is simple, so its links name their vertices by edge id.
+    """
     g = complex.graph
     k = len(cycle)
-    existing: dict[str, set[frozenset[str]]] = {v: set() for v in g.vertices}
-    for f in complex.faces.values():
-        n = len(f.steps)
-        for i, (v, e, _) in enumerate(f.steps):
-            prev_e = f.steps[(i - 1) % n][1]
-            existing[v].add(frozenset((prev_e, e)))
-    for i in range(k):
-        v = cycle[i]
-        e_in = g.edges_between(cycle[(i - 1) % k], v)[0]
+    for i, v in enumerate(cycle):
+        e_in = g.edges_between(cycle[i - 1], v)[0]
         e_out = g.edges_between(v, cycle[(i + 1) % k])[0]
-        corner = frozenset((e_in, e_out))
-        if len(corner) < 2 or corner in existing[v]:
+        corners = link_graph(complex, v).ends.values()
+        if (e_in, e_out) in corners or (e_out, e_in) in corners:
             return True
-        existing[v].add(corner)
     return False
 
 
@@ -235,8 +231,7 @@ def random_complex(seed: int, max_vertices: int = 8) -> TwoComplex:
                 if _corner_conflicts(complex, cyc):
                     continue
                 cand_face = Face.from_vertices(complex.graph, f"x{len(complex.faces)}", cyc)
-                if any(cand_face.boundary_key() == f.boundary_key()
-                       for f in complex.faces.values()):
+                if any(cand_face.steps == f.steps for f in complex.faces.values()):
                     continue
                 complex = TwoComplex(complex.graph, list(complex.faces.values()) + [cand_face])
                 break
@@ -245,30 +240,3 @@ def random_complex(seed: int, max_vertices: int = 8) -> TwoComplex:
                 and rotation_space_size(complex.graph) <= RANDOM_ROTATION_BUDGET):
             return complex
     raise AssertionError("random complex generation failed to converge")
-
-
-def random_planar_graph(seed: int, max_vertices: int = 8) -> Graph:
-    """A seeded random planar graph: a grown triangulation minus random edges."""
-    rng = random.Random(seed)
-    complex = tetra()
-    target = rng.randrange(4, max_vertices + 1)
-    while len(complex.graph.vertices) < target:
-        triangles = [fid for fid in complex.face_ids()
-                     if len(complex.face(fid)) == 3]
-        fid = rng.choice(triangles)
-        complex = insert_vertex(complex, fid, f"v{len(complex.graph.vertices)}")
-    g = complex.graph
-    edges = g.edges
-    kept = {e: uv for e, uv in edges.items() if rng.random() > 0.25}
-    return Graph(g.vertices, kept)
-
-
-def triangles_of(graph: Graph) -> dict[str, tuple[str, str, str]]:
-    """All triangles of a simple graph, keyed deterministically."""
-    out = {}
-    for i, (u, v, w) in enumerate(
-            t for t in itertools.combinations(sorted(graph.vertices), 3)
-            if graph.edges_between(t[0], t[1]) and graph.edges_between(t[0], t[2])
-            and graph.edges_between(t[1], t[2])):
-        out[f"t{i}"] = (u, v, w)
-    return out

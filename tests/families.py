@@ -7,6 +7,9 @@ so sort order follows construction order.
 
 The `reference_*` functions are the pairwise algorithm that the label walk
 of `embedding.nesting_forest` replaced, kept as the tests' ground truth.
+`vertex_sum` is the paper's description of the link at a contracted edge,
+the reference for the contraction law; `random_planar_graph` and
+`triangles_of` draw seeded planar graphs with all their triangles.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from outerspatial.complexes import Face, Graph, TwoComplex
+from outerspatial.complexes import Face, Graph, TwoComplex, _fresh_name
+from outerspatial.generators import insert_vertex, tetra
 
 
 def from_cycles(cycles: Mapping[str, Sequence[str]]) -> TwoComplex:
@@ -169,4 +173,69 @@ def reference_nesting(traced, cycles, outer_faces):
     for outer in outer_faces:
         interiors = {cid: b if outer in a else a for cid, (a, b) in sides.items()}
         out[outer] = reference_containment_forest(interiors)
+    return out
+
+
+def vertex_sum(h1: Graph, h2: Graph, v: str, pairing: Mapping[str, str]) -> Graph:
+    """Glue two graphs at a shared vertex by pairing its incident edges.
+
+    The result is the disjoint union minus v, with one new edge per pair of
+    incident edges identified by the pairing.
+    """
+    if v not in h1.vertices or v not in h2.vertices:
+        raise ValueError(f"{v} must be a vertex of both graphs")
+    shared = h1.vertices & h2.vertices
+    if shared != {v}:
+        raise ValueError(f"graphs must be disjoint apart from {v}; shared: {sorted(shared)}")
+    inc1, inc2 = set(h1.incident_edges(v)), set(h2.incident_edges(v))
+    if any(h.is_loop(e) for h, es in ((h1, inc1), (h2, inc2)) for e in es):
+        raise ValueError("vertex sum is undefined with loops at the summing vertex")
+    if set(pairing) != inc1 or set(pairing.values()) != inc2 or len(set(pairing.values())) != len(pairing):
+        raise ValueError("pairing must be a bijection between the incident edge sets")
+
+    vertices = (h1.vertices | h2.vertices) - {v}
+    edges: dict[str, tuple[str, str]] = {}
+    for h, inc in ((h1, inc1), (h2, inc2)):
+        for eid, (a, b) in h.edges.items():
+            if eid in inc:
+                continue
+            edges[eid] = (a, b)
+
+    def other(h: Graph, eid: str) -> str:
+        a, b = h.endpoints(eid)
+        return b if a == v else a
+
+    used = set(edges)
+    for e1 in sorted(pairing):
+        e2 = pairing[e1]
+        nid = _fresh_name(e1 if e1 == e2 else f"{e1}~{e2}", used)
+        used.add(nid)
+        edges[nid] = (other(h1, e1), other(h2, e2))
+    return Graph(vertices, edges)
+
+
+def random_planar_graph(seed: int, max_vertices: int = 8) -> Graph:
+    """A seeded random planar graph: a grown triangulation minus random edges."""
+    rng = random.Random(seed)
+    complex = tetra()
+    target = rng.randrange(4, max_vertices + 1)
+    while len(complex.graph.vertices) < target:
+        triangles = [fid for fid in complex.face_ids()
+                     if len(complex.face(fid)) == 3]
+        fid = rng.choice(triangles)
+        complex = insert_vertex(complex, fid, f"v{len(complex.graph.vertices)}")
+    g = complex.graph
+    edges = g.edges
+    kept = {e: uv for e, uv in edges.items() if rng.random() > 0.25}
+    return Graph(g.vertices, kept)
+
+
+def triangles_of(graph: Graph) -> dict[str, tuple[str, str, str]]:
+    """All triangles of a simple graph, keyed deterministically."""
+    out = {}
+    for i, (u, v, w) in enumerate(
+            t for t in itertools.combinations(sorted(graph.vertices), 3)
+            if graph.edges_between(t[0], t[1]) and graph.edges_between(t[0], t[2])
+            and graph.edges_between(t[1], t[2])):
+        out[f"t{i}"] = (u, v, w)
     return out

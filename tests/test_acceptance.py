@@ -12,6 +12,7 @@ import sys
 import networkx as nx
 import pytest
 
+from families import random_planar_graph, triangles_of
 from outerspatial import generators as gen
 from outerspatial import embedding
 from outerspatial.complexes import Graph, Path, contract_path, validate
@@ -114,8 +115,8 @@ def test_criterion_4_triangle_sets_are_nested():
     failures = 0
     count = 220
     for seed in range(count):
-        graph = gen.random_planar_graph(seed)
-        verdict = decide_nested_plane(graph, gen.triangles_of(graph))
+        graph = random_planar_graph(seed)
+        verdict = decide_nested_plane(graph, triangles_of(graph))
         if not isinstance(verdict, Outerspatial):
             failures += 1
     report(4, failures == 0,

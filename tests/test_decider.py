@@ -25,7 +25,7 @@ from outerspatial.embedding import test_planar as check_planar
 from outerspatial.cli import main
 from outerspatial.fileformat import format_complex, format_verdict
 from outerspatial.verdicts import cycles_by_component, nested_certificate
-from families import from_cycles, stacked
+from families import from_cycles, random_planar_graph, stacked, triangles_of
 from test_link_layer import _count_calls
 from test_sweep import stacked_sphere
 
@@ -332,8 +332,8 @@ class TestDecideNestedPlane:
         assert isinstance(verdict, Outerspatial)
 
     def test_random_planar_with_triangles(self):
-        g = gen.random_planar_graph(3)
-        verdict = decide_nested_plane(g, gen.triangles_of(g))
+        g = random_planar_graph(3)
+        verdict = decide_nested_plane(g, triangles_of(g))
         assert isinstance(verdict, Outerspatial)
 
     def test_non_cycle_rejected(self):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from families import reference_nesting
 from outerspatial import generators as gen
-from outerspatial.complexes import (Graph, complete_bipartite, complete_graph,
-                                    cycle_graph)
+from outerspatial.complexes import Graph, complete_bipartite, complete_graph
 from outerspatial.decider import decide_outerspatial
 from outerspatial import embedding
 from outerspatial.embedding import (CrossingPair, RotationSystem, check_cycle,
@@ -24,6 +23,11 @@ check_outerplanar = embedding.test_outerplanar
 
 def K4():
     return complete_graph("abcd")
+
+
+def C4():
+    """The cycle a-b-c-d, its edges named by their sorted ends."""
+    return Graph("abcd", {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "ad": ("a", "d")})
 
 
 PLANAR_K4_ROTATORS = {
@@ -79,7 +83,7 @@ class TestPlanarity:
 
     def test_wheel_planar(self):
         # C4 plus a hub adjacent to every rim vertex.
-        rim = cycle_graph("abcd")
+        rim = C4()
         edges = rim.edges
         for v in "abcd":
             edges[f"h{v}"] = ("h", v)
@@ -92,8 +96,8 @@ class TestPlanarity:
         traced = check_planar(g)
         assert traced is not None and len(traced) == 2
         assert traced[0].rotation is traced[1].rotation
-        for comp in g.components():
-            sub = g.induced_subgraph(comp)
+        for part in g.component_index()[1]:
+            sub = g.induced_subgraph(part.vertices)
             assert trace_faces(sub, traced[0].rotation).genus == 0
 
     def test_multigraph_theta_and_loop(self):
@@ -112,8 +116,7 @@ class TestPlanarity:
 
 class TestOuterplanarity:
     def test_square_with_chord(self):
-        g = cycle_graph("abcd")
-        edges = g.edges
+        edges = C4().edges
         edges["ac"] = ("a", "c")
         g = Graph("abcd", edges)
         result = check_outerplanar(g)
@@ -148,7 +151,7 @@ class TestOuterplanarity:
 
 class TestTwoConnected:
     def test_cycle(self):
-        assert is_2_connected(cycle_graph("abcd"))
+        assert is_2_connected(C4())
 
     def test_star_has_cutvertex(self):
         assert not is_2_connected(complete_bipartite(["c"], ["x", "y", "z"]))
@@ -333,7 +336,7 @@ def _graph_and_rotation(draw):
         if draw(st.booleans()):
             edges[f"e{i}"] = (u, v)
     g = Graph(names, edges)
-    comp = max(g.components(), key=len)
+    comp = max((part.vertices for part in g.component_index()[1]), key=len)
     g = g.induced_subgraph(comp)
     rotators = {}
     for v in sorted(g.vertices):

@@ -1,13 +1,16 @@
-"""The package's modules import one another in one direction only.
+"""The package's modules import one another in one direction only, and
+`src/` holds only code that the package itself uses.
 
 Every `import` and `from ... import` in `src/outerspatial/*.py` is read from
 the syntax tree, at module level and inside functions.  Imports of sibling
 modules form an acyclic graph and all sit at module level; only imports of
 third-party modules, such as networkx for a planarity embedding, may be
-deferred into a function.
+deferred into a function.  Every function, method and class defined there
+is named somewhere else in the package, bar a short list of entry points.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "outerspatial"
@@ -105,3 +108,71 @@ def test_the_cycle_finder_finds_a_cycle():
     assert _cycle({"decider": {"oracle"}, "oracle": {"decider"}}) == \
         ["decider", "oracle", "decider"]
     assert _cycle({"decider": {"oracle"}, "oracle": {"verdicts"}}) is None
+
+
+# Definitions that nothing else in `src/` names, each kept for a reason of its own.
+UNREFERENCED = {
+    "cli._Parser.error",  # argparse calls it
+    "decider.decide_nested_plane",  # the library entry point the README shows
+    "fileformat.parse_certificate_report",  # the report round-trip the benchmark checks
+    # The exhaustive ground truth stays in `oracle`.
+    "oracle.enumerate_rotation_systems",
+    "oracle.enumerate_sphere_embeddings",
+    "oracle.find_aspherical_subcomplex",
+    "oracle._search_minor",
+    # Per-layer metrics of BENCHMARK.json name these.
+    "embedding.cycle_sides",
+    "embedding.cycles_cross",
+    "embedding.is_2_connected",
+}
+
+
+def _named(node: ast.AST) -> Counter:
+    """How often each identifier occurs under node as an `ast.Name` or an `ast.Attribute`."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced(sources: dict[str, str]) -> set[str]:
+    """Functions, methods and classes of the modules, given as stem -> source, whose name
+    occurs in no module outside their own definition; dunders aside.
+
+    Names are matched without their owner, so a method passes when anything
+    else of that name is used: `Graph.components` would pass unused because
+    `NestedCertificate.components` is read.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = sum((_named(tree) for tree in trees.values()), Counter())
+    out = set()
+
+    def visit(prefix: str, node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if not dunder and used[child.name] == _named(child)[child.name]:
+                    out.add(name)
+                visit(name, child)
+            else:
+                visit(prefix, child)
+
+    for module, tree in trees.items():
+        visit(module, tree)
+    return out
+
+
+def test_src_holds_no_definition_that_only_tests_use():
+    """A name that `__init__.py` alone exports is unused too."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert _unreferenced(sources) == UNREFERENCED
+
+
+def test_the_reference_scan_ignores_a_definition_naming_itself():
+    sources = {
+        "a": "def f(n):\n    return f(n - 1)\n\n"
+             "def g():\n    return h\n\n"
+             "class K:\n    def __init__(self):\n        pass\n\n"
+             "    def m(self):\n        def inner():\n            pass\n        return inner\n",
+        "b": "def h():\n    return g()\n",
+    }
+    assert _unreferenced(sources) == {"a.f", "a.K", "a.K.m"}

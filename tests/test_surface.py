@@ -30,8 +30,8 @@ class TestIsClosedSurface:
 
     def test_every_edge_in_two_faces(self, torus7, tetra):
         for complex in (torus7, tetra, gen.prism(4)):
-            counts = complex.edge_face_count()
-            assert all(c == 2 for c in counts.values())
+            for eid in complex.graph.edge_ids():
+                assert sum(eid in f.edge_ids for f in complex.faces.values()) == 2
 
 
 class TestClassify:
