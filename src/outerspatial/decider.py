@@ -148,7 +148,9 @@ def decide_outerspatial(complex: TwoComplex) -> Verdict:
     after it is built); perfect chordality of chordal faces;
     deletion of chordal faces must leave spheres, else an aspherical
     subcomplex; finally a nesting forest over all boundaries in the sphere
-    embedding whose rotators are the links' Hamilton boundaries.
+    embedding whose rotators are the links' Hamilton boundaries and whose
+    face orbits are the remainder's faces as the orientation search
+    directed them, so only the self-check traces the rotators.
     Components without faces are settled by planarity alone.
 
     When link checks fail, two sound routes outside the theorem's
@@ -256,6 +258,10 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     # A vertex's link in the remainder is its Hamilton boundary, so that
     # boundary is its rotator; one corner, directed with its face, gives the
     # sense.  Link vertices are edge ids, as a validated complex has no loops.
+    # Each corner of a directed face then turns from its in-edge to the next
+    # half-edge of the rotator, so the directed faces are the face orbits:
+    # each starts at its least dart and they come sorted, as `trace_faces`
+    # gives them.  Only the self-check traces the rotators.
     g = comp.graph
     rotators = {}
     for v, (link, result) in structures.items():
@@ -267,10 +273,14 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
         if cyc[cyc.index(come) - 1] == go:
             cyc = cyc[::-1]
         rotators[v] = [(e, int(g.endpoints(e)[0] != v)) for e in cyc]
-    rotation = RotationSystem(rotators)
-    traced = trace_faces(g, rotation)
-    if traced.genus != 0 or len(traced.orbits) != len(remainder.faces):
-        raise AssertionError("sphere rotators traced inconsistently")
+    orbits = []
+    for fid, f in remainder.faces.items():
+        if orientation[fid]:
+            orbits.append(_normalize_cycle(tuple((e, 1 - o) for _, e, o in reversed(f.steps))))
+        else:
+            orbits.append(_normalize_cycle(tuple((e, o) for _, e, o in f.steps)))
+    orbits.sort()
+    traced = TracedFaces(g, RotationSystem(rotators), tuple(orbits))
 
     cycles = {fid: f.edge_set for fid, f in comp.faces.items()}
     got = component_certificate(traced, cycles)
@@ -353,11 +363,11 @@ def oracle_verdict(complex: TwoComplex, *, cap: int = DEFAULT_CAP) -> Verdict:
 
 
 def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> bool:
-    """Independent certificate check: a re-trace and a label walk over each claimed forest.
+    """Independent certificate check: a trace and a label walk over each claimed forest.
 
     Shape: the rotation system has a rotator at exactly the graph's
     vertices; each component of the graph has exactly one certificate and
-    re-traces to genus zero, which checks that its rotators list the
+    traces to genus zero, which checks that its rotators list the
     half-edges at its vertices, and has the claimed outer orbit.  Every
     face is a genuine cycle, no two with one edge set.  Each parent map
     names exactly the faces of its component and is a forest: every walk

@@ -69,24 +69,21 @@ Dart = tuple[str, int]
 
 
 class RotationSystem:
-    """A cyclic order of half-edges at every vertex of a graph."""
+    """A cyclic order of half-edges at every vertex of a graph.
+
+    It holds only the rotators, each rotated to start at its least
+    half-edge; `trace_faces` builds the successor map it walks.
+    """
 
     def __init__(self, rotators: Mapping[str, Sequence[HalfEdge]]):
-        self._rot: dict[str, tuple[HalfEdge, ...]] = {}
-        for v in sorted(rotators):
-            self._rot[v] = _normalize_cycle(tuple(rotators[v]))
-        self._succ: dict[str, dict[HalfEdge, HalfEdge]] = {}
-        for v, cyc in self._rot.items():
-            self._succ[v] = {h: cyc[(i + 1) % len(cyc)] for i, h in enumerate(cyc)}
+        self._rot: dict[str, tuple[HalfEdge, ...]] = {
+            v: _normalize_cycle(tuple(rotators[v])) for v in sorted(rotators)}
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(self._rot)
 
     def rotator(self, v: str) -> tuple[HalfEdge, ...]:
         return self._rot[v]
-
-    def successor(self, v: str, h: HalfEdge) -> HalfEdge:
-        return self._succ[v][h]
 
     def validate_for(self, graph: Graph) -> None:
         """Every vertex of the graph has a rotator listing exactly its half-edges.
@@ -122,19 +119,20 @@ def _normalize_cycle(cyc: tuple) -> tuple:
 
 
 class TracedFaces:
-    """Face-tracing orbits of a rotation system on a connected graph."""
+    """The face orbits of a rotation system on a connected graph: a plain record.
 
-    def __init__(self, graph: Graph, rotation: RotationSystem):
-        if not graph.is_connected():
-            raise ValueError("face tracing requires a connected graph")
-        rotation.validate_for(graph)
+    Each orbit starts at its least dart and the orbits come sorted, so orbit
+    0 holds the least dart.  `trace_faces` checks and traces; the decider's
+    sphere route reads the orbits off the oriented faces of its remainder,
+    which are the orbits of the rotators it reads off the links.
+    """
+
+    def __init__(self, graph: Graph, rotation: RotationSystem,
+                 orbits: tuple[tuple[Dart, ...], ...]):
         self.graph = graph
         self.rotation = rotation
-        self.orbits = _trace_orbits(graph, rotation)
-        self._orbit_of: dict[Dart, int] = {}
-        for i, orbit in enumerate(self.orbits):
-            for d in orbit:
-                self._orbit_of[d] = i
+        self.orbits = orbits
+        self._orbit_of: dict[Dart, int] = {d: i for i, orbit in enumerate(orbits) for d in orbit}
 
     @cached_property
     def genus(self) -> int:
@@ -162,68 +160,87 @@ class TracedFaces:
 
 
 def _trace_orbits(graph: Graph, rotation: RotationSystem) -> tuple[tuple[Dart, ...], ...]:
-    darts: list[Dart] = []
-    for eid in sorted(graph.edges):
-        darts.append((eid, 0))
-        darts.append((eid, 1))
+    """The orbits of dart (e, o) -> the half-edge after (e, 1 - o) at the head, sorted.
+
+    Each orbit starts at its least dart.  The rotators must list exactly the
+    half-edges at the graph's vertices (`validate_for`), so the map is a
+    bijection on the darts.
+    """
+    after: dict[HalfEdge, HalfEdge] = {}
+    for v in graph.vertices:
+        cyc = rotation.rotator(v)
+        for i, h in enumerate(cyc):
+            after[cyc[i - 1]] = h
     seen: set[Dart] = set()
     orbits: list[tuple[Dart, ...]] = []
-    for start in darts:
-        if start in seen:
-            continue
-        orbit = []
-        d = start
-        while True:
-            orbit.append(d)
-            seen.add(d)
-            eid, o = d
-            head = graph.endpoints(eid)[1 - o]
-            d = rotation.successor(head, (eid, 1 - o))
-            if d == start:
-                break
-        orbits.append(tuple(orbit))
+    for eid in sorted(graph.edges):
+        for start in ((eid, 0), (eid, 1)):
+            if start in seen:
+                continue
+            orbit = []
+            d = start
+            while True:
+                orbit.append(d)
+                seen.add(d)
+                d = after[d[0], 1 - d[1]]
+                if d == start:
+                    break
+            orbits.append(tuple(orbit))
     return tuple(orbits)
 
 
 def trace_faces(graph: Graph, rotation: RotationSystem) -> TracedFaces:
-    """Trace the face orbits of a rotation system; genus via the Euler count."""
-    return TracedFaces(graph, rotation)
+    """Trace the face orbits of a rotation system on a connected graph.
+
+    ValueError when the graph is not connected or a rotator does not list
+    exactly the half-edges at its vertex.  The one tracer: `test_planar`,
+    the oracle and `verify_certificate` call it; the genus is read off the
+    Euler count.
+    """
+    if not graph.is_connected():
+        raise ValueError("face tracing requires a connected graph")
+    rotation.validate_for(graph)
+    return TracedFaces(graph, rotation, _trace_orbits(graph, rotation))
 
 
 def test_planar(graph: Graph) -> tuple[TracedFaces, ...] | None:
     """Planarity with an embedding: per component, a genus-zero face tracing.
 
-    None when the graph is not planar.  One networkx planarity test of the
-    simple underlying graph orders the neighbours at every vertex.
-    Multigraphs are handled too: parallel edges are laid next to their
-    partner and loops next to themselves, which keeps the genus at zero.
-    Each component of the graph's component index, in its order, is traced
-    with the whole rotation system.  Deterministic for a fixed input.
+    None when the graph is not planar.  A graph with at most two
+    half-edges at every vertex (paths, cycles, digons, loops and isolated
+    vertices) has exactly one rotation system, read off `half_edges_at`.
+    Otherwise one networkx planarity test of the simple underlying graph
+    orders the neighbours at every vertex.  Multigraphs are handled too:
+    parallel edges are laid next to their partner and loops next to
+    themselves, which keeps the genus at zero.  Each component of the
+    graph's component index, in its order, is traced with the whole
+    rotation system.  Deterministic for a fixed input.
     """
-    import networkx as nx
-    simple = nx.Graph()
-    simple.add_nodes_from(sorted(graph.vertices))
-    simple.add_edges_from(graph.endpoints(eid) for eid in sorted(graph.edge_ids())
-                          if not graph.is_loop(eid))
-    ok, emb = nx.check_planarity(simple)
-    if not ok:
-        return None
-    order = emb.get_data()
-    rotators: dict[str, tuple[HalfEdge, ...]] = {}
-    for v in sorted(graph.vertices):
-        cyc: list[HalfEdge] = []
-        for w in order.get(v, []):
-            block = sorted(graph.edges_between(v, w))
-            # Parallel edges ride along a single embedded edge; opposite
-            # relative order at the two endpoints keeps every digon a face.
-            if v > w:
-                block = block[::-1]
-            for eid in block:
-                u0, _ = graph.endpoints(eid)
-                cyc.append((eid, 0 if u0 == v else 1))
-        for eid in sorted(graph.edges_between(v, v)):
-            cyc.extend([(eid, 0), (eid, 1)])
-        rotators[v] = tuple(cyc)
+    rotators = {v: graph.half_edges_at(v) for v in sorted(graph.vertices)}
+    if any(len(hs) > 2 for hs in rotators.values()):
+        import networkx as nx
+        simple = nx.Graph()
+        simple.add_nodes_from(rotators)
+        simple.add_edges_from(graph.endpoints(eid) for eid in sorted(graph.edge_ids())
+                              if not graph.is_loop(eid))
+        ok, emb = nx.check_planarity(simple)
+        if not ok:
+            return None
+        order = emb.get_data()
+        for v in rotators:
+            cyc: list[HalfEdge] = []
+            for w in order.get(v, []):
+                block = sorted(graph.edges_between(v, w))
+                # Parallel edges ride along a single embedded edge; opposite
+                # relative order at the two endpoints keeps every digon a face.
+                if v > w:
+                    block = block[::-1]
+                for eid in block:
+                    u0, _ = graph.endpoints(eid)
+                    cyc.append((eid, 0 if u0 == v else 1))
+            for eid in sorted(graph.edges_between(v, v)):
+                cyc.extend([(eid, 0), (eid, 1)])
+            rotators[v] = tuple(cyc)
     rotation = RotationSystem(rotators)
     traced = tuple(trace_faces(part, rotation) for part in graph.component_index()[1])
     if any(t.genus != 0 for t in traced):
@@ -884,8 +901,13 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
     computed from that tree and the pairs with a common vertex scanned, in
     lexicographic order of cycle ids, for the first two interiors that meet
     with neither containing the other; the pair carries the orbits inside
-    its first cycle.  Every cycle must be a cycle of the traced graph, and
-    two cycles with the same edge set are rejected.
+    its first cycle.  Two cycles with the same edge set are rejected.
+
+    Precondition: every cycle is the edge set of a genuine cycle of the
+    traced graph.  It is not re-proved here; every caller passes the faces
+    of a validated complex or of an associated complex, which `validate`
+    or `associated_complex` has checked.  Only the crossing scan, which
+    reads vertex sets, walks the cycles (`check_cycle`).
     """
     ids = sorted(cycles)
     edge_sets = {cid: frozenset(cycles[cid]) for cid in ids}
@@ -898,11 +920,11 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
         return {}
     if traced.genus != 0:
         raise ValueError("cycle sides are defined only on genus-zero tracings")
-    vertices = {cid: check_cycle(traced.graph, edge_sets[cid]) for cid in ids}
     tree = _DualTree(traced, outer_face)
     parent = _label_walk(tree, edge_sets)
     if parent is not None:
         return parent
+    vertices = {cid: check_cycle(traced.graph, edge_sets[cid]) for cid in ids}
     inside = {cid: _cycle_interior(traced, tree, edge_sets[cid]) for cid in ids}
     # Cycles without a common vertex never cross (module docstring).
     at: dict[str, list[str]] = {}

@@ -81,12 +81,12 @@ def _orient_faces(component: TwoComplex) -> dict[str, int] | None:
     consistent orientation exists.  Whether one exists does not depend on
     the face the search starts from.
     """
-    face_ids = sorted(component.face_ids())
+    faces = component.faces
+    face_ids = sorted(faces)
     # Each edge lies in exactly two faces on a closed surface.
     edge_faces: dict[str, list[tuple[str, int]]] = {}
     for fid in face_ids:
-        f = component.face(fid)
-        for i, (_, eid, o) in enumerate(f.steps):
+        for _, eid, o in faces[fid].steps:
             edge_faces.setdefault(eid, []).append((fid, o))
     orientation: dict[str, int] = {}
     for start in face_ids:
@@ -96,14 +96,21 @@ def _orient_faces(component: TwoComplex) -> dict[str, int] | None:
         stack = [start]
         while stack:
             fid = stack.pop()
-            f = component.face(fid)
             flip = orientation[fid]
-            for _, eid, o in f.steps:
+            for _, eid, o in faces[fid].steps:
                 here = o ^ flip
-                others = [(g, oo) for g, oo in edge_faces[eid] if g != fid]
-                if len(others) != 1:
-                    return None
-                gid, go = others[0]
+                # Exactly one step on the edge belongs to another face.
+                on_edge = edge_faces[eid]
+                if len(on_edge) == 2:
+                    a, b = on_edge
+                    gid, go = b if a[0] == fid else a
+                    if gid == fid:
+                        return None
+                else:
+                    others = [(g, oo) for g, oo in on_edge if g != fid]
+                    if len(others) != 1:
+                        return None
+                    gid, go = others[0]
                 # The partner must traverse eid in the opposite direction.
                 need = (go ^ (1 - here)) & 1
                 if gid in orientation:

@@ -1,9 +1,10 @@
 """Cold start: only a planarity embedding imports networkx; the package leaves dataclasses and inspect out.
 
-`decide` reaches a planarity test only for faceless components and for the
-triangle fallback outside the theorem's hypothesis, so it decides every
-golden triangle complex, and the prism and bipyramid cases, without
-networkx.
+`decide` reaches a networkx planarity test only for a faceless component,
+or a skeleton in the triangle fallback outside the theorem's hypothesis,
+with more than two half-edges at some vertex.  So it decides every golden
+triangle complex, the prism and bipyramid cases, and the tetrahedron plus
+an isolated vertex without networkx.
 
 Each case runs a fresh interpreter with `src/` first on `PYTHONPATH` and
 `-X importtime`, whose log on stderr names every module the process
@@ -69,4 +70,38 @@ def test_decide_without_a_planar_fast_path_leaves_networkx_out(case):
     proc, imported = _cli("decide", case)
     assert proc.returncode == EXIT_CODES[case]["decide"]
     assert proc.stdout == (GOLDEN / f"{case}.decide").read_text()
+    assert "networkx" not in imported
+
+
+# `decide` on the tetrahedron plus `vertex z`, byte for byte as before the
+# faceless component stopped needing a planarity test.
+TETRA_AND_Z_DECIDE = """\
+verdict: outerspatial
+certificate:
+  rotation:
+    a: ab:0 ad:0 ac:0
+    b: ab:1 bc:0 bd:0
+    c: ac:1 cd:0 bc:1
+    d: ad:1 bd:1 cd:1
+    z:
+  component a b c d:
+    outer: ab:0 bc:0 ac:1
+    forest:
+      abc
+        abd
+        acd
+        bcd
+  component z:
+    outer: 
+    forest:
+"""
+
+
+def test_a_faceless_component_of_low_degree_leaves_networkx_out(tmp_path):
+    # At most two half-edges at every vertex leave one rotation system.
+    path = tmp_path / "tetra-z.complex"
+    path.write_text((GOLDEN / "tetra.complex").read_text() + "vertex z\n")
+    proc, imported = _run("-m", "outerspatial.cli", "decide", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout == TETRA_AND_Z_DECIDE
     assert "networkx" not in imported

@@ -1,6 +1,7 @@
 """The decision pipeline: verdicts, certificates, obstructions."""
 
 import itertools
+import json
 import random
 from pathlib import Path as FilePath
 
@@ -23,8 +24,9 @@ from outerspatial.decider import (AsphericalSubcomplex,
 from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
 from outerspatial.embedding import test_planar as check_planar
 from outerspatial.cli import main
-from outerspatial.fileformat import format_complex, format_verdict
+from outerspatial.fileformat import format_complex, format_verdict, parse_complex
 from outerspatial.verdicts import cycles_by_component, nested_certificate
+import families
 from families import from_cycles, random_planar_graph, stacked, triangles_of
 from test_link_layer import _count_calls
 from test_sweep import stacked_sphere
@@ -210,12 +212,56 @@ def triangle_skeleton(graph):
 
 
 class TestFastPathTracesOnce:
-    def test_stacked_sphere_is_traced_for_the_genus_and_the_self_check(self, monkeypatch):
-        complex, _, _ = stacked_sphere(seed=64, vertices=64)
+    def test_stacked_sphere_is_traced_by_the_self_check_only(self, monkeypatch):
+        # The sphere route reads its orbits off the oriented faces; only
+        # `verify_certificate` traces the rotation system.
         calls = _count_calls(monkeypatch, "trace_faces", [embedding, decider])
-        verdict = decide_outerspatial(complex)
-        assert isinstance(verdict, Outerspatial)
-        assert len(calls) == 2
+        walks = _count_calls(monkeypatch, "_trace_orbits", [embedding])
+        for complex in (stacked_sphere(seed=64, vertices=64)[0], stacked(64, 64)):
+            del calls[:], walks[:]
+            assert isinstance(decide_outerspatial(complex), Outerspatial)
+            assert len(calls) == 1
+            assert len(walks) == 1
+
+
+def _sphere_route_complexes():
+    """Positives the sphere route embeds: golden cases, families, and spheres with chordal stars."""
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    out = [(case, parse_complex((GOLDEN / f"{case}.complex").read_text()))
+           for case in sorted(codes) if codes[case]["decide"] == 0]
+    out += [("stacked", stacked(7, 90)), ("tower", families.tower(9)),
+            ("tetrahedra", families.disjoint_tetrahedra(4)),
+            ("prism3", gen.prism(3)), ("prism11", gen.prism(11))]
+    instances, workloads = families.perfbench_modules()
+    rng = random.Random(18)
+    stars = [instances.star_boundary(rng, v, k) for v, k in ((20, 1), (40, 2), (60, 3))]
+    out += [(x.name, parse_complex(instances.render(x, "s"))) for x in stars]
+    return out
+
+
+class TestSphereRouteOrbits:
+    def test_orbits_read_off_the_oriented_faces_are_the_traced_orbits(self, monkeypatch):
+        # `_decide_component` builds its tracing from the directed remainder
+        # faces; tracing its rotation system must give the same orbits, in
+        # the same order, so orbit 0 and every certificate byte stay put.
+        built = []
+        real = decider.TracedFaces
+
+        def record(graph, rotation, orbits):
+            built.append((graph, rotation, orbits))
+            return real(graph, rotation, orbits)
+
+        monkeypatch.setattr(decider, "TracedFaces", record)
+        routed = set()
+        for name, complex in _sphere_route_complexes():
+            del built[:]
+            assert isinstance(decide_outerspatial(complex), Outerspatial), name
+            for graph, rotation, orbits in built:
+                assert orbits == trace_faces(graph, rotation).orbits, name
+            if built:
+                routed.add(name)
+        assert {"stacked", "tower", "tetrahedra", "prism3", "prism11", "prism8",
+                "bipyramid-equator6", "star-v20x1", "star-v40x2", "star-v60x3"} <= routed
 
 
 def fallback_triangle_complexes():
@@ -237,12 +283,14 @@ class TestTriangleFallback:
     def test_fallback_decides_triangles_outside_the_hypothesis(self, monkeypatch):
         calls = _count_calls(monkeypatch, "check_planarity", [nx])
         complexes = fallback_triangle_complexes()
-        for complex in complexes:
+        # A lone triangle's skeleton has two half-edges at each vertex, so
+        # its one rotation system needs no planarity test.
+        for complex, planarity_tests in zip(complexes, (0, 1, 1, 1)):
             del calls[:]
             verdict = decide_outerspatial(complex)
             assert isinstance(verdict, Outerspatial)
             assert verify_certificate(complex, verdict.certificate)
-            assert len(calls) == 1
+            assert len(calls) == planarity_tests
         refuse_triangle_fallback(monkeypatch)
         for complex in complexes:
             assert isinstance(decide_outerspatial(complex), HypothesisViolated)

@@ -3,7 +3,7 @@
 import pytest
 
 from outerspatial import generators as gen
-from outerspatial.complexes import (Face, Path, TwoComplex, complete_graph,
+from outerspatial.complexes import (Face, Graph, Path, TwoComplex, complete_graph,
                                     contract_path, delete_faces)
 from outerspatial.surface import euler_characteristic, survey_surfaces, _orient_faces
 
@@ -110,3 +110,20 @@ class TestOrientationSearch:
             assert min(relabelled.face_ids()) == "a" + first
             outcomes.add(_orient_faces(relabelled) is not None)
         assert outcomes == {builder is not projective_plane}
+
+    def test_an_edge_walked_twice_by_one_face_has_no_partner(self):
+        # Triangle abc twice (one walk with a slit a-d-a) is orientable
+        # without the slit.  With it, edge ad holds two steps of one face,
+        # and beside a third face three steps: neither has exactly one step
+        # of another face, so no orientation exists.
+        g = Graph("abcdx", {"ab": ("a", "b"), "ac": ("a", "c"), "bc": ("b", "c"),
+                            "ad": ("a", "d"), "dx": ("d", "x"), "ax": ("a", "x")})
+        f1 = Face.from_edges(g, "f1", ["ab", "bc", "ac"])
+        g1 = Face.from_edges(g, "g1", ["ab", "bc", "ac"])
+        f2 = Face.from_edges(g, "f2", ["ad", "ad", "ac", "bc", "ab"])
+        f3 = Face.from_edges(g, "f3", ["ad", "dx", "ax"])
+        assert f2.vertices == ("a", "b", "c", "a", "d")
+        assert _orient_faces(TwoComplex(g, [f1, g1])) == {"f1": 0, "g1": 1}
+        assert _orient_faces(TwoComplex(g, [f1, f2])) is None
+        assert _orient_faces(TwoComplex(g, [f1, f2, f3])) is None
+        assert _orient_faces(TwoComplex(g, [f2, f3])) is None
