@@ -9,8 +9,8 @@ from .decider import (check_perfectly_chordal, decide_nested_plane,
                       verify_obstruction)
 from .embedding import (MinorWitness, RotationSystem, TracedFaces,
                         cycle_sides, find_minor, is_2_connected,
-                        nesting_forest, test_outerplanar, test_planar,
-                        trace_faces, verify_minor_witness)
+                        test_outerplanar, test_planar, trace_faces,
+                        verify_minor_witness)
 from .oracle import (CapExceededError, brute_force_nested,
                      brute_force_outerspatial, enumerate_sphere_embeddings,
                      find_aspherical_subcomplex)

@@ -904,10 +904,13 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
     its first cycle.  Two cycles with the same edge set are rejected.
 
     Precondition: every cycle is the edge set of a genuine cycle of the
-    traced graph.  It is not re-proved here; every caller passes the faces
-    of a validated complex or of an associated complex, which `validate`
-    or `associated_complex` has checked.  Only the crossing scan, which
-    reads vertex sets, walks the cycles (`check_cycle`).
+    traced graph.  It is not re-proved here, and the package does not
+    export this function: every caller passes the faces of a validated
+    complex or of an associated complex, which `validate` or
+    `associated_complex` has checked.  Only the crossing scan, which reads
+    vertex sets, walks the cycles (`check_cycle`); a passing walk still
+    rejects a cycle it never crossed, but other edge sets that are not
+    cycles may pass unnoticed.
     """
     ids = sorted(cycles)
     edge_sets = {cid: frozenset(cycles[cid]) for cid in ids}
@@ -923,6 +926,11 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
     tree = _DualTree(traced, outer_face)
     parent = _label_walk(tree, edge_sets)
     if parent is not None:
+        # A genuine cycle separates two faces, so some dual tree edge
+        # crosses it and the walk gives it a parent.
+        if len(parent) != len(ids):
+            missing = min(set(ids) - set(parent))
+            raise ValueError(f"cycle {missing} is not a cycle of the traced graph")
         return parent
     vertices = {cid: check_cycle(traced.graph, edge_sets[cid]) for cid in ids}
     inside = {cid: _cycle_interior(traced, tree, edge_sets[cid]) for cid in ids}

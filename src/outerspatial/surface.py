@@ -99,18 +99,16 @@ def _orient_faces(component: TwoComplex) -> dict[str, int] | None:
             flip = orientation[fid]
             for _, eid, o in faces[fid].steps:
                 here = o ^ flip
-                # Exactly one step on the edge belongs to another face.
+                # Exactly one step on the edge belongs to another face.  With
+                # one step or three or more, some face on the edge has none
+                # or several, so no orientation exists.
                 on_edge = edge_faces[eid]
-                if len(on_edge) == 2:
-                    a, b = on_edge
-                    gid, go = b if a[0] == fid else a
-                    if gid == fid:
-                        return None
-                else:
-                    others = [(g, oo) for g, oo in on_edge if g != fid]
-                    if len(others) != 1:
-                        return None
-                    gid, go = others[0]
+                if len(on_edge) != 2:
+                    return None
+                a, b = on_edge
+                gid, go = b if a[0] == fid else a
+                if gid == fid:
+                    return None
                 # The partner must traverse eid in the opposite direction.
                 need = (go ^ (1 - here)) & 1
                 if gid in orientation:

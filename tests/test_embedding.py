@@ -272,6 +272,16 @@ class TestNestingForest:
         assert isinstance(got, CrossingPair)
         assert (got.first, got.second) == ("c1", "c2")
 
+    def test_edge_set_the_walk_never_crosses_is_rejected(self):
+        traced = trace_faces(K4(), RotationSystem(PLANAR_K4_ROTATORS))
+        # The edges off the dual tree form a spanning tree of K4, not a cycle.
+        off_tree = frozenset(K4().edges) - set(embedding._DualTree(traced, 0).below)
+        assert len(off_tree) == 3
+        triangle = frozenset({"ab", "bc", "ac"})
+        for bad in (off_tree, frozenset({"zz"})):
+            with pytest.raises(ValueError, match="^cycle x is not a cycle of the traced graph$"):
+                nesting_forest(traced, {"t": triangle, "x": bad})
+
 
 class TestOuterFaceIndependence:
     def test_noncrossing_families_are_laminar_for_every_outer_face(self, bipyramid4):
