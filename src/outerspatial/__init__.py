@@ -2,7 +2,7 @@
 
 from .complexes import (Face, Graph, LinkGraph, Path, TwoComplex,
                         associated_complex, cone, contract_path, delete_faces,
-                        link_graph, skeleton, split_components, validate)
+                        link_graph, split_components, validate)
 from .decider import (check_perfectly_chordal, decide_nested_plane,
                       decide_outerspatial, find_chordal_faces,
                       is_locally_2_connected, verify_certificate,

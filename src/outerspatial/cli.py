@@ -16,7 +16,7 @@ import sys
 from pathlib import Path as FsPath
 
 from . import generators
-from .complexes import TwoComplex, associated_complex, link_graph, skeleton, validate
+from .complexes import TwoComplex, associated_complex, link_graph, validate
 from .decider import decide_outerspatial, nested_plane_verdict, oracle_verdict
 from .embedding import test_outerplanar
 from .fileformat import format_complex, format_link, format_verdict, parse_complex, parse_cycles
@@ -120,7 +120,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_nested(args) -> int:
-    graph = skeleton(_load(parse_complex, args.file))
+    graph = _load(parse_complex, args.file).graph
     complex = _load(lambda text: associated_complex(graph, parse_cycles(text)), args.cycles)
     verdict = nested_plane_verdict(complex, cap=args.cap)
     sys.stdout.write(format_verdict(verdict))
@@ -160,8 +160,7 @@ def _render_dot(graph, annotations: list[str]) -> str:
         lines.append(f"  // {note}")
     for v in sorted(graph.vertices):
         lines.append(f'  "{v}";')
-    for eid in sorted(graph.edges):
-        u, v = graph.endpoints(eid)
+    for eid, (u, v) in graph.edges.items():
         lines.append(f'  "{u}" -- "{v}" [label="{eid}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -173,8 +172,7 @@ def _render_svg(graph, annotations: list[str]) -> str:
              'viewBox="0 0 400 400">']
     for note in annotations:
         parts.append(f"<!-- {note} -->")
-    for eid in sorted(graph.edges):
-        u, v = graph.endpoints(eid)
+    for eid, (u, v) in graph.edges.items():
         (x1, y1), (x2, y2) = pos[u], pos[v]
         parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
                      'stroke="black" stroke-width="1"/>')
@@ -226,7 +224,7 @@ def _cmd_generate(args) -> int:
     elif name == "cone":
         if args.arg is None:
             raise ValueError("cone needs a graph file")
-        complex = generators.cone_over_graph(skeleton(_load(parse_complex, args.arg)))
+        complex = generators.cone_over_graph(_load(parse_complex, args.arg).graph)
     elif name == "random":
         complex = generators.random_complex(args.seed, max_vertices=args.vertices)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 # A half-edge is (edge id, end index); end 0/1 refer to the stored endpoint
@@ -30,6 +31,7 @@ class Graph:
             if u not in self._vertices or v not in self._vertices:
                 raise ValueError(f"edge {eid} has undeclared endpoint")
             self._edges[eid] = (u, v)
+        self._edges_view = MappingProxyType(self._edges)
         incident: dict[str, list[str]] = {v: [] for v in sorted(self._vertices)}
         for eid, (u, v) in self._edges.items():
             incident[u].append(eid)
@@ -44,18 +46,9 @@ class Graph:
         return self._vertices
 
     @property
-    def edges(self) -> dict[str, tuple[str, str]]:
-        return dict(self._edges)
-
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(self._edges)
-
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    def has_edge(self, eid: str) -> bool:
-        """Membership without the copy that `edges` makes."""
-        return eid in self._edges
+    def edges(self) -> Mapping[str, tuple[str, str]]:
+        """Edge id -> endpoint pair, in ascending id order; a read-only view."""
+        return self._edges_view
 
     def endpoints(self, eid: str) -> tuple[str, str]:
         return self._edges[eid]
@@ -234,7 +227,7 @@ class Face:
         if k == 0:
             raise ValueError(f"face {face_id}: empty boundary")
         for eid in edge_ids:
-            if not graph.has_edge(eid):
+            if eid not in graph.edges:
                 raise ValueError(f"face {face_id}: unknown edge {eid}")
         # Choose the start vertex of the first edge so the walk closes up.
         first = edge_ids[0]
@@ -346,13 +339,15 @@ class TwoComplex:
     def __init__(self, graph: Graph, faces: Iterable[Face]):
         self.graph = graph
         self._faces: dict[str, Face] = {}
+        self._faces_view = MappingProxyType(self._faces)
+        edges = graph.edges
         for f in sorted(faces, key=lambda f: f.face_id):
             if f.face_id in self._faces:
                 raise ValueError(f"duplicate face id {f.face_id}")
             # Each step leaves its vertex and ends at the next step's vertex, w.
             w = f.steps[0][0]
             for v, e, o in reversed(f.steps):
-                if not graph.has_edge(e):
+                if e not in edges:
                     raise ValueError(f"face {f.face_id}: unknown edge {e}")
                 ends = graph.endpoints(e)
                 if ends[o] != v:
@@ -371,18 +366,13 @@ class TwoComplex:
         `associated_complex` build faces by walking the graph and refuse repeated ids.
         """
         out = cls(graph, ())
-        out._faces = {f.face_id: f for f in sorted(faces, key=lambda f: f.face_id)}
+        out._faces.update((f.face_id, f) for f in sorted(faces, key=lambda f: f.face_id))
         return out
 
     @property
-    def faces(self) -> dict[str, Face]:
-        return dict(self._faces)
-
-    def face_ids(self) -> tuple[str, ...]:
-        return tuple(self._faces)
-
-    def face(self, fid: str) -> Face:
-        return self._faces[fid]
+    def faces(self) -> Mapping[str, Face]:
+        """Face id -> face, in ascending id order; a read-only view."""
+        return self._faces_view
 
     def _corners_at(self, v: str) -> list[tuple[str, str, HalfEdge, HalfEdge]]:
         """Corners at v as (link edge id, face, half-edge in, half-edge out); one indexing pass."""
@@ -453,11 +443,6 @@ def validate(complex: TwoComplex) -> list[Violation]:
     return out
 
 
-def skeleton(complex: TwoComplex) -> Graph:
-    """The underlying graph, faces dropped; a Graph is immutable, so it is shared."""
-    return complex.graph
-
-
 class LinkGraph:
     """The local structure around a vertex, read off the corner index.
 
@@ -509,7 +494,7 @@ def cone(complex: TwoComplex, apex: str | None = None) -> TwoComplex:
     if top in g.vertices:
         raise ValueError(f"apex name {top} already in use")
     vertices = set(g.vertices) | {top}
-    edges = g.edges
+    edges = dict(g.edges)
     used = set(edges)
     spoke: dict[str, str] = {}
     for v in sorted(g.vertices):
@@ -519,8 +504,8 @@ def cone(complex: TwoComplex, apex: str | None = None) -> TwoComplex:
         edges[sid] = (top, v)
     new_graph = Graph(vertices, edges)
     faces = list(complex.faces.values())
-    face_ids = set(complex.face_ids())
-    for eid in sorted(g.edges):
+    face_ids = set(complex.faces)
+    for eid in g.edges:
         u, v = g.endpoints(eid)
         fid = _fresh_name(f"{top}{eid}", face_ids)
         face_ids.add(fid)
@@ -549,22 +534,12 @@ class Path:
         self.vertices = tuple(vertices)
         self.edge_ids = tuple(edge_ids)
 
-    @classmethod
-    def from_vertices(cls, graph: Graph, vertices: Sequence[str]) -> "Path":
-        edge_ids = []
-        for u, v in zip(vertices, vertices[1:]):
-            cands = graph.edges_between(u, v)
-            if not cands:
-                raise ValueError(f"no edge between {u} and {v}")
-            edge_ids.append(cands[0])
-        return cls(vertices, edge_ids)
-
     def is_trivial(self) -> bool:
         return len(self.vertices) == 1
 
     def check_in(self, graph: Graph) -> None:
         for (u, v), eid in zip(zip(self.vertices, self.vertices[1:]), self.edge_ids):
-            if not graph.has_edge(eid):
+            if eid not in graph.edges:
                 raise ValueError(f"path edge {eid} not in graph")
             if set(graph.endpoints(eid)) != {u, v}:
                 raise ValueError(f"path edge {eid} does not join {u} and {v}")
@@ -619,8 +594,7 @@ def contract_path(complex: TwoComplex, path: Path) -> TwoComplex:
     new_graph = Graph(vertices, edges)
 
     faces = []
-    for fid in complex.face_ids():
-        f = complex.face(fid)
+    for fid, f in complex.faces.items():
         steps = [(rename(v), e, o) for v, e, o in f.steps if e not in gone_edges]
         if not steps:
             raise ValueError(f"face {fid} would lose its whole boundary")
@@ -644,17 +618,17 @@ def delete_faces(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
     tetrahedron leaves the bare K4 graph.  Kept faces are not re-checked.
     """
     doomed = set(face_ids)
-    unknown = doomed - set(complex.face_ids())
+    unknown = doomed - complex.faces.keys()
     if unknown:
         raise ValueError(f"unknown face ids: {sorted(unknown)}")
-    kept_faces = [f for fid, f in complex._faces.items() if fid not in doomed]
+    kept_faces = [f for fid, f in complex.faces.items() if fid not in doomed]
     return TwoComplex._regroup(complex.graph, kept_faces)
 
 
 def face_subcomplex(complex: TwoComplex, face_ids: Iterable[str]) -> TwoComplex:
     """The subcomplex generated by a face subset: those faces, not re-checked, plus their cells."""
     chosen = sorted(set(face_ids))
-    faces = [complex.face(fid) for fid in chosen]
+    faces = [complex.faces[fid] for fid in chosen]
     edges: dict[str, tuple[str, str]] = {}
     vertices: set[str] = set()
     for f in faces:
@@ -693,7 +667,7 @@ def split_components(complex: TwoComplex) -> list[TwoComplex]:
     if len(parts) == 1:
         return [complex]
     faces: list[list[Face]] = [[] for _ in parts]
-    for f in complex._faces.values():
+    for f in complex.faces.values():
         faces[comp_of[f.steps[0][0]]].append(f)
     return [TwoComplex._regroup(part, fs) for part, fs in zip(parts, faces)]
 

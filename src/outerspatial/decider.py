@@ -70,20 +70,18 @@ def find_chordal_faces(
     return {fid: frozenset(vs) for fid, vs in sorted(out.items())}
 
 
-def check_perfectly_chordal(
-        complex: TwoComplex, face_id: str,
-        structures: Mapping[str, tuple[LinkGraph, OuterplanarityResult]] | None = None,
-        chordal: Mapping[str, frozenset[str]] | None = None):
+def check_perfectly_chordal(complex: TwoComplex, face_id: str,
+                            chordal: Mapping[str, frozenset[str]] | None = None):
     """True when the face is a chord at every endvertex.
 
     Otherwise walks the boundary to the first edge whose tail has the face as
     a chord and whose head does not; contracting that edge produces a link
     with a K2,3 minor, returned as a NonOuterplanarLink.
     """
-    chordal = chordal if chordal is not None else find_chordal_faces(complex, structures)
+    chordal = chordal if chordal is not None else find_chordal_faces(complex)
     if face_id not in chordal:
         raise ValueError(f"face {face_id} is not chordal at any vertex")
-    face = complex.face(face_id)
+    face = complex.faces[face_id]
     chord_at = chordal[face_id]
     if set(face.vertices) <= chord_at:
         return True
@@ -133,10 +131,9 @@ def _within_euler_bound(graph: Graph) -> bool:
     """
     n = len(graph.vertices)
     bound = 3 * n - 6
-    if n < 3 or graph.edge_count() <= bound:
+    if n < 3 or len(graph.edges) <= bound:
         return True
-    pairs = {frozenset(graph.endpoints(eid)) for eid in graph.edge_ids()
-             if not graph.is_loop(eid)}
+    pairs = {frozenset(uv) for uv in graph.edges.values() if uv[0] != uv[1]}
     return len(pairs) <= bound
 
 
@@ -238,7 +235,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
 
     chordal = find_chordal_faces(comp, structures)
     for fid in sorted(chordal):
-        got = check_perfectly_chordal(comp, fid, structures, chordal)
+        got = check_perfectly_chordal(comp, fid, chordal)
         if isinstance(got, NonOuterplanarLink):
             return NotOuterspatial(got)
 
@@ -253,7 +250,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     sclass = SurfaceClass(True, euler_characteristic(remainder), orientation is not None)
     if not sclass.is_sphere:
         return NotOuterspatial(
-            AsphericalSubcomplex(frozenset(remainder.face_ids()), sclass))
+            AsphericalSubcomplex(frozenset(remainder.faces), sclass))
 
     # A vertex's link in the remainder is its Hamilton boundary, so that
     # boundary is its rotator; one corner, directed with its face, gives the
@@ -298,8 +295,8 @@ def _crossing_obstruction(complex: TwoComplex, comp: TwoComplex,
     into one vertex whose link holds a cycle with two non-parallel chords,
     hence a K4 minor.
     """
-    c1 = comp.face(pair.first)
-    c2 = comp.face(pair.second)
+    c1 = comp.faces[pair.first]
+    c2 = comp.faces[pair.second]
 
     def edge_side(eid: str) -> bool | None:
         if eid in c1.edge_set:
@@ -400,14 +397,18 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
         return False
     comp_of, parts = graph.component_index()
     certs = {c.vertices: c for c in certificate.components}
-    faces = complex.faces
-    if (len(certs) != len(parts) or len(certificate.components) != len(parts)
-            or not all(f.is_genuine_cycle() for f in faces.values())
-            or len({f.edge_set for f in faces.values()}) != len(faces)):
+    if len(certs) != len(parts) or len(certificate.components) != len(parts):
         return False
-    comp_faces: list[dict[str, list[str]]] = [{} for _ in parts]
-    for fid, f in faces.items():
-        comp_faces[comp_of[f.steps[0][0]]][fid] = f.edge_ids
+    comp_faces: list[dict[str, tuple[str, ...]]] = [{} for _ in parts]
+    edge_sets = set()
+    for fid, f in complex.faces.items():
+        if not f.is_genuine_cycle():
+            return False
+        edge_ids = f.edge_ids
+        edge_sets.add(frozenset(edge_ids))
+        comp_faces[comp_of[f.steps[0][0]]][fid] = edge_ids
+    if len(edge_sets) != len(complex.faces):
+        return False
     for part, part_faces in zip(parts, comp_faces):
         cert = certs.get(tuple(sorted(part.vertices)))
         if cert is None or cert.parents.keys() != part_faces.keys():
@@ -480,7 +481,7 @@ def verify_obstruction(complex: TwoComplex, obstruction: Obstruction) -> bool:
             return False
         return verify_minor_witness(link.graph, obstruction.witness)
     if isinstance(obstruction, AsphericalSubcomplex):
-        if not obstruction.faces <= set(complex.face_ids()):
+        if not obstruction.faces or not obstruction.faces <= complex.faces.keys():
             return False
         sub = face_subcomplex(complex, obstruction.faces)
         if not sub.graph.is_connected():

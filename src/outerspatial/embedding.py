@@ -137,7 +137,7 @@ class TracedFaces:
     @cached_property
     def genus(self) -> int:
         v = len(self.graph.vertices)
-        e = self.graph.edge_count()
+        e = len(self.graph.edges)
         f = len(self.orbits)
         if e == 0:
             return 0
@@ -173,7 +173,7 @@ def _trace_orbits(graph: Graph, rotation: RotationSystem) -> tuple[tuple[Dart, .
             after[cyc[i - 1]] = h
     seen: set[Dart] = set()
     orbits: list[tuple[Dart, ...]] = []
-    for eid in sorted(graph.edges):
+    for eid in graph.edges:
         for start in ((eid, 0), (eid, 1)):
             if start in seen:
                 continue
@@ -221,8 +221,7 @@ def test_planar(graph: Graph) -> tuple[TracedFaces, ...] | None:
         import networkx as nx
         simple = nx.Graph()
         simple.add_nodes_from(rotators)
-        simple.add_edges_from(graph.endpoints(eid) for eid in sorted(graph.edge_ids())
-                              if not graph.is_loop(eid))
+        simple.add_edges_from((u, v) for u, v in graph.edges.values() if u != v)
         ok, emb = nx.check_planarity(simple)
         if not ok:
             return None
@@ -262,8 +261,7 @@ def _simple_adjacency(graph: Graph) -> dict[str, dict[str, None]]:
     of the graph itself.
     """
     adj: dict[str, dict[str, None]] = {v: {} for v in sorted(graph.vertices)}
-    for eid in graph.edge_ids():
-        u, w = graph.endpoints(eid)
+    for u, w in graph.edges.values():
         if u != w:
             adj[u][w] = adj[w][u] = None
     return adj
@@ -423,8 +421,8 @@ def _witness(graph: Graph, target: str, *sides: Iterable[list[str]]) -> MinorWit
     index = {v: i for i, s in enumerate(branch_sets) for v in s}
     pattern_edges = _PATTERNS[target][1]
     connecting: dict[tuple[int, int], str] = {}
-    for eid in graph.edge_ids():  # ascending, so the first edge of a pair is its smallest
-        i, j = sorted(index.get(v, -1) for v in graph.endpoints(eid))
+    for eid, uv in graph.edges.items():  # ascending, so the first edge of a pair is its smallest
+        i, j = sorted(index.get(v, -1) for v in uv)
         if i >= 0:
             connecting.setdefault((i, j), eid)
     return MinorWitness(target, branch_sets, {ij: connecting[ij] for ij in pattern_edges})
@@ -636,7 +634,7 @@ def verify_minor_witness(graph: Graph, witness: MinorWitness) -> bool:
             return False
     for i, j in pattern_edges:
         eid = witness.connecting_edges.get((i, j))
-        if eid is None or not graph.has_edge(eid):
+        if eid is None or eid not in graph.edges:
             return False
         u, v = graph.endpoints(eid)
         if not ((u in sets[i] and v in sets[j]) or (u in sets[j] and v in sets[i])):
@@ -740,8 +738,7 @@ def test_outerplanar(graph: Graph | LinkGraph) -> OuterplanarityResult:
         return OuterplanarityResult(True, violation)
     boundary_edges, chords = set(), set()
     ring: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for eid in graph.edge_ids():
-        u, v = graph.endpoints(eid)
+    for eid, (u, v) in graph.edges.items():
         if triangles[frozenset((u, v))] == 2:
             chords.add(eid)
         else:
@@ -828,7 +825,7 @@ def check_cycle(graph: Graph, cycle_edges: Iterable[str]) -> frozenset[str]:
         raise ValueError("empty cycle")
     at: dict[str, list[str]] = {}
     for eid in es:
-        if not graph.has_edge(eid):
+        if eid not in graph.edges:
             raise ValueError(f"unknown edge {eid}")
         u, v = graph.endpoints(eid)
         if u == v:

@@ -106,11 +106,9 @@ def format_complex(complex: TwoComplex) -> str:
     lines = []
     for v in sorted(complex.graph.vertices):
         lines.append(f"vertex {v}")
-    for eid in sorted(complex.graph.edges):
-        u, v = complex.graph.endpoints(eid)
+    for eid, (u, v) in complex.graph.edges.items():
         lines.append(f"edge {eid} {u} {v}")
-    for fid in sorted(complex.face_ids()):
-        face = complex.face(fid)
+    for fid, face in complex.faces.items():
         unambiguous = all(
             len(complex.graph.edges_between(*sorted(complex.graph.endpoints(e)))) == 1
             and not complex.graph.is_loop(e)

@@ -111,19 +111,19 @@ def cone_over_graph(graph: Graph) -> TwoComplex:
 
 def insert_vertex(complex: TwoComplex, face_id: str, new_vertex: str) -> TwoComplex:
     """Split a triangular face into three around a new interior vertex."""
-    face = complex.face(face_id)
+    face = complex.faces[face_id]
     if len(face) != 3 or not face.is_genuine_cycle():
         raise ValueError("vertex insertion needs a triangular face")
     g = complex.graph
     if new_vertex in g.vertices:
         raise ValueError(f"vertex {new_vertex} already exists")
     u, v, w = face.vertices
-    edges = g.edges
+    edges = dict(g.edges)
     for x in (u, v, w):
         edges[f"{new_vertex}{x}"] = (new_vertex, x)
     new_g = Graph(set(g.vertices) | {new_vertex}, edges)
     faces = [f for fid, f in complex.faces.items() if fid != face_id]
-    taken = set(complex.face_ids())
+    taken = set(complex.faces)
     for a, b in ((u, v), (v, w), (w, u)):
         fid = _fresh_name(f"{new_vertex}{a}{b}", taken)
         taken.add(fid)
@@ -213,8 +213,7 @@ def random_complex(seed: int, max_vertices: int = 8) -> TwoComplex:
         for _ in range(rng.randrange(3)):
             if len(complex.graph.vertices) >= max_vertices:
                 break
-            triangles = [fid for fid in complex.face_ids()
-                         if len(complex.face(fid)) == 3]
+            triangles = [fid for fid, f in complex.faces.items() if len(f) == 3]
             if not triangles:
                 break
             fid = rng.choice(triangles)

@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .complexes import Graph, TwoComplex, face_subcomplex, skeleton
+from .complexes import Graph, TwoComplex, face_subcomplex
 from .embedding import (_PATTERNS, CrossingPair, MinorWitness, RotationSystem, TracedFaces,
                         _bits, test_planar, trace_faces)
 from .surface import SurfaceClass, classify_component
@@ -72,11 +72,10 @@ def enumerate_sphere_embeddings(graph: Graph, cap: int = DEFAULT_CAP) -> Iterato
 
 def _genus0_rotations(graph: Graph) -> Iterator[RotationSystem]:
     verts = sorted(graph.vertices)
-    edge_ids = sorted(graph.edges)
-    n_darts = 2 * len(edge_ids)
+    n_darts = 2 * len(graph.edges)
     dart_of: dict = {}
     half_of: list = [None] * n_darts
-    for i, e in enumerate(edge_ids):
+    for i, e in enumerate(graph.edges):
         for o in (0, 1):
             dart_of[(e, o)] = 2 * i + o
             half_of[2 * i + o] = (e, o)
@@ -93,7 +92,7 @@ def _genus0_rotations(graph: Graph) -> Iterator[RotationSystem]:
             choice_lists.append(list(itertools.permutations(hs[1:])))
 
     v_count = len(verts)
-    e_count = len(edge_ids)
+    e_count = len(graph.edges)
     succ = [0] * n_darts
     for combo in itertools.product(*choice_lists):
         for anchor, perm in zip(anchors, combo):
@@ -171,7 +170,7 @@ def brute_force_outerspatial(complex: TwoComplex,
                              cap: int = DEFAULT_CAP) -> NestedCertificate | ExhaustiveFailure:
     """Exhaustively test the skeleton plus face boundaries for nestedness."""
     cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
-    return brute_force_nested(skeleton(complex), cycles, cap=cap)
+    return brute_force_nested(complex.graph, cycles, cap=cap)
 
 
 def find_aspherical_subcomplex(complex: TwoComplex, max_faces: int = 20
@@ -181,10 +180,10 @@ def find_aspherical_subcomplex(complex: TwoComplex, max_faces: int = 20
     Subsets are scanned by size, then lexicographically by face ids; the
     subset count is capped at 2^max_faces.
     """
-    fids = sorted(complex.face_ids())
+    fids = list(complex.faces)
     if len(fids) > max_faces:
         raise CapExceededError(2 ** len(fids), 2 ** max_faces, "face subsets")
-    edge_sets = {fid: complex.face(fid).edge_set for fid in fids}
+    edge_sets = {fid: f.edge_set for fid, f in complex.faces.items()}
     for k in range(2, len(fids) + 1):
         for subset in itertools.combinations(fids, k):
             counts: dict[str, int] = {}
@@ -212,8 +211,7 @@ def _search_minor(graph: Graph, target: str) -> MinorWitness | None:
     idx = {v: i for i, v in enumerate(verts)}
     adj = [0] * n
     edge_for: dict[tuple[int, int], str] = {}
-    for eid in sorted(graph.edges):
-        u, v = graph.endpoints(eid)
+    for eid, (u, v) in graph.edges.items():
         if u == v:
             continue
         iu, iv = idx[u], idx[v]

@@ -64,8 +64,7 @@ class SurfaceClass:
 
 
 def euler_characteristic(complex: TwoComplex) -> int:
-    return (len(complex.graph.vertices) - len(complex.graph.edge_ids())
-            + len(complex.face_ids()))
+    return len(complex.graph.vertices) - len(complex.graph.edges) + len(complex.faces)
 
 
 def _component_is_closed_surface(component: TwoComplex) -> bool:
@@ -82,14 +81,13 @@ def _orient_faces(component: TwoComplex) -> dict[str, int] | None:
     the face the search starts from.
     """
     faces = component.faces
-    face_ids = sorted(faces)
     # Each edge lies in exactly two faces on a closed surface.
     edge_faces: dict[str, list[tuple[str, int]]] = {}
-    for fid in face_ids:
-        for _, eid, o in faces[fid].steps:
+    for fid, f in faces.items():
+        for _, eid, o in f.steps:
             edge_faces.setdefault(eid, []).append((fid, o))
     orientation: dict[str, int] = {}
-    for start in face_ids:
+    for start in faces:
         if start in orientation:
             continue
         orientation[start] = 0
@@ -159,9 +157,9 @@ def search_aspherical_subcomplex(complex: TwoComplex, budget: int
     `_closed_face_sets` lists.  Raises SearchBudgetExceeded when that
     listing needs more than `budget` nodes.
     """
-    fids = sorted(complex.face_ids())
+    fids = list(complex.faces)
     by_size: dict[int, list[int]] = {}
-    for mask in _closed_face_sets([complex.face(fid).edge_set for fid in fids], budget):
+    for mask in _closed_face_sets([f.edge_set for f in complex.faces.values()], budget):
         by_size.setdefault(mask.bit_count(), []).append(mask)
     top = len(fids) - 1
     for size in sorted(by_size):

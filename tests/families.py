@@ -8,7 +8,8 @@ so sort order follows construction order.
 The `reference_*` functions are the pairwise algorithm that the label walk
 of `embedding.nesting_forest` replaced, kept as the tests' ground truth.
 `vertex_sum` is the paper's description of the link at a contracted edge,
-the reference for the contraction law; `random_planar_graph` and
+the reference for the contraction law, and `path_along` names a path to
+contract by its vertices; `random_planar_graph` and
 `triangles_of` draw seeded planar graphs with all their triangles.
 """
 
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from outerspatial import complexes
 from outerspatial.complexes import Face, Graph, TwoComplex, _fresh_name
 from outerspatial.generators import insert_vertex, tetra
 
@@ -214,19 +216,28 @@ def vertex_sum(h1: Graph, h2: Graph, v: str, pairing: Mapping[str, str]) -> Grap
     return Graph(vertices, edges)
 
 
+def path_along(graph: Graph, vertices: Sequence[str]) -> complexes.Path:
+    """The path through the vertices, by the least edge joining each consecutive two."""
+    edge_ids = []
+    for u, v in zip(vertices, vertices[1:]):
+        cands = graph.edges_between(u, v)
+        if not cands:
+            raise ValueError(f"no edge between {u} and {v}")
+        edge_ids.append(cands[0])
+    return complexes.Path(vertices, edge_ids)
+
+
 def random_planar_graph(seed: int, max_vertices: int = 8) -> Graph:
     """A seeded random planar graph: a grown triangulation minus random edges."""
     rng = random.Random(seed)
     complex = tetra()
     target = rng.randrange(4, max_vertices + 1)
     while len(complex.graph.vertices) < target:
-        triangles = [fid for fid in complex.face_ids()
-                     if len(complex.face(fid)) == 3]
+        triangles = [fid for fid, f in complex.faces.items() if len(f) == 3]
         fid = rng.choice(triangles)
         complex = insert_vertex(complex, fid, f"v{len(complex.graph.vertices)}")
     g = complex.graph
-    edges = g.edges
-    kept = {e: uv for e, uv in edges.items() if rng.random() > 0.25}
+    kept = {e: uv for e, uv in g.edges.items() if rng.random() > 0.25}
     return Graph(g.vertices, kept)
 
 

@@ -158,9 +158,9 @@ class TestCommands:
         assert "non-outerplanar-link" in text and "witness: K4" in text
 
     def test_hypothesis_violated_exit_code(self, tmp_path, bipyramid4):
-        from outerspatial.complexes import associated_complex, skeleton
+        from outerspatial.complexes import associated_complex
         complex = associated_complex(
-            skeleton(bipyramid4),
+            bipyramid4.graph,
             {"c1": ("n", "a", "s", "c"), "c2": ("n", "b", "s", "d")})
         p = write(tmp_path, "squares.txt", format_complex(complex))
         code, text = run_cli("decide", p)

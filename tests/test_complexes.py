@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import families
-from families import vertex_sum
+from families import path_along, vertex_sum
 from outerspatial import generators as gen
 from outerspatial.complexes import _reflect
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_bipartite,
                                     complete_graph, cone, contract_path,
                                     contracted_link, contracted_vertex_name,
-                                    delete_faces, link_graph, skeleton,
+                                    delete_faces, link_graph,
                                     face_subcomplex, split_components, validate)
 from outerspatial.fileformat import format_complex, parse_complex
 
@@ -89,18 +89,18 @@ class TestValidate:
     def test_contraction_keeps_degenerate_walks(self, tetra):
         # Contracting two sides of the triangle abc leaves it a loop at the
         # merged vertex; the faces through one of them become digons.
-        out = contract_path(tetra, Path.from_vertices(tetra.graph, ("a", "b", "c")))
-        assert [len(out.face(fid)) for fid in sorted(out.face_ids())] == [1, 2, 3, 2]
+        out = contract_path(tetra, path_along(tetra.graph, ("a", "b", "c")))
+        assert [len(f) for f in out.faces.values()] == [1, 2, 3, 2]
         assert validate(out)
 
 
 class TestSkeleton:
     def test_tetra_skeleton_is_k4(self, tetra):
-        assert skeleton(tetra) == K4()
+        assert tetra.graph == K4()
 
-    def test_cone_over_k4_skeleton(self):
+    def test_cone_over_k4_graph(self):
         coned = gen.cone_over_graph(K4())
-        sk = skeleton(coned)
+        sk = coned.graph
         assert len(sk.vertices) == 5
         assert len(sk.edges) == 10
         apex = next(iter(sk.vertices - K4().vertices))
@@ -108,7 +108,31 @@ class TestSkeleton:
 
     def test_empty_complex(self):
         empty = TwoComplex(Graph([], {}), [])
-        assert skeleton(empty) == Graph([], {})
+        assert empty.graph == Graph([], {})
+
+
+class TestReadOnlyMaps:
+    """`Graph.edges` and `TwoComplex.faces` are read-only views in ascending id order."""
+
+    def test_assignment_raises(self, tetra):
+        with pytest.raises(TypeError):
+            tetra.graph.edges["xy"] = ("a", "b")
+        with pytest.raises(TypeError):
+            tetra.faces["abc"] = tetra.faces["abd"]
+
+    def test_ascending_id_order_from_unsorted_input(self):
+        g = Graph("abc", {"e3": ("c", "a"), "e1": ("a", "b"), "e2": ("b", "c")})
+        assert list(g.edges) == ["e1", "e2", "e3"]
+        c = TwoComplex(g, [Face.from_vertices(g, fid, ("a", "b", "c")) for fid in "zma"])
+        assert list(c.faces) == ["a", "m", "z"]
+        assert list(delete_faces(c, ["m"]).faces) == ["a", "z"]
+
+    def test_builders_leave_their_input_unchanged(self, tetra):
+        edges, faces = dict(tetra.graph.edges), dict(tetra.faces)
+        cone(tetra)
+        gen.insert_vertex(tetra, "abc", "x")
+        contract_path(tetra, path_along(tetra.graph, ("a", "b")))
+        assert tetra.graph.edges == edges and tetra.faces == faces
 
 
 class TestLinkGraph:
@@ -119,7 +143,7 @@ class TestLinkGraph:
         assert ends == [("ab", "ac"), ("ab", "ad"), ("ac", "ad")]
         assert lg.edge_face == {"abc": "abc", "abd": "abd", "acd": "acd"}
 
-    def test_cone_apex_link_equals_base_skeleton(self):
+    def test_cone_apex_link_equals_base_graph(self):
         coned = gen.cone_over_graph(K4())
         apex = next(iter(coned.graph.vertices - K4().vertices))
         lg = link_graph(coned, apex)
@@ -178,7 +202,7 @@ class TestCone:
             lg = link_graph(coned, "TOP")
             renamed = Graph((v[3:] for v in lg.graph.vertices),
                             {le: (a[3:], b[3:]) for le, (a, b) in lg.graph.edges.items()})
-            assert graphs_match(renamed, skeleton(base))
+            assert graphs_match(renamed, base.graph)
 
 
 class TestContractPath:
@@ -186,7 +210,7 @@ class TestContractPath:
         assert contract_path(tetra, Path(("a",), ())) == tetra
 
     def test_tetra_edge_contraction(self, tetra):
-        out = contract_path(tetra, Path.from_vertices(tetra.graph, ("a", "b")))
+        out = contract_path(tetra, path_along(tetra.graph, ("a", "b")))
         assert len(out.graph.vertices) == 3
         merged = contracted_vertex_name(Path(("a", "b"), ("ab",)), tetra.graph.vertices)
         assert merged in out.graph.vertices
@@ -219,9 +243,9 @@ class TestContractPath:
 
 
 class TestDeleteFaces:
-    def test_delete_all_leaves_bare_skeleton(self, tetra):
-        out = delete_faces(tetra, tetra.face_ids())
-        assert out.graph == skeleton(tetra)
+    def test_delete_all_leaves_bare_graph(self, tetra):
+        out = delete_faces(tetra, tetra.faces)
+        assert out.graph == tetra.graph
         assert out.faces == {}
 
     def test_delete_nothing(self, tetra):
@@ -330,7 +354,7 @@ def _multigraph(draw):
 def test_edge_lookup_and_simplicity_match_their_definitions(g):
     for u in sorted(g.vertices) + ["absent"]:
         for v in sorted(g.vertices) + ["absent"]:
-            want = sorted(e for e in g.edge_ids()
+            want = sorted(e for e in g.edges
                           if sorted(g.endpoints(e)) == sorted((u, v)))
             assert g.edges_between(u, v) == tuple(want)
     assert g.is_simple() == (not g.loops() and not g.parallel_pairs())
@@ -428,13 +452,13 @@ def test_regrouped_complexes_equal_the_checked_constructor():
     """The operations that skip the per-step check build what `TwoComplex` would."""
     inputs = regrouping_inputs()
     for c in inputs:
-        ids = c.face_ids()
+        ids = tuple(c.faces)
         half = ids[::2]
-        faces = [c.face(fid) for fid in half]
+        faces = [c.faces[fid] for fid in half]
         sub = face_subcomplex(c, half)
         results = [(delete_faces(c, ids[1::2]), c.graph, faces), (sub, sub.graph, faces),
                    (parse_complex(format_complex(c)), c.graph, c.faces.values())]
-        results += [(part, part.graph, [c.face(fid) for fid in part.face_ids()])
+        results += [(part, part.graph, [c.faces[fid] for fid in part.faces])
                     for part in split_components(c)]
         if not validate(c):
             cycles = {fid: f.vertices for fid, f in c.faces.items()}

@@ -11,8 +11,7 @@ import pytest
 from outerspatial import decider, embedding
 from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
-                                    associated_complex, complete_graph,
-                                    skeleton)
+                                    associated_complex, complete_graph)
 from outerspatial.decider import (AsphericalSubcomplex,
                                   ExhaustiveFailure, HypothesisViolated,
                                   NonOuterplanarLink, NotOuterspatial,
@@ -25,6 +24,7 @@ from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
 from outerspatial.embedding import test_planar as check_planar
 from outerspatial.cli import main
 from outerspatial.fileformat import format_complex, format_verdict, parse_complex
+from outerspatial.surface import SurfaceClass
 from outerspatial.verdicts import cycles_by_component, nested_certificate
 import families
 from families import from_cycles, random_planar_graph, stacked, triangles_of
@@ -167,7 +167,7 @@ class TestDecideNamedInstances:
 
     def test_squares_without_sphere_faces_violate_hypothesis(self, bipyramid4):
         complex = associated_complex(
-            skeleton(bipyramid4),
+            bipyramid4.graph,
             {"c1": ("n", "a", "s", "c"), "c2": ("n", "b", "s", "d")})
         verdict = decide_outerspatial(complex)
         assert isinstance(verdict, HypothesisViolated)
@@ -198,11 +198,11 @@ def torus7_with_insertions(seed, count):
     rng = random.Random(seed)
     complex = gen.torus7()
     for k in range(count):
-        complex = gen.insert_vertex(complex, rng.choice(sorted(complex.face_ids())), f"x{k}")
+        complex = gen.insert_vertex(complex, rng.choice(list(complex.faces)), f"x{k}")
     return complex
 
 
-def triangle_skeleton(graph):
+def triangle_complex(graph):
     """The 2-complex on a graph with every triangle of the graph as a face."""
     faces = [Face.from_vertices(graph, f"t{a}{b}{c}", (a, b, c))
              for a, b, c in itertools.combinations(sorted(graph.vertices), 3)
@@ -314,7 +314,7 @@ class TestEulerGate:
         assert format_verdict(decide_outerspatial(torus)) == \
             (GOLDEN / "torus7.decide").read_text()
         gated = (torus7_with_insertions(3, 5), torus7_with_insertions(4, 20),
-                 triangle_skeleton(complete_graph("abcdefg")))
+                 triangle_complex(complete_graph("abcdefg")))
         fast = []
         for complex in gated:
             assert not _within_euler_bound(complex.graph)
@@ -364,7 +364,7 @@ class TestDecideNestedPlane:
         assert isinstance(verdict, Outerspatial)
 
     def test_crossing_squares(self, bipyramid4):
-        sk = skeleton(bipyramid4)
+        sk = bipyramid4.graph
         verdict = decide_nested_plane(
             sk, {"c1": ("n", "a", "s", "c"), "c2": ("n", "b", "s", "d")})
         assert isinstance(verdict, NotOuterspatial)
@@ -375,7 +375,7 @@ class TestDecideNestedPlane:
             verdict.obstruction)
 
     def test_single_square(self, bipyramid4):
-        verdict = decide_nested_plane(skeleton(bipyramid4),
+        verdict = decide_nested_plane(bipyramid4.graph,
                                       {"c1": ("n", "a", "s", "c")})
         assert isinstance(verdict, Outerspatial)
 
@@ -393,7 +393,7 @@ class TestDecideNestedPlane:
         # answers; its certificate must be re-verified like any other.
         monkeypatch.setattr(decider, "verify_certificate", lambda complex, cert: False)
         with pytest.raises(AssertionError, match="certificate failed verification"):
-            decide_nested_plane(skeleton(bipyramid4), {"c1": ("n", "a", "s", "c")})
+            decide_nested_plane(bipyramid4.graph, {"c1": ("n", "a", "s", "c")})
 
     def test_oracle_command_answer_passes_the_self_check(self, tetra, tmp_path, monkeypatch):
         path = tmp_path / "tetra"
@@ -404,7 +404,7 @@ class TestDecideNestedPlane:
 
     def test_cap_refusal_keeps_hypothesis_verdict(self, bipyramid4):
         verdict = decide_nested_plane(
-            skeleton(bipyramid4),
+            bipyramid4.graph,
             {"c1": ("n", "a", "s", "c"), "c2": ("n", "b", "s", "d")}, cap=3)
         assert isinstance(verdict, HypothesisViolated)
         assert any("refused" in note for note in verdict.notes)
@@ -477,7 +477,7 @@ class TestAsphericalSalvage:
         assert isinstance(verdict, NotOuterspatial)
         ob = verdict.obstruction
         assert isinstance(ob, AsphericalSubcomplex)
-        assert ob.faces == frozenset(torus7.face_ids())
+        assert ob.faces == frozenset(torus7.faces)
         assert verify_obstruction(complex, ob)
 
 
@@ -530,6 +530,12 @@ class TestObstructionTampering:
         bad = NonOuterplanarLink(Path(("a",), ()), ob.link, ob.witness)
         assert not verify_obstruction(complex, bad)
 
+    def test_empty_face_set_fails(self, tetra):
+        # The empty subcomplex is connected, has no link and χ = 0, so only
+        # the face count refuses a torus inside an outerspatial complex.
+        empty = AsphericalSubcomplex(frozenset(), SurfaceClass(True, 0, True))
+        assert not verify_obstruction(tetra, empty)
+
 
 class TestCertificateAssembly:
     def test_cycles_go_to_their_component(self, tetra):
@@ -539,7 +545,7 @@ class TestCertificateAssembly:
         cycles = {fid: f.edge_set for c in (tetra, other) for fid, f in c.faces.items()}
         parts = cycles_by_component(union, cycles)
         assert [set(p) for p in parts] == [set(tetra.faces), set(other.faces)]
-        assert parts[0]["abc"] == tetra.face("abc").edge_set
+        assert parts[0]["abc"] == tetra.faces["abc"].edge_set
 
     def test_cycle_spanning_two_components_is_refused(self):
         graph = Graph("abcd", {"ab": ("a", "b"), "ba": ("b", "a"),

@@ -84,7 +84,7 @@ class TestPlanarity:
     def test_wheel_planar(self):
         # C4 plus a hub adjacent to every rim vertex.
         rim = C4()
-        edges = rim.edges
+        edges = dict(rim.edges)
         for v in "abcd":
             edges[f"h{v}"] = ("h", v)
         wheel = Graph("abcdh", edges)
@@ -116,7 +116,7 @@ class TestPlanarity:
 
 class TestOuterplanarity:
     def test_square_with_chord(self):
-        edges = C4().edges
+        edges = dict(C4().edges)
         edges["ac"] = ("a", "c")
         g = Graph("abcd", edges)
         result = check_outerplanar(g)
@@ -229,8 +229,8 @@ class TestCyclesCross:
     def test_disjoint_triangles(self):
         prism = gen.prism(3)
         traced = trace_faces(prism.graph, decide_outerspatial(prism).certificate.rotation)
-        top = prism.face("top").edge_set
-        bot = prism.face("bot").edge_set
+        top = prism.faces["top"].edge_set
+        bot = prism.faces["bot"].edge_set
         assert not cycles_cross(traced, top, bot)
 
     def test_crossing_squares_on_bipyramid(self, bipyramid4):

@@ -133,31 +133,48 @@ def _named(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _named_through(node: ast.AST, base: str, name: str) -> int:
+    """How often `base.name` occurs under node."""
+    return sum(isinstance(n, ast.Attribute) and n.attr == name
+               and isinstance(n.value, ast.Name) and n.value.id == base for n in ast.walk(node))
+
+
 def _unreferenced(sources: dict[str, str]) -> set[str]:
     """Functions, methods and classes of the modules, given as stem -> source, whose name
     occurs in no module outside their own definition; dunders aside.
 
     Names are matched without their owner, so a method passes when anything
     else of that name is used: `Graph.components` would pass unused because
-    `NestedCertificate.components` is read.
+    `NestedCertificate.components` is read.  A classmethod counts only where
+    it is named through its owner, as `Owner.m` anywhere or `cls.m` in the
+    owner's body, so `Path.from_vertices` would not pass on `Face.from_vertices`.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
     used = sum((_named(tree) for tree in trees.values()), Counter())
     out = set()
 
-    def visit(prefix: str, node: ast.AST) -> None:
+    def uses(child: ast.AST, owner: ast.ClassDef | None) -> int:
+        m = child.name
+        if owner is None or not any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                    for d in getattr(child, "decorator_list", ())):
+            return used[m] - _named(child)[m]
+        return (sum(_named_through(tree, owner.name, m) for tree in trees.values())
+                + _named_through(owner, "cls", m)
+                - _named_through(child, owner.name, m) - _named_through(child, "cls", m))
+
+    def visit(prefix: str, node: ast.AST, owner: ast.ClassDef | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = f"{prefix}.{child.name}"
                 dunder = child.name.startswith("__") and child.name.endswith("__")
-                if not dunder and used[child.name] == _named(child)[child.name]:
+                if not dunder and uses(child, owner) == 0:
                     out.add(name)
-                visit(name, child)
+                visit(name, child, child if isinstance(child, ast.ClassDef) else None)
             else:
-                visit(prefix, child)
+                visit(prefix, child, owner)
 
     for module, tree in trees.items():
-        visit(module, tree)
+        visit(module, tree, None)
     return out
 
 
@@ -176,3 +193,13 @@ def test_the_reference_scan_ignores_a_definition_naming_itself():
         "b": "def h():\n    return g()\n",
     }
     assert _unreferenced(sources) == {"a.f", "a.K", "a.K.m"}
+
+
+def test_a_classmethod_counts_only_where_named_through_its_owner():
+    sources = {
+        "a": "class A:\n    @classmethod\n    def make(cls):\n        return cls.build()\n\n"
+             "    @classmethod\n    def build(cls):\n        return cls()\n\n"
+             "class B:\n    @classmethod\n    def make(cls):\n        return cls.make()\n",
+        "b": "def f(x):\n    return A.make(), x.make(), B\n",
+    }
+    assert _unreferenced(sources) == {"a.B.make", "b.f"}

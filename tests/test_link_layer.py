@@ -43,7 +43,7 @@ def reference_cone(graph):
     apex = "apex"
     while apex in graph.vertices:
         apex += "x"
-    edges = graph.edges
+    edges = dict(graph.edges)
     used = set(edges)
     for v in sorted(graph.vertices):
         eid = f"{apex}{v}"
@@ -137,7 +137,7 @@ def random_outerplanar(rng, n, drop, extra):
 
 
 def with_parallels_and_loops(graph, rng):
-    edges = graph.edges
+    edges = dict(graph.edges)
     for eid in rng.sample(sorted(edges), min(2, len(edges))):
         edges[f"{eid}p"] = edges[eid]
     v = min(graph.vertices)
@@ -206,7 +206,7 @@ def multigraphs():
     base += outerplanar_graphs(seed=13)[:12] + cut_vertex_graphs()
     out = [with_parallels_and_loops(g, rng) for g in base]
     # Parallel edges alone keep a graph 2-connected but not simple.
-    out += [Graph(g.vertices, {**g.edges, "par": g.endpoints(min(g.edge_ids()))})
+    out += [Graph(g.vertices, {**g.edges, "par": g.endpoints(min(g.edges))})
             for g in outerplanar_graphs(seed=17)[:12]]
     return out
 
@@ -439,7 +439,7 @@ class TestBlockPass:
         for graph in graphs:
             simple = nx.Graph()
             simple.add_nodes_from(graph.vertices)
-            simple.add_edges_from(graph.endpoints(eid) for eid in graph.edge_ids()
+            simple.add_edges_from(graph.endpoints(eid) for eid in graph.edges
                                   if not graph.is_loop(eid))
             expected = {frozenset(frozenset(e) for e in edges)
                         for edges in nx.biconnected_component_edges(simple)}
@@ -502,7 +502,7 @@ class TestSingleCycleShortcut:
         assert all(single_cycle(g) is not None for g in cycles)
         fast = [_outcome(check_outerplanar(g)) for g in cycles]
         for graph, got in zip(cycles, fast):
-            assert got[2] == frozenset(graph.edge_ids()) and got[3] == frozenset()
+            assert got[2] == frozenset(graph.edges) and got[3] == frozenset()
         for graph, got in zip(cycles[:40] + cycles[-1:], fast[:40] + fast[-1:]):
             assert got == reference_outerplanar(graph), graph.edges
         monkeypatch.setattr(embedding, "_single_cycle", lambda vertices, ends: None)

@@ -104,7 +104,7 @@ def _with_fins(text, rng):
     """The complex text plus five triangle fins, each on one of its edges and a new vertex."""
     graph = parse_complex(text).graph
     lines = []
-    for i, eid in enumerate(rng.sample(sorted(graph.edge_ids()), 5)):
+    for i, eid in enumerate(rng.sample(list(graph.edges), 5)):
         u, v = graph.endpoints(eid)
         w = f"FN{i}"
         lines += [f"vertex {w}", f"edge {w}u {u} {w}", f"edge {w}v {v} {w}",

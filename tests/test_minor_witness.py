@@ -43,7 +43,7 @@ def multigraphs():
     graphs = [from_nx(nx.gnp_random_graph(rng.randrange(4, 8), rng.uniform(0.3, 0.8),
                                           seed=rng.randrange(10 ** 9)))
               for _ in range(60)]
-    return [with_parallels_and_loops(g, rng) for g in graphs if g.edge_count()]
+    return [with_parallels_and_loops(g, rng) for g in graphs if len(g.edges)]
 
 
 FAMILIES = {"atlas": atlas_graphs, "gnp": gnp_graphs, "multigraph": multigraphs,
@@ -106,7 +106,7 @@ class TestAgainstTheOracle:
 
 
 def edges_between(graph, a, b):
-    return [eid for eid in graph.edge_ids()
+    return [eid for eid in graph.edges
             if any(u in a and v in b for u, v in (graph.endpoints(eid),
                                                   graph.endpoints(eid)[::-1]))]
 
@@ -131,7 +131,7 @@ class TestCanonicalWitness:
         assert_canonical(graph, witness, 2)
 
     def test_parallel_edges_give_the_smallest_id(self):
-        edges = complete_graph("abcd").edges
+        edges = dict(complete_graph("abcd").edges)
         edges["aa-first"] = ("a", "b")
         witness = find_minor(Graph("abcd", edges), "K4")
         assert witness.connecting_edges[(0, 1)] == "aa-first"

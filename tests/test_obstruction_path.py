@@ -64,7 +64,7 @@ class TestForcedSurfaceSearch:
     def test_small_corpus_and_face_deletions(self, small_corpus):
         cases = [c for _, c in small_corpus]
         cases += [delete_faces(c, {fid}) for c in cases
-                  for fid in sorted(c.face_ids())[:2]]
+                  for fid in list(c.faces)[:2]]
         found = 0
         for complex in cases:
             got = search_aspherical_subcomplex(complex, BUDGET)

@@ -6,7 +6,7 @@ import pytest
 
 from outerspatial import generators as gen
 from outerspatial.complexes import (Graph, TwoComplex, complete_graph,
-                                    delete_faces, skeleton)
+                                    delete_faces)
 from outerspatial.decider import (ExhaustiveFailure, NestedCertificate,
                                   verify_certificate)
 from outerspatial.oracle import (CapExceededError, brute_force_nested,
@@ -54,7 +54,7 @@ class TestEnumeration:
     def test_cap_enforced(self):
         big = gen.bipyramid(8)
         with pytest.raises(CapExceededError):
-            list(enumerate_sphere_embeddings(skeleton(big)))
+            list(enumerate_sphere_embeddings(big.graph))
 
     def test_disconnected_rejected(self):
         g = Graph("abcd", {"ab": ("a", "b"), "cd": ("c", "d")})
@@ -65,12 +65,12 @@ class TestEnumeration:
 class TestBruteForceNested:
     def test_k4_triangles(self, tetra):
         cycles = {fid: f.edge_set for fid, f in tetra.faces.items()}
-        got = brute_force_nested(skeleton(tetra), cycles)
+        got = brute_force_nested(tetra.graph, cycles)
         assert isinstance(got, NestedCertificate)
         assert verify_certificate(tetra, got)
 
     def test_crossing_squares_fail_exhaustively(self, bipyramid4):
-        sk = skeleton(bipyramid4)
+        sk = bipyramid4.graph
         got = brute_force_nested(sk, {
             "c1": frozenset({"na", "sa", "nc", "sc"}),
             "c2": frozenset({"nb", "sb", "nd", "sd"})})
@@ -115,7 +115,7 @@ class TestBruteForceOuterspatial:
         for complex in sample:
             if not isinstance(brute_force_outerspatial(complex), NestedCertificate):
                 continue
-            for fid in sorted(complex.face_ids())[:3]:
+            for fid in list(complex.faces)[:3]:
                 smaller = delete_faces(complex, {fid})
                 assert isinstance(brute_force_outerspatial(smaller), NestedCertificate)
 
@@ -128,7 +128,7 @@ class TestAsphericalSearch:
         found = find_aspherical_subcomplex(torus7)
         assert found is not None
         faces, sclass = found
-        assert faces == frozenset(torus7.face_ids())
+        assert faces == frozenset(torus7.faces)
         assert sclass.euler == 0 and sclass.orientable
 
     def test_torus_with_extra_triangle_component(self, torus7):
@@ -143,7 +143,7 @@ class TestAsphericalSearch:
         found = find_aspherical_subcomplex(union)
         assert found is not None
         faces_found, _ = found
-        assert faces_found == frozenset(torus7.face_ids())
+        assert faces_found == frozenset(torus7.faces)
 
     def test_projective_plane_found(self):
         from test_surface import projective_plane

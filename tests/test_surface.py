@@ -30,7 +30,7 @@ class TestIsClosedSurface:
 
     def test_every_edge_in_two_faces(self, torus7, tetra):
         for complex in (torus7, tetra, gen.prism(4)):
-            for eid in complex.graph.edge_ids():
+            for eid in complex.graph.edges:
                 assert sum(eid in f.edge_ids for f in complex.faces.values()) == 2
 
 
@@ -103,11 +103,11 @@ class TestOrientationSearch:
         # the faces lets each of them come first in turn.
         complex = builder()
         outcomes = set()
-        for first in complex.face_ids():
+        for first in complex.faces:
             renamed = [Face(("a" if fid == first else "b") + fid, f.steps)
                        for fid, f in complex.faces.items()]
             relabelled = TwoComplex(complex.graph, renamed)
-            assert min(relabelled.face_ids()) == "a" + first
+            assert min(relabelled.faces) == "a" + first
             outcomes.add(_orient_faces(relabelled) is not None)
         assert outcomes == {builder is not projective_plane}
 

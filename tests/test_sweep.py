@@ -32,9 +32,9 @@ def stacked_sphere(seed, vertices):
     complex = gen.tetra()
     separating = {}
     for k in range(vertices - 4):
-        triangles = sorted(fid for fid in complex.face_ids())
+        triangles = list(complex.faces)
         fid = rng.choice(triangles)
-        separating[f"s{fid}"] = complex.face(fid).edge_set
+        separating[f"s{fid}"] = complex.faces[fid].edge_set
         complex = gen.insert_vertex(complex, fid, f"v{k}")
     traced = trace_faces(complex.graph, decide_outerspatial(complex).certificate.rotation)
     cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
