@@ -400,14 +400,11 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
     if len(certs) != len(parts) or len(certificate.components) != len(parts):
         return False
     comp_faces: list[dict[str, tuple[str, ...]]] = [{} for _ in parts]
-    edge_sets = set()
     for fid, f in complex.faces.items():
         if not f.is_genuine_cycle():
             return False
-        edge_ids = f.edge_ids
-        edge_sets.add(frozenset(edge_ids))
-        comp_faces[comp_of[f.steps[0][0]]][fid] = edge_ids
-    if len(edge_sets) != len(complex.faces):
+        comp_faces[comp_of[f.steps[0][0]]][fid] = f.edge_ids
+    if len({frozenset(es) for fs in comp_faces for es in fs.values()}) != len(complex.faces):
         return False
     for part, part_faces in zip(parts, comp_faces):
         cert = certs.get(tuple(sorted(part.vertices)))
