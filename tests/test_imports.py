@@ -156,7 +156,7 @@ def _unreferenced(sources: dict[str, str]) -> set[str]:
     def uses(child: ast.AST, owner: ast.ClassDef | None) -> int:
         m = child.name
         if owner is None or not any(isinstance(d, ast.Name) and d.id == "classmethod"
-                                    for d in getattr(child, "decorator_list", ())):
+                                    for d in child.decorator_list):
             return used[m] - _named(child)[m]
         return (sum(_named_through(tree, owner.name, m) for tree in trees.values())
                 + _named_through(owner, "cls", m)
