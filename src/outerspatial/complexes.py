@@ -97,18 +97,16 @@ class Graph:
         return self._pairs.get((u, v) if u <= v else (v, u), ())
 
     def loops(self) -> tuple[str, ...]:
-        return tuple(e for e in self._edges if self.is_loop(e))
+        """Loop ids, ascending."""
+        return tuple(e for e, (u, v) in self._edges.items() if u == v)
 
     def parallel_pairs(self) -> tuple[tuple[str, str], ...]:
-        """Pairs of distinct edges with the same endpoint set."""
-        by_ends: dict[frozenset[str], list[str]] = {}
-        for eid, (u, v) in self._edges.items():
-            by_ends.setdefault(frozenset((u, v)), []).append(eid)
-        out = []
-        for group in by_ends.values():
-            for a, b in itertools.combinations(sorted(group), 2):
-                out.append((a, b))
-        return tuple(sorted(out))
+        """Pairs (a, b), a < b, of distinct edges with the same endpoint set, sorted."""
+        by_ends: dict[tuple[str, str], list[str]] = {}
+        for eid, (u, v) in self._edges.items():  # ascending ids
+            by_ends.setdefault((u, v) if u <= v else (v, u), []).append(eid)
+        return tuple(sorted(pair for group in by_ends.values() if len(group) > 1
+                            for pair in itertools.combinations(group, 2)))
 
     def is_simple(self) -> bool:
         """No loop and no two edges with the same endpoints; stops at the first."""
@@ -205,19 +203,18 @@ class Face:
     def from_vertices(cls, graph: Graph, face_id: str, vertices: Sequence[str],
                       kind: str = "face") -> "Face":
         """Build from a vertex sequence; edges are inferred and must be unique; errors say `kind`."""
-        k = len(vertices)
+        ends = graph.edges
         steps = []
-        for i in range(k):
-            u, v = vertices[i], vertices[(i + 1) % k]
+        # The closing pair comes last, so the first bad pair in walk order is reported.
+        for u, v in zip(vertices, vertices[1:] + vertices[:1]):
             cands = graph.edges_between(u, v)
-            if not cands:
-                raise ValueError(f"{kind} {face_id}: no edge between {u} and {v}")
-            if len(cands) > 1:
+            if len(cands) != 1:
+                if not cands:
+                    raise ValueError(f"{kind} {face_id}: no edge between {u} and {v}")
                 hint = "; list edge ids instead" if kind == "face" else ""  # a cycle has no `facee`
                 raise ValueError(f"{kind} {face_id}: ambiguous edge between {u} and {v}{hint}")
             eid = cands[0]
-            o = 0 if graph.endpoints(eid)[0] == u else 1
-            steps.append((u, eid, o))
+            steps.append((u, eid, 0 if ends[eid][0] == u else 1))
         return cls(face_id, steps)
 
     @classmethod
@@ -254,8 +251,8 @@ class Face:
 
     def is_genuine_cycle(self) -> bool:
         """No repeated vertex and length at least three."""
-        vs = self.vertices
-        return len(vs) >= 3 and len(set(vs)) == len(vs)
+        steps = self.steps
+        return len(steps) >= 3 and len({s[0] for s in steps}) == len(steps)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Face) and (self.face_id, self.steps) == (other.face_id, other.steps)
@@ -286,14 +283,21 @@ def _walk_from(graph: Graph, edge_ids: Sequence[str], start: str) -> tuple[Step,
 def _canonical_walk(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     """Lexicographically minimal rotation or reflection of the walk.
 
-    On a genuine cycle, the lesser of the whole forward and reflected walks
-    from the least vertex (steps compare by vertex first, and the first edges
-    may tie); a walk with a repeated vertex takes each direction's least rotation.
+    A genuine cycle starts at its least vertex, where steps compare by
+    vertex first, and goes along the lesser of the two edges there: the
+    forward walk leaves by its first step's edge and the reflected one by
+    its last step's.  On a face of a graph these two edges differ.  Only
+    raw step tuples can repeat an id there; the tie takes the lesser of the
+    whole forward and reflected walks.  A walk with a repeated vertex takes
+    each direction's least rotation.
     """
     vs = [s[0] for s in steps]
     if len(vs) >= 3 and len(set(vs)) == len(vs):
         i = vs.index(min(vs))
         forward = steps[i:] + steps[:i]
+        out, back = forward[0][1], forward[-1][1]
+        if out != back:
+            return forward if out < back else _reflect(forward)
         return min(forward, _reflect(forward))
     return min(_least_rotation(steps), _least_rotation(_reflect(steps)))
 
@@ -324,13 +328,9 @@ def _least_rotation(seq: tuple) -> tuple:
 
 
 def _reflect(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    k = len(steps)
-    out = []
-    for j in range(k):
-        v = steps[(k - j) % k][0]
-        _, e, o = steps[(k - j - 1) % k]
-        out.append((v, e, 1 - o))
-    return tuple(out)
+    """The walk backwards from its first vertex: v0, v(k-1), ..., v1 along e(k-1), ..., e0."""
+    back = steps[::-1]
+    return tuple((v, e, 1 - o) for (v, _, _), (_, e, o) in zip(steps[:1] + back[:-1], back))
 
 
 class TwoComplex:

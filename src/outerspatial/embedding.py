@@ -149,12 +149,6 @@ class TracedFaces:
     def orbit_index_of(self, dart: Dart) -> int:
         return self._orbit_of[dart]
 
-    @cached_property
-    def _dual_darts(self) -> tuple[tuple[tuple[str, int], ...], ...]:
-        """Per orbit, one (edge id, orbit across that edge) per dart."""
-        return tuple(tuple((eid, self._orbit_of[(eid, 1 - o)]) for eid, o in orbit)
-                     for orbit in self.orbits)
-
     def __repr__(self) -> str:
         return f"TracedFaces({len(self.orbits)} orbits, genus {self.genus})"
 
@@ -955,10 +949,10 @@ class _DualTree:
     """
 
     def __init__(self, traced: TracedFaces, root: int):
-        dual = traced._dual_darts
-        self.up = up = [-1] * len(dual)
-        self.via = via = [""] * len(dual)
-        self.first = first = [-1] * len(dual)
+        orbits, orbit_of = traced.orbits, traced._orbit_of
+        self.up = up = [-1] * len(orbits)
+        self.via = via = [""] * len(orbits)
+        self.first = first = [-1] * len(orbits)
         self.order = order = []
         stack = [(root, -1, "")]
         while stack:
@@ -968,8 +962,11 @@ class _DualTree:
             first[x] = len(order)
             order.append(x)
             up[x], via[x] = p, eid
-            stack.extend((y, x, e) for e, y in dual[x] if first[y] < 0)
-        self.size = size = [1] * len(dual)
+            for e, o in orbits[x]:
+                y = orbit_of[e, 1 - o]
+                if first[y] < 0:
+                    stack.append((y, x, e))
+        self.size = size = [1] * len(orbits)
         for x in reversed(order[1:]):
             size[up[x]] += size[x]
         self.below = {via[x]: x for x in order[1:]}
@@ -1012,11 +1009,12 @@ def _label_walk(tree: _DualTree, cycles: Mapping[str, frozenset[str]]) -> dict[s
     of |c| log |c|).
     """
     order, up, via, first, size = tree.order, tree.up, tree.via, tree.first, tree.size
+    below = tree.below
     through: dict[str, dict[str, int]] = {}
     for cid, edges in cycles.items():
-        kids = [tree.below[e] for e in edges if e in tree.below]
+        kids = [below[e] for e in edges if e in below]
         ends = sorted([first[x] for x in kids] + [first[x] + size[x] for x in kids])
-        inside = sum(ends[i + 1] - ends[i] for i in range(0, len(ends), 2))
+        inside = sum(ends[1::2]) - sum(ends[::2])
         for x in kids:
             through.setdefault(via[x], {})[cid] = inside
 
@@ -1024,13 +1022,17 @@ def _label_walk(tree: _DualTree, cycles: Mapping[str, frozenset[str]]) -> dict[s
     parent: dict[str, str | None] = {}
     for x in order[1:]:
         here = label[up[x]]
-        rest = dict(through.get(via[x], ()))
-        while here in rest:
-            del rest[here]
-            here = parent[here]
-        for _, cid in sorted((-inside, cid) for cid, inside in rest.items()):
-            if parent.setdefault(cid, here) != here:
-                return None
-            here = cid
+        # Each tree edge is crossed once, so its map is used up in place.
+        rest = through.get(via[x])
+        if rest:
+            while here in rest:
+                del rest[here]
+                here = parent[here]
+            entered = rest if len(rest) < 2 else \
+                [cid for _, cid in sorted((-inside, cid) for cid, inside in rest.items())]
+            for cid in entered:
+                if parent.setdefault(cid, here) != here:
+                    return None
+                here = cid
         label[x] = here
     return dict(sorted(parent.items()))

@@ -26,11 +26,10 @@ class ParseError(ValueError):
 
 
 def _tokens(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield line_no, line.split()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        toks = (line.partition("#")[0] if "#" in line else line).split()
+        if toks:
+            yield line_no, toks
 
 
 def _check_id(line_no: int, token: str) -> str:
@@ -137,10 +136,6 @@ def parse_cycles(text: str) -> list[tuple[str, tuple[str, ...]]]:
     return out
 
 
-def _format_half_edge(h) -> str:
-    return f"{h[0]}:{h[1]}"
-
-
 def _parse_half_edge(token: str):
     eid, _, end = token.rpartition(":")
     if end not in ("0", "1") or not eid:
@@ -151,11 +146,11 @@ def _parse_half_edge(token: str):
 def format_certificate(cert: NestedCertificate) -> list[str]:
     lines = ["certificate:", "  rotation:"]
     for v in cert.rotation.vertices():
-        halves = " ".join(_format_half_edge(h) for h in cert.rotation.rotator(v))
+        halves = " ".join(f"{eid}:{end}" for eid, end in cert.rotation.rotator(v))
         lines.append(f"    {v}: {halves}".rstrip())
     for comp in cert.components:
         lines.append("  component " + " ".join(comp.vertices) + ":")
-        lines.append("    outer: " + " ".join(_format_half_edge(d) for d in comp.outer_darts))
+        lines.append("    outer: " + " ".join(f"{eid}:{end}" for eid, end in comp.outer_darts))
         lines.append("    forest:")
         stack = [(root, 0) for root in reversed(comp.roots())]
         while stack:

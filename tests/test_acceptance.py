@@ -251,7 +251,11 @@ BUNDLED = [
 
 
 def _cli(args, hash_seed: str) -> tuple[int, bytes]:
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    # The child finds the package under src/ whether or not the caller set PYTHONPATH.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run([sys.executable, "-m", "outerspatial.cli", *args],
                           capture_output=True, env=env)
     return proc.returncode, proc.stdout

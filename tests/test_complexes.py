@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import families
 from families import path_along, vertex_sum
 from outerspatial import generators as gen
-from outerspatial.complexes import _reflect
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_bipartite,
                                     complete_graph, cone, contract_path,
@@ -48,6 +47,16 @@ class TestValidate:
         g = Graph("uv", {"e1": ("u", "v"), "e2": ("u", "v")})
         kinds = [p.kind for p in validate(TwoComplex(g, []))]
         assert kinds == ["parallel-edge"]
+
+    def test_three_parallel_edges_and_a_loop(self):
+        g = Graph("uvw", {"p3": ("v", "u"), "p1": ("u", "v"), "p2": ("u", "v"),
+                          "w1": ("w", "w"), "x": ("v", "w")})
+        assert g.loops() == ("w1",)
+        assert g.parallel_pairs() == (("p1", "p2"), ("p1", "p3"), ("p2", "p3"))
+        out = validate(TwoComplex(g, []))
+        assert [(p.kind, p.element) for p in out] == [
+            ("loop", "w1"), ("parallel-edge", "p2"), ("parallel-edge", "p3"),
+            ("parallel-edge", "p3")]
 
     def test_repeated_vertex_walk_is_not_a_cycle(self):
         g = complete_graph("abc")
@@ -312,6 +321,27 @@ class TestAssociatedComplex:
             associated_complex(K4(), [("x", "abc"), ("x", "abd")])
 
 
+class TestFaceFromVertices:
+    def test_reports_the_first_missing_edge_in_walk_order(self):
+        # b-d and the closing pair c-a have no edge; b-d comes first.
+        g = Graph("abcd", {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d")})
+        with pytest.raises(ValueError, match="^face f: no edge between b and d$"):
+            Face.from_vertices(g, "f", ("a", "b", "d", "c"))
+
+    def test_reports_the_first_ambiguous_pair_in_walk_order(self):
+        # c-d and the closing pair a-b each have two edges; c-d comes first.
+        g = Graph("abcd", {"p": ("a", "b"), "q": ("b", "a"), "bc": ("b", "c"),
+                           "r": ("c", "d"), "s": ("d", "c"), "da": ("d", "a")})
+        with pytest.raises(ValueError, match="^cycle f: ambiguous edge between c and d$"):
+            Face.from_vertices(g, "f", ("b", "c", "d", "a"), kind="cycle")
+        with pytest.raises(ValueError, match="^face f: ambiguous edge between c and d; list"):
+            Face.from_vertices(g, "f", ("b", "c", "d", "a"))
+
+    def test_empty_sequence_is_an_empty_boundary(self):
+        with pytest.raises(ValueError, match="^face f: empty boundary$"):
+            Face.from_vertices(K4(), "f", ())
+
+
 class TestComponents:
     def test_split(self):
         g = Graph("abcxyz", {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"),
@@ -357,6 +387,10 @@ def test_edge_lookup_and_simplicity_match_their_definitions(g):
             want = sorted(e for e in g.edges
                           if sorted(g.endpoints(e)) == sorted((u, v)))
             assert g.edges_between(u, v) == tuple(want)
+    assert g.loops() == tuple(sorted(e for e, (u, v) in g.edges.items() if u == v))
+    assert g.parallel_pairs() == tuple(sorted(
+        (a, b) for a in g.edges for b in g.edges
+        if a < b and set(g.endpoints(a)) == set(g.endpoints(b))))
     assert g.is_simple() == (not g.loops() and not g.parallel_pairs())
 
 
@@ -370,12 +404,20 @@ def _rotated_walk(draw):
     reflect = draw(st.booleans())
     variant = steps[rot:] + steps[:rot]
     if reflect:
-        k = len(variant)
-        variant = tuple(
-            (variant[(k - j) % k][0], variant[(k - j - 1) % k][1],
-             1 - variant[(k - j - 1) % k][2])
-            for j in range(k))
+        variant = reflected_walk(variant)
     return steps, variant
+
+
+def reflected_walk(steps):
+    """The walk run backwards from its first vertex, from the step definition.
+
+    Step j of the reflection leaves v_(k-j) along e_(k-j-1), which it
+    traverses from the other stored endpoint.
+    """
+    k = len(steps)
+    return tuple((steps[(k - j) % k][0], steps[(k - j - 1) % k][1],
+                  1 - steps[(k - j - 1) % k][2])
+                 for j in range(k))
 
 
 @given(_rotated_walk())
@@ -388,7 +430,7 @@ def test_canonicalization_idempotent_and_rotation_invariant(data):
 
 def reference_canonical_walk(steps):
     """The least of all 2k rotations and reflections of a k-step walk, all built at once."""
-    reflected = _reflect(steps)
+    reflected = reflected_walk(steps)
     k = len(steps)
     return min([steps[r:] + steps[:r] for r in range(k)]
                + [reflected[r:] + reflected[:r] for r in range(k)])
