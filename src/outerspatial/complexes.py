@@ -84,17 +84,21 @@ class Graph:
         out.discard(v)
         return frozenset(out)
 
-    def edges_between(self, u: str, v: str) -> tuple[str, ...]:
-        """Edge ids joining u and v, sorted; the loops at u when u == v.
+    def endpoint_pairs(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
+        """Endpoint pair (a, b), a <= b, -> its edge ids, ascending; a loop at a under (a, a).
 
-        Reads an endpoint-pair index built on first call and kept.
+        Pairs come in order of their least edge id.  Built on first call and kept.
         """
         if self._pairs is None:
             pairs: dict[tuple[str, str], list[str]] = {}
             for eid, (a, b) in self._edges.items():  # ascending ids
                 pairs.setdefault((a, b) if a <= b else (b, a), []).append(eid)
             self._pairs = {ab: tuple(es) for ab, es in pairs.items()}
-        return self._pairs.get((u, v) if u <= v else (v, u), ())
+        return MappingProxyType(self._pairs)
+
+    def edges_between(self, u: str, v: str) -> tuple[str, ...]:
+        """Edge ids joining u and v, sorted; the loops at u when u == v.  Reads `endpoint_pairs`."""
+        return (self._pairs or self.endpoint_pairs()).get((u, v) if u <= v else (v, u), ())
 
     def loops(self) -> tuple[str, ...]:
         """Loop ids, ascending."""
@@ -102,23 +106,12 @@ class Graph:
 
     def parallel_pairs(self) -> tuple[tuple[str, str], ...]:
         """Pairs (a, b), a < b, of distinct edges with the same endpoint set, sorted."""
-        by_ends: dict[tuple[str, str], list[str]] = {}
-        for eid, (u, v) in self._edges.items():  # ascending ids
-            by_ends.setdefault((u, v) if u <= v else (v, u), []).append(eid)
-        return tuple(sorted(pair for group in by_ends.values() if len(group) > 1
+        return tuple(sorted(pair for group in self.endpoint_pairs().values() if len(group) > 1
                             for pair in itertools.combinations(group, 2)))
 
     def is_simple(self) -> bool:
-        """No loop and no two edges with the same endpoints; stops at the first."""
-        seen: set[tuple[str, str]] = set()
-        for u, v in self._edges.values():
-            if u == v:
-                return False
-            uv = (u, v) if u < v else (v, u)
-            if uv in seen:
-                return False
-            seen.add(uv)
-        return True
+        """No loop and no two edges with the same endpoints."""
+        return len(self.endpoint_pairs()) == len(self._edges) and not self.loops()
 
     def component_index(self) -> tuple[dict[str, int], tuple["Graph", ...]]:
         """Vertex -> component id, and the components as graphs, ordered by smallest vertex.

@@ -131,10 +131,8 @@ def _within_euler_bound(graph: Graph) -> bool:
     """
     n = len(graph.vertices)
     bound = 3 * n - 6
-    if n < 3 or len(graph.edges) <= bound:
-        return True
-    pairs = {frozenset(uv) for uv in graph.edges.values() if uv[0] != uv[1]}
-    return len(pairs) <= bound
+    return (n < 3 or len(graph.edges) <= bound
+            or sum(a != b for a, b in graph.endpoint_pairs()) <= bound)
 
 
 def decide_outerspatial(complex: TwoComplex) -> Verdict:
@@ -301,7 +299,7 @@ def _crossing_obstruction(complex: TwoComplex, comp: TwoComplex,
     def edge_side(eid: str) -> bool | None:
         if eid in c1.edge_set:
             return None
-        return traced.orbit_index_of((eid, 0)) in pair.inside
+        return traced.orbit_of[eid, 0] in pair.inside
 
     steps = c2.steps
     k = len(steps)
@@ -420,7 +418,7 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
             if cert.outer_darts != ():
                 return False
             continue
-        outer = traced._orbit_of.get(cert.outer_darts[0]) if cert.outer_darts else None
+        outer = traced.orbit_of.get(cert.outer_darts[0]) if cert.outer_darts else None
         if outer is None or _normalize_cycle(traced.orbits[outer]) != cert.outer_darts:
             return False
         if not _labels_agree(traced, outer, cert.parents, part_faces):
@@ -447,7 +445,7 @@ def _labels_agree(traced: TracedFaces, outer: int, parent: Mapping[str, str | No
     for fid, edge_ids in faces.items():
         for eid in edge_ids:
             through.setdefault(eid, []).append(fid)
-    orbits, orbit_of = traced.orbits, traced._orbit_of
+    orbits, orbit_of = traced.orbits, traced.orbit_of
     label: dict[int, str | None] = {outer: None}
     queue = [outer]
     for x in queue:

@@ -132,7 +132,7 @@ class TracedFaces:
         self.graph = graph
         self.rotation = rotation
         self.orbits = orbits
-        self._orbit_of: dict[Dart, int] = {d: i for i, orbit in enumerate(orbits) for d in orbit}
+        self.orbit_of: dict[Dart, int] = {d: i for i, orbit in enumerate(orbits) for d in orbit}
 
     @cached_property
     def genus(self) -> int:
@@ -145,9 +145,6 @@ class TracedFaces:
         if two_g < 0 or two_g % 2:
             raise AssertionError(f"inconsistent Euler count: V={v} E={e} F={f}")
         return two_g // 2
-
-    def orbit_index_of(self, dart: Dart) -> int:
-        return self._orbit_of[dart]
 
     def __repr__(self) -> str:
         return f"TracedFaces({len(self.orbits)} orbits, genus {self.genus})"
@@ -215,7 +212,7 @@ def test_planar(graph: Graph) -> tuple[TracedFaces, ...] | None:
         import networkx as nx
         simple = nx.Graph()
         simple.add_nodes_from(rotators)
-        simple.add_edges_from((u, v) for u, v in graph.edges.values() if u != v)
+        simple.add_edges_from((u, v) for u, v in graph.endpoint_pairs() if u != v)
         ok, emb = nx.check_planarity(simple)
         if not ok:
             return None
@@ -223,7 +220,7 @@ def test_planar(graph: Graph) -> tuple[TracedFaces, ...] | None:
         for v in rotators:
             cyc: list[HalfEdge] = []
             for w in order.get(v, []):
-                block = sorted(graph.edges_between(v, w))
+                block = graph.edges_between(v, w)
                 # Parallel edges ride along a single embedded edge; opposite
                 # relative order at the two endpoints keeps every digon a face.
                 if v > w:
@@ -231,7 +228,7 @@ def test_planar(graph: Graph) -> tuple[TracedFaces, ...] | None:
                 for eid in block:
                     u0, _ = graph.endpoints(eid)
                     cyc.append((eid, 0 if u0 == v else 1))
-            for eid in sorted(graph.edges_between(v, v)):
+            for eid in graph.edges_between(v, v):
                 cyc.extend([(eid, 0), (eid, 1)])
             rotators[v] = tuple(cyc)
     rotation = RotationSystem(rotators)
@@ -249,13 +246,13 @@ def is_2_connected(graph: Graph) -> bool:
 def _simple_adjacency(graph: Graph) -> dict[str, dict[str, None]]:
     """Neighbours of the simple underlying graph: loops dropped, parallels merged.
 
-    Vertices come in sorted order and neighbours in the order of their first
-    edge id, so whatever is built by walking it is the same in every
-    process.  Each neighbour maps to None, which `_reduce` reads as an edge
-    of the graph itself.
+    Vertices come in sorted order and neighbours in the order of their least
+    joining edge id, the order of the graph's `endpoint_pairs`, so whatever
+    is built by walking it is the same in every process.  Each neighbour
+    maps to None, which `_reduce` reads as an edge of the graph itself.
     """
     adj: dict[str, dict[str, None]] = {v: {} for v in sorted(graph.vertices)}
-    for u, w in graph.edges.values():
+    for u, w in graph.endpoint_pairs():
         if u != w:
             adj[u][w] = adj[w][u] = None
     return adj
@@ -516,7 +513,7 @@ def _k23_sides(block: dict[str, dict]) -> tuple[list[list[str]], list[list[str]]
     if pair is None:
         return None
     if pair:
-        x, y = sorted(pair)
+        x, y = pair
         return [[x], [y]], _three_paths(block, x, y)
     paths = _k4_subdivision({v: dict(at) for v, at in block.items()})
 
@@ -724,7 +721,7 @@ def test_outerplanar(graph: Graph | LinkGraph) -> OuterplanarityResult:
         violation = "not 2-connected"
     else:
         violation = None
-    triangles: dict[frozenset[str], int] = {}
+    triangles: dict[tuple[str, str], int] = {}
     for nbrs in blocks:
         if len(nbrs) >= 3 and _eliminate(nbrs, triangles) is not None:
             return OuterplanarityResult(False, violation, nonouterplanar=graph)
@@ -733,7 +730,7 @@ def test_outerplanar(graph: Graph | LinkGraph) -> OuterplanarityResult:
     boundary_edges, chords = set(), set()
     ring: dict[str, list[str]] = {v: [] for v in graph.vertices}
     for eid, (u, v) in graph.edges.items():
-        if triangles[frozenset((u, v))] == 2:
+        if triangles[(u, v) if u < v else (v, u)] == 2:
             chords.add(eid)
         else:
             boundary_edges.add(eid)
@@ -782,24 +779,25 @@ def _walk_ring(ring: Mapping[str, list[str]]) -> tuple[str, ...]:
 
 
 def _eliminate(nbrs: dict[str, dict[str, None]],
-               triangles: dict[frozenset[str], int]) -> frozenset[str] | None:
+               triangles: dict[tuple[str, str], int]) -> tuple[str, ...] | None:
     """Degree-2 elimination consuming one block's neighbours.
 
     None when the block passes, which means it is outerplanar; otherwise
-    the pair that reached a third triangle, or the empty set when three or
-    more vertices remain and none has degree 2.
+    the pair (x, y), x < y, that reached a third triangle, or () when three
+    or more vertices remain and none has degree 2.
     """
     low = sorted(v for v, ws in nbrs.items() if len(ws) == 2)
     while len(nbrs) > 2:
         if not low:
-            return frozenset()
+            return ()
         v = low.pop()
         if v not in nbrs:
             continue
         a, b = nbrs.pop(v)
         del nbrs[a][v], nbrs[b][v]
         nbrs[a][b] = nbrs[b][a] = None
-        for pair in (frozenset((v, a)), frozenset((v, b)), frozenset((a, b))):
+        for x, y in ((v, a), (v, b), (a, b)):
+            pair = (x, y) if x < y else (y, x)
             count = triangles.get(pair, 0) + 1
             if count == 3:
                 return pair
@@ -949,7 +947,7 @@ class _DualTree:
     """
 
     def __init__(self, traced: TracedFaces, root: int):
-        orbits, orbit_of = traced.orbits, traced._orbit_of
+        orbits, orbit_of = traced.orbits, traced.orbit_of
         self.up = up = [-1] * len(orbits)
         self.via = via = [""] * len(orbits)
         self.first = first = [-1] * len(orbits)
@@ -986,7 +984,7 @@ def _cycle_interior(traced: TracedFaces, tree: _DualTree, edges: Iterable[str]) 
         x = tree.below.get(eid)
         if x is not None:
             inside ^= ((1 << tree.size[x]) - 1) << tree.first[x]
-    first, orbit_of = tree.first, traced._orbit_of
+    first, orbit_of = tree.first, traced.orbit_of
     for eid in edges:
         if not (inside >> first[orbit_of[(eid, 0)]] ^ inside >> first[orbit_of[(eid, 1)]]) & 1:
             raise AssertionError("both faces at a cycle edge lie on one side")

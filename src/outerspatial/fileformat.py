@@ -109,7 +109,7 @@ def format_complex(complex: TwoComplex) -> str:
         lines.append(f"edge {eid} {u} {v}")
     for fid, face in complex.faces.items():
         unambiguous = all(
-            len(complex.graph.edges_between(*sorted(complex.graph.endpoints(e)))) == 1
+            len(complex.graph.edges_between(*complex.graph.endpoints(e))) == 1
             and not complex.graph.is_loop(e)
             for e in face.edge_ids)
         if unambiguous:

@@ -154,40 +154,35 @@ def search_aspherical_subcomplex(complex: TwoComplex, budget: int
     edge-connected: two parts sharing no edge but meeting at a vertex v
     would split the link at v.  So it suffices to test the edge-connected
     face sets covering every edge zero or two times, which
-    `_closed_face_sets` lists.  Raises SearchBudgetExceeded when that
-    listing needs more than `budget` nodes.
+    `_closed_face_sets` lists as sorted index tuples: sorted by (size,
+    tuple), they come in the oracle's `itertools.combinations` order, and
+    being edge-connected their subcomplexes are connected without a test.
+    Raises SearchBudgetExceeded when that listing needs more than `budget`
+    nodes.
     """
     fids = list(complex.faces)
-    by_size: dict[int, list[int]] = {}
-    for mask in _closed_face_sets([f.edge_set for f in complex.faces.values()], budget):
-        by_size.setdefault(mask.bit_count(), []).append(mask)
-    top = len(fids) - 1
-    for size in sorted(by_size):
-        for mask in sorted(by_size[size], reverse=True):
-            chosen = [fid for i, fid in enumerate(fids) if mask >> (top - i) & 1]
-            sub = face_subcomplex(complex, chosen)
-            if not sub.graph.is_connected():
-                continue
-            sclass = classify_component(sub)
-            if sclass.is_surface and sclass.euler != 2:
-                return frozenset(chosen), sclass
+    closed = _closed_face_sets([f.edge_set for f in complex.faces.values()], budget)
+    for indices in sorted(closed, key=lambda s: (len(s), s)):
+        chosen = [fids[i] for i in indices]
+        sclass = classify_component(face_subcomplex(complex, chosen))
+        if sclass.is_surface and sclass.euler != 2:
+            return frozenset(chosen), sclass
     return None
 
 
-def _closed_face_sets(edge_sets: Sequence[frozenset[str]], budget: int) -> list[int]:
+def _closed_face_sets(edge_sets: Sequence[frozenset[str]], budget: int) -> list[tuple[int, ...]]:
     """Every edge-connected face set covering each of its edges exactly twice.
 
-    Faces are indices into `edge_sets`, and a set comes back as a bitmask in
-    which face i is bit F - 1 - i (F faces).  So of two sets of one size,
-    the one whose sorted face list comes first has the larger mask: the
-    highest bit where they differ is the smallest face in just one.  For each
-    seed face, a depth-first search starts from {seed} and, while the set
-    covers some edge once, takes the smallest such edge and branches on the
-    face that covers it a second time: a face with a larger index than the
-    seed whose edges the set covers at most once each.  (A chosen face
-    other than the seed covers the edge it was chosen for twice, so it is
-    never offered again.)  A set covering no edge once is closed and
-    reported.
+    Faces are indices into `edge_sets`, and a set comes back as the sorted
+    tuple of its indices, so sets compare as their sorted face lists.  For
+    each seed face, a depth-first search starts from {seed} and, while the
+    set covers some edge once, takes the smallest such edge and branches on
+    the face that covers it a second time: a face with a larger index than
+    the seed whose edges the set covers at most once each.  Each set thus
+    grows by a face on an edge it already holds, so every set listed is
+    edge-connected.  (A chosen face other than the seed covers the edge it
+    was chosen for twice, so it is never offered again.)  A set covering no
+    edge once is closed and reported.
 
     Completeness: let T be a closed edge-connected set with smallest face s
     and S a proper subset of T containing s.  As T is edge-connected, some
@@ -218,12 +213,8 @@ def _closed_face_sets(edge_sets: Sequence[frozenset[str]], budget: int) -> list[
     count = [0] * len(edge_index)
     once: set[int] = set()
     chosen: list[int] = []
-    top = len(faces) - 1
-    mask = 0
 
     def toggle(f: int, step: int) -> None:
-        nonlocal mask
-        mask ^= 1 << (top - f)
         for e in faces[f]:
             c = count[e] + step
             count[e] = c
@@ -232,7 +223,7 @@ def _closed_face_sets(edge_sets: Sequence[frozenset[str]], budget: int) -> list[
             else:
                 once.discard(e)
 
-    closed: list[int] = []
+    closed: list[tuple[int, ...]] = []
     nodes = 0
     for seed in range(len(faces)):
         # stack[i] iterates the candidates for the set's face number i; when
@@ -251,7 +242,7 @@ def _closed_face_sets(edge_sets: Sequence[frozenset[str]], budget: int) -> list[
             toggle(f, 1)
             chosen.append(f)
             if not once:
-                closed.append(mask)
+                closed.append(tuple(sorted(chosen)))
                 toggle(chosen.pop(), -1)
                 continue
             forced = min(once)

@@ -132,8 +132,8 @@ def reference_sides(traced, cycle_edges):
     for eid in traced.graph.edges:
         if eid in cyc:
             continue
-        a = find(traced.orbit_index_of((eid, 0)))
-        b = find(traced.orbit_index_of((eid, 1)))
+        a = find(traced.orbit_of[eid, 0])
+        b = find(traced.orbit_of[eid, 1])
         if a != b:
             parent[max(a, b)] = min(a, b)
     groups = {}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import families
 from families import path_along, vertex_sum
+from outerspatial import embedding
 from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_bipartite,
@@ -392,6 +393,26 @@ def test_edge_lookup_and_simplicity_match_their_definitions(g):
         (a, b) for a in g.edges for b in g.edges
         if a < b and set(g.endpoints(a)) == set(g.endpoints(b))))
     assert g.is_simple() == (not g.loops() and not g.parallel_pairs())
+
+
+@given(_multigraph())
+@settings(max_examples=80, deadline=None)
+def test_pair_map_and_simple_adjacency_match_their_definitions(g):
+    """Witness bytes follow the neighbour order of `_simple_adjacency`, so it is pinned here."""
+    def joining(a, b):
+        return tuple(sorted(e for e, uv in g.edges.items() if sorted(uv) == sorted((a, b))))
+
+    pairs = g.endpoint_pairs()
+    keys = sorted({tuple(sorted(uv)) for uv in g.edges.values()}, key=lambda ab: joining(*ab)[0])
+    assert list(pairs.items()) == [(ab, joining(*ab)) for ab in keys]
+    with pytest.raises(TypeError):
+        pairs[("v0", "v0")] = ()
+    adj = embedding._simple_adjacency(g)
+    assert list(adj) == sorted(g.vertices)
+    for v, at in adj.items():
+        near = {w for w in g.vertices if w != v and joining(v, w)}
+        assert list(at) == sorted(near, key=lambda w: joining(v, w)[0])
+        assert set(at.values()) <= {None}
 
 
 @st.composite

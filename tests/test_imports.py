@@ -6,7 +6,8 @@ the syntax tree, at module level and inside functions.  Imports of sibling
 modules form an acyclic graph and all sit at module level; only imports of
 third-party modules, such as networkx for a planarity embedding, may be
 deferred into a function.  Every function, method and class defined there
-is named somewhere else in the package, bar a short list of entry points.
+is named somewhere else in the package, bar a short list of entry points,
+and the private names one module reads from another are an exact list.
 """
 
 import ast
@@ -203,3 +204,62 @@ def test_a_classmethod_counts_only_where_named_through_its_owner():
         "b": "def f(x):\n    return A.make(), x.make(), B\n",
     }
     assert _unreferenced(sources) == {"a.B.make", "b.f"}
+
+
+# Private names that one module of `src/` reads from another, each a helper
+# shared on purpose.  A new cross-module read of a private name, such as a
+# record's private attribute, must be made public or listed here.
+PRIVATE_READS = {
+    ("decider", "_normalize_cycle"),
+    ("decider", "_orient_faces"),
+    ("verdicts", "_normalize_cycle"),
+    ("surface", "_single_cycle"),
+    ("oracle", "_PATTERNS"),
+    ("oracle", "_bits"),
+    ("generators", "_fresh_name"),
+    ("fileformat", "TwoComplex._regroup"),
+}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, name) for each private name a module, given as stem -> source, reads
+    from another: `from .x import _y` gives `_y`, and `obj._y` gives `obj._y` unless
+    obj is `self` or `cls` or the module defines or assigns `_y` itself."""
+    out = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        own = set()
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own.add(n.name)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                own.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                own.add(n.attr)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom):
+                out.update((module, a.name) for a in n.names if _private(a.name))
+            elif (isinstance(n, ast.Attribute) and _private(n.attr) and n.attr not in own
+                  and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))):
+                out.add((module, f"{ast.unparse(n.value)}.{n.attr}"))
+    return out
+
+
+def test_modules_read_only_the_listed_private_names_of_others():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _private_reads(sources) == PRIVATE_READS
+
+
+def test_the_private_read_scan_skips_own_names_self_and_cls():
+    sources = {
+        "a": "from .b import _h, g\n_k = 1\n\n"
+             "class A:\n    def __init__(self):\n        self._own = 1\n\n"
+             "    @classmethod\n    def make(cls):\n        return cls._make()\n\n"
+             "    def m(self, other):\n        return self._x, other._own, other._far, _k\n",
+        "b": "def _h():\n    return A._make(), _h, g.__name__\n",
+    }
+    assert _private_reads(sources) == {("a", "_h"), ("a", "other._far"), ("b", "A._make")}

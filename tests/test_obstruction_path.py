@@ -5,6 +5,7 @@ the surface search against `oracle.find_aspherical_subcomplex`, and the
 series-parallel gate against the oracle's branch-set enumeration.
 """
 
+import itertools
 import random
 
 import networkx as nx
@@ -20,6 +21,7 @@ from outerspatial.decider import (AsphericalSubcomplex, HypothesisViolated,
 from outerspatial.embedding import find_minor, verify_minor_witness
 from outerspatial.oracle import _search_minor, find_aspherical_subcomplex
 from outerspatial.surface import SearchBudgetExceeded, search_aspherical_subcomplex
+from outerspatial.surface import _closed_face_sets
 from test_surface import projective_plane
 
 BUDGET = decider.ASPHERICAL_SEARCH_BUDGET
@@ -179,3 +181,64 @@ class TestK4Gate:
         assert find_minor(k23, "K4") is None
         witness = find_minor(k23, "K2,3")
         assert witness.target == "K2,3" and verify_minor_witness(k23, witness)
+
+
+def complete_2_skeleton(names):
+    """K_n with every triangle as a face."""
+    return from_cycles([("".join(t), t) for t in itertools.combinations(names, 3)])
+
+
+def brute_force_closed_sets(edge_sets):
+    """Every edge-connected face subset covering each of its edges exactly twice,
+    as sorted index tuples."""
+    out = set()
+    for size in range(1, len(edge_sets) + 1):
+        for subset in itertools.combinations(range(len(edge_sets)), size):
+            count = {}
+            for f in subset:
+                for e in edge_sets[f]:
+                    count[e] = count.get(e, 0) + 1
+            if any(c != 2 for c in count.values()):
+                continue
+            reached = {subset[0]}
+            grown = True
+            while grown:
+                grown = False
+                for f in subset:
+                    if f not in reached and any(edge_sets[f] & edge_sets[g] for g in reached):
+                        reached.add(f)
+                        grown = True
+            if len(reached) == size:
+                out.add(subset)
+    return out
+
+
+def edge_sets_of(complex):
+    return [f.edge_set for f in complex.faces.values()]
+
+
+class TestClosedFaceSetListing:
+    """`_closed_face_sets` lists exactly the closed edge-connected face sets, with a
+    pinned node count: a change of search order moves the budget where it stops."""
+
+    @pytest.mark.parametrize("name, build, sets", [
+        ("K5", lambda: complete_2_skeleton("abcde"), 15),
+        ("torus7", gen.torus7, 1),
+        ("projective plane", projective_plane, 1),
+    ])
+    def test_listing_matches_brute_force(self, name, build, sets):
+        edge_sets = edge_sets_of(build())
+        listed = _closed_face_sets(edge_sets, BUDGET)
+        assert len(listed) == len(set(listed)) == sets
+        assert set(listed) == brute_force_closed_sets(edge_sets)
+
+    @pytest.mark.parametrize("name, build, nodes, sets", [
+        ("K5", lambda: complete_2_skeleton("abcde"), 57, 15),
+        ("torus7", gen.torus7, 34, 1),
+        ("K6", lambda: complete_2_skeleton("abcdef"), 972, 282),
+    ])
+    def test_smallest_budget_that_finishes(self, name, build, nodes, sets):
+        edge_sets = edge_sets_of(build())
+        assert len(_closed_face_sets(edge_sets, nodes)) == sets
+        with pytest.raises(SearchBudgetExceeded):
+            _closed_face_sets(edge_sets, nodes - 1)
