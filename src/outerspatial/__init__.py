@@ -11,9 +11,8 @@ from .embedding import (MinorWitness, RotationSystem, TracedFaces,
                         cycle_sides, find_minor, is_2_connected,
                         test_outerplanar, test_planar, trace_faces,
                         verify_minor_witness)
-from .oracle import (CapExceededError, brute_force_nested,
-                     brute_force_outerspatial, enumerate_sphere_embeddings,
-                     find_aspherical_subcomplex)
+from .oracle import (CapExceededError, brute_force_outerspatial,
+                     enumerate_sphere_embeddings, find_aspherical_subcomplex)
 from .surface import SurfaceClass, survey_surfaces
 from .verdicts import (AsphericalSubcomplex, ExhaustiveFailure,
                        HypothesisViolated, NestedCertificate, NonOuterplanarLink,

@@ -29,7 +29,7 @@ from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
                        ExhaustiveFailure, HypothesisViolated, LinkViolation,
                        NestedCertificate, NonOuterplanarLink, NotOuterspatial,
                        Obstruction, Outerspatial, Verdict, component_certificate,
-                       cycles_by_component, nested_certificate)
+                       nested_certificate)
 
 # Nodes the salvage search may visit; it finishes within this on every input
 # of at most 20 faces (see `surface._closed_face_sets`).
@@ -103,19 +103,19 @@ def _merged_link_obstruction(complex: TwoComplex, path: Path, target: str) -> No
     return NonOuterplanarLink(path, link, witness)
 
 
-def _plane_parts(graph: Graph, cycles: Mapping[str, frozenset[str]]
-                 ) -> list[tuple[TracedFaces, ComponentCertificate]] | None:
+def _plane_parts(complex: TwoComplex) -> list[tuple[TracedFaces, ComponentCertificate]] | None:
     """Per component, a plane embedding's tracing and certificate; None when not planar.
 
-    A plane embedding nests every family of triangles, so callers pass only
-    triangles, or no cycles at all.
+    `test_planar` traces the skeleton's components in the order that
+    `split_components` lists them.  A plane embedding nests every family
+    of triangles, so callers pass only all-triangle or faceless complexes.
     """
-    tracings = test_planar(graph)
+    tracings = test_planar(complex.graph)
     if tracings is None:
         return None
     parts = []
-    for traced, comp_cycles in zip(tracings, cycles_by_component(graph, cycles)):
-        got = component_certificate(traced, comp_cycles)
+    for traced, comp in zip(tracings, split_components(complex)):
+        got = component_certificate(traced, comp)
         if isinstance(got, CrossingPair):
             raise AssertionError("triangles crossed in a plane embedding")
         parts.append((traced, got))
@@ -177,7 +177,7 @@ def _decide(complex: TwoComplex) -> Verdict:
             if outcome is not None:
                 parts.append(outcome)
             continue
-        plane = _plane_parts(comp.graph, {})
+        plane = _plane_parts(comp)
         if plane is None:
             notes.append("a component with no faces has a non-planar skeleton; "
                          "not outerspatial, but no obstruction of the supported kinds exists")
@@ -190,10 +190,9 @@ def _decide(complex: TwoComplex) -> Verdict:
     # of triangles, so a planar one proves outerspatiality in or out of the
     # hypothesis.  Without link violations the loop stopped only at a
     # non-planar faceless component, and then the skeleton is not planar.
-    faces = complex.faces
-    if (violations and all(len(f) == 3 for f in faces.values())
+    if (violations and all(len(f) == 3 for f in complex.faces.values())
             and _within_euler_bound(complex.graph)):
-        plane = _plane_parts(complex.graph, {fid: f.edge_set for fid, f in faces.items()})
+        plane = _plane_parts(complex)
         if plane is not None:
             return Outerspatial(nested_certificate(plane))
 
@@ -277,8 +276,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     orbits.sort()
     traced = TracedFaces(g, RotationSystem(rotators), tuple(orbits))
 
-    cycles = {fid: f.edge_set for fid, f in comp.faces.items()}
-    got = component_certificate(traced, cycles)
+    got = component_certificate(traced, comp)
     if isinstance(got, CrossingPair):
         return _crossing_obstruction(complex, comp, traced, got)
     return traced, got

@@ -1,32 +1,28 @@
 """Exhaustive ground truth at desk scale.
 
 Enumerates every rotation system of a skeleton (the product of cyclic orders
-over all vertices), keeps the genus-zero ones, and tests nestedness of a
-cycle family directly against each sphere embedding.  Also searches face
-subsets for closed surfaces other than the sphere, and connected vertex
-subsets for K4 and K2,3 branch sets (`_search_minor`, the ground truth for
-`embedding.find_minor`).
+over all vertices) and keeps the genus-zero ones.  The exhaustive search
+walks each component's sphere embeddings lazily, tracing one at a time,
+and stops at the first whose face boundaries nest; nothing is kept between
+calls.  Also searches face subsets for closed surfaces other than the
+sphere, and connected vertex subsets for K4 and K2,3 branch sets
+(`_search_minor`, the ground truth for `embedding.find_minor`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .complexes import Graph, TwoComplex, face_subcomplex
-from .embedding import (_PATTERNS, CrossingPair, MinorWitness, RotationSystem, TracedFaces,
+from .complexes import Graph, TwoComplex, face_subcomplex, split_components
+from .embedding import (_PATTERNS, CrossingPair, MinorWitness, RotationSystem,
                         _bits, test_planar, trace_faces)
 from .surface import SurfaceClass, classify_component
 from .verdicts import (ExhaustiveFailure, NestedCertificate, component_certificate,
-                       cycles_by_component, nested_certificate)
+                       nested_certificate)
 
 DEFAULT_CAP = 10_000_000
-
-# Skeletons whose traced sphere embeddings `brute_force_nested` keeps; a
-# corpus of random complexes repeats a handful of skeletons many times.
-SPHERE_TRACINGS_KEPT = 32
 
 
 class CapExceededError(Exception):
@@ -124,53 +120,40 @@ def _genus0_rotations(graph: Graph) -> Iterator[RotationSystem]:
         yield RotationSystem(rotators)
 
 
-@lru_cache(maxsize=SPHERE_TRACINGS_KEPT)
-def _sphere_tracings(graph: Graph) -> tuple[TracedFaces, ...]:
-    """Every genus-zero tracing of a connected graph; the caller checks the cap.
-
-    The tracings keep their dual graphs between calls.
-    """
-    return tuple(trace_faces(graph, rot) for rot in _genus0_rotations(graph))
-
-
-def brute_force_nested(graph: Graph, cycles: Mapping[str, frozenset[str]],
-                       cap: int = DEFAULT_CAP) -> NestedCertificate | ExhaustiveFailure:
-    """First sphere embedding nesting all cycles, or proof none exists.
+def brute_force_outerspatial(complex: TwoComplex,
+                             cap: int = DEFAULT_CAP) -> NestedCertificate | ExhaustiveFailure:
+    """First sphere embedding nesting all face boundaries, or proof none exists.
 
     Components are embedded independently (a disjoint union is nested exactly
     when each part is).  A non-planar component has no genus-zero rotation
     system at all, so it short-circuits to failure without enumeration.
+    Each component's sphere embeddings are traced one at a time, and the
+    search stops at the first whose faces nest.
     """
-    parts = graph.component_index()[1]
-    for part in parts:
-        if test_planar(part) is None:
+    comps = split_components(complex)
+    for comp in comps:
+        if test_planar(comp.graph) is None:
             return ExhaustiveFailure(
-                0, f"component of {min(part.vertices)} has a non-planar skeleton")
-    size = rotation_space_size(graph)
+                0, f"component of {min(comp.graph.vertices)} has a non-planar skeleton")
+    size = rotation_space_size(complex.graph)
     if size > cap:
         raise CapExceededError(size, cap)
 
     found = []
-    for part, comp_cycles in zip(parts, cycles_by_component(graph, cycles)):
+    for comp in comps:
         tried = 0
-        for traced in _sphere_tracings(part):
+        for rotation in enumerate_sphere_embeddings(comp.graph, cap):
             tried += 1
-            got = component_certificate(traced, comp_cycles)
+            traced = trace_faces(comp.graph, rotation)
+            got = component_certificate(traced, comp)
             if not isinstance(got, CrossingPair):
                 found.append((traced, got))
                 break
         else:
             return ExhaustiveFailure(
                 tried, f"all {tried} sphere embeddings of the component of "
-                       f"{min(part.vertices)} leave a crossing pair")
+                       f"{min(comp.graph.vertices)} leave a crossing pair")
     return nested_certificate(found)
-
-
-def brute_force_outerspatial(complex: TwoComplex,
-                             cap: int = DEFAULT_CAP) -> NestedCertificate | ExhaustiveFailure:
-    """Exhaustively test the skeleton plus face boundaries for nestedness."""
-    cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
-    return brute_force_nested(complex.graph, cycles, cap=cap)
 
 
 def find_aspherical_subcomplex(complex: TwoComplex, max_faces: int = 20

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .complexes import Graph, LinkGraph, Path
+from .complexes import LinkGraph, Path, TwoComplex
 from .embedding import (CrossingPair, Dart, MinorWitness, RotationSystem,
                         TracedFaces, nesting_forest, _normalize_cycle)
 from .surface import SurfaceClass
@@ -140,27 +140,13 @@ Verdict = Outerspatial | NotOuterspatial | HypothesisViolated
 
 
 def component_certificate(traced: TracedFaces,
-                          cycles: Mapping[str, frozenset[str]]) -> ComponentCertificate | CrossingPair:
-    """Certificate for one traced component, or the first crossing pair."""
-    parents = nesting_forest(traced, cycles)
+                          comp: TwoComplex) -> ComponentCertificate | CrossingPair:
+    """Certificate for one traced component's faces, or the first crossing pair."""
+    parents = nesting_forest(traced, {fid: f.edge_set for fid, f in comp.faces.items()})
     if isinstance(parents, CrossingPair):
         return parents
     outer = traced.orbits[0] if traced.orbits else ()
     return ComponentCertificate(tuple(traced.graph.vertices), outer, parents)
-
-
-def cycles_by_component(graph: Graph, cycles: Mapping[str, Iterable[str]]
-                        ) -> list[dict[str, frozenset[str]]]:
-    """Each component's cycles, in component index order; ValueError if one spans two."""
-    comp_of, parts = graph.component_index()
-    out: list[dict[str, frozenset[str]]] = [{} for _ in parts]
-    for cid in sorted(cycles):
-        es = frozenset(cycles[cid])
-        where = {comp_of[v] for e in es for v in graph.endpoints(e)}
-        if len(where) != 1:
-            raise ValueError(f"cycle {cid} does not lie in one component")
-        out[where.pop()][cid] = es
-    return out
 
 
 def nested_certificate(parts: Iterable[tuple[TracedFaces, ComponentCertificate]]

@@ -11,7 +11,8 @@ import pytest
 from outerspatial import decider, embedding
 from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
-                                    associated_complex, complete_graph)
+                                    associated_complex, complete_graph,
+                                    split_components)
 from outerspatial.decider import (AsphericalSubcomplex,
                                   ExhaustiveFailure, HypothesisViolated,
                                   NonOuterplanarLink, NotOuterspatial,
@@ -25,7 +26,7 @@ from outerspatial.embedding import test_planar as check_planar
 from outerspatial.cli import main
 from outerspatial.fileformat import format_complex, format_verdict, parse_complex
 from outerspatial.surface import SurfaceClass
-from outerspatial.verdicts import cycles_by_component, nested_certificate
+from outerspatial.verdicts import nested_certificate
 import families
 from families import from_cycles, random_planar_graph, stacked, triangles_of
 from test_link_layer import _count_calls
@@ -540,18 +541,22 @@ class TestObstructionTampering:
 class TestCertificateAssembly:
     def test_cycles_go_to_their_component(self, tetra):
         other = gen.prism(3)
-        union = Graph(set(tetra.graph.vertices) | set(other.graph.vertices),
-                      {**tetra.graph.edges, **other.graph.edges})
-        cycles = {fid: f.edge_set for c in (tetra, other) for fid, f in c.faces.items()}
-        parts = cycles_by_component(union, cycles)
-        assert [set(p) for p in parts] == [set(tetra.faces), set(other.faces)]
-        assert parts[0]["abc"] == tetra.faces["abc"].edge_set
+        union = TwoComplex(
+            Graph(set(tetra.graph.vertices) | set(other.graph.vertices),
+                  {**tetra.graph.edges, **other.graph.edges}),
+            [*tetra.faces.values(), *other.faces.values()])
+        comps = split_components(union)
+        assert [set(c.faces) for c in comps] == [set(tetra.faces), set(other.faces)]
+        assert comps[0].faces["abc"].edge_set == tetra.faces["abc"].edge_set
+        parts = decider._plane_parts(union)
+        assert [traced.graph for traced, _ in parts] == [c.graph for c in comps]
+        assert [set(cert.parents) for _, cert in parts] == [set(tetra.faces), set(other.faces)]
 
     def test_cycle_spanning_two_components_is_refused(self):
-        graph = Graph("abcd", {"ab": ("a", "b"), "ba": ("b", "a"),
-                               "cd": ("c", "d"), "dc": ("d", "c")})
-        with pytest.raises(ValueError, match="one component"):
-            cycles_by_component(graph, {"x": {"ab", "cd"}})
+        graph = Graph("abcdef", {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"),
+                                 "de": ("d", "e"), "ef": ("e", "f"), "fd": ("f", "d")})
+        with pytest.raises(ValueError, match="no edge between b and d"):
+            associated_complex(graph, {"x": ("a", "b", "d", "e")})
 
     def test_nested_certificate_merges_components(self, tetra):
         other = gen.prism(3)

@@ -118,7 +118,6 @@ UNREFERENCED = {
     "fileformat.parse_certificate_report",  # the report round-trip the benchmark checks
     # The exhaustive ground truth stays in `oracle`.
     "oracle.enumerate_rotation_systems",
-    "oracle.enumerate_sphere_embeddings",
     "oracle.find_aspherical_subcomplex",
     "oracle._search_minor",
     # Per-layer metrics of BENCHMARK.json name these.

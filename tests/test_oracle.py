@@ -5,16 +5,18 @@ import math
 import pytest
 
 from outerspatial import generators as gen
-from outerspatial.complexes import (Graph, TwoComplex, complete_graph,
-                                    delete_faces)
+from outerspatial import oracle
+from outerspatial.complexes import (Graph, TwoComplex, associated_complex,
+                                    complete_graph, delete_faces)
 from outerspatial.decider import (ExhaustiveFailure, NestedCertificate,
                                   verify_certificate)
-from outerspatial.oracle import (CapExceededError, brute_force_nested,
-                                 brute_force_outerspatial,
+from outerspatial.fileformat import format_certificate
+from outerspatial.oracle import (CapExceededError, brute_force_outerspatial,
                                  enumerate_rotation_systems,
                                  enumerate_sphere_embeddings,
                                  find_aspherical_subcomplex,
                                  rotation_space_size)
+from test_link_layer import _count_calls
 
 
 class TestEnumeration:
@@ -63,39 +65,65 @@ class TestEnumeration:
 
 
 class TestBruteForceNested:
+    """The exhaustive search on associated complexes: a graph and its cycles."""
+
     def test_k4_triangles(self, tetra):
-        cycles = {fid: f.edge_set for fid, f in tetra.faces.items()}
-        got = brute_force_nested(tetra.graph, cycles)
+        complex = associated_complex(tetra.graph, {fid: f.vertices
+                                                   for fid, f in tetra.faces.items()})
+        got = brute_force_outerspatial(complex)
         assert isinstance(got, NestedCertificate)
-        assert verify_certificate(tetra, got)
+        assert verify_certificate(complex, got)
 
     def test_crossing_squares_fail_exhaustively(self, bipyramid4):
-        sk = bipyramid4.graph
-        got = brute_force_nested(sk, {
-            "c1": frozenset({"na", "sa", "nc", "sc"}),
-            "c2": frozenset({"nb", "sb", "nd", "sd"})})
+        complex = associated_complex(bipyramid4.graph, {
+            "c1": ("n", "a", "s", "c"), "c2": ("n", "b", "s", "d")})
+        assert complex.faces["c1"].edge_set == {"na", "sa", "nc", "sc"}
+        assert complex.faces["c2"].edge_set == {"nb", "sb", "nd", "sd"}
+        got = brute_force_outerspatial(complex)
         assert isinstance(got, ExhaustiveFailure)
         assert got.embeddings_tried == 2
 
     def test_empty_cycles_on_planar_graph(self):
-        g = complete_graph("abcd")
-        got = brute_force_nested(g, {})
+        got = brute_force_outerspatial(associated_complex(complete_graph("abcd"), {}))
         assert isinstance(got, NestedCertificate)
         (comp,) = got.components
         assert comp.parents == {}
 
     def test_disconnected_components_merge(self, tetra):
         other = gen.prism(3)
-        g = Graph(set(tetra.graph.vertices) | set(other.graph.vertices),
-                  {**tetra.graph.edges, **other.graph.edges})
-        cycles = {fid: f.edge_set for fid, f in tetra.faces.items()}
-        cycles.update({fid: f.edge_set for fid, f in other.faces.items()})
-        got = brute_force_nested(g, cycles)
+        union = TwoComplex(Graph(set(tetra.graph.vertices) | set(other.graph.vertices),
+                                 {**tetra.graph.edges, **other.graph.edges}),
+                           [*tetra.faces.values(), *other.faces.values()])
+        got = brute_force_outerspatial(union)
         assert isinstance(got, NestedCertificate)
         assert len(got.components) == 2
+        assert verify_certificate(union, got)
+
+
+def _k27_with_one_square():
+    """K2,7 with the face x m0 y m1: 720 sphere embeddings, and the first nests it."""
+    middles = [f"m{i}" for i in range(7)]
+    graph = Graph(["x", "y", *middles],
+                  {f"{a}{m}": (a, m) for m in middles for a in "xy"})
+    return associated_complex(graph, {"f": ("x", "m0", "y", "m1")})
 
 
 class TestBruteForceOuterspatial:
+    def test_search_traces_one_embedding_at_a_time_and_keeps_none(self, monkeypatch):
+        k27 = _k27_with_one_square()
+        # 720 ** 2 rotation systems; the cyclic order at x fixes the one at y on
+        # the sphere, so (7 - 1)! = 720 of them are sphere embeddings.
+        assert rotation_space_size(k27.graph) == math.factorial(6) ** 2
+        calls = _count_calls(monkeypatch, "trace_faces", [oracle])
+        printed = []
+        for _ in range(2):
+            del calls[:]
+            got = brute_force_outerspatial(k27)
+            assert isinstance(got, NestedCertificate)
+            assert len(calls) == 1
+            printed.append(format_certificate(got))
+        assert printed[0] == printed[1]
+
     def test_tetra(self, tetra):
         got = brute_force_outerspatial(tetra)
         assert isinstance(got, NestedCertificate)
