@@ -349,7 +349,7 @@ class TwoComplex:
                     raise ValueError(f"face {f.face_id}: edge {e} does not end at {w}")
                 w = v
             self._faces[f.face_id] = f
-        self._corners: dict[str, list[tuple[str, str, HalfEdge, HalfEdge]]] | None = None
+        self._links: dict[str, tuple[dict[str, tuple[str, str]], dict[str, str]]] | None = None
 
     @classmethod
     def _regroup(cls, graph: Graph, faces: Iterable[Face]) -> "TwoComplex":
@@ -367,20 +367,35 @@ class TwoComplex:
         """Face id -> face, in ascending id order; a read-only view."""
         return self._faces_view
 
-    def _corners_at(self, v: str) -> list[tuple[str, str, HalfEdge, HalfEdge]]:
-        """Corners at v as (link edge id, face, half-edge in, half-edge out); one indexing pass."""
-        if self._corners is None:
-            self._corners = {}
+    def _link_maps(self, v: str) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+        """The link at v as its `ends` and `edge_face` maps, from one pass over all face steps.
+
+        The corner at a step's vertex joins the half-edge the walk arrives by
+        to the one it leaves by; its link edge is the face id, and `fid@k`
+        for the face's k-th return to the vertex.  A link vertex is named by
+        its edge id, or `e:0` and `e:1` for the ends of a loop e.
+        """
+        if self._links is None:
+            links = {w: ({}, {}) for w in self.graph.vertices}
+            loops = set(self.graph.loops())
             for fid, f in self._faces.items():
-                seen: dict[str, int] = {}
-                for i, (w, eid, o) in enumerate(f.steps):
-                    # Arrive via the previous step's far end, leave via this step.
-                    _, pe, po = f.steps[i - 1]
-                    occ = seen.get(w, 0)
-                    seen[w] = occ + 1
-                    self._corners.setdefault(w, []).append(
-                        (fid if occ == 0 else f"{fid}@{occ}", fid, (pe, 1 - po), (eid, o)))
-        return self._corners.get(v, [])
+                _, e, o = f.steps[-1]
+                come = f"{e}:{1 - o}" if e in loops else e
+                for w, e, o in f.steps:
+                    if e in loops:
+                        go, arrive = f"{e}:{o}", f"{e}:{1 - o}"
+                    else:
+                        go = arrive = e
+                    ends, edge_face = links[w]
+                    le, occ = fid, 0
+                    while le in ends:
+                        occ += 1
+                        le = f"{fid}@{occ}"
+                    ends[le] = (come, go)
+                    edge_face[le] = fid
+                    come = arrive
+            self._links = links
+        return self._links[v]
 
     def canonical_key(self) -> tuple:
         return (self.graph.canonical_key(),
@@ -437,21 +452,22 @@ def validate(complex: TwoComplex) -> list[Violation]:
 
 
 class LinkGraph:
-    """The local structure around a vertex, read off the corner index.
+    """The local structure around a vertex, read off the complex's link index.
 
     Vertices are the half-edges at the host vertex (named by edge id for
     non-loops, `e:0` and `e:1` for the ends of a loop e) and there is one
     edge per face corner at the host: `ends` maps it to the half-edges the
-    face arrives and leaves by, and `edge_face` to the face.  The validated
-    `Graph` on these is built on first read of `graph`.
+    face arrives and leaves by, and `edge_face` to the face.  Both are
+    read-only views of the index's own maps.  The validated `Graph` on
+    these is built on first read of `graph`.
     """
 
     def __init__(self, host: str, vertices: Iterable[str],
-                 ends: dict[str, tuple[str, str]], edge_face: dict[str, str]):
+                 ends: Mapping[str, tuple[str, str]], edge_face: Mapping[str, str]):
         self.host = host
         self.vertices = tuple(vertices)
-        self.ends = ends
-        self.edge_face = edge_face
+        self.ends = MappingProxyType(ends)
+        self.edge_face = MappingProxyType(edge_face)
 
     @cached_property
     def graph(self) -> Graph:
@@ -462,20 +478,21 @@ class LinkGraph:
 
 
 def link_graph(complex: TwoComplex, v: str) -> LinkGraph:
-    """Link at v via the corner rule: one edge per face corner at v; no `Graph` is built."""
+    """Link at v via the corner rule: one edge per face corner at v; no `Graph` is built.
+
+    A fresh `LinkGraph` over the maps of the complex's link index, built for every vertex at once.
+    """
     g = complex.graph
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v}")
-    names: dict[HalfEdge, str] = {}
+    names: list[str] = []
     for eid in g.incident_edges(v):
         a, b = g.endpoints(eid)
         if a == b:  # A loop gives two link vertices, one per end.
-            names[eid, 0], names[eid, 1] = f"{eid}:0", f"{eid}:1"
+            names += (f"{eid}:0", f"{eid}:1")
         else:
-            names[eid, 0 if a == v else 1] = eid
-    corners = complex._corners_at(v)
-    ends = {le_id: (names[come], names[go]) for le_id, _, come, go in corners}
-    return LinkGraph(v, names.values(), ends, {le_id: fid for le_id, fid, _, _ in corners})
+            names.append(eid)
+    return LinkGraph(v, names, *complex._link_maps(v))
 
 
 def cone(complex: TwoComplex, apex: str | None = None) -> TwoComplex:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .complexes import (Graph, LinkGraph, Path, TwoComplex, associated_complex,
-                        contracted_link, delete_faces, face_subcomplex,
-                        link_graph, split_components, validate)
+                        contracted_link, delete_faces, link_graph, split_components,
+                        validate)
 # `nesting_forest` is called from `verdicts` only; the benchmark's tracer
 # test still reads it as `decider.nesting_forest`.
 from .embedding import (CrossingPair, OuterplanarityResult,
@@ -23,8 +23,8 @@ from .embedding import (CrossingPair, OuterplanarityResult,
                         nesting_forest, test_outerplanar, test_planar,
                         trace_faces, verify_minor_witness, _normalize_cycle)
 from .oracle import DEFAULT_CAP, CapExceededError, brute_force_outerspatial
-from .surface import (SearchBudgetExceeded, SurfaceClass, classify_component,
-                      euler_characteristic, search_aspherical_subcomplex, _orient_faces)
+from .surface import (SearchBudgetExceeded, SurfaceClass, euler_characteristic,
+                      search_aspherical_subcomplex, _orient_faces)
 from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
                        ExhaustiveFailure, HypothesisViolated, LinkViolation,
                        NestedCertificate, NonOuterplanarLink, NotOuterspatial,
@@ -38,8 +38,9 @@ ASPHERICAL_SEARCH_BUDGET = 2 ** 20
 
 def _links(complex: TwoComplex) -> Iterator[tuple[str, LinkGraph, OuterplanarityResult]]:
     """Each vertex with its link and the link's outerplanarity, in sorted vertex order, read
-    off the corner index; a reader that stops early builds no later link.  Only a link that
-    is not one cycle builds a `Graph`."""
+    off the complex's link index, which one pass over the face steps builds for every
+    vertex; a reader that stops early tests no later link.  Only a link that is not one
+    cycle builds a `Graph`."""
     for v in sorted(complex.graph.vertices):
         link = link_graph(complex, v)
         yield v, link, test_outerplanar(link)
@@ -476,14 +477,82 @@ def verify_obstruction(complex: TwoComplex, obstruction: Obstruction) -> bool:
     if isinstance(obstruction, AsphericalSubcomplex):
         if not obstruction.faces or not obstruction.faces <= complex.faces.keys():
             return False
-        sub = face_subcomplex(complex, obstruction.faces)
-        if not sub.graph.is_connected():
-            return False
-        sclass = classify_component(sub)
-        return sclass.is_surface and sclass == obstruction.surface and sclass.euler != 2
+        connected, sclass = _surface_of(complex, obstruction.faces)
+        return (connected and sclass.is_surface and sclass == obstruction.surface
+                and sclass.euler != 2)
     if isinstance(obstruction, ExhaustiveFailure):
         return isinstance(brute_force_outerspatial(complex), ExhaustiveFailure)
     return False
+
+
+def _surface_of(complex: TwoComplex, face_ids: Iterable[str]) -> tuple[bool, SurfaceClass]:
+    """Whether the subcomplex a non-empty face set generates is connected, and its class.
+
+    Read from the definitions, for `verify_obstruction`, in one pass over the
+    faces' steps.  A corner joins the half-edge (edge, end) a face arrives by
+    to the one it leaves by.  A closed surface has every link one cycle: two
+    corner ends on every half-edge, and the half-edges at each vertex one
+    ring of at least two.  It is orientable when the faces can be directed
+    so each edge runs once each way.  The Euler count is V - E + F.
+    """
+    faces = [complex.faces[fid] for fid in face_ids]
+    ring: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    sides: dict[str, list[tuple[int, int]]] = {}
+    at: dict[str, list[int]] = {}
+    for i, f in enumerate(faces):
+        _, e, o = f.steps[-1]
+        come = (e, 1 - o)
+        for w, e, o in f.steps:
+            go = (e, o)
+            ring.setdefault(come, []).append(go)
+            ring.setdefault(go, []).append(come)
+            sides.setdefault(e, []).append((i, o))
+            at.setdefault(w, []).append(i)
+            come = (e, 1 - o)
+    n_vertices = len(at)
+    euler = n_vertices - len(sides) + len(faces)
+    reached, queue = {0}, [0]
+    for i in queue:
+        for w, _, _ in faces[i].steps:
+            fresh = [j for j in at.pop(w, ()) if j not in reached]
+            reached.update(fresh)
+            queue += fresh
+    connected = len(reached) == len(faces)
+
+    for nbrs in ring.values():
+        if len(nbrs) != 2:
+            return connected, SurfaceClass(False, euler)
+    rings = 0
+    while ring:
+        start, (h, _) = ring.popitem()
+        if h == start:
+            return connected, SurfaceClass(False, euler)
+        rings += 1
+        prev = start
+        while h != start:
+            a, b = ring.pop(h)
+            prev, h = h, (b if a == prev else a)
+    # The half-edges at a vertex are its link's vertices: one ring per vertex.
+    if rings != n_vertices:
+        return connected, SurfaceClass(False, euler)
+
+    # Each edge has two sides now; direct the other face on it to run it the other way.
+    flip: dict[int, int] = {}
+    for first in range(len(faces)):
+        stack = [] if first in flip else [first]
+        flip.setdefault(first, 0)
+        while stack:
+            i = stack.pop()
+            for _, e, o in faces[i].steps:
+                (j, p), (k, q) = sides[e]
+                other, theirs = (k, q) if (j, p) == (i, o) else (j, p)
+                need = theirs ^ o ^ flip[i] ^ 1
+                if other not in flip:
+                    flip[other] = need
+                    stack.append(other)
+                elif flip[other] != need:
+                    return connected, SurfaceClass(True, euler, False)
+    return connected, SurfaceClass(True, euler, True)
 
 
 def _self_check(complex: TwoComplex, verdict: Verdict) -> None:

@@ -757,8 +757,9 @@ def _single_cycle(vertices: Collection[str],
     for u, w in ends.values():
         ring[u].append(w)
         ring[w].append(u)
-    if any(len(nbrs) != 2 for nbrs in ring.values()):
-        return None
+    for nbrs in ring.values():
+        if len(nbrs) != 2:
+            return None
     cycle = _walk_ring(ring)
     return cycle if len(cycle) == n else None
 

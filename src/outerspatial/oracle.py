@@ -67,6 +67,12 @@ def enumerate_sphere_embeddings(graph: Graph, cap: int = DEFAULT_CAP) -> Iterato
 
 
 def _genus0_rotations(graph: Graph) -> Iterator[RotationSystem]:
+    """The genus-zero systems of `enumerate_rotation_systems`, in its order.
+
+    An odometer over one `itertools.permutations` iterator per vertex, the
+    last vertex turning fastest: only the successors of the vertices whose
+    order advanced are rewritten, and no vertex's orders are held.
+    """
     verts = sorted(graph.vertices)
     n_darts = 2 * len(graph.edges)
     dart_of: dict = {}
@@ -76,29 +82,24 @@ def _genus0_rotations(graph: Graph) -> Iterator[RotationSystem]:
             dart_of[(e, o)] = 2 * i + o
             half_of[2 * i + o] = (e, o)
 
-    anchors: list[int | None] = []
-    choice_lists: list[list[tuple[int, ...]]] = []
-    for v in verts:
-        hs = [dart_of[h] for h in graph.half_edges_at(v)]
-        if not hs:
-            anchors.append(None)
-            choice_lists.append([()])
-        else:
-            anchors.append(hs[0])
-            choice_lists.append(list(itertools.permutations(hs[1:])))
-
     v_count = len(verts)
     e_count = len(graph.edges)
+    darts = [[dart_of[h] for h in graph.half_edges_at(v)] for v in verts]
+    orders = [itertools.permutations(ds[1:]) for ds in darts]
+    current = [next(it) for it in orders]
     succ = [0] * n_darts
-    for combo in itertools.product(*choice_lists):
-        for anchor, perm in zip(anchors, combo):
-            if anchor is None:
-                continue
-            prev = anchor
-            for h in perm:
+
+    def place(i: int) -> None:
+        if darts[i]:
+            prev = anchor = darts[i][0]
+            for h in current[i]:
                 succ[prev] = h
                 prev = h
             succ[prev] = anchor
+
+    for i in range(v_count):
+        place(i)
+    while True:
         visited = bytearray(n_darts)
         orbits = 0
         for d in range(n_darts):
@@ -109,15 +110,22 @@ def _genus0_rotations(graph: Graph) -> Iterator[RotationSystem]:
             while not visited[cur]:
                 visited[cur] = 1
                 cur = succ[cur ^ 1]
-        if e_count and 2 - v_count + e_count - orbits != 0:
-            continue
-        rotators = {}
-        for v, anchor, perm in zip(verts, anchors, combo):
-            if anchor is None:
-                rotators[v] = ()
-            else:
-                rotators[v] = tuple(half_of[i] for i in (anchor,) + perm)
-        yield RotationSystem(rotators)
+        if not e_count or 2 - v_count + e_count - orbits == 0:
+            yield RotationSystem({v: tuple(half_of[h] for h in ds[:1] + list(perm))
+                                  for v, ds, perm in zip(verts, darts, current)})
+        i = v_count - 1
+        while i >= 0:
+            nxt = next(orders[i], None)
+            if nxt is not None:
+                current[i] = nxt
+                place(i)
+                break
+            orders[i] = itertools.permutations(darts[i][1:])
+            current[i] = next(orders[i])
+            place(i)
+            i -= 1
+        else:
+            return
 
 
 def brute_force_outerspatial(complex: TwoComplex,

@@ -319,7 +319,7 @@ def _count_link_graphs(monkeypatch):
 
 
 def test_prism_decides_without_cone_planarity_and_builds_links_at_most_twice(monkeypatch):
-    """Positives read each link off the corner index and build no link `Graph`."""
+    """Positives read each link off the link index and build no link `Graph`."""
     for complex in (gen.prism(20), families.stacked(3, 120)):
         with monkeypatch.context() as mp:
             planar = _count_calls(mp, "test_planar", [embedding, decider])
@@ -373,19 +373,38 @@ def link_edge_cases():
     bowtie = families.from_cycles({**families.stacked_cycles(1, 4),
                                    "g1": ("v0", "w1", "w2"), "g2": ("v0", "w2", "w3"),
                                    "g3": ("v0", "w1", "w3"), "g4": ("w1", "w2", "w3")})
-    return [loop_ends, pendant, bowtie]
+    # Contracting the diagonal path a-x-c of the square face s makes s pass
+    # the merged vertex twice: its corners there are the link edges s and s@1.
+    g = Graph("abcdx", {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"),
+                        "da": ("d", "a"), "ax": ("a", "x"), "xc": ("x", "c")})
+    square = TwoComplex(g, [Face.from_vertices(g, "s", ("a", "b", "c", "d"))])
+    revisit = complexes.contract_path(square, complexes.Path(("a", "x", "c"), ("ax", "xc")))
+    return [loop_ends, pendant, bowtie, revisit]
 
 
 def reference_link(complex, v):
-    """Vertices and ends of the link at v as the corner rule names them (loop e: e:0, e:1)."""
+    """Vertices, ends and faces of the link at v by the corner rule, from the face steps.
+
+    Step i of a face at v arrives by the far end of step i - 1 and leaves by
+    its own edge; its link edge is the face id, or `fid@k` when v is the
+    face's k-th return to it.  A loop e's ends are named e:0 and e:1.
+    """
     g = complex.graph
 
-    def name(half_edge):
-        eid, end = half_edge
+    def name(eid, end):
         return f"{eid}:{end}" if g.is_loop(eid) else eid
 
-    ends = {le: (name(come), name(go)) for le, _, come, go in complex._corners_at(v)}
-    return {name(h) for h in g.half_edges_at(v)}, ends
+    ends, edge_face = {}, {}
+    for fid, f in complex.faces.items():
+        for i, (w, eid, o) in enumerate(f.steps):
+            if w != v:
+                continue
+            k = [s[0] for s in f.steps[:i]].count(v)
+            le = fid if k == 0 else f"{fid}@{k}"
+            _, pe, po = f.steps[i - 1]
+            ends[le] = (name(pe, 1 - po), name(eid, o))
+            edge_face[le] = fid
+    return {name(*h) for h in g.half_edges_at(v)}, list(ends.items()), edge_face
 
 
 def test_links_from_the_corner_index_answer_as_their_graphs():
@@ -401,7 +420,8 @@ def test_links_from_the_corner_index_answer_as_their_graphs():
     shortcut = 0
     for complex in complexes_:
         for v, link, result in decider._links(complex):
-            assert (set(link.vertices), link.ends) == reference_link(complex, v), (complex, v)
+            got = (set(link.vertices), list(link.ends.items()), link.edge_face)
+            assert got == reference_link(complex, v), (complex, v)
             one_cycle = result.boundary is not None and not result.chords
             assert ("graph" in vars(link)) != one_cycle, (complex, v)
             shortcut += one_cycle
@@ -411,12 +431,22 @@ def test_links_from_the_corner_index_answer_as_their_graphs():
 
 
 def test_link_edge_cases_reach_each_shape():
-    loop_ends, pendant, bowtie = link_edge_cases()
+    loop_ends, pendant, bowtie, revisit = link_edge_cases()
     assert check_outerplanar(link_graph(loop_ends, "a")).boundary == ("l:0", "x", "l:1", "y")
     assert link_graph(loop_ends, "b").graph.parallel_pairs() == (("p", "q"),)
     assert link_graph(pendant, "a").graph.degree("ae") == 0
     assert link_graph(pendant, "a").graph.loops() == ("d",)
     assert len(link_graph(bowtie, "v0").graph.component_index()[1]) == 2
+    assert dict(link_graph(revisit, "paxc").ends) == {"s": ("ab", "da"), "s@1": ("cd", "bc")}
+
+
+def test_link_maps_are_read_only_views():
+    link = link_graph(gen.tetra(), "a")
+    for view in (link.ends, link.edge_face):
+        with pytest.raises(TypeError):
+            view["abc"] = view["abc"]
+        with pytest.raises(TypeError):
+            del view["abc"]
 
 
 def test_classify_component_is_total():

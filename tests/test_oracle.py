@@ -1,6 +1,7 @@
 """Exhaustive embedding enumeration and brute-force ground truth."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from outerspatial.complexes import (Graph, TwoComplex, associated_complex,
                                     complete_graph, delete_faces)
 from outerspatial.decider import (ExhaustiveFailure, NestedCertificate,
                                   verify_certificate)
+from outerspatial.embedding import trace_faces
 from outerspatial.fileformat import format_certificate
 from outerspatial.oracle import (CapExceededError, brute_force_outerspatial,
                                  enumerate_rotation_systems,
@@ -62,6 +64,43 @@ class TestEnumeration:
         g = Graph("abcd", {"ab": ("a", "b"), "cd": ("c", "d")})
         with pytest.raises(ValueError):
             list(enumerate_sphere_embeddings(g))
+
+    @pytest.mark.parametrize("builder", [
+        lambda: Graph("a", {}),
+        lambda: Graph("a", {"l": ("a", "a")}),
+        lambda: Graph("ab", {"e1": ("a", "b"), "e2": ("a", "b"), "e3": ("a", "b")}),
+        lambda: complete_graph("abcd"),
+        lambda: gen.prism(3).graph,
+        lambda: gen.bipyramid(4).graph,
+        lambda: _bouquet(2).graph,
+    ])
+    def test_sphere_embeddings_are_the_genus_zero_systems_in_order(self, builder):
+        g = builder()
+        expected = [r.canonical_key() for r in enumerate_rotation_systems(g)
+                    if trace_faces(g, r).genus == 0]
+        assert expected
+        assert [r.canonical_key() for r in enumerate_sphere_embeddings(g)] == expected
+
+    def test_the_first_sphere_embedding_holds_no_vertex_orders(self):
+        """The centre of a bouquet of 5 triangles has 9! cyclic orders."""
+        g = _bouquet(5).graph
+        tracemalloc.start()
+        try:
+            next(enumerate_sphere_embeddings(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+
+def _bouquet(k):
+    """k triangles c a_i b_i meeting at their one shared vertex c."""
+    edges, cycles = {}, {}
+    for i in range(k):
+        edges.update({f"ca{i}": ("c", f"a{i}"), f"cb{i}": ("c", f"b{i}"),
+                      f"ab{i}": (f"a{i}", f"b{i}")})
+        cycles[f"t{i}"] = ("c", f"a{i}", f"b{i}")
+    return associated_complex(Graph({v for uv in edges.values() for v in uv}, edges), cycles)
 
 
 class TestBruteForceNested:
