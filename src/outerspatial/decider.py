@@ -123,19 +123,6 @@ def _plane_parts(complex: TwoComplex) -> list[tuple[TracedFaces, ComponentCertif
     return parts
 
 
-def _within_euler_bound(graph: Graph) -> bool:
-    """False when the simple underlying graph has n >= 3 vertices and more than 3n - 6 edges.
-
-    No planar graph does (Euler), so a graph refused here needs no
-    planarity test.  The raw edge count settles the common case; distinct
-    vertex pairs are counted only above it.
-    """
-    n = len(graph.vertices)
-    bound = 3 * n - 6
-    return (n < 3 or len(graph.edges) <= bound
-            or sum(a != b for a, b in graph.endpoint_pairs()) <= bound)
-
-
 def decide_outerspatial(complex: TwoComplex) -> Verdict:
     """Decide outerspatiality with a checkable certificate or obstruction.
 
@@ -191,8 +178,7 @@ def _decide(complex: TwoComplex) -> Verdict:
     # of triangles, so a planar one proves outerspatiality in or out of the
     # hypothesis.  Without link violations the loop stopped only at a
     # non-planar faceless component, and then the skeleton is not planar.
-    if (violations and all(len(f) == 3 for f in complex.faces.values())
-            and _within_euler_bound(complex.graph)):
+    if violations and all(len(f) == 3 for f in complex.faces.values()):
         plane = _plane_parts(complex)
         if plane is not None:
             return Outerspatial(nested_certificate(plane))

@@ -197,18 +197,27 @@ def trace_faces(graph: Graph, rotation: RotationSystem) -> TracedFaces:
 def test_planar(graph: Graph) -> tuple[TracedFaces, ...] | None:
     """Planarity with an embedding: per component, a genus-zero face tracing.
 
-    None when the graph is not planar.  A graph with at most two
-    half-edges at every vertex (paths, cycles, digons, loops and isolated
-    vertices) has exactly one rotation system, read off `half_edges_at`.
-    Otherwise one networkx planarity test of the simple underlying graph
-    orders the neighbours at every vertex.  Multigraphs are handled too:
-    parallel edges are laid next to their partner and loops next to
-    themselves, which keeps the genus at zero.  Each component of the
-    graph's component index, in its order, is traced with the whole
-    rotation system.  Deterministic for a fixed input.
+    None when the graph is not planar.  The one place that decides whether
+    a planarity test runs, by Euler's V - E + F = 2 - 2g: no simple
+    underlying graph on n >= 3 vertices with more than 3n - 6 edges is
+    planar, and a component with at most as many edges as vertices has
+    F >= 1, so genus 0, in every rotation system; if every component is
+    such, the sorted `half_edges_at` rotators serve.  Otherwise one
+    networkx planarity test of the simple underlying graph orders the
+    neighbours at every vertex.  Multigraphs are handled too: parallel
+    edges are laid next to their partner and loops next to themselves,
+    which keeps the genus at zero.  Each component of the graph's
+    component index, in its order, is traced with the whole rotation
+    system.  Deterministic for a fixed input.
     """
+    n = len(graph.vertices)
+    bound = 3 * n - 6
+    if (n >= 3 and len(graph.edges) > bound
+            and sum(a != b for a, b in graph.endpoint_pairs()) > bound):
+        return None
+    parts = graph.component_index()[1]
     rotators = {v: graph.half_edges_at(v) for v in sorted(graph.vertices)}
-    if any(len(hs) > 2 for hs in rotators.values()):
+    if any(len(part.edges) > len(part.vertices) for part in parts):
         import networkx as nx
         simple = nx.Graph()
         simple.add_nodes_from(rotators)
@@ -232,7 +241,7 @@ def test_planar(graph: Graph) -> tuple[TracedFaces, ...] | None:
                 cyc.extend([(eid, 0), (eid, 1)])
             rotators[v] = tuple(cyc)
     rotation = RotationSystem(rotators)
-    traced = tuple(trace_faces(part, rotation) for part in graph.component_index()[1])
+    traced = tuple(trace_faces(part, rotation) for part in parts)
     if any(t.genus != 0 for t in traced):
         raise AssertionError("planar embedding traced to nonzero genus")
     return traced

@@ -81,7 +81,7 @@ def _orient_faces(component: TwoComplex) -> dict[str, int] | None:
     the face the search starts from.
     """
     faces = component.faces
-    # Each edge lies in exactly two faces on a closed surface.
+    # Each edge is run by exactly two face steps on a closed surface.
     edge_faces: dict[str, list[tuple[str, int]]] = {}
     for fid, f in faces.items():
         for _, eid, o in f.steps:
@@ -97,16 +97,14 @@ def _orient_faces(component: TwoComplex) -> dict[str, int] | None:
             flip = orientation[fid]
             for _, eid, o in faces[fid].steps:
                 here = o ^ flip
-                # Exactly one step on the edge belongs to another face.  With
-                # one step or three or more, some face on the edge has none
-                # or several, so no orientation exists.
+                # Exactly one other step runs the edge, maybe in this face.
+                # With one step or three or more, no orientation runs the
+                # edge once in each direction.
                 on_edge = edge_faces[eid]
                 if len(on_edge) != 2:
                     return None
                 a, b = on_edge
-                gid, go = b if a[0] == fid else a
-                if gid == fid:
-                    return None
+                gid, go = b if a[0] == fid and a[1] == o else a
                 # The partner must traverse eid in the opposite direction.
                 need = (go ^ (1 - here)) & 1
                 if gid in orientation:

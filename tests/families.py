@@ -10,7 +10,8 @@ of `embedding.nesting_forest` replaced, kept as the tests' ground truth.
 `vertex_sum` is the paper's description of the link at a contracted edge,
 the reference for the contraction law, and `path_along` names a path to
 contract by its vertices; `random_planar_graph` and
-`triangles_of` draw seeded planar graphs with all their triangles.
+`triangles_of` draw seeded planar graphs with all their triangles, and
+`random_pseudoforest` seeded graphs whose every rotation system is plane.
 """
 
 from __future__ import annotations
@@ -250,3 +251,45 @@ def triangles_of(graph: Graph) -> dict[str, tuple[str, str, str]]:
             and graph.edges_between(t[1], t[2])):
         out[f"t{i}"] = (u, v, w)
     return out
+
+
+PSEUDOFOREST_KINDS = ("tree", "loop", "digon", "cycle")
+
+
+def random_pseudoforest(seed: int, kinds: Sequence[str] = PSEUDOFOREST_KINDS) -> Graph:
+    """One to four components, each with at most as many edges as vertices.
+
+    Each component is drawn from `kinds`: a tree grown from a star of
+    degree 3, or a loop, a digon or a cycle of length 3 to 6, with one to
+    five pendant vertices hung on it one by one, the first at its hub.  So
+    every component has a vertex of degree 3 or more.  Edge ids are shuffled, so
+    the sorted half-edges at a vertex come in no fixed order of its
+    neighbours.
+    """
+    rng = random.Random(seed)
+    vertices: list[str] = []
+    ends: list[tuple[str, str]] = []
+
+    def vertex() -> str:
+        vertices.append(f"v{len(vertices):02d}")
+        return vertices[-1]
+
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.choice(kinds)
+        hub = vertex()
+        if kind == "tree":
+            part = [hub] + [vertex() for _ in range(3)]
+            ends += [(hub, leaf) for leaf in part[1:]]
+        elif kind == "loop":
+            part = [hub]
+            ends.append((hub, hub))
+        else:
+            part = [hub] + [vertex() for _ in range(1 if kind == "digon" else rng.randrange(2, 6))]
+            ends += zip(part, part[1:] + part[:1])
+        for i in range(rng.randrange(1, 6)):
+            at = hub if i == 0 else rng.choice(part)
+            part.append(vertex())
+            ends.append((at, part[-1]) if rng.random() < 0.5 else (part[-1], at))
+    names = [f"e{i:02d}" for i in range(len(ends))]
+    rng.shuffle(names)
+    return Graph(vertices, dict(zip(names, ends)))

@@ -228,6 +228,17 @@ class TestCommands:
         assert code == 0
         assert "orientable genus 1 (euler 0)" in text
 
+    def test_surface_command_on_a_one_face_torus(self, tmp_path):
+        # Boundary a b a^-1 b^-1 with subdivided sides: the face runs each
+        # edge twice, once each way.  `surface` does not validate.
+        p = write(tmp_path, "torus1.txt",
+                  "vertex v\nvertex x\nvertex y\n"
+                  "edge a1 v x\nedge a2 x v\nedge b1 v y\nedge b2 y v\n"
+                  "facee t a1 a2 b1 b2 a2 a1 b2 b1\n")
+        code, text = run_cli("surface", p)
+        assert code == 0
+        assert text == "component v x y: orientable genus 1 (euler 0)\n"
+
     def test_render_dot_and_svg(self, tmp_path):
         _, text = run_cli("generate", "tetra")
         p = write(tmp_path, "tetra.txt", text)

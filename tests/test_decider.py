@@ -20,7 +20,7 @@ from outerspatial.decider import (AsphericalSubcomplex,
                                   decide_nested_plane, decide_outerspatial,
                                   find_chordal_faces, is_locally_2_connected,
                                   verify_certificate, verify_obstruction,
-                                  _crossing_obstruction, _within_euler_bound)
+                                  _crossing_obstruction)
 from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
 from outerspatial.embedding import test_planar as check_planar
 from outerspatial.cli import main
@@ -176,8 +176,8 @@ class TestDecideNamedInstances:
 
 
 def refuse_triangle_fallback(monkeypatch):
-    """Make the Euler gate refuse every skeleton, so the triangle fallback never runs."""
-    monkeypatch.setattr(decider, "_within_euler_bound", lambda graph: False)
+    """Make the decider's planarity test refuse every skeleton, so the triangle fallback fails."""
+    monkeypatch.setattr(decider, "test_planar", lambda graph: None)
 
 
 class TestFastPathAgreement:
@@ -308,7 +308,15 @@ class TestTriangleFallback:
         assert calls == []
 
 
+def euler_refuses(graph):
+    """`test_planar`'s Euler count: n >= 3 vertices and more than 3n - 6 endpoint pairs."""
+    n = len(graph.vertices)
+    return n >= 3 and sum(a != b for a, b in graph.endpoint_pairs()) > 3 * n - 6
+
+
 class TestEulerGate:
+    """`test_planar` refuses a skeleton by the Euler count without networkx."""
+
     def test_gated_complexes_skip_planarity_and_keep_their_bytes(self, monkeypatch):
         calls = _count_calls(monkeypatch, "check_planarity", [nx])
         torus = gen.torus7()
@@ -318,16 +326,16 @@ class TestEulerGate:
                  triangle_complex(complete_graph("abcdefg")))
         fast = []
         for complex in gated:
-            assert not _within_euler_bound(complex.graph)
+            assert euler_refuses(complex.graph)
+            assert check_planar(complex.graph) is None
             fast.append(format_verdict(decide_outerspatial(complex)))
         assert calls == []
-        # Without the gate, a planarity test that finds no embedding gives
-        # the same bytes: the gate only saves that test.
-        monkeypatch.setattr(decider, "_within_euler_bound", lambda graph: True)
-        monkeypatch.setattr(decider, "test_planar", lambda graph: None)
+        # A decider whose planarity test refuses every skeleton gives the
+        # same bytes: the count only saves networkx's test.
+        refuse_triangle_fallback(monkeypatch)
         assert [format_verdict(decide_outerspatial(complex)) for complex in gated] == fast
 
-    def test_refused_graphs_are_not_planar(self):
+    def test_refused_graphs_are_not_planar(self, monkeypatch):
         graphs = [Graph([str(v) for v in g.nodes],
                         {f"e{i}": (str(u), str(v)) for i, (u, v) in enumerate(g.edges)})
                   for g in nx.graph_atlas_g()]
@@ -339,22 +347,29 @@ class TestEulerGate:
             edges = {f"{u}{v}": (u, v) for t in triangles
                      for u, v in itertools.combinations(t, 2)}
             graphs.append(Graph(names, edges))
-        refused = 0
-        for graph in graphs:
-            if not _within_euler_bound(graph):
-                refused += 1
-                assert check_planar(graph) is None, graph.edges
-        assert refused > 100
+        refused = [graph for graph in graphs if euler_refuses(graph)]
+        assert len(refused) > 100
+        for graph in refused:
+            assert not nx.check_planarity(nx.Graph(list(graph.edges.values())))[0], graph.edges
+        calls = _count_calls(monkeypatch, "check_planarity", [nx])
+        for graph in refused:
+            assert check_planar(graph) is None, graph.edges
+        assert calls == []
 
-    def test_bound_counts_distinct_pairs(self):
+    def test_bound_counts_distinct_pairs(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "check_planarity", [nx])
         doubled = Graph("abc", {"ab": ("a", "b"), "ab2": ("a", "b"), "bc": ("b", "c"),
                                 "bc2": ("b", "c"), "ca": ("c", "a"), "ca2": ("c", "a"),
                                 "l": ("a", "a")})
-        assert _within_euler_bound(doubled)
+        assert check_planar(doubled) is not None
+        assert len(calls) == 1
         k5 = complete_graph("abcde")
-        assert not _within_euler_bound(k5)
-        assert not _within_euler_bound(Graph(k5.vertices, {**k5.edges, "l": ("a", "a")}))
-        assert _within_euler_bound(Graph("ab", {"e": ("a", "b"), "f": ("a", "b")}))
+        assert check_planar(k5) is None
+        assert check_planar(Graph(k5.vertices, {**k5.edges, "l": ("a", "a")})) is None
+        assert len(calls) == 1
+        digon = check_planar(Graph("ab", {"e": ("a", "b"), "f": ("a", "b")}))
+        assert [t.genus for t in digon] == [0]
+        assert len(calls) == 1
 
 
 class TestDecideNestedPlane:

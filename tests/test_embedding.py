@@ -3,11 +3,12 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from families import reference_nesting
+from families import PSEUDOFOREST_KINDS, random_pseudoforest, reference_nesting
 from outerspatial import generators as gen
 from outerspatial.complexes import Graph, complete_bipartite, complete_graph
 from outerspatial.decider import decide_outerspatial
@@ -16,6 +17,7 @@ from outerspatial.embedding import (CrossingPair, RotationSystem, check_cycle,
                                     cycle_sides, cycles_cross, find_minor,
                                     is_2_connected, nesting_forest,
                                     trace_faces, verify_minor_witness)
+from test_link_layer import _count_calls
 
 check_planar = embedding.test_planar
 check_outerplanar = embedding.test_outerplanar
@@ -112,6 +114,31 @@ class TestPlanarity:
 
     def test_deterministic(self):
         assert check_planar(K4())[0].rotation == check_planar(K4())[0].rotation
+
+    def test_pseudoforests_are_traced_without_networkx(self, monkeypatch):
+        """Every component with E <= V has F >= 1 faces, so genus 0, in any rotation system."""
+        calls = _count_calls(monkeypatch, "check_planarity", [nx])
+        drawn = [random_pseudoforest(seed, kinds) for seed in range(60)
+                 for kinds in [PSEUDOFOREST_KINDS, *([k] for k in PSEUDOFOREST_KINDS)]]
+        for g in drawn:
+            parts = g.component_index()[1]
+            assert all(len(p.edges) <= len(p.vertices) for p in parts)
+            assert max(len(g.half_edges_at(v)) for v in g.vertices) >= 3
+            traced = check_planar(g)
+            assert [t.genus for t in traced] == [0] * len(parts)
+            assert traced[0].rotation == RotationSystem(
+                {v: g.half_edges_at(v) for v in g.vertices})
+        assert calls == []
+        assert any(len(g.component_index()[1]) >= 3 for g in drawn)
+        assert any(g.loops() for g in drawn) and any(g.parallel_pairs() for g in drawn)
+        # One edge more in a component with a cycle leaves E > V there.
+        cyclic = [(g, p) for g in drawn for p in g.component_index()[1]
+                  if len(p.edges) == len(p.vertices)][:20]
+        for g, part in cyclic:
+            u, w = sorted(part.vertices)[:2]
+            del calls[:]
+            assert check_planar(Graph(g.vertices, {**g.edges, "x": (u, w)})) is not None
+            assert len(calls) == 1
 
 
 class TestOuterplanarity:

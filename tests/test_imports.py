@@ -3,11 +3,12 @@
 
 Every `import` and `from ... import` in `src/outerspatial/*.py` is read from
 the syntax tree, at module level and inside functions.  Imports of sibling
-modules form an acyclic graph and all sit at module level; only imports of
-third-party modules, such as networkx for a planarity embedding, may be
-deferred into a function.  Every function, method and class defined there
-is named somewhere else in the package, bar a short list of entry points,
-and the private names one module reads from another are an exact list.
+modules form an acyclic graph and all sit at module level; the one import
+deferred into a function is networkx's, in `embedding.test_planar`, the
+single place that decides whether a planarity test runs.  Every function,
+method and class defined there is named somewhere else in the package,
+bar a short list of entry points, and the private names one module reads
+from another are an exact list.
 """
 
 import ast
@@ -41,18 +42,18 @@ def _targets(node: ast.AST) -> list[str]:
     return []
 
 
-def _imports() -> list[tuple[str, str, bool]]:
-    """(importing module, imported module, inside a function) for every import."""
+def _imports() -> list[tuple[str, str, str | None]]:
+    """(importing module, imported module, innermost enclosing function or None) for every import."""
     out = []
 
-    def visit(module: str, node: ast.AST, in_function: bool) -> None:
+    def visit(module: str, node: ast.AST, function: str | None) -> None:
         for child in ast.iter_child_nodes(node):
-            out.extend((module, target, in_function) for target in _targets(child))
-            visit(module, child, in_function or isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+            out.extend((module, target, function) for target in _targets(child))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(module, child, child.name if inner else function)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(path.stem, ast.parse(path.read_text()), False)
+        visit(path.stem, ast.parse(path.read_text()), None)
     return out
 
 
@@ -85,10 +86,10 @@ def _cycle(edges: dict[str, set[str]]) -> list[str] | None:
 
 def test_the_reader_sees_module_and_function_level_imports():
     imports = _imports()
-    assert ("decider", "oracle", False) in imports
-    assert ("oracle", "verdicts", False) in imports
-    assert ("cli", "generators", False) in imports
-    assert ("embedding", "networkx", True) in imports
+    assert ("decider", "oracle", None) in imports
+    assert ("oracle", "verdicts", None) in imports
+    assert ("cli", "generators", None) in imports
+    assert ("embedding", "networkx", "test_planar") in imports
 
 
 def test_the_package_import_graph_has_no_cycle():
@@ -100,9 +101,16 @@ def test_the_package_import_graph_has_no_cycle():
 
 
 def test_no_package_module_is_imported_inside_a_function():
-    deferred = [(module, target) for module, target, inside in _imports()
-                if inside and target in MODULES]
+    deferred = [(module, target) for module, target, function in _imports()
+                if function and target in MODULES]
     assert deferred == []
+
+
+def test_networkx_is_imported_by_test_planar_alone():
+    """No other function loads a third-party module, and no module loads networkx at import."""
+    third_party = [(module, target, function) for module, target, function in _imports()
+                   if target not in MODULES and (function or target == "networkx")]
+    assert third_party == [("embedding", "networkx", "test_planar")]
 
 
 def test_the_cycle_finder_finds_a_cycle():

@@ -16,14 +16,21 @@ it: outerspatiality is closed under deleting faces, and a minor of a
 contracted link or a closed surface of faces stays where it was when
 faces are added.  The larger complexes here add triangle fins, each on an
 edge of the obstructed complex and a new vertex, beside a large positive.
+Conversely, deleting faces from a large positive never gives a
+not-outerspatial verdict: the remainder leaves the hypothesis or is
+outerspatial.
 """
 
+import functools
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import families
+from outerspatial.complexes import delete_faces
 from outerspatial.decider import (NotOuterspatial, Outerspatial, decide_outerspatial,
                                   verify_certificate, verify_obstruction)
 from outerspatial.fileformat import format_verdict, parse_complex
@@ -123,3 +130,35 @@ def test_an_obstruction_reverifies_in_a_larger_complex(seed, part, beside):
     assert len(larger.graph.vertices) >= 50
     assert verify_obstruction(larger, verdict.obstruction)
     assert isinstance(decide_outerspatial(larger), NotOuterspatial)
+
+
+@functools.cache
+def _positives():
+    """The large positives, the outerspatial tower of depth 20 and a stacked sphere on 60 vertices."""
+    return (*(parse_complex(instances.render(x, "QX")) for x in LARGE),
+            families.tower(20), families.stacked(5, 60))
+
+
+def test_the_deletion_cases_are_large_positives():
+    assert all(x.expect == instances.POSITIVE for x in LARGE)
+    assert len(_positives()) == 12
+    assert all(len(c.graph.vertices) >= 50 for c in _positives())
+    assert all(isinstance(decide_outerspatial(c), Outerspatial) for c in _positives()[-2:])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_deleting_faces_never_gives_not_outerspatial(data):
+    """One face, a few, most or all of them deleted from a large positive."""
+    complex = data.draw(st.sampled_from(_positives()))
+    fids = sorted(complex.faces)
+    n = len(fids)
+    count = data.draw(st.one_of(st.just(1), st.integers(2, 5),
+                                st.integers(n // 2, n - 1), st.just(n)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    kept = delete_faces(complex, rng.sample(fids, count))
+    assert len(kept.faces) == n - count
+    verdict = decide_outerspatial(kept)
+    assert not isinstance(verdict, NotOuterspatial)
+    if isinstance(verdict, Outerspatial):
+        assert verify_certificate(kept, verdict.certificate)

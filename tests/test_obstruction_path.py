@@ -120,7 +120,7 @@ class TestSalvageStep:
         assert len(complex.faces) == 24
         # The chain's skeleton is planar; refuse the triangle fallback so
         # that the salvage search runs.
-        monkeypatch.setattr(decider, "_within_euler_bound", lambda graph: False)
+        monkeypatch.setattr(decider, "test_planar", lambda graph: None)
         verdict = decide_outerspatial(complex)
         assert isinstance(verdict, HypothesisViolated)
         assert not any("search" in note for note in verdict.notes)

@@ -111,11 +111,11 @@ class TestOrientationSearch:
             outcomes.add(_orient_faces(relabelled) is not None)
         assert outcomes == {builder is not projective_plane}
 
-    def test_an_edge_walked_twice_by_one_face_has_no_partner(self):
-        # Triangle abc twice (one walk with a slit a-d-a) is orientable
-        # without the slit.  With it, edge ad holds two steps of one face,
-        # and beside a third face three steps: neither has exactly one step
-        # of another face, so no orientation exists.
+    def test_a_face_walking_an_edge_twice_is_its_own_partner(self):
+        # Triangle abc twice is orientable.  A walk with a slit a-d-a runs
+        # edge ad there and back, so that face is the partner of its own
+        # step on ad and the pair stays orientable.  Beside a third face on
+        # ad, the edge holds three steps, so no orientation exists.
         g = Graph("abcdx", {"ab": ("a", "b"), "ac": ("a", "c"), "bc": ("b", "c"),
                             "ad": ("a", "d"), "dx": ("d", "x"), "ax": ("a", "x")})
         f1 = Face.from_edges(g, "f1", ["ab", "bc", "ac"])
@@ -124,6 +124,6 @@ class TestOrientationSearch:
         f3 = Face.from_edges(g, "f3", ["ad", "dx", "ax"])
         assert f2.vertices == ("a", "b", "c", "a", "d")
         assert _orient_faces(TwoComplex(g, [f1, g1])) == {"f1": 0, "g1": 1}
-        assert _orient_faces(TwoComplex(g, [f1, f2])) is None
+        assert _orient_faces(TwoComplex(g, [f1, f2])) == {"f1": 0, "f2": 1}
         assert _orient_faces(TwoComplex(g, [f1, f2, f3])) is None
         assert _orient_faces(TwoComplex(g, [f2, f3])) is None

@@ -99,14 +99,28 @@ def test_drawn_face_sets_answer_as_the_builder(data):
 
 
 def test_a_face_running_an_edge_both_ways_can_be_orientable():
-    """One square a b a^-1 b^-1 on two loops at one vertex is the torus."""
-    g = Graph("v", {"a": ("v", "v"), "b": ("v", "v")})
-    torus = TwoComplex(g, [Face("t", [("v", "a", 0), ("v", "b", 0),
-                                      ("v", "a", 1), ("v", "b", 1)])])
-    assert decider._surface_of(torus, {"t"}) == (True, SurfaceClass(True, 0, True))
-    klein = TwoComplex(g, [Face("k", [("v", "a", 0), ("v", "b", 0),
-                                      ("v", "a", 0), ("v", "b", 1)])])
-    assert decider._surface_of(klein, {"k"}) == (True, SurfaceClass(True, 0, False))
+    """One square a b a^-1 b^-1 is the torus, and a b a b^-1 the Klein bottle.
+
+    Each is drawn on two loops at one vertex and, with the sides
+    subdivided, on three vertices; the builder's route answers alike.
+    """
+    loops = Graph("v", {"a": ("v", "v"), "b": ("v", "v")})
+    subdivided = Graph("vxy", {"a1": ("v", "x"), "a2": ("x", "v"),
+                               "b1": ("v", "y"), "b2": ("y", "v")})
+    cases = [
+        (TwoComplex(loops, [Face("t", [("v", "a", 0), ("v", "b", 0),
+                                       ("v", "a", 1), ("v", "b", 1)])]), True),
+        (TwoComplex(loops, [Face("k", [("v", "a", 0), ("v", "b", 0),
+                                       ("v", "a", 0), ("v", "b", 1)])]), False),
+        (TwoComplex(subdivided, [Face.from_edges(
+            subdivided, "t", ["a1", "a2", "b1", "b2", "a2", "a1", "b2", "b1"])]), True),
+        (TwoComplex(subdivided, [Face.from_edges(
+            subdivided, "k", ["a1", "a2", "b1", "b2", "a1", "a2", "b2", "b1"])]), False),
+    ]
+    for complex, orientable in cases:
+        got = decider._surface_of(complex, set(complex.faces))
+        assert got == (True, SurfaceClass(True, 0, orientable))
+        assert builder_route(complex, set(complex.faces)) == got
 
 
 def glued_salvage_case():
