@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # A half-edge is (edge id, end index); end 0/1 refer to the stored endpoint
 # pair.  A dart (directed half-edge) uses the same encoding: (e, o) traverses
@@ -368,32 +368,21 @@ class TwoComplex:
         return self._faces_view
 
     def _link_maps(self, v: str) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
-        """The link at v as its `ends` and `edge_face` maps, from one pass over all face steps.
+        """The link at v as its `ends` and `edge_face` maps, built for every vertex on first call.
 
-        The corner at a step's vertex joins the half-edge the walk arrives by
-        to the one it leaves by; its link edge is the face id, and `fid@k`
-        for the face's k-th return to the vertex.  A link vertex is named by
-        its edge id, or `e:0` and `e:1` for the ends of a loop e.
+        Each corner is a link edge, named by its face id, and `fid@k` for the
+        face's k-th return to the vertex.
         """
         if self._links is None:
             links = {w: ({}, {}) for w in self.graph.vertices}
-            loops = set(self.graph.loops())
-            for fid, f in self._faces.items():
-                _, e, o = f.steps[-1]
-                come = f"{e}:{1 - o}" if e in loops else e
-                for w, e, o in f.steps:
-                    if e in loops:
-                        go, arrive = f"{e}:{o}", f"{e}:{1 - o}"
-                    else:
-                        go = arrive = e
-                    ends, edge_face = links[w]
-                    le, occ = fid, 0
-                    while le in ends:
-                        occ += 1
-                        le = f"{fid}@{occ}"
-                    ends[le] = (come, go)
-                    edge_face[le] = fid
-                    come = arrive
+            for w, fid, come, go in _corners(self):
+                ends, edge_face = links[w]
+                le, occ = fid, 0
+                while le in ends:
+                    occ += 1
+                    le = f"{fid}@{occ}"
+                ends[le] = (come, go)
+                edge_face[le] = fid
             self._links = links
         return self._links[v]
 
@@ -410,6 +399,92 @@ class TwoComplex:
     def __repr__(self) -> str:
         return (f"TwoComplex({len(self.graph.vertices)} vertices, "
                 f"{len(self.graph.edges)} edges, {len(self._faces)} faces)")
+
+
+# A corner of a face at a vertex: (face id, half-edge the walk arrives by, half-edge it
+# leaves by).  A half-edge, a link vertex, is named by its edge id, or `e:0` and `e:1`
+# for the ends of a loop e.
+Corner = tuple[str, str, str]
+
+
+def _corners(complex: TwoComplex) -> Iterator[tuple[str, str, str, str]]:
+    """The vertex and corner of every face step, in face order."""
+    loops = set(complex.graph.loops())
+    for fid, f in complex.faces.items():
+        _, e, o = f.steps[-1]
+        come = f"{e}:{1 - o}" if e in loops else e
+        for w, e, o in f.steps:
+            if e in loops:
+                go, arrive = f"{e}:{o}", f"{e}:{1 - o}"
+            else:
+                go = arrive = e
+            yield w, fid, come, go
+            come = arrive
+
+
+def _link_vertices(graph: Graph, v: str) -> list[str]:
+    """The half-edges at v, named as `_corners` names them, in incident edge order."""
+    names: list[str] = []
+    for eid in graph.incident_edges(v):
+        a, b = graph.endpoints(eid)
+        if a == b:  # A loop gives two link vertices, one per end.
+            names += (f"{eid}:0", f"{eid}:1")
+        else:
+            names.append(eid)
+    return names
+
+
+def _single_cycle(ring: Mapping[str, list[str]]) -> tuple[str, ...] | None:
+    """The walk of `_walk_ring` when the ring, vertex -> the far end of each edge end there, is one cycle.
+
+    Two or more vertices, two edge ends at every vertex, and one walk covers
+    every vertex; None otherwise.  That leaves no loop: a loop's vertex
+    holds both its ends, so it is a component the walk misses.  A doubled
+    edge closes a component of two vertices, so it passes only as the
+    digon, n = 2; for n >= 3 the cycle is simple.
+    """
+    if len(ring) < 2:
+        return None
+    for nbrs in ring.values():
+        if len(nbrs) != 2:
+            return None
+    cycle = _walk_ring(ring)
+    return cycle if len(cycle) == len(ring) else None
+
+
+def _walk_ring(ring: Mapping[str, list[str]]) -> tuple[str, ...]:
+    """The cycle through the smallest vertex of a ring of two neighbours each.
+
+    The walk starts towards the smaller neighbour of that vertex.
+    """
+    start = min(ring)
+    cycle = [start]
+    prev, at = start, min(ring[start])
+    while at != start:
+        cycle.append(at)
+        a, b = ring[at]
+        prev, at = at, (b if a == prev else a)
+    return tuple(cycle)
+
+
+def link_cycles(complex: TwoComplex) -> dict[str, tuple[tuple[str, ...], Corner]]:
+    """Vertex -> its link's cycle and one corner there, for each vertex whose link is one cycle.
+
+    One pass over `_corners` rings each vertex's link vertices; the cycle is
+    `_single_cycle` on the ring, the Hamilton boundary `test_outerplanar`
+    reports for the link.  No link map, `LinkGraph` or `Graph` is built.
+    """
+    g = complex.graph
+    rings = {v: {name: [] for name in _link_vertices(g, v)} for v in g.vertices}
+    corner: dict[str, Corner] = {}
+    for w, fid, come, go in _corners(complex):
+        ring = rings[w]
+        ring[come].append(go)
+        ring[go].append(come)
+        if w not in corner:
+            corner[w] = (fid, come, go)
+    cycles = {v: _single_cycle(ring) for v, ring in rings.items()}
+    return {v: (cycle, corner[v]) for v, cycle in cycles.items() if cycle is not None}
 
 
 class Violation:
@@ -485,14 +560,7 @@ def link_graph(complex: TwoComplex, v: str) -> LinkGraph:
     g = complex.graph
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v}")
-    names: list[str] = []
-    for eid in g.incident_edges(v):
-        a, b = g.endpoints(eid)
-        if a == b:  # A loop gives two link vertices, one per end.
-            names += (f"{eid}:0", f"{eid}:1")
-        else:
-            names.append(eid)
-    return LinkGraph(v, names, *complex._link_maps(v))
+    return LinkGraph(v, _link_vertices(g, v), *complex._link_maps(v))
 
 
 def cone(complex: TwoComplex, apex: str | None = None) -> TwoComplex:

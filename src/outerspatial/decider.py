@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .complexes import (Graph, LinkGraph, Path, TwoComplex, associated_complex,
-                        contracted_link, delete_faces, link_graph, split_components,
-                        validate)
+from .complexes import (Corner, Graph, LinkGraph, Path, TwoComplex, associated_complex,
+                        contracted_link, delete_faces, link_cycles, link_graph,
+                        split_components, validate)
 # `nesting_forest` is called from `verdicts` only; the benchmark's tracer
 # test still reads it as `decider.nesting_forest`.
 from .embedding import (CrossingPair, OuterplanarityResult,
@@ -36,28 +36,46 @@ from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
 ASPHERICAL_SEARCH_BUDGET = 2 ** 20
 
 
-def _links(complex: TwoComplex) -> Iterator[tuple[str, LinkGraph, OuterplanarityResult]]:
-    """Each vertex with its link and the link's outerplanarity, in sorted vertex order, read
-    off the complex's link index, which one pass over the face steps builds for every
-    vertex; a reader that stops early tests no later link.  Only a link that is not one
-    cycle builds a `Graph`."""
+def _links(complex: TwoComplex) -> Iterator[tuple[str, tuple[str, ...] | None, Corner | None,
+                                                   LinkGraph | None, OuterplanarityResult | None]]:
+    """Each vertex in sorted order, with its link's Hamilton boundary and one corner on
+    it, or None twice when the link is not 2-connected simple outerplanar; then the
+    link and its outerplanarity, or None twice when `link_cycles` found it one cycle.
+
+    Only the links that are not one cycle are built and tested, so a reader that
+    stops early tests no later link.
+    """
+    cycles = link_cycles(complex)
     for v in sorted(complex.graph.vertices):
+        found = cycles.get(v)
+        if found is not None and len(found[0]) >= 3:
+            yield v, *found, None, None
+            continue
         link = link_graph(complex, v)
-        yield v, link, test_outerplanar(link)
+        result = test_outerplanar(link)
+        if result.boundary is None:
+            yield v, None, None, link, result
+        else:
+            le = min(result.boundary_edges)
+            yield v, result.boundary, (link.edge_face[le], *link.ends[le]), link, result
 
 
 def is_locally_2_connected(complex: TwoComplex) -> bool:
     """Every link graph is a 2-connected simple graph."""
-    return all(result.violation is None for _, _, result in _links(complex))
+    return all(result is None or result.violation is None for *_, result in _links(complex))
 
 
 def find_chordal_faces(
         complex: TwoComplex,
         structures: Mapping[str, tuple[LinkGraph, OuterplanarityResult]] | None = None
 ) -> dict[str, frozenset[str]]:
-    """Faces that are chords in some link, with the vertices where they are chords."""
+    """Faces that are chords in some link, with the vertices where they are chords.
+
+    `structures` holds the links `_links` builds, the ones that are not one cycle.
+    """
     if structures is None:
-        structures = {v: (link, result) for v, link, result in _links(complex)}
+        structures = {v: (link, result) for v, _, _, link, result in _links(complex)
+                      if link is not None}
     out: dict[str, set[str]] = {}
     for v in sorted(structures):
         link, result = structures[v]
@@ -206,13 +224,16 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     order; links outside the hypothesis count only when there is none.
     """
     structures = {}
+    boundaries = {}
     blocked = []
-    for v, link, result in _links(comp):
-        if not result.outerplanar:
-            return NotOuterspatial(NonOuterplanarLink(Path((v,), ()), link, result.witness))
-        if result.violation is not None:
-            blocked.append(LinkViolation(v, f"link graph is {result.violation}"))
-        structures[v] = (link, result)
+    for v, boundary, corner, link, result in _links(comp):
+        if result is not None:
+            if not result.outerplanar:
+                return NotOuterspatial(NonOuterplanarLink(Path((v,), ()), link, result.witness))
+            if result.violation is not None:
+                blocked.append(LinkViolation(v, f"link graph is {result.violation}"))
+            structures[v] = (link, result)
+        boundaries[v] = (boundary, corner)
     if blocked:
         violations.extend(blocked)
         return None
@@ -224,12 +245,13 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
             return NotOuterspatial(got)
 
     # Every chordal face is a chord at each of its vertices, so deleting them
-    # leaves each vertex its Hamilton boundary as link: a closed surface.
+    # leaves each vertex its Hamilton boundary as link: a closed surface.  A
+    # one-cycle link has no chord, so no chordal face passes its vertex.
     for link, result in structures.values():
         kept = {le for le, fid in link.edge_face.items() if fid not in chordal}
         if kept != result.boundary_edges:
             raise AssertionError("chord-free remainder is not a closed surface")
-    remainder = delete_faces(comp, set(chordal))
+    remainder = delete_faces(comp, set(chordal)) if chordal else comp
     orientation = _orient_faces(remainder)
     sclass = SurfaceClass(True, euler_characteristic(remainder), orientation is not None)
     if not sclass.is_sphere:
@@ -237,7 +259,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
             AsphericalSubcomplex(frozenset(remainder.faces), sclass))
 
     # A vertex's link in the remainder is its Hamilton boundary, so that
-    # boundary is its rotator; one corner, directed with its face, gives the
+    # boundary is its rotator; its corner, directed with its face, gives the
     # sense.  Link vertices are edge ids, as a validated complex has no loops.
     # Each corner of a directed face then turns from its in-edge to the next
     # half-edge of the rotator, so the directed faces are the face orbits:
@@ -245,11 +267,8 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     # gives them.  Only the self-check traces the rotators.
     g = comp.graph
     rotators = {}
-    for v, (link, result) in structures.items():
-        cyc = result.boundary
-        le = min(result.boundary_edges)
-        come, go = link.ends[le]
-        if orientation[link.edge_face[le]]:
+    for v, (cyc, (fid, come, go)) in boundaries.items():
+        if orientation[fid]:
             come, go = go, come
         if cyc[cyc.index(come) - 1] == go:
             cyc = cyc[::-1]

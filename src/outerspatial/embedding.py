@@ -60,9 +60,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .complexes import Graph, HalfEdge, LinkGraph
+from .complexes import Graph, HalfEdge, LinkGraph, _single_cycle
 
 # A dart traverses an edge away from endpoint o: same encoding as a half-edge.
 Dart = tuple[str, int]
@@ -719,9 +719,14 @@ def test_outerplanar(graph: Graph | LinkGraph) -> OuterplanarityResult:
     for that test; its validated `Graph` is built only for the block pass.
     """
     ends = graph.ends if isinstance(graph, LinkGraph) else graph.edges
-    cycle = _single_cycle(graph.vertices, ends) if len(graph.vertices) >= 3 else None
-    if cycle is not None:
-        return OuterplanarityResult(True, None, cycle, frozenset(ends), frozenset())
+    if len(graph.vertices) >= 3 and len(ends) == len(graph.vertices):
+        ring: dict[str, list[str]] = {v: [] for v in graph.vertices}
+        for u, w in ends.values():
+            ring[u].append(w)
+            ring[w].append(u)
+        cycle = _single_cycle(ring)
+        if cycle is not None:
+            return OuterplanarityResult(True, None, cycle, frozenset(ends), frozenset())
     graph = graph.graph if isinstance(graph, LinkGraph) else graph
     blocks = _blocks(graph)
     if not graph.is_simple():
@@ -737,7 +742,7 @@ def test_outerplanar(graph: Graph | LinkGraph) -> OuterplanarityResult:
     if violation is not None:
         return OuterplanarityResult(True, violation)
     boundary_edges, chords = set(), set()
-    ring: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    ring = {v: [] for v in graph.vertices}
     for eid, (u, v) in graph.edges.items():
         if triangles[(u, v) if u < v else (v, u)] == 2:
             chords.add(eid)
@@ -745,47 +750,8 @@ def test_outerplanar(graph: Graph | LinkGraph) -> OuterplanarityResult:
             boundary_edges.add(eid)
             ring[u].append(v)
             ring[v].append(u)
-    return OuterplanarityResult(True, None, _walk_ring(ring), frozenset(boundary_edges),
+    return OuterplanarityResult(True, None, _single_cycle(ring), frozenset(boundary_edges),
                                 frozenset(chords))
-
-
-def _single_cycle(vertices: Collection[str],
-                  ends: Mapping[str, tuple[str, str]]) -> tuple[str, ...] | None:
-    """The walk of `_walk_ring` when the graph on `vertices` with edges `ends` is one cycle.
-
-    Two or more vertices, as many edges, two edge ends at every vertex, and
-    one walk covers every vertex; None otherwise.  That leaves no loop: a
-    loop's vertex holds both its ends, so it is a component the walk misses.
-    A doubled edge closes a component of two vertices, so it passes only as
-    the digon, n = 2; for n >= 3 the cycle is simple.
-    """
-    n = len(vertices)
-    if n < 2 or len(ends) != n:
-        return None
-    ring: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, w in ends.values():
-        ring[u].append(w)
-        ring[w].append(u)
-    for nbrs in ring.values():
-        if len(nbrs) != 2:
-            return None
-    cycle = _walk_ring(ring)
-    return cycle if len(cycle) == n else None
-
-
-def _walk_ring(ring: Mapping[str, list[str]]) -> tuple[str, ...]:
-    """The cycle through the smallest vertex of a ring of two neighbours each.
-
-    The walk starts towards the smaller neighbour of that vertex.
-    """
-    start = min(ring)
-    cycle = [start]
-    prev, at = start, min(ring[start])
-    while at != start:
-        cycle.append(at)
-        a, b = ring[at]
-        prev, at = at, (b if a == prev else a)
-    return tuple(cycle)
 
 
 def _eliminate(nbrs: dict[str, dict[str, None]],

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .complexes import TwoComplex, face_subcomplex, link_graph, split_components
-from .embedding import _single_cycle
+from .complexes import TwoComplex, face_subcomplex, link_cycles, split_components
 
 
 class SurfaceClass:
@@ -69,8 +68,7 @@ def euler_characteristic(complex: TwoComplex) -> int:
 
 def _component_is_closed_surface(component: TwoComplex) -> bool:
     """Every link is one cycle; a digon link, from two faces on two edges, counts."""
-    links = (link_graph(component, v) for v in sorted(component.graph.vertices))
-    return all(_single_cycle(link.vertices, link.ends) is not None for link in links)
+    return len(link_cycles(component)) == len(component.graph.vertices)
 
 
 def _orient_faces(component: TwoComplex) -> dict[str, int] | None:

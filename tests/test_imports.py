@@ -220,7 +220,7 @@ PRIVATE_READS = {
     ("decider", "_normalize_cycle"),
     ("decider", "_orient_faces"),
     ("verdicts", "_normalize_cycle"),
-    ("surface", "_single_cycle"),
+    ("embedding", "_single_cycle"),
     ("oracle", "_PATTERNS"),
     ("oracle", "_bits"),
     ("generators", "_fresh_name"),

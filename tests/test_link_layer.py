@@ -318,19 +318,40 @@ def _count_link_graphs(monkeypatch):
     return built
 
 
+def star_boundary_spheres():
+    """Stacked spheres with star faces from the benchmark's builder: each star face is a
+    chord in the link of every vertex it passes, and every other link is one cycle."""
+    instances, = families.perfbench_modules("instances")
+    rng = random.Random(43)
+    return [parse_complex(instances.render(instances.star_boundary(rng, n, k), "QX"))
+            for n, k in ((20, 1), (40, 2), (60, 3))]
+
+
+def chorded_vertices(complex):
+    """The vertices whose link has a chord, by the block pass on the link `Graph`."""
+    return sorted(v for v in complex.graph.vertices
+                  if check_outerplanar(link_graph(complex, v).graph).chords)
+
+
 def test_prism_decides_without_cone_planarity_and_builds_links_at_most_twice(monkeypatch):
-    """Positives read each link off the link index and build no link `Graph`."""
-    for complex in (gen.prism(20), families.stacked(3, 120)):
+    """Positives settle every one-cycle link in one corner pass, which the self-check
+    does not run: a prism and a stacked sphere call no `link_graph` and build no link
+    `Graph`; a star-boundary sphere calls `link_graph` and builds the link `Graph` once
+    at each vertex whose link has a chord."""
+    for complex in [gen.prism(20), families.stacked(3, 120)] + star_boundary_spheres():
         with monkeypatch.context() as mp:
             planar = _count_calls(mp, "test_planar", [embedding, decider])
-            links = _count_calls(mp, "link_graph", [complexes, decider, surface])
+            passes = _count_calls(mp, "link_cycles", [complexes, decider, surface])
+            links = _count_calls(mp, "link_graph", [complexes, decider])
             graphs = _count_link_graphs(mp)
             verdict = decide_outerspatial(complex)
         assert verdict.kind == "outerspatial"
-        assert planar == [] and graphs == []
-        builds = Counter(v for _, v in links)
-        assert set(builds) == complex.graph.vertices
-        assert max(builds.values()) <= 2
+        assert planar == [] and len(passes) == 1
+        chorded = chorded_vertices(complex)
+        assert [v for _, v in links] == chorded
+        assert graphs == chorded
+        assert len(chorded) < len(complex.graph.vertices) / 2
+    assert chorded
 
 
 def test_a_cone_over_k4_builds_the_link_graphs_it_reads(monkeypatch):
@@ -349,7 +370,7 @@ def test_the_link_pass_stops_at_the_first_non_outerplanar_link(monkeypatch):
     outerplanar, so `decide` builds no other link; the self-check builds
     the apex link once more to verify the obstruction."""
     complex = cone(TwoComplex(gen.named_graph("k4"), []), apex="A")
-    links = _count_calls(monkeypatch, "link_graph", [complexes, decider, surface])
+    links = _count_calls(monkeypatch, "link_graph", [complexes, decider])
     graphs = _count_link_graphs(monkeypatch)
     verdict = decide_outerspatial(complex)
     assert verdict.kind == "not-outerspatial" and verdict.obstruction.path.vertices == ("A",)
@@ -407,27 +428,102 @@ def reference_link(complex, v):
     return {name(*h) for h in g.half_edges_at(v)}, list(ends.items()), edge_face
 
 
-def test_links_from_the_corner_index_answer_as_their_graphs():
-    """The per-vertex pass answers as `test_outerplanar` on the validated link
-    `Graph`, and builds that `Graph` exactly for links that are not one cycle."""
+def pillow():
+    """Two faces on the same two parallel edges: the link at each vertex is a digon."""
+    g = Graph("ab", {"x": ("a", "b"), "y": ("a", "b")})
+    return TwoComplex(g, [Face.from_edges(g, "p", ["x", "y"]), Face.from_edges(g, "q", ["x", "y"])])
+
+
+def dangling():
+    """The tetrahedron with an edge ae on no face: the link at a is a triangle beside
+    the isolated vertex ae, so its corners alone ring one cycle."""
+    tetra = gen.tetra()
+    g = Graph(tetra.graph.vertices | {"e"}, {**tetra.graph.edges, "ae": ("a", "e")})
+    return TwoComplex(g, tetra.faces.values())
+
+
+def link_pass_cases():
+    """The golden complexes, the link edge cases, a pillow, a dangling edge, and prisms,
+    stacked spheres, star-boundary spheres, tori and cones."""
+    instances, = families.perfbench_modules("instances")
     golden = Path(__file__).parent / "golden"
-    complexes_ = [parse_complex(p.read_text()) for p in sorted(golden.glob("*.complex"))]
-    complexes_ += [families.stacked(11, 150), gen.prism(30), families.tower(6),
-                   families.disjoint_tetrahedra(3), cone(gen.tetra()), cone(gen.prism(5)),
-                   cone(families.stacked(2, 12))]
-    complexes_ += [gen.cone_over_graph(gen.named_graph(name)) for name in ("k4", "k23")]
-    complexes_ += link_edge_cases()
+    out = [parse_complex(p.read_text()) for p in sorted(golden.glob("*.complex"))]
+    out += link_edge_cases() + [pillow(), dangling()] + star_boundary_spheres()
+    out += [families.stacked(11, 150), families.stacked(2, 12), gen.prism(5), gen.prism(30),
+            families.tower(6), families.disjoint_tetrahedra(3), gen.torus7(),
+            parse_complex(instances.render(instances.torus(random.Random(47), 20), "QX")),
+            cone(gen.tetra()), cone(gen.prism(5)), cone(families.stacked(2, 12))]
+    out += [gen.cone_over_graph(gen.named_graph(name)) for name in ("k4", "k23")]
+    return out
+
+
+def ring_of(vertices, pairs):
+    """Each vertex -> the far end of each edge end there, for edges given by their ends."""
+    ring = {u: [] for u in vertices}
+    for a, b in pairs:
+        ring[a].append(b)
+        ring[b].append(a)
+    return ring
+
+
+def test_link_cycles_answer_as_the_link_graphs():
+    """At every vertex `link_cycles` finds the cycle that `_single_cycle` finds on the
+    link's ends, exactly when the link `Graph` is one cycle; on three or more link
+    vertices that is `test_outerplanar`'s chordless Hamilton boundary, and the corner
+    given with it is a corner of the link."""
+    seen = Counter()
+    for complex in link_pass_cases():
+        cycles = complexes.link_cycles(complex)
+        assert cycles.keys() <= complex.graph.vertices
+        for v in sorted(complex.graph.vertices):
+            link = link_graph(complex, v)
+            expected = complexes._single_cycle(ring_of(link.vertices, link.ends.values()))
+            assert (expected is not None) == reference_link_is_single_cycle(link.graph), (complex, v)
+            result = check_outerplanar(link)
+            if expected is None:
+                assert v not in cycles, (complex, v)
+                assert result.boundary is None or result.chords, (complex, v)
+                seen["not one cycle"] += 1
+                continue
+            cycle, (fid, come, go) = cycles[v]
+            assert cycle == expected, (complex, v)
+            assert (fid, (come, go)) in {(link.edge_face[le], ab) for le, ab in link.ends.items()}
+            if len(cycle) >= 3:
+                assert _outcome(result) == (True, cycle, frozenset(link.ends), frozenset(), None)
+                seen["cycle"] += 1
+            else:
+                assert result.violation == "not simple", (complex, v)
+                seen["digon"] += 1
+    assert seen["cycle"] > 500 and seen["not one cycle"] > 100 and seen["digon"] >= 3, seen
+
+
+def test_links_from_the_corner_index_answer_as_their_graphs():
+    """The link pass answers as `test_outerplanar` on the validated link `Graph`; it
+    builds a link, and its `Graph`, exactly for links that are not one cycle, and
+    gives a corner on every Hamilton boundary."""
     shortcut = 0
-    for complex in complexes_:
-        for v, link, result in decider._links(complex):
-            got = (set(link.vertices), list(link.ends.items()), link.edge_face)
-            assert got == reference_link(complex, v), (complex, v)
-            one_cycle = result.boundary is not None and not result.chords
-            assert ("graph" in vars(link)) != one_cycle, (complex, v)
-            shortcut += one_cycle
+    for complex in link_pass_cases():
+        for v, boundary, corner, link, result in decider._links(complex):
             expected = check_outerplanar(link_graph(complex, v).graph)
-            assert _outcome(result) == _outcome(expected), (complex, v)
-    assert shortcut > 400
+            assert boundary == expected.boundary, (complex, v)
+            if link is None:
+                assert result is None and not expected.chords, (complex, v)
+                shortcut += 1
+            else:
+                got = (set(link.vertices), list(link.ends.items()), link.edge_face)
+                assert got == reference_link(complex, v), (complex, v)
+                assert "graph" in vars(link), (complex, v)
+                assert boundary is None or expected.chords, (complex, v)
+                assert _outcome(result) == _outcome(expected), (complex, v)
+            if boundary is None:
+                assert corner is None, (complex, v)
+                continue
+            fid, come, go = corner
+            _, ends, edge_face = reference_link(complex, v)
+            assert (fid, (come, go)) in {(edge_face[le], ab) for le, ab in ends}, (complex, v)
+            i = boundary.index(come)
+            assert go in (boundary[i - 1], boundary[(i + 1) % len(boundary)]), (complex, v)
+    assert shortcut > 500
 
 
 def test_link_edge_cases_reach_each_shape():
@@ -514,8 +610,8 @@ def near_miss_cycles():
 
 
 def single_cycle(graph):
-    """`embedding._single_cycle` on a graph's vertices and edge ends."""
-    return embedding._single_cycle(graph.vertices, graph.edges)
+    """`complexes._single_cycle` on the ring of a graph's edge ends."""
+    return complexes._single_cycle(ring_of(graph.vertices, graph.edges.values()))
 
 
 def _outcome(result):
@@ -535,9 +631,17 @@ class TestSingleCycleShortcut:
             assert got[2] == frozenset(graph.edges) and got[3] == frozenset()
         for graph, got in zip(cycles[:40] + cycles[-1:], fast[:40] + fast[-1:]):
             assert got == reference_outerplanar(graph), graph.edges
-        monkeypatch.setattr(embedding, "_single_cycle", lambda vertices, ends: None)
+        # The block pass walks its boundary ring with `_single_cycle` too, so refuse
+        # only the shortcut's call, the one before `_blocks` runs.
+        shortcut, real_cycle, real_blocks = [], embedding._single_cycle, embedding._blocks
+        monkeypatch.setattr(embedding, "_single_cycle",
+                            lambda ring: None if shortcut else real_cycle(ring))
+        monkeypatch.setattr(embedding, "_blocks",
+                            lambda graph: shortcut.clear() or real_blocks(graph))
         for graph, got in zip(cycles, fast):
+            shortcut.append(graph)
             assert got == _outcome(check_outerplanar(graph)), graph.edges
+            assert shortcut == []
 
     def test_near_misses_take_the_block_pass(self):
         for graph in near_miss_cycles():
@@ -546,7 +650,7 @@ class TestSingleCycleShortcut:
 
 
 def reference_link_is_single_cycle(graph):
-    """The closed-surface link test that `embedding._single_cycle` replaced."""
+    """The closed-surface link test that `_single_cycle` replaced."""
     if not graph.vertices:
         return False
     return (all(graph.degree(u) == 2 for u in graph.vertices)

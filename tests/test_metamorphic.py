@@ -16,9 +16,9 @@ it: outerspatiality is closed under deleting faces, and a minor of a
 contracted link or a closed surface of faces stays where it was when
 faces are added.  The larger complexes here add triangle fins, each on an
 edge of the obstructed complex and a new vertex, beside a large positive.
-Conversely, deleting faces from a large positive never gives a
-not-outerspatial verdict: the remainder leaves the hypothesis or is
-outerspatial.
+Conversely, deleting faces from a large positive, or contracting a few of
+its edges, never gives a not-outerspatial verdict: the result leaves the
+hypothesis or is outerspatial.
 """
 
 import functools
@@ -30,7 +30,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import families
-from outerspatial.complexes import delete_faces
+from outerspatial import generators as gen
+from outerspatial.complexes import (Path, contract_path, contracted_vertex_name, delete_faces,
+                                    link_cycles, validate)
 from outerspatial.decider import (NotOuterspatial, Outerspatial, decide_outerspatial,
                                   verify_certificate, verify_obstruction)
 from outerspatial.fileformat import format_verdict, parse_complex
@@ -162,3 +164,42 @@ def test_deleting_faces_never_gives_not_outerspatial(data):
     assert not isinstance(verdict, NotOuterspatial)
     if isinstance(verdict, Outerspatial):
         assert verify_certificate(kept, verdict.certificate)
+
+
+@functools.cache
+def _contraction_cases():
+    """A prism on 60 vertices, the outerspatial tower of depth 20 and a star-boundary sphere on 60."""
+    star = instances.star_boundary(random.Random(SEED), 60, 3)
+    return gen.prism(30), families.tower(20), parse_complex(instances.render(star, "QX"))
+
+
+def test_the_contraction_cases_are_large_positives():
+    """Contracting a rung of the tower leaves a simple complex in which the merged
+    vertex's link is not one cycle, so `decide` builds and tests that link."""
+    assert all(len(c.graph.vertices) >= 50 for c in _contraction_cases())
+    assert all(isinstance(decide_outerspatial(c), Outerspatial) for c in _contraction_cases())
+    tower = _contraction_cases()[1]
+    path = families.path_along(tower.graph, ("a00", "a01"))
+    contracted = contract_path(tower, path)
+    assert validate(contracted) == []
+    assert contracted_vertex_name(path, tower.graph.vertices) not in link_cycles(contracted)
+    assert isinstance(decide_outerspatial(contracted), Outerspatial)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_contracting_edges_never_gives_not_outerspatial(data):
+    """One edge, or two to four one after another, contracted in a large positive; a
+    draw ends where `validate` refuses the result, as it does on every edge of a triangle."""
+    complex = data.draw(st.sampled_from(_contraction_cases()))
+    count = data.draw(st.one_of(st.just(1), st.integers(2, 4)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    for _ in range(count):
+        eid = rng.choice(sorted(complex.graph.edges))
+        complex = contract_path(complex, Path(complex.graph.endpoints(eid), (eid,)))
+        if validate(complex):
+            return
+    verdict = decide_outerspatial(complex)
+    assert not isinstance(verdict, NotOuterspatial)
+    if isinstance(verdict, Outerspatial):
+        assert verify_certificate(complex, verdict.certificate)

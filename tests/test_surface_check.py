@@ -136,8 +136,8 @@ def test_the_surface_check_calls_no_builder_code(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the verifier called builder code")
 
-    for name in ("classify_component", "face_subcomplex", "link_graph", "_single_cycle",
-                 "_orient_faces"):
+    for name in ("classify_component", "face_subcomplex", "link_graph", "link_cycles",
+                 "_single_cycle", "_orient_faces"):
         for module in (complexes, decider, embedding, oracle, surface, verdicts):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
