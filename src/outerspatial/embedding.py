@@ -38,6 +38,17 @@ By the same parity, the interior of c in a depth-first tree is the XOR of
 the preorder intervals of the subtrees below c's tree edges; the module
 reads every cycle's interior and sides off that tree.
 
+Face-orbit cycles.  A cycle c bounds a face orbit x when x runs exactly
+c's edges, each once; x is then one of the two orbits at any edge of c.
+Cutting c's edges leaves x alone in the dual, so c's sides are {x} and all
+other orbits.  With x = o, int(c) holds every other interior and c is the
+root.  Otherwise int(c) = {x} holds no interior, and c's parent is the
+innermost other cycle holding x: x's label in a walk over the other
+cycles, or else the root.  {x} lies in a side of every other cycle, so
+such cycles cross nothing and `nesting_forest` walks only the others.  An
+orbit that runs an edge twice has a bridge on it, and a bridge lies on no
+cycle, so a genuine cycle is never taken for such an orbit.
+
 Crossing pairs.  Two cycles cross when no side of one lies in a side of
 the other; this does not depend on o.  For any o the interiors are laminar
 exactly when no pair crosses: nested interiors put a side of one cycle in
@@ -49,16 +60,17 @@ two cycles cross exactly when their interiors meet and neither contains
 the other.  Cycles without a common vertex never cross: c1 meets one side
 B' of c2 only, so the faces of the other side B meet no edge of c1 and,
 being connected across non-c2 edges, lie in one side of c1.  When the walk
-fails, `nesting_forest` computes the interiors from its tree and scans the
-pairs with a common vertex, in lexicographic order of cycle ids, for the
-first crossing one.  Two cycles with the same edge set have equal
-interiors; `validate` rejects such duplicate boundaries in complexes and
-`nesting_forest` rejects them with ValueError.
+fails, `nesting_forest` computes the walked cycles' interiors from its
+tree and scans their pairs with a common vertex, in lexicographic order of
+cycle ids, for the first crossing one.  Two cycles with the same edge set
+have equal interiors; `validate` rejects such duplicate boundaries in
+complexes and `nesting_forest` rejects them with ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -79,6 +91,13 @@ class RotationSystem:
         self._rot: dict[str, tuple[HalfEdge, ...]] = {
             v: _normalize_cycle(tuple(rotators[v])) for v in sorted(rotators)}
 
+    @classmethod
+    def union(cls, parts: Iterable[tuple[RotationSystem, Iterable[str]]]) -> RotationSystem:
+        """The rotators of each system at its vertices, merged as they are normalised."""
+        merged, rot = cls({}), {v: system._rot[v] for system, vertices in parts for v in vertices}
+        merged._rot = {v: rot[v] for v in sorted(rot)}
+        return merged
+
     def vertices(self) -> tuple[str, ...]:
         return tuple(self._rot)
 
@@ -88,14 +107,23 @@ class RotationSystem:
     def validate_for(self, graph: Graph) -> None:
         """Every vertex of the graph has a rotator listing exactly its half-edges.
 
-        Other vertices may have rotators too, so one rotation system serves
-        each component of a graph.
+        That is as many as it has (a loop is incident once, with two ends),
+        none twice, each at the vertex.  Other vertices may have rotators
+        too, so one rotation system serves each component of a graph.
         """
+        ends = graph.edges
+        loops = Counter(ends[eid][0] for eid in graph.loops())
         for v in graph.vertices:
-            if v not in self._rot:
+            cyc = self._rot.get(v)
+            if cyc is None:
                 raise ValueError("rotation system does not cover the vertex set")
-            if tuple(sorted(self._rot[v])) != graph.half_edges_at(v):
-                raise ValueError(f"rotator at {v} does not list the half-edges at {v}")
+            if len(cyc) == len(graph.incident_edges(v)) + loops.get(v, 0) == len(set(cyc)):
+                for eid, o in cyc:
+                    if o not in (0, 1) or ends.get(eid, (None, None))[o] != v:
+                        break
+                else:
+                    continue
+            raise ValueError(f"rotator at {v} does not list the half-edges at {v}")
 
     def canonical_key(self) -> tuple:
         return tuple(self._rot.items())
@@ -860,13 +888,16 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
 
     The parent of a cycle is the innermost cycle enclosing it, None for a
     root.  The outer face defaults to the first traced orbit; the interior
-    of a cycle is its side away from the outer face.  One label walk down a
-    dual tree rooted at the outer face builds the forest (see the module
-    docstring); only when it finds the interiors not laminar are they
-    computed from that tree and the pairs with a common vertex scanned, in
-    lexicographic order of cycle ids, for the first two interiors that meet
-    with neither containing the other; the pair carries the orbits inside
-    its first cycle.  Two cycles with the same edge set are rejected.
+    of a cycle is its side away from the outer face.  Face-orbit cycles are
+    nested without a walk (see the module docstring).  One label walk down
+    a dual tree rooted at the outer face nests the other cycles, and no
+    tree is built when none is left; only when the walk finds their
+    interiors not laminar are they computed from that tree and the pairs
+    with a common vertex scanned, in lexicographic order of cycle ids, for
+    the first two interiors that meet with neither containing the other;
+    the pair carries the orbits inside its first cycle.  Two cycles with
+    the same edge set are rejected.  Cost O(F + E + sum of |c|) plus the
+    walk.
 
     Precondition: every cycle is the edge set of a genuine cycle of the
     traced graph.  It is not re-proved here, and the package does not
@@ -874,8 +905,8 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
     complex or of an associated complex, which `validate` or
     `associated_complex` has checked.  Only the crossing scan, which reads
     vertex sets, walks the cycles (`check_cycle`); a passing walk still
-    rejects a cycle it never crossed, but other edge sets that are not
-    cycles may pass unnoticed.
+    rejects a walked cycle it never crossed, but other edge sets that are
+    not cycles may pass unnoticed.
     """
     ids = sorted(cycles)
     edge_sets = {cid: frozenset(cycles[cid]) for cid in ids}
@@ -888,23 +919,39 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
         return {}
     if traced.genus != 0:
         raise ValueError("cycle sides are defined only on genus-zero tracings")
-    tree = _DualTree(traced, outer_face)
-    parent = _label_walk(tree, edge_sets)
-    if parent is not None:
+    orbits, orbit_of = traced.orbits, traced.orbit_of
+    own: dict[str, int] = {}
+    for cid, edges in edge_sets.items():
+        e = next(iter(edges), None)  # any edge serves: such an orbit runs each one
+        for x in (orbit_of.get((e, 0)), orbit_of.get((e, 1))):
+            if x is not None and len(orbits[x]) == len(edges) and all(d in edges for d, _ in orbits[x]):
+                own[cid] = x
+                break
+    walked = {cid: edges for cid, edges in edge_sets.items() if cid not in own}
+    tree = _DualTree(traced, outer_face) if walked else None
+    walk = _label_walk(tree, walked) if walked else ({}, [None] * len(orbits))
+    if walk is not None:
+        parent, label = walk
         # A genuine cycle separates two faces, so some dual tree edge
         # crosses it and the walk gives it a parent.
-        if len(parent) != len(ids):
-            missing = min(set(ids) - set(parent))
+        if len(parent) != len(walked):
+            missing = min(set(walked) - set(parent))
             raise ValueError(f"cycle {missing} is not a cycle of the traced graph")
-        return parent
-    vertices = {cid: check_cycle(traced.graph, edge_sets[cid]) for cid in ids}
-    inside = {cid: _cycle_interior(traced, tree, edge_sets[cid]) for cid in ids}
+        root = next((cid for cid, x in own.items() if x == outer_face), None)
+        forest: dict[str, str | None] = {}
+        for cid in ids:
+            x = own.get(cid)
+            p = parent[cid] if x is None else label[x]
+            forest[cid] = None if x == outer_face else root if p is None else p
+        return forest
+    vertices = {cid: check_cycle(traced.graph, edges) for cid, edges in walked.items()}
+    inside = {cid: _cycle_interior(traced, tree, edges) for cid, edges in walked.items()}
     # Cycles without a common vertex never cross (module docstring).
     at: dict[str, list[str]] = {}
-    for cid in ids:
+    for cid in walked:
         for v in vertices[cid]:
             at.setdefault(v, []).append(cid)
-    for ca in ids:
+    for ca in walked:
         a = inside[ca]
         for cb in sorted({cb for v in vertices[ca] for cb in at[v] if cb > ca}):
             b = inside[cb]
@@ -967,8 +1014,9 @@ def _cycle_interior(traced: TracedFaces, tree: _DualTree, edges: Iterable[str]) 
     return inside
 
 
-def _label_walk(tree: _DualTree, cycles: Mapping[str, frozenset[str]]) -> dict[str, str | None] | None:
-    """The parent of every cycle, from labels walked down the dual tree; None if not laminar.
+def _label_walk(tree: _DualTree, cycles: Mapping[str, frozenset[str]]
+                ) -> tuple[dict[str, str | None], list[str | None]] | None:
+    """The parent of every cycle and the label of every orbit; None if not laminar.
 
     A face is inside c exactly when an odd number of c's tree edges lie on
     its root path, that is, when an odd number of their subtree intervals
@@ -979,8 +1027,9 @@ def _label_walk(tree: _DualTree, cycles: Mapping[str, frozenset[str]]) -> dict[s
     continue the chain downwards, innermost last by size.  A cycle through
     the edge higher up the chain cannot, so the walk exits exactly the
     cycles through the edge that hold the parent face, and a passing walk
-    is consistent in the sense of the module docstring.  Cost O(F + E + sum
-    of |c| log |c|).
+    is consistent in the sense of the module docstring, and each orbit's
+    label, indexed by orbit, is the innermost cycle enclosing it.  Cost
+    O(F + E + sum of |c| log |c|) over the cycles it is given.
     """
     order, up, via, first, size = tree.order, tree.up, tree.via, tree.first, tree.size
     below = tree.below
@@ -1009,4 +1058,4 @@ def _label_walk(tree: _DualTree, cycles: Mapping[str, frozenset[str]]) -> dict[s
                     return None
                 here = cid
         label[x] = here
-    return dict(sorted(parent.items()))
+    return parent, label

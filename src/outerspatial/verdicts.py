@@ -153,6 +153,5 @@ def nested_certificate(parts: Iterable[tuple[TracedFaces, ComponentCertificate]]
                        ) -> NestedCertificate:
     """One certificate from each component's genus-zero tracing and certificate."""
     parts = list(parts)
-    rotators = {v: traced.rotation.rotator(v)
-                for traced, _ in parts for v in traced.graph.vertices}
-    return NestedCertificate(RotationSystem(rotators), [cert for _, cert in parts])
+    rotation = RotationSystem.union((traced.rotation, traced.graph.vertices) for traced, _ in parts)
+    return NestedCertificate(rotation, [cert for _, cert in parts])

@@ -11,7 +11,8 @@ of `embedding.nesting_forest` replaced, kept as the tests' ground truth.
 the reference for the contraction law, and `path_along` names a path to
 contract by its vertices; `random_planar_graph` and
 `triangles_of` draw seeded planar graphs with all their triangles, and
-`random_pseudoforest` seeded graphs whose every rotation system is plane.
+`random_pseudoforest` seeded graphs whose every rotation system is plane;
+`star_boundary_spheres` parses the benchmark's spheres with star faces.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Mapping, Sequence
 
 from outerspatial import complexes
 from outerspatial.complexes import Face, Graph, TwoComplex, _fresh_name
+from outerspatial.fileformat import parse_complex
 from outerspatial.generators import insert_vertex, tetra
 
 
@@ -102,6 +104,15 @@ def perfbench_modules(*names: str):
         return tuple(importlib.import_module(name) for name in names or ("instances", "workloads"))
     finally:
         sys.path.remove(where)
+
+
+def star_boundary_spheres() -> list[TwoComplex]:
+    """Stacked spheres with star faces from the benchmark's builder: each star face is a
+    chord in the link of every vertex it passes, and every other link is one cycle."""
+    instances, = perfbench_modules("instances")
+    rng = random.Random(43)
+    return [parse_complex(instances.render(instances.star_boundary(rng, n, k), "QX"))
+            for n, k in ((20, 1), (40, 2), (60, 3))]
 
 
 def forest_depth(parent: Mapping[str, str | None]) -> int:

@@ -73,6 +73,31 @@ class TestTraceFaces:
         with pytest.raises(ValueError):
             trace_faces(g, rot)
 
+    @pytest.mark.parametrize("at_a", [
+        (("ab", 0), ("l", 0)),                        # a loop's second end missing
+        (("ab", 0), ("l", 0), ("l", 0)),              # a half-edge twice
+        (("ab", 1), ("l", 0), ("l", 1)),              # a half-edge at the other end
+        (("ab", 0), ("l", 0), ("l", -1)),             # an end that is neither 0 nor 1
+        (("ab", 0), ("l", 0), ("l", 2)),
+        (("zz", 0), ("l", 0), ("l", 1)),              # an unknown edge
+        (("ab", 0), ("l", 0), ("l", 1), ("ab", 1)),   # one half-edge too many
+    ])
+    def test_each_wrong_rotator_is_named(self, at_a):
+        g = Graph("ab", {"ab": ("a", "b"), "l": ("a", "a")})
+        good = RotationSystem({"a": (("ab", 0), ("l", 0), ("l", 1)), "b": (("ab", 1),)})
+        assert trace_faces(g, good).genus == 0
+        with pytest.raises(ValueError, match="^rotator at a does not list the half-edges at a$"):
+            trace_faces(g, RotationSystem({"a": at_a, "b": (("ab", 1),)}))
+        with pytest.raises(ValueError, match="^rotation system does not cover the vertex set$"):
+            trace_faces(g, RotationSystem({"a": good.rotator("a")}))
+
+    def test_union_keeps_each_systems_rotators(self):
+        a = RotationSystem({"a": (("y", 0), ("x", 0)), "b": (("z", 1), ("y", 1))})
+        b = RotationSystem({"c": (("x", 1), ("z", 0))})
+        merged = RotationSystem.union([(b, ["c"]), (a, ["b", "a"])])
+        assert merged.vertices() == ("a", "b", "c")
+        assert merged == RotationSystem({v: s.rotator(v) for s in (a, b) for v in s.vertices()})
+
 
 class TestPlanarity:
     def test_k4_planar(self):

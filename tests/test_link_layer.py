@@ -318,15 +318,6 @@ def _count_link_graphs(monkeypatch):
     return built
 
 
-def star_boundary_spheres():
-    """Stacked spheres with star faces from the benchmark's builder: each star face is a
-    chord in the link of every vertex it passes, and every other link is one cycle."""
-    instances, = families.perfbench_modules("instances")
-    rng = random.Random(43)
-    return [parse_complex(instances.render(instances.star_boundary(rng, n, k), "QX"))
-            for n, k in ((20, 1), (40, 2), (60, 3))]
-
-
 def chorded_vertices(complex):
     """The vertices whose link has a chord, by the block pass on the link `Graph`."""
     return sorted(v for v in complex.graph.vertices
@@ -338,7 +329,7 @@ def test_prism_decides_without_cone_planarity_and_builds_links_at_most_twice(mon
     does not run: a prism and a stacked sphere call no `link_graph` and build no link
     `Graph`; a star-boundary sphere calls `link_graph` and builds the link `Graph` once
     at each vertex whose link has a chord."""
-    for complex in [gen.prism(20), families.stacked(3, 120)] + star_boundary_spheres():
+    for complex in [gen.prism(20), families.stacked(3, 120)] + families.star_boundary_spheres():
         with monkeypatch.context() as mp:
             planar = _count_calls(mp, "test_planar", [embedding, decider])
             passes = _count_calls(mp, "link_cycles", [complexes, decider, surface])
@@ -448,7 +439,7 @@ def link_pass_cases():
     instances, = families.perfbench_modules("instances")
     golden = Path(__file__).parent / "golden"
     out = [parse_complex(p.read_text()) for p in sorted(golden.glob("*.complex"))]
-    out += link_edge_cases() + [pillow(), dangling()] + star_boundary_spheres()
+    out += link_edge_cases() + [pillow(), dangling()] + families.star_boundary_spheres()
     out += [families.stacked(11, 150), families.stacked(2, 12), gen.prism(5), gen.prism(30),
             families.tower(6), families.disjoint_tetrahedra(3), gen.torus7(),
             parse_complex(instances.render(instances.torus(random.Random(47), 20), "QX")),

@@ -18,7 +18,10 @@ faces are added.  The larger complexes here add triangle fins, each on an
 edge of the obstructed complex and a new vertex, beside a large positive.
 Conversely, deleting faces from a large positive, or contracting a few of
 its edges, never gives a not-outerspatial verdict: the result leaves the
-hypothesis or is outerspatial.
+hypothesis or is outerspatial.  And inserting a vertex into a triangle
+never gives an outerspatial verdict on a negative: the three new triangles
+make up the old one, so the old cone lies in the new cone and an embedding
+of the new one restricts to one of the old.  Only that direction holds.
 """
 
 import functools
@@ -31,8 +34,8 @@ from hypothesis import strategies as st
 
 import families
 from outerspatial import generators as gen
-from outerspatial.complexes import (Path, contract_path, contracted_vertex_name, delete_faces,
-                                    link_cycles, validate)
+from outerspatial.complexes import (Face, Path, TwoComplex, contract_path,
+                                    contracted_vertex_name, delete_faces, link_cycles, validate)
 from outerspatial.decider import (NotOuterspatial, Outerspatial, decide_outerspatial,
                                   verify_certificate, verify_obstruction)
 from outerspatial.fileformat import format_verdict, parse_complex
@@ -203,3 +206,65 @@ def test_contracting_edges_never_gives_not_outerspatial(data):
     assert not isinstance(verdict, NotOuterspatial)
     if isinstance(verdict, Outerspatial):
         assert verify_certificate(complex, verdict.certificate)
+
+
+def _crossing_sphere(seed, n):
+    """A stacked sphere plus the neighbour cycles of two adjacent vertices as faces,
+    which cross; as cycles on the sphere they are the late crossing pair of
+    `test_sphere_scale`."""
+    sphere = families.stacked(seed, n)
+    g = sphere.graph
+
+    def star(v):
+        ring = {}
+        for f in sphere.faces.values():
+            if v in f.vertices:
+                a, b = (x for x in f.vertices if x != v)
+                ring.setdefault(a, []).append(b)
+                ring.setdefault(b, []).append(a)
+        cycle = [min(ring)]
+        while len(cycle) < len(ring):
+            cycle.append(next(x for x in ring[cycle[-1]] if x not in cycle[-2:]))
+        return cycle
+
+    u = max(sorted(g.vertices), key=g.degree)
+    stars = [Face.from_vertices(g, fid, star(v)) for fid, v in (("zz1", u), ("zz2", min(g.neighbors(u))))]
+    return TwoComplex(g, [*sphere.faces.values(), *stars])
+
+
+def _crossing_squares():
+    """The square bipyramid with both diagonal squares as faces; the squares cross."""
+    base = gen.bipyramid(4)
+    squares = [Face.from_vertices(base.graph, fid, vs)
+               for fid, vs in (("x1", ("n", "a", "s", "c")), ("x2", ("n", "b", "s", "d")))]
+    return TwoComplex(base.graph, [*base.faces.values(), *squares])
+
+
+NEGATIVES = {
+    "torus7": gen.torus7,
+    "cone-k4": lambda: gen.cone_over_graph(gen.named_graph("k4")),
+    "cone-k23": lambda: gen.cone_over_graph(gen.named_graph("k23")),
+    "crossing-stars": lambda: _crossing_sphere(5, 20),
+    "crossing-squares": _crossing_squares,
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(NEGATIVES))
+def test_inserting_vertices_never_gives_outerspatial(name, seed):
+    """240 vertices stacked one by one into random triangles of a negative, with
+    a verdict after every 40th: none is outerspatial, and each obstruction
+    re-verifies."""
+    complex = NEGATIVES[name]()
+    rng = random.Random(f"{seed}:{name}")
+    kinds = []
+    for k in range(240):
+        triangles = sorted(fid for fid, f in complex.faces.items() if len(f) == 3)
+        complex = gen.insert_vertex(complex, rng.choice(triangles), f"in{k:03d}")
+        if k % 40 == 39:
+            verdict = decide_outerspatial(complex)
+            assert not isinstance(verdict, Outerspatial)
+            if isinstance(verdict, NotOuterspatial):
+                assert verify_obstruction(complex, verdict.obstruction)
+            kinds.append(verdict.kind)
+    assert len(complex.graph.vertices) > 240 and "not-outerspatial" in kinds

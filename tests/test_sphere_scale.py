@@ -1,6 +1,7 @@
-"""The sphere layer at scale: positive decisions never search a cycle's sides,
-and the families that once hit quadratic cliffs decide, or find their
-crossing pair, within loose wall guards.
+"""The sphere layer at scale: positive decisions never search a cycle's sides
+and walk only the cycles that bound no face orbit, and the families that
+once hit quadratic cliffs decide, or find their crossing pair, within loose
+wall guards.
 """
 
 import gc
@@ -48,6 +49,26 @@ def test_positive_decisions_never_search_sides(monkeypatch):
     monkeypatch.setattr(embedding, "_cycle_interior", refuse)
     for name, complex in cases:
         assert isinstance(decide_outerspatial(complex), Outerspatial), name
+
+
+def test_positive_decisions_walk_only_the_cycles_that_are_not_faces(monkeypatch):
+    """Every face of a prism's or a stacked sphere's remainder bounds a face orbit,
+    so a positive decide builds no dual tree and runs no label walk; a
+    star-boundary sphere walks its star faces only."""
+    trees, walks = [], []
+    tree, walk = embedding._DualTree, embedding._label_walk
+    monkeypatch.setattr(embedding, "_DualTree", lambda *args: trees.append(args) or tree(*args))
+    monkeypatch.setattr(embedding, "_label_walk",
+                        lambda t, cycles: walks.append(sorted(cycles)) or walk(t, cycles))
+    for complex in [gen.prism(20), families.stacked(3, 120)]:
+        assert isinstance(decide_outerspatial(complex), Outerspatial)
+        assert trees == walks == []
+    for complex in families.star_boundary_spheres():
+        trees.clear()
+        walks.clear()
+        assert isinstance(decide_outerspatial(complex), Outerspatial)
+        stars = sorted(fid for fid, f in complex.faces.items() if len(f.edge_ids) > 3)
+        assert stars and len(trees) == 1 and walks == [stars]
 
 
 def _timed(fn, *args):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from families import reference_nesting, reference_sides
 from outerspatial import decider, embedding, verdicts
 from outerspatial import generators as gen
-from outerspatial.complexes import Face, TwoComplex, delete_faces
+from outerspatial.complexes import Face, Graph, TwoComplex, delete_faces
 from outerspatial.decider import (ComponentCertificate, NestedCertificate,
                                   Outerspatial, decide_outerspatial,
                                   verify_certificate)
@@ -86,18 +86,23 @@ def test_first_crossing_pair_matches_reference(seed):
     traced, family = bipyramid_family(seed)
     for edges in family.values():
         assert cycle_sides(traced, edges) == reference_sides(traced, edges)
-    expected = reference_nesting(traced, family, [0])
-    got = nesting_forest(traced, family)
-    if isinstance(expected, tuple):
-        assert isinstance(got, CrossingPair)
-        assert (got.first, got.second) == expected
-    else:
-        assert got == expected[0]
+    _assert_matches_reference(traced, family)  # for every outer face
+
+
+def face_orbit_cycles(traced):
+    """The edge sets of the orbits that run each of their edges once."""
+    out = set()
+    for orbit in traced.orbits:
+        edges = frozenset(e for e, _ in orbit)
+        if len(edges) == len(orbit):
+            out.add(edges)
+    return out
 
 
 def test_crossing_families_are_found_without_the_pairwise_test(monkeypatch):
-    # Each interior is computed once, and only after the walk fails; the
-    # scan for the first crossing pair then compares bitsets.
+    # Each interior is computed once, only after the walk fails, and only
+    # for the cycles that bound no face orbit; the scan for the first
+    # crossing pair then compares bitsets.
     split = []
     interior = embedding._cycle_interior
 
@@ -109,16 +114,50 @@ def test_crossing_families_are_found_without_the_pairwise_test(monkeypatch):
     kinds = set()
     for seed in range(20):
         traced, family = bipyramid_family(seed)
+        faces = face_orbit_cycles(traced)
+        assert not faces.isdisjoint(family.values())
         expected = reference_nesting(traced, family, [0])
         split.clear()
         got = nesting_forest(traced, family)
         if isinstance(expected, tuple):
             assert (got.first, got.second) == expected
-            assert sorted(map(sorted, split)) == sorted(map(sorted, family.values()))
+            walked = [edges for edges in family.values() if edges not in faces]
+            assert sorted(map(sorted, split)) == sorted(map(sorted, walked))
+            assert faces.isdisjoint(split)
         else:
             assert split == []
         kinds.add(type(expected))
     assert kinds == {tuple, dict}
+
+
+@pytest.mark.parametrize("build", [lambda: gen.prism(6), lambda: gen.bipyramid_with_equator(5),
+                                   lambda: families.tower(4)])
+def test_the_outer_orbits_own_cycle_is_the_only_root(build):
+    complex = build()
+    traced = trace_faces(complex.graph, decide_outerspatial(complex).certificate.rotation)
+    family = {fid: f.edge_set for fid, f in complex.faces.items()}
+    expected = _assert_matches_reference(traced, family)
+    orbit_cycle = {frozenset(e for e, _ in orbit): x for x, orbit in enumerate(traced.orbits)}
+    own = {orbit_cycle[edges]: cid for cid, edges in family.items() if edges in orbit_cycle}
+    assert len(own) == len(traced.orbits)
+    for x, cid in own.items():
+        assert [c for c, p in expected[x].items() if p is None] == [cid]
+
+
+def test_two_triangles_joined_by_a_bridge():
+    # The outer orbit runs the bridge twice, so it bounds no cycle and both
+    # triangles are roots; from inside a triangle, that triangle is the root.
+    graph = Graph("abcdef", {"ab": ("a", "b"), "ac": ("a", "c"), "bc": ("b", "c"),
+                             "cd": ("c", "d"),
+                             "de": ("d", "e"), "df": ("d", "f"), "ef": ("e", "f")})
+    (traced,) = embedding.test_planar(graph)
+    cycles = {"t1": frozenset({"ab", "ac", "bc"}), "t2": frozenset({"de", "df", "ef"})}
+    assert face_orbit_cycles(traced) == set(cycles.values())
+    expected = _assert_matches_reference(traced, cycles)
+    for x, orbit in enumerate(traced.orbits):
+        inner = {cid for cid, edges in cycles.items() if {e for e, _ in orbit} == edges}
+        assert expected[x] == {cid: (None if cid in inner or not inner else min(inner))
+                               for cid in cycles}
 
 
 def test_duplicate_edge_sets_are_rejected(bipyramid4):
