@@ -16,7 +16,8 @@ import sys
 from pathlib import Path as FsPath
 
 from . import generators
-from .complexes import TwoComplex, associated_complex, link_graph, validate
+from .complexes import (LinkGraph, TwoComplex, associated_complex, link_cycles, link_graph,
+                        validate)
 from .decider import decide_outerspatial, nested_plane_verdict, oracle_verdict
 from .embedding import test_outerplanar
 from .fileformat import format_complex, format_link, format_verdict, parse_complex, parse_cycles
@@ -104,8 +105,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_links(args) -> int:
     complex = _load(parse_complex, args.file)
-    for v in sorted(complex.graph.vertices):
-        lg = link_graph(complex, v)
+    rings = link_cycles(complex)
+    for v in sorted(rings):
+        lg = LinkGraph(complex.graph, v, rings[v][1])
         result = test_outerplanar(lg)
         print("\n".join(format_link(lg)))
         status = "yes" if result.outerplanar else f"no ({result.witness.target} minor)"

@@ -349,7 +349,6 @@ class TwoComplex:
                     raise ValueError(f"face {f.face_id}: edge {e} does not end at {w}")
                 w = v
             self._faces[f.face_id] = f
-        self._links: dict[str, tuple[dict[str, tuple[str, str]], dict[str, str]]] | None = None
 
     @classmethod
     def _regroup(cls, graph: Graph, faces: Iterable[Face]) -> "TwoComplex":
@@ -366,25 +365,6 @@ class TwoComplex:
     def faces(self) -> Mapping[str, Face]:
         """Face id -> face, in ascending id order; a read-only view."""
         return self._faces_view
-
-    def _link_maps(self, v: str) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
-        """The link at v as its `ends` and `edge_face` maps, built for every vertex on first call.
-
-        Each corner is a link edge, named by its face id, and `fid@k` for the
-        face's k-th return to the vertex.
-        """
-        if self._links is None:
-            links = {w: ({}, {}) for w in self.graph.vertices}
-            for w, fid, come, go in _corners(self):
-                ends, edge_face = links[w]
-                le, occ = fid, 0
-                while le in ends:
-                    occ += 1
-                    le = f"{fid}@{occ}"
-                ends[le] = (come, go)
-                edge_face[le] = fid
-            self._links = links
-        return self._links[v]
 
     def canonical_key(self) -> tuple:
         return (self.graph.canonical_key(),
@@ -467,24 +447,23 @@ def _walk_ring(ring: Mapping[str, list[str]]) -> tuple[str, ...]:
     return tuple(cycle)
 
 
-def link_cycles(complex: TwoComplex) -> dict[str, tuple[tuple[str, ...], Corner]]:
-    """Vertex -> its link's cycle and one corner there, for each vertex whose link is one cycle.
+def link_cycles(complex: TwoComplex) -> dict[str, tuple[tuple[str, ...] | None, list[Corner]]]:
+    """Vertex -> its link's cycle, or None when the link is not one cycle, and its corners.
 
-    One pass over `_corners` rings each vertex's link vertices; the cycle is
-    `_single_cycle` on the ring, the Hamilton boundary `test_outerplanar`
+    One pass over `_corners` rings each vertex's link vertices and keeps its
+    corners in face order, from which `LinkGraph` builds the link; the cycle
+    is `_single_cycle` on the ring, the Hamilton boundary `test_outerplanar`
     reports for the link.  No link map, `LinkGraph` or `Graph` is built.
     """
     g = complex.graph
     rings = {v: {name: [] for name in _link_vertices(g, v)} for v in g.vertices}
-    corner: dict[str, Corner] = {}
+    corners: dict[str, list[Corner]] = {v: [] for v in g.vertices}
     for w, fid, come, go in _corners(complex):
         ring = rings[w]
         ring[come].append(go)
         ring[go].append(come)
-        if w not in corner:
-            corner[w] = (fid, come, go)
-    cycles = {v: _single_cycle(ring) for v, ring in rings.items()}
-    return {v: (cycle, corner[v]) for v, cycle in cycles.items() if cycle is not None}
+        corners[w].append((fid, come, go))
+    return {v: (_single_cycle(ring), corners[v]) for v, ring in rings.items()}
 
 
 class Violation:
@@ -527,20 +506,28 @@ def validate(complex: TwoComplex) -> list[Violation]:
 
 
 class LinkGraph:
-    """The local structure around a vertex, read off the complex's link index.
+    """The local structure around a vertex, built from its corners in face order.
 
     Vertices are the half-edges at the host vertex (named by edge id for
     non-loops, `e:0` and `e:1` for the ends of a loop e) and there is one
-    edge per face corner at the host: `ends` maps it to the half-edges the
-    face arrives and leaves by, and `edge_face` to the face.  Both are
-    read-only views of the index's own maps.  The validated `Graph` on
-    these is built on first read of `graph`.
+    edge per corner, named by its face id, and `fid@k` for the face's k-th
+    return to the host: `ends` maps it to the half-edges the face arrives
+    and leaves by, and `edge_face` to the face.  Both are read-only views.
+    The validated `Graph` on these is built on first read of `graph`.
     """
 
-    def __init__(self, host: str, vertices: Iterable[str],
-                 ends: Mapping[str, tuple[str, str]], edge_face: Mapping[str, str]):
+    def __init__(self, graph: Graph, host: str, corners: Iterable[Corner]):
         self.host = host
-        self.vertices = tuple(vertices)
+        self.vertices = tuple(_link_vertices(graph, host))
+        ends: dict[str, tuple[str, str]] = {}
+        edge_face: dict[str, str] = {}
+        for fid, come, go in corners:
+            le, occ = fid, 0
+            while le in ends:
+                occ += 1
+                le = f"{fid}@{occ}"
+            ends[le] = (come, go)
+            edge_face[le] = fid
         self.ends = MappingProxyType(ends)
         self.edge_face = MappingProxyType(edge_face)
 
@@ -555,12 +542,12 @@ class LinkGraph:
 def link_graph(complex: TwoComplex, v: str) -> LinkGraph:
     """Link at v via the corner rule: one edge per face corner at v; no `Graph` is built.
 
-    A fresh `LinkGraph` over the maps of the complex's link index, built for every vertex at once.
+    One pass over the face steps keeps v's corners; `link_cycles` gives every vertex's.
     """
     g = complex.graph
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v}")
-    return LinkGraph(v, _link_vertices(g, v), *complex._link_maps(v))
+    return LinkGraph(g, v, ((fid, come, go) for w, fid, come, go in _corners(complex) if w == v))
 
 
 def cone(complex: TwoComplex, apex: str | None = None) -> TwoComplex:

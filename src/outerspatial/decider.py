@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .complexes import (Corner, Graph, LinkGraph, Path, TwoComplex, associated_complex,
-                        contracted_link, delete_faces, link_cycles, link_graph,
-                        split_components, validate)
+                        contracted_link, delete_faces, link_cycles, split_components,
+                        validate)
 # `nesting_forest` is called from `verdicts` only; the benchmark's tracer
 # test still reads it as `decider.nesting_forest`.
 from .embedding import (CrossingPair, OuterplanarityResult,
@@ -42,16 +42,17 @@ def _links(complex: TwoComplex) -> Iterator[tuple[str, tuple[str, ...] | None, C
     it, or None twice when the link is not 2-connected simple outerplanar; then the
     link and its outerplanarity, or None twice when `link_cycles` found it one cycle.
 
-    Only the links that are not one cycle are built and tested, so a reader that
-    stops early tests no later link.
+    Only the links that are not one cycle are built, from the pass's corners, and
+    tested, so a reader that stops early tests no later link.
     """
-    cycles = link_cycles(complex)
-    for v in sorted(complex.graph.vertices):
-        found = cycles.get(v)
-        if found is not None and len(found[0]) >= 3:
-            yield v, *found, None, None
+    g = complex.graph
+    rings = link_cycles(complex)
+    for v in sorted(g.vertices):
+        cycle, corners = rings[v]
+        if cycle is not None and len(cycle) >= 3:
+            yield v, cycle, corners[0], None, None
             continue
-        link = link_graph(complex, v)
+        link = LinkGraph(g, v, corners)
         result = test_outerplanar(link)
         if result.boundary is None:
             yield v, None, None, link, result

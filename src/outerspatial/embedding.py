@@ -740,21 +740,7 @@ def test_outerplanar(graph: Graph | LinkGraph) -> OuterplanarityResult:
     the cycle a-v-b turns it into a chord.  A failing block is not
     outerplanar: an overfull one by the above, a stuck one because it has a
     minor of minimum degree 3.
-
-    A graph that is one simple cycle, as every link of a triangulated
-    closed surface is, skips the block pass: it is its own Hamilton
-    boundary, with no chords.  A `LinkGraph` is read through its ends map
-    for that test; its validated `Graph` is built only for the block pass.
     """
-    ends = graph.ends if isinstance(graph, LinkGraph) else graph.edges
-    if len(graph.vertices) >= 3 and len(ends) == len(graph.vertices):
-        ring: dict[str, list[str]] = {v: [] for v in graph.vertices}
-        for u, w in ends.values():
-            ring[u].append(w)
-            ring[w].append(u)
-        cycle = _single_cycle(ring)
-        if cycle is not None:
-            return OuterplanarityResult(True, None, cycle, frozenset(ends), frozenset())
     graph = graph.graph if isinstance(graph, LinkGraph) else graph
     blocks = _blocks(graph)
     if not graph.is_simple():

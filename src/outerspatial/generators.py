@@ -5,10 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 import string
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .complexes import (Face, Graph, TwoComplex, _fresh_name,
-                        complete_bipartite, complete_graph, cone, link_graph,
+from .complexes import (Corner, Face, Graph, TwoComplex, _fresh_name,
+                        complete_bipartite, complete_graph, cone, link_cycles,
                         validate)
 from .decider import is_locally_2_connected
 from .oracle import rotation_space_size
@@ -161,19 +161,22 @@ def _canonical_cycle(path: Sequence[str]) -> tuple[str, ...]:
     return (path[0], *rest)
 
 
-def _corner_conflicts(complex: TwoComplex, cycle: Sequence[str]) -> bool:
+def _corner_conflicts(complex: TwoComplex,
+                      rings: Mapping[str, tuple[tuple[str, ...] | None, list[Corner]]],
+                      cycle: Sequence[str]) -> bool:
     """Would adding this genuine cycle as a face give some link a parallel edge?
 
-    The complex is simple, so its links name their vertices by edge id.
+    `rings` is `link_cycles` of the complex, which is simple, so its links
+    name their vertices by edge id.
     """
     g = complex.graph
     k = len(cycle)
     for i, v in enumerate(cycle):
         e_in = g.edges_between(cycle[i - 1], v)[0]
         e_out = g.edges_between(v, cycle[(i + 1) % k])[0]
-        corners = link_graph(complex, v).ends.values()
-        if (e_in, e_out) in corners or (e_out, e_in) in corners:
-            return True
+        for _, come, go in rings[v][1]:
+            if (come, go) in ((e_in, e_out), (e_out, e_in)):
+                return True
     return False
 
 
@@ -226,8 +229,9 @@ def random_complex(seed: int, max_vertices: int = 8) -> TwoComplex:
                 break
             cycles = all_cycles(complex.graph, max_len=min(6, len(complex.graph.vertices)))
             rng.shuffle(cycles)
+            rings = link_cycles(complex)
             for cyc in cycles:
-                if _corner_conflicts(complex, cyc):
+                if _corner_conflicts(complex, rings, cyc):
                     continue
                 cand_face = Face.from_vertices(complex.graph, f"x{len(complex.faces)}", cyc)
                 if any(cand_face.steps == f.steps for f in complex.faces.values()):

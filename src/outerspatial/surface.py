@@ -68,7 +68,7 @@ def euler_characteristic(complex: TwoComplex) -> int:
 
 def _component_is_closed_surface(component: TwoComplex) -> bool:
     """Every link is one cycle; a digon link, from two faces on two edges, counts."""
-    return len(link_cycles(component)) == len(component.graph.vertices)
+    return all(cycle is not None for cycle, _ in link_cycles(component).values())
 
 
 def _orient_faces(component: TwoComplex) -> dict[str, int] | None:

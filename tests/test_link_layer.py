@@ -324,22 +324,21 @@ def chorded_vertices(complex):
                   if check_outerplanar(link_graph(complex, v).graph).chords)
 
 
-def test_prism_decides_without_cone_planarity_and_builds_links_at_most_twice(monkeypatch):
+def test_prism_decides_without_cone_planarity_and_builds_each_chorded_link_once(monkeypatch):
     """Positives settle every one-cycle link in one corner pass, which the self-check
-    does not run: a prism and a stacked sphere call no `link_graph` and build no link
-    `Graph`; a star-boundary sphere calls `link_graph` and builds the link `Graph` once
-    at each vertex whose link has a chord."""
+    does not run, and call no `link_graph`: a prism and a stacked sphere build no link
+    `Graph`; a star-boundary sphere builds the link `Graph` once at each vertex whose
+    link has a chord."""
     for complex in [gen.prism(20), families.stacked(3, 120)] + families.star_boundary_spheres():
         with monkeypatch.context() as mp:
             planar = _count_calls(mp, "test_planar", [embedding, decider])
             passes = _count_calls(mp, "link_cycles", [complexes, decider, surface])
-            links = _count_calls(mp, "link_graph", [complexes, decider])
+            links = _count_calls(mp, "link_graph", [complexes])
             graphs = _count_link_graphs(mp)
             verdict = decide_outerspatial(complex)
         assert verdict.kind == "outerspatial"
-        assert planar == [] and len(passes) == 1
+        assert planar == [] and len(passes) == 1 and links == []
         chorded = chorded_vertices(complex)
-        assert [v for _, v in links] == chorded
         assert graphs == chorded
         assert len(chorded) < len(complex.graph.vertices) / 2
     assert chorded
@@ -358,14 +357,14 @@ def test_a_cone_over_k4_builds_the_link_graphs_it_reads(monkeypatch):
 
 def test_the_link_pass_stops_at_the_first_non_outerplanar_link(monkeypatch):
     """The apex A sorts before every base vertex and its link, K4, is not
-    outerplanar, so `decide` builds no other link; the self-check builds
-    the apex link once more to verify the obstruction."""
+    outerplanar, so `decide` builds no other link; the self-check reads the
+    apex link once more, through `link_graph`, to verify the obstruction."""
     complex = cone(TwoComplex(gen.named_graph("k4"), []), apex="A")
-    links = _count_calls(monkeypatch, "link_graph", [complexes, decider])
+    links = _count_calls(monkeypatch, "link_graph", [complexes])
     graphs = _count_link_graphs(monkeypatch)
     verdict = decide_outerspatial(complex)
     assert verdict.kind == "not-outerspatial" and verdict.obstruction.path.vertices == ("A",)
-    assert [v for _, v in links] == ["A", "A"]
+    assert [v for _, v in links] == ["A"]
     assert graphs == ["A", "A"]
 
 
@@ -460,24 +459,24 @@ def ring_of(vertices, pairs):
 def test_link_cycles_answer_as_the_link_graphs():
     """At every vertex `link_cycles` finds the cycle that `_single_cycle` finds on the
     link's ends, exactly when the link `Graph` is one cycle; on three or more link
-    vertices that is `test_outerplanar`'s chordless Hamilton boundary, and the corner
-    given with it is a corner of the link."""
+    vertices that is `test_outerplanar`'s chordless Hamilton boundary, and the first
+    corner given with it is a corner of the link."""
     seen = Counter()
     for complex in link_pass_cases():
         cycles = complexes.link_cycles(complex)
-        assert cycles.keys() <= complex.graph.vertices
+        assert cycles.keys() == complex.graph.vertices
         for v in sorted(complex.graph.vertices):
             link = link_graph(complex, v)
             expected = complexes._single_cycle(ring_of(link.vertices, link.ends.values()))
             assert (expected is not None) == reference_link_is_single_cycle(link.graph), (complex, v)
             result = check_outerplanar(link)
+            cycle, corners = cycles[v]
+            assert cycle == expected, (complex, v)
             if expected is None:
-                assert v not in cycles, (complex, v)
                 assert result.boundary is None or result.chords, (complex, v)
                 seen["not one cycle"] += 1
                 continue
-            cycle, (fid, come, go) = cycles[v]
-            assert cycle == expected, (complex, v)
+            fid, come, go = corners[0]
             assert (fid, (come, go)) in {(link.edge_face[le], ab) for le, ab in link.ends.items()}
             if len(cycle) >= 3:
                 assert _outcome(result) == (True, cycle, frozenset(link.ends), frozenset(), None)
@@ -492,14 +491,14 @@ def test_links_from_the_corner_index_answer_as_their_graphs():
     """The link pass answers as `test_outerplanar` on the validated link `Graph`; it
     builds a link, and its `Graph`, exactly for links that are not one cycle, and
     gives a corner on every Hamilton boundary."""
-    shortcut = 0
+    settled = 0
     for complex in link_pass_cases():
         for v, boundary, corner, link, result in decider._links(complex):
             expected = check_outerplanar(link_graph(complex, v).graph)
             assert boundary == expected.boundary, (complex, v)
             if link is None:
                 assert result is None and not expected.chords, (complex, v)
-                shortcut += 1
+                settled += 1
             else:
                 got = (set(link.vertices), list(link.ends.items()), link.edge_face)
                 assert got == reference_link(complex, v), (complex, v)
@@ -514,7 +513,7 @@ def test_links_from_the_corner_index_answer_as_their_graphs():
             assert (fid, (come, go)) in {(edge_face[le], ab) for le, ab in ends}, (complex, v)
             i = boundary.index(come)
             assert go in (boundary[i - 1], boundary[(i + 1) % len(boundary)]), (complex, v)
-    assert shortcut > 500
+    assert settled > 500
 
 
 def test_link_edge_cases_reach_each_shape():
@@ -534,6 +533,75 @@ def test_link_maps_are_read_only_views():
             view["abc"] = view["abc"]
         with pytest.raises(TypeError):
             del view["abc"]
+
+
+def test_the_batch_and_the_one_vertex_reader_agree():
+    """The link that `LinkGraph` builds from `link_cycles` corners, as `decide` and the
+    `links` command read it, and `link_graph` at one vertex match the corner rule:
+    vertices, ends in insertion order, and faces."""
+    for complex in link_pass_cases():
+        rings = complexes.link_cycles(complex)
+        for v in sorted(complex.graph.vertices):
+            batch = complexes.LinkGraph(complex.graph, v, rings[v][1])
+            one = link_graph(complex, v)
+            assert batch.vertices == one.vertices, (complex, v)
+            for link in (batch, one):
+                got = (set(link.vertices), list(link.ends.items()), dict(link.edge_face))
+                assert link.host == v and got == reference_link(complex, v), (complex, v)
+
+
+def _state(complex):
+    return {name: dict(value) if isinstance(value, dict) else value
+            for name, value in vars(complex).items()}
+
+
+def test_a_complex_keeps_no_state_after_it_is_built():
+    """Deciding, reading links and finding chordal faces leave `vars()` of a
+    `TwoComplex` as it was built."""
+    golden = Path(__file__).parent / "golden"
+    cases = [parse_complex(p.read_text()) for p in sorted(golden.glob("*.complex"))]
+    for complex in cases + link_edge_cases():
+        before = _state(complex)
+        for read in (decide_outerspatial, is_locally_2_connected, decider.find_chordal_faces):
+            try:
+                read(complex)
+            except ValueError:  # not validated, or a link outside the hypothesis
+                pass
+        for v in complex.graph.vertices:
+            link_graph(complex, v)
+        assert _state(complex) == before, complex
+
+
+def test_decide_makes_one_corner_pass_per_component(monkeypatch):
+    """`decide` walks the face steps of each decided component once; the only other
+    walk reads the contracted link of the obstruction, here in its verifier."""
+    passes, contracted, in_link_graph = [], [], []
+    real_corners, real_link_graph = complexes._corners, complexes.link_graph
+
+    def corners(complex):
+        (contracted if in_link_graph else passes).append(complex)
+        return real_corners(complex)
+
+    def one_link(complex, v):
+        in_link_graph.append(v)
+        try:
+            return real_link_graph(complex, v)
+        finally:
+            in_link_graph.pop()
+
+    monkeypatch.setattr(complexes, "_corners", corners)
+    monkeypatch.setattr(complexes, "link_graph", one_link)
+    k4_cone = gen.cone_over_graph(gen.named_graph("k4"))
+    expected = {"not-outerspatial": [k4_cone, gen.torus7()],
+                "outerspatial": families.star_boundary_spheres()}
+    for kind, cases in expected.items():
+        for complex in cases:
+            passes.clear()
+            contracted.clear()
+            verdict = decide_outerspatial(complex)
+            assert verdict.kind == kind
+            assert len(passes) == 1 and passes[0] is complex
+            assert len(contracted) == (complex is k4_cone)
 
 
 def test_classify_component_is_total():
@@ -611,28 +679,19 @@ def _outcome(result):
 
 
 class TestSingleCycleShortcut:
-    """`test_outerplanar` answers a single simple cycle before the block pass."""
+    """`test_outerplanar` answers a single simple cycle by the block pass, and
+    `_single_cycle` refuses every near miss."""
 
-    def test_cycles_agree_with_the_block_pass_and_the_reference(self, monkeypatch):
+    def test_cycles_agree_with_the_block_pass_and_the_reference(self):
         rng = random.Random(29)
         cycles = [relabelled_cycle(rng, n) for n in range(3, 301)]
         assert all(single_cycle(g) is not None for g in cycles)
-        fast = [_outcome(check_outerplanar(g)) for g in cycles]
-        for graph, got in zip(cycles, fast):
-            assert got[2] == frozenset(graph.edges) and got[3] == frozenset()
-        for graph, got in zip(cycles[:40] + cycles[-1:], fast[:40] + fast[-1:]):
-            assert got == reference_outerplanar(graph), graph.edges
-        # The block pass walks its boundary ring with `_single_cycle` too, so refuse
-        # only the shortcut's call, the one before `_blocks` runs.
-        shortcut, real_cycle, real_blocks = [], embedding._single_cycle, embedding._blocks
-        monkeypatch.setattr(embedding, "_single_cycle",
-                            lambda ring: None if shortcut else real_cycle(ring))
-        monkeypatch.setattr(embedding, "_blocks",
-                            lambda graph: shortcut.clear() or real_blocks(graph))
-        for graph, got in zip(cycles, fast):
-            shortcut.append(graph)
-            assert got == _outcome(check_outerplanar(graph)), graph.edges
-            assert shortcut == []
+        got = [_outcome(check_outerplanar(g)) for g in cycles]
+        for graph, outcome in zip(cycles, got):
+            assert outcome[1] == single_cycle(graph), graph.edges
+            assert outcome[2] == frozenset(graph.edges) and outcome[3] == frozenset()
+        for graph, outcome in zip(cycles[:40] + cycles[-1:], got[:40] + got[-1:]):
+            assert outcome == reference_outerplanar(graph), graph.edges
 
     def test_near_misses_take_the_block_pass(self):
         for graph in near_miss_cycles():
