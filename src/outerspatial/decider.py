@@ -11,17 +11,18 @@ answer was established.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from typing import Iterable, Iterator, Mapping
 
-from .complexes import (Corner, Graph, LinkGraph, Path, TwoComplex, associated_complex,
-                        contracted_link, delete_faces, link_cycles, split_components,
-                        validate)
+from .complexes import (Corner, Graph, HalfEdge, LinkGraph, Path, TwoComplex,
+                        associated_complex, contracted_link, delete_faces, link_cycles,
+                        split_components, validate)
 # `nesting_forest` is called from `verdicts` only; the benchmark's tracer
 # test still reads it as `decider.nesting_forest`.
-from .embedding import (CrossingPair, OuterplanarityResult,
+from .embedding import (CrossingPair, Dart, OuterplanarityResult,
                         RotationSystem, TracedFaces, find_minor,
                         nesting_forest, test_outerplanar, test_planar,
-                        trace_faces, verify_minor_witness, _normalize_cycle)
+                        verify_minor_witness, _normalize_cycle)
 from .oracle import DEFAULT_CAP, CapExceededError, brute_force_outerspatial
 from .surface import (SearchBudgetExceeded, SurfaceClass, euler_characteristic,
                       search_aspherical_subcomplex, _orient_faces)
@@ -363,16 +364,21 @@ def oracle_verdict(complex: TwoComplex, *, cap: int = DEFAULT_CAP) -> Verdict:
 
 
 def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> bool:
-    """Independent certificate check: a trace and a label walk over each claimed forest.
+    """Independent certificate check: one trace and label walk over each claimed forest.
 
     Shape: the rotation system has a rotator at exactly the graph's
-    vertices; each component of the graph has exactly one certificate and
-    traces to genus zero, which checks that its rotators list the
-    half-edges at its vertices, and has the claimed outer orbit.  Every
-    face is a genuine cycle, no two with one edge set.  Each parent map
-    names exactly the faces of its component and is a forest: every walk
-    up from a face reaches a root without leaving the map or repeating,
-    which gives the depths.
+    vertices, and each component of the graph has exactly one
+    certificate.  Every face is a genuine cycle, no two with one edge
+    set.  Each parent map names exactly the faces of its component and is
+    a forest: every walk up from a face reaches a root without leaving
+    the map or repeating, which gives the depths.  One pass over a
+    component's rotators checks that they list exactly its half-edges,
+    each at its own end and none twice, and maps each half-edge to the
+    next one round its vertex.  The walk below traces an orbit when it
+    first reaches it, taking out of that map the half-edge each of its
+    darts arrives by, so it shares no tracer with the builder.  It starts at the claimed outer orbit, which must be
+    the orbit of its first dart listed from its least dart; at the end
+    every dart must be taken and V - E + F = 2 must hold: genus zero.
 
     Walk: breadth first from the outer orbit, labelled none, each newly
     reached orbit y gets a forest node as label from the orbit x it is
@@ -391,8 +397,9 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
     sides, so every chain is then exactly the set of boundaries enclosing
     its orbit; hence the boundaries are laminar and each claimed parent is
     the smallest strict superset.  The forest built for a laminar family
-    passes, labelled by innermost enclosing boundaries.  The walk shares no
-    function with `nesting_forest`.
+    passes, labelled by innermost enclosing boundaries, whichever spanning
+    tree the walk takes, so the dart an orbit is first reached by does not
+    matter.  The walk shares no function with `nesting_forest`.
     """
     graph = complex.graph
     rotation = certificate.rotation
@@ -402,40 +409,71 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
     certs = {c.vertices: c for c in certificate.components}
     if len(certs) != len(parts) or len(certificate.components) != len(parts):
         return False
-    comp_faces: list[dict[str, tuple[str, ...]]] = [{} for _ in parts]
-    for fid, f in complex.faces.items():
-        if not f.is_genuine_cycle():
-            return False
-        comp_faces[comp_of[f.steps[0][0]]][fid] = f.edge_ids
-    if len({frozenset(es) for fs in comp_faces for es in fs.values()}) != len(complex.faces):
+    faces = _face_maps(complex, comp_of, len(parts))
+    if faces is None:
         return False
+    comp_faces, through = faces
     for part, part_faces in zip(parts, comp_faces):
         cert = certs.get(tuple(sorted(part.vertices)))
-        if cert is None or cert.parents.keys() != part_faces.keys():
+        if cert is None or cert.parents.keys() != part_faces:
             return False
-        try:
-            traced = trace_faces(part, rotation)
-        except ValueError:
-            return False
-        if traced.genus != 0:
-            return False
-        if not traced.orbits:
-            if cert.outer_darts != ():
-                return False
-            continue
-        outer = traced.orbit_of.get(cert.outer_darts[0]) if cert.outer_darts else None
-        if outer is None or _normalize_cycle(traced.orbits[outer]) != cert.outer_darts:
-            return False
-        if not _labels_agree(traced, outer, cert.parents, part_faces):
+        if not _walk_component(part, rotation, cert, through):
             return False
     return True
 
 
-def _labels_agree(traced: TracedFaces, outer: int, parent: Mapping[str, str | None],
-                  faces: Mapping[str, Iterable[str]]) -> bool:
-    """The label walk of `verify_certificate` over one component's claimed forest."""
+def _face_maps(complex: TwoComplex, comp_of: Mapping[str, int], n_parts: int
+               ) -> tuple[list[set[str]], dict[str, list[str]]] | None:
+    """The faces of each component and the faces through each edge, in one pass over
+    the faces; None unless every face is a genuine cycle and no two have one edge set."""
+    comp_faces: list[set[str]] = [set() for _ in range(n_parts)]
+    through: defaultdict[str, list[str]] = defaultdict(list)
+    edge_sets = set()
+    for fid, f in complex.faces.items():
+        walk, edge_ids, _ = zip(*f.steps)
+        if len(walk) < 3 or len(set(walk)) != len(walk):
+            return None  # not a genuine cycle
+        edge_sets.add(frozenset(edge_ids))
+        comp_faces[comp_of[walk[0]]].add(fid)
+        for eid in edge_ids:
+            through[eid].append(fid)
+    return (comp_faces, through) if len(edge_sets) == len(complex.faces) else None
+
+
+def _walk_component(part: Graph, rotation: RotationSystem, cert: ComponentCertificate,
+                    through: Mapping[str, list[str]]) -> bool:
+    """The rotator pass and the label walk of `verify_certificate` on one component.
+
+    A dart (e, o) arrives at its head by the half-edge (e, 1 - o), and the
+    next dart of its orbit leaves by the half-edge after that one in the
+    head's rotator.  Tracing an orbit takes out of the map the half-edge
+    each of its darts arrives by.  For the twin (e, 1 - o) of a dart
+    (e, o) that is (e, o) itself, so the twin's orbit is traced once
+    (e, o) is gone from the map.
+    """
+    ends = part.edges
+    after: dict[HalfEdge, HalfEdge] = {}
+    listed = 0
+    for v in part.vertices:
+        cyc = rotation.rotator(v)
+        listed += len(cyc)
+        for h, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+            eid, o = h
+            if o not in (0, 1) or ends.get(eid, (None, None))[o] != v:
+                return False
+            after[h] = nxt
+    # As many distinct half-edges, each at its own end, as the edges have.
+    if listed != 2 * len(ends) or len(after) != listed:
+        return False
+    if not ends:
+        return cert.outer_darts == ()
+
+    parent = cert.parents
     depth: dict[str | None, int] = {None: 0}
-    for cid in parent:
+    for cid, up in parent.items():
+        if up in depth:
+            depth[cid] = depth[up] + 1
+            continue
         path: list[str] = []
         while cid not in depth:
             if cid not in parent or len(path) > len(parent):
@@ -446,30 +484,44 @@ def _labels_agree(traced: TracedFaces, outer: int, parent: Mapping[str, str | No
             depth[c] = depth[cid] + 1
             cid = c
 
-    through: dict[str, list[str]] = {}
-    for fid, edge_ids in faces.items():
-        for eid in edge_ids:
-            through.setdefault(eid, []).append(fid)
-    orbits, orbit_of = traced.orbits, traced.orbit_of
-    label: dict[int, str | None] = {outer: None}
-    queue = [outer]
-    for x in queue:
-        for eid, o in orbits[x]:
-            y = orbit_of[(eid, 1 - o)]
-            if y in label:
-                continue
-            got = label[x]
-            rest = set(through.get(eid, ()))
+    pop = after.pop
+
+    def orbit(start: Dart, d: Dart) -> list[Dart]:
+        """The orbit of `start`, given the dart after it, taken out of the map."""
+        darts = [start]
+        while d != start:
+            darts.append(d)
+            d = pop((d[0], 1 - d[1]))
+        return darts
+
+    outer = cert.outer_darts
+    d = pop((outer[0][0], 1 - outer[0][1]), None) if outer else None
+    if d is None:
+        return False
+    first = orbit(outer[0], d)
+    if first != list(outer) or min(first) != first[0]:
+        return False
+    # Each queued orbit is dropped once walked, so only the frontier is held.
+    queue: deque[tuple[list[Dart], str | None]] = deque([(first, None)])
+    traced = 1
+    while queue:
+        darts, at = queue.popleft()
+        for dart in darts:
+            d = pop(dart, None)
+            if d is None:
+                continue  # its twin's orbit is traced and labelled
+            eid = dart[0]
+            got, rest = at, set(through.get(eid, ()))
             while got in rest:
                 rest.remove(got)
                 got = parent[got]
-            for c in sorted(rest, key=depth.__getitem__):
+            for c in sorted(rest, key=depth.__getitem__) if len(rest) > 1 else rest:
                 if parent[c] != got:
                     return False
                 got = c
-            label[y] = got
-            queue.append(y)
-    return True
+            queue.append((orbit((eid, 1 - dart[1]), d), got))
+            traced += 1
+    return not after and len(part.vertices) - len(ends) + traced == 2
 
 
 def verify_obstruction(complex: TwoComplex, obstruction: Obstruction) -> bool:

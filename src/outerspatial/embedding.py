@@ -212,9 +212,9 @@ def trace_faces(graph: Graph, rotation: RotationSystem) -> TracedFaces:
     """Trace the face orbits of a rotation system on a connected graph.
 
     ValueError when the graph is not connected or a rotator does not list
-    exactly the half-edges at its vertex.  The one tracer: `test_planar`,
-    the oracle and `verify_certificate` call it; the genus is read off the
-    Euler count.
+    exactly the half-edges at its vertex.  The builder's tracer: `test_planar`
+    and the oracle call it, while `verify_certificate` traces with a walk of
+    its own; the genus is read off the Euler count.
     """
     if not graph.is_connected():
         raise ValueError("face tracing requires a connected graph")

@@ -6,7 +6,9 @@ builders would copy the complex thousands of times.  Names are zero-padded,
 so sort order follows construction order.
 
 The `reference_*` functions are the pairwise algorithm that the label walk
-of `embedding.nesting_forest` replaced, kept as the tests' ground truth.
+of `embedding.nesting_forest` replaced, kept as the tests' ground truth,
+and `reference_verify_certificate`, the certificate check that traced with
+`trace_faces` before `decider.verify_certificate` got its own walk.
 `vertex_sum` is the paper's description of the link at a contracted edge,
 the reference for the contraction law, and `path_along` names a path to
 contract by its vertices; `random_planar_graph` and
@@ -26,6 +28,7 @@ from typing import Mapping, Sequence
 
 from outerspatial import complexes
 from outerspatial.complexes import Face, Graph, TwoComplex, _fresh_name
+from outerspatial.embedding import trace_faces, _normalize_cycle
 from outerspatial.fileformat import parse_complex
 from outerspatial.generators import insert_vertex, tetra
 
@@ -188,6 +191,85 @@ def reference_nesting(traced, cycles, outer_faces):
         interiors = {cid: b if outer in a else a for cid, (a, b) in sides.items()}
         out[outer] = reference_containment_forest(interiors)
     return out
+
+
+def reference_verify_certificate(complex, certificate) -> bool:
+    """`decider.verify_certificate` as it was: `trace_faces`, then a label walk over its orbits."""
+    graph = complex.graph
+    rotation = certificate.rotation
+    if frozenset(rotation.vertices()) != graph.vertices:
+        return False
+    comp_of, parts = graph.component_index()
+    certs = {c.vertices: c for c in certificate.components}
+    if len(certs) != len(parts) or len(certificate.components) != len(parts):
+        return False
+    comp_faces = [{} for _ in parts]
+    for fid, f in complex.faces.items():
+        if not f.is_genuine_cycle():
+            return False
+        comp_faces[comp_of[f.steps[0][0]]][fid] = f.edge_ids
+    if len({frozenset(es) for fs in comp_faces for es in fs.values()}) != len(complex.faces):
+        return False
+    for part, part_faces in zip(parts, comp_faces):
+        cert = certs.get(tuple(sorted(part.vertices)))
+        if cert is None or cert.parents.keys() != part_faces.keys():
+            return False
+        try:
+            traced = trace_faces(part, rotation)
+        except ValueError:
+            return False
+        if traced.genus != 0:
+            return False
+        if not traced.orbits:
+            if cert.outer_darts != ():
+                return False
+            continue
+        outer = traced.orbit_of.get(cert.outer_darts[0]) if cert.outer_darts else None
+        if outer is None or _normalize_cycle(traced.orbits[outer]) != cert.outer_darts:
+            return False
+        if not _reference_labels_agree(traced, outer, cert.parents, part_faces):
+            return False
+    return True
+
+
+def _reference_labels_agree(traced, outer, parent, faces) -> bool:
+    """The label walk of `reference_verify_certificate`, from each orbit's least dart."""
+    depth = {None: 0}
+    for cid in parent:
+        path = []
+        while cid not in depth:
+            if cid not in parent or len(path) > len(parent):
+                return False
+            path.append(cid)
+            cid = parent[cid]
+        for c in reversed(path):
+            depth[c] = depth[cid] + 1
+            cid = c
+
+    through = {}
+    for fid, edge_ids in faces.items():
+        for eid in edge_ids:
+            through.setdefault(eid, []).append(fid)
+    orbits, orbit_of = traced.orbits, traced.orbit_of
+    label = {outer: None}
+    queue = [outer]
+    for x in queue:
+        for eid, o in orbits[x]:
+            y = orbit_of[(eid, 1 - o)]
+            if y in label:
+                continue
+            got = label[x]
+            rest = set(through.get(eid, ()))
+            while got in rest:
+                rest.remove(got)
+                got = parent[got]
+            for c in sorted(rest, key=depth.__getitem__):
+                if parent[c] != got:
+                    return False
+                got = c
+            label[y] = got
+            queue.append(y)
+    return True
 
 
 def vertex_sum(h1: Graph, h2: Graph, v: str, pairing: Mapping[str, str]) -> Graph:

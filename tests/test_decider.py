@@ -8,7 +8,7 @@ from pathlib import Path as FilePath
 import networkx as nx
 import pytest
 
-from outerspatial import decider, embedding
+from outerspatial import decider, embedding, oracle
 from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_graph,
@@ -213,16 +213,16 @@ def triangle_complex(graph):
 
 
 class TestFastPathTracesOnce:
-    def test_stacked_sphere_is_traced_by_the_self_check_only(self, monkeypatch):
-        # The sphere route reads its orbits off the oriented faces; only
-        # `verify_certificate` traces the rotation system.
-        calls = _count_calls(monkeypatch, "trace_faces", [embedding, decider])
+    def test_a_positive_decide_calls_neither_trace_faces_nor_trace_orbits(self, monkeypatch):
+        # The sphere route reads its orbits off the oriented faces, and
+        # `verify_certificate` traces the rotation system with its own walk.
+        calls = _count_calls(monkeypatch, "trace_faces", [embedding, oracle])
         walks = _count_calls(monkeypatch, "_trace_orbits", [embedding])
         for complex in (stacked_sphere(seed=64, vertices=64)[0], stacked(64, 64)):
             del calls[:], walks[:]
             assert isinstance(decide_outerspatial(complex), Outerspatial)
-            assert len(calls) == 1
-            assert len(walks) == 1
+            assert len(calls) == 0
+            assert len(walks) == 0
 
 
 def _sphere_route_complexes():
