@@ -371,14 +371,12 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
     certificate.  Every face is a genuine cycle, no two with one edge
     set.  Each parent map names exactly the faces of its component and is
     a forest: every walk up from a face reaches a root without leaving
-    the map or repeating, which gives the depths.  One pass over a
-    component's rotators checks that they list exactly its half-edges,
-    each at its own end and none twice, and maps each half-edge to the
-    next one round its vertex.  The walk below traces an orbit when it
-    first reaches it, taking out of that map the half-edge each of its
-    darts arrives by, so it shares no tracer with the builder.  It starts at the claimed outer orbit, which must be
-    the orbit of its first dart listed from its least dart; at the end
-    every dart must be taken and V - E + F = 2 must hold: genus zero.
+    the map or repeating, which gives the depths.  A component's rotators
+    list exactly its half-edges, each at its own end and none twice.  The
+    claimed outer orbit is the orbit of its first dart, listed from its
+    least dart; the walk uses every dart, and V - E + F = 2: genus zero.
+    `_walk_component` traces the orbits itself, sharing no tracer with the
+    builder.
 
     Walk: breadth first from the outer orbit, labelled none, each newly
     reached orbit y gets a forest node as label from the orbit x it is
@@ -409,10 +407,19 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
     certs = {c.vertices: c for c in certificate.components}
     if len(certs) != len(parts) or len(certificate.components) != len(parts):
         return False
-    faces = _face_maps(complex, comp_of, len(parts))
-    if faces is None:
+    comp_faces: list[set[str]] = [set() for _ in parts]
+    through: defaultdict[str, list[str]] = defaultdict(list)
+    edge_sets = set()
+    for fid, f in complex.faces.items():
+        if not f.is_genuine_cycle():
+            return False
+        edge_ids = f.edge_ids
+        edge_sets.add(frozenset(edge_ids))
+        comp_faces[comp_of[f.steps[0][0]]].add(fid)
+        for eid in edge_ids:
+            through[eid].append(fid)
+    if len(edge_sets) != len(complex.faces):
         return False
-    comp_faces, through = faces
     for part, part_faces in zip(parts, comp_faces):
         cert = certs.get(tuple(sorted(part.vertices)))
         if cert is None or cert.parents.keys() != part_faces:
@@ -420,24 +427,6 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
         if not _walk_component(part, rotation, cert, through):
             return False
     return True
-
-
-def _face_maps(complex: TwoComplex, comp_of: Mapping[str, int], n_parts: int
-               ) -> tuple[list[set[str]], dict[str, list[str]]] | None:
-    """The faces of each component and the faces through each edge, in one pass over
-    the faces; None unless every face is a genuine cycle and no two have one edge set."""
-    comp_faces: list[set[str]] = [set() for _ in range(n_parts)]
-    through: defaultdict[str, list[str]] = defaultdict(list)
-    edge_sets = set()
-    for fid, f in complex.faces.items():
-        walk, edge_ids, _ = zip(*f.steps)
-        if len(walk) < 3 or len(set(walk)) != len(walk):
-            return None  # not a genuine cycle
-        edge_sets.add(frozenset(edge_ids))
-        comp_faces[comp_of[walk[0]]].add(fid)
-        for eid in edge_ids:
-            through[eid].append(fid)
-    return (comp_faces, through) if len(edge_sets) == len(complex.faces) else None
 
 
 def _walk_component(part: Graph, rotation: RotationSystem, cert: ComponentCertificate,
@@ -470,10 +459,7 @@ def _walk_component(part: Graph, rotation: RotationSystem, cert: ComponentCertif
 
     parent = cert.parents
     depth: dict[str | None, int] = {None: 0}
-    for cid, up in parent.items():
-        if up in depth:
-            depth[cid] = depth[up] + 1
-            continue
+    for cid in parent:
         path: list[str] = []
         while cid not in depth:
             if cid not in parent or len(path) > len(parent):
@@ -515,7 +501,7 @@ def _walk_component(part: Graph, rotation: RotationSystem, cert: ComponentCertif
             while got in rest:
                 rest.remove(got)
                 got = parent[got]
-            for c in sorted(rest, key=depth.__getitem__) if len(rest) > 1 else rest:
+            for c in sorted(rest, key=depth.__getitem__):
                 if parent[c] != got:
                     return False
                 got = c
