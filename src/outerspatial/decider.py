@@ -11,7 +11,7 @@ answer was established.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Iterable, Iterator, Mapping
 
 from .complexes import (Corner, Graph, HalfEdge, LinkGraph, Path, TwoComplex,
@@ -370,8 +370,8 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
     vertices, and each component of the graph has exactly one
     certificate.  Every face is a genuine cycle, no two with one edge
     set.  Each parent map names exactly the faces of its component and is
-    a forest: every walk up from a face reaches a root without leaving
-    the map or repeating, which gives the depths.  A component's rotators
+    a forest: a walk down from the roots reaches every face, which lists
+    the faces through each edge by depth.  A component's rotators
     list exactly its half-edges, each at its own end and none twice.  The
     claimed outer orbit is the orbit of its first dart, listed from its
     least dart; the walk uses every dart, and V - E + F = 2: genus zero.
@@ -407,30 +407,24 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
     certs = {c.vertices: c for c in certificate.components}
     if len(certs) != len(parts) or len(certificate.components) != len(parts):
         return False
-    comp_faces: list[set[str]] = [set() for _ in parts]
-    through: defaultdict[str, list[str]] = defaultdict(list)
-    edge_sets = set()
+    comp_faces: list[dict[str, tuple[str, ...]]] = [{} for _ in parts]
     for fid, f in complex.faces.items():
         if not f.is_genuine_cycle():
             return False
-        edge_ids = f.edge_ids
-        edge_sets.add(frozenset(edge_ids))
-        comp_faces[comp_of[f.steps[0][0]]].add(fid)
-        for eid in edge_ids:
-            through[eid].append(fid)
-    if len(edge_sets) != len(complex.faces):
+        comp_faces[comp_of[f.steps[0][0]]][fid] = f.edge_ids
+    if len({frozenset(es) for fs in comp_faces for es in fs.values()}) != len(complex.faces):
         return False
     for part, part_faces in zip(parts, comp_faces):
         cert = certs.get(tuple(sorted(part.vertices)))
-        if cert is None or cert.parents.keys() != part_faces:
+        if cert is None or cert.parents.keys() != part_faces.keys():
             return False
-        if not _walk_component(part, rotation, cert, through):
+        if not _walk_component(part, rotation, cert, part_faces):
             return False
     return True
 
 
 def _walk_component(part: Graph, rotation: RotationSystem, cert: ComponentCertificate,
-                    through: Mapping[str, list[str]]) -> bool:
+                    faces: Mapping[str, tuple[str, ...]]) -> bool:
     """The rotator pass and the label walk of `verify_certificate` on one component.
 
     A dart (e, o) arrives at its head by the half-edge (e, 1 - o), and the
@@ -446,29 +440,34 @@ def _walk_component(part: Graph, rotation: RotationSystem, cert: ComponentCertif
     for v in part.vertices:
         cyc = rotation.rotator(v)
         listed += len(cyc)
-        for h, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+        prev = cyc[-1] if cyc else None
+        for h in cyc:
             eid, o = h
             if o not in (0, 1) or ends.get(eid, (None, None))[o] != v:
                 return False
-            after[h] = nxt
+            after[prev] = h
+            prev = h
     # As many distinct half-edges, each at its own end, as the edges have.
     if listed != 2 * len(ends) or len(after) != listed:
         return False
     if not ends:
         return cert.outer_darts == ()
 
+    # The faces outermost first; a face on a cycle of the parent map, or
+    # below a parent outside it, is never reached from the roots.
     parent = cert.parents
-    depth: dict[str | None, int] = {None: 0}
-    for cid in parent:
-        path: list[str] = []
-        while cid not in depth:
-            if cid not in parent or len(path) > len(parent):
-                return False
-            path.append(cid)
-            cid = parent[cid]
-        for c in reversed(path):
-            depth[c] = depth[cid] + 1
-            cid = c
+    kids: dict[str | None, list[str]] = {}
+    for cid, up in parent.items():
+        kids.setdefault(up, []).append(cid)
+    order: list[str | None] = [None]
+    for up in order:
+        order.extend(kids.get(up, ()))
+    if len(order) != len(parent) + 1:
+        return False
+    through: dict[str, list[str]] = {}
+    for fid in order[1:]:
+        for eid in faces[fid]:
+            through.setdefault(eid, []).append(fid)
 
     pop = after.pop
 
@@ -497,11 +496,11 @@ def _walk_component(part: Graph, rotation: RotationSystem, cert: ComponentCertif
             if d is None:
                 continue  # its twin's orbit is traced and labelled
             eid = dart[0]
-            got, rest = at, set(through.get(eid, ()))
+            got, rest = at, list(through.get(eid, ()))
             while got in rest:
                 rest.remove(got)
                 got = parent[got]
-            for c in sorted(rest, key=depth.__getitem__):
+            for c in rest:
                 if parent[c] != got:
                     return False
                 got = c
