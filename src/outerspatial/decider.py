@@ -17,12 +17,10 @@ from typing import Iterable, Iterator, Mapping
 from .complexes import (Corner, Graph, HalfEdge, LinkGraph, Path, TwoComplex,
                         associated_complex, contracted_link, delete_faces, link_cycles,
                         split_components, validate)
-# `nesting_forest` is called from `verdicts` only; the benchmark's tracer
-# test still reads it as `decider.nesting_forest`.
 from .embedding import (CrossingPair, Dart, OuterplanarityResult,
                         RotationSystem, TracedFaces, find_minor,
                         nesting_forest, test_outerplanar, test_planar,
-                        verify_minor_witness, _normalize_cycle)
+                        verify_minor_witness)
 from .oracle import DEFAULT_CAP, CapExceededError, brute_force_outerspatial
 from .surface import (SearchBudgetExceeded, SurfaceClass, euler_characteristic,
                       search_aspherical_subcomplex, _orient_faces)
@@ -124,8 +122,8 @@ def _merged_link_obstruction(complex: TwoComplex, path: Path, target: str) -> No
     return NonOuterplanarLink(path, link, witness)
 
 
-def _plane_parts(complex: TwoComplex) -> list[tuple[TracedFaces, ComponentCertificate]] | None:
-    """Per component, a plane embedding's tracing and certificate; None when not planar.
+def _plane_parts(complex: TwoComplex) -> list[tuple[RotationSystem, ComponentCertificate]] | None:
+    """Per component, a plane embedding's rotation system and certificate; None when not planar.
 
     `test_planar` traces the skeleton's components in the order that
     `split_components` lists them.  A plane embedding nests every family
@@ -139,7 +137,7 @@ def _plane_parts(complex: TwoComplex) -> list[tuple[TracedFaces, ComponentCertif
         got = component_certificate(traced, comp)
         if isinstance(got, CrossingPair):
             raise AssertionError("triangles crossed in a plane embedding")
-        parts.append((traced, got))
+        parts.append((traced.rotation, got))
     return parts
 
 
@@ -175,7 +173,7 @@ def _decide(complex: TwoComplex) -> Verdict:
     """The verdict of `decide_outerspatial` on a validated complex, unchecked."""
     violations: list[LinkViolation] = []
     notes: list[str] = []
-    parts: list[tuple[TracedFaces, ComponentCertificate]] = []
+    parts: list[tuple[RotationSystem, ComponentCertificate]] = []
     # A component that blocks a sound verdict leaves a violation or a note.
     for comp in split_components(complex):
         if comp.faces:
@@ -220,7 +218,7 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
                       violations: list[LinkViolation]):
     """Steps 1-5 on one component.
 
-    Returns NotOuterspatial, or (tracing, component certificate) on
+    Returns NotOuterspatial, or (rotation system, component certificate) on
     success, or None when hypothesis violations block a sound verdict.
     The link pass stops at the first non-outerplanar link in sorted vertex
     order; links outside the hypothesis count only when there is none.
@@ -264,9 +262,10 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
     # boundary is its rotator; its corner, directed with its face, gives the
     # sense.  Link vertices are edge ids, as a validated complex has no loops.
     # Each corner of a directed face then turns from its in-edge to the next
-    # half-edge of the rotator, so the directed faces are the face orbits:
-    # each starts at its least dart and they come sorted, as `trace_faces`
-    # gives them.  Only the self-check traces the rotators.
+    # half-edge of the rotator, so the directed faces are the face orbits,
+    # and the outer one runs the least dart (least edge, 0): forwards from
+    # that edge's first end or backwards from its second.  Only the chordal
+    # faces are walked; only the self-check traces the rotators.
     g = comp.graph
     rotators = {}
     for v, (cyc, (fid, come, go)) in boundaries.items():
@@ -275,19 +274,24 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
         if cyc[cyc.index(come) - 1] == go:
             cyc = cyc[::-1]
         rotators[v] = [(e, int(g.endpoints(e)[0] != v)) for e in cyc]
-    orbits = []
-    for fid, f in remainder.faces.items():
-        if orientation[fid]:
-            orbits.append(_normalize_cycle(tuple((e, 1 - o) for _, e, o in reversed(f.steps))))
-        else:
-            orbits.append(_normalize_cycle(tuple((e, o) for _, e, o in f.steps)))
-    orbits.sort()
-    traced = TracedFaces(g, RotationSystem(rotators), tuple(orbits))
+    faces = remainder.faces
 
-    got = component_certificate(traced, comp)
-    if isinstance(got, CrossingPair):
-        return _crossing_obstruction(complex, comp, traced, got)
-    return traced, got
+    def darts(fid: str) -> tuple[Dart, ...]:
+        if orientation[fid]:
+            return tuple((e, 1 - o) for _, e, o in reversed(faces[fid].steps))
+        return tuple((e, o) for _, e, o in faces[fid].steps)
+
+    least = min(g.edges)
+    ends = g.endpoints(least)
+    outer = next(fid for fid, f in faces.items()
+                 if (ends[orientation[fid]], least, orientation[fid]) in f.steps)
+    own = {fid: x for x, fid in enumerate(faces)}
+    traced = TracedFaces(g, RotationSystem(rotators), map(darts, faces))
+    parents = nesting_forest(traced, own, {fid: comp.faces[fid].edge_set for fid in chordal},
+                             own[outer])
+    if isinstance(parents, CrossingPair):
+        return _crossing_obstruction(complex, comp, traced, parents)
+    return traced.rotation, ComponentCertificate(tuple(g.vertices), darts(outer), parents)
 
 
 def _crossing_obstruction(complex: TwoComplex, comp: TwoComplex,

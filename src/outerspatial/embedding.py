@@ -45,9 +45,10 @@ other orbits.  With x = o, int(c) holds every other interior and c is the
 root.  Otherwise int(c) = {x} holds no interior, and c's parent is the
 innermost other cycle holding x: x's label in a walk over the other
 cycles, or else the root.  {x} lies in a side of every other cycle, so
-such cycles cross nothing and `nesting_forest` walks only the others.  An
-orbit that runs an edge twice has a bridge on it, and a bridge lies on no
-cycle, so a genuine cycle is never taken for such an orbit.
+such cycles cross nothing and `nesting_forest` walks only the others,
+given the orbit of each such cycle.  An orbit that runs an edge twice
+has a bridge on it, and a bridge lies on no cycle, so a genuine cycle is
+never taken for such an orbit.
 
 Crossing pairs.  Two cycles cross when no side of one lies in a side of
 the other; this does not depend on o.  For any o the interiors are laminar
@@ -64,7 +65,7 @@ fails, `nesting_forest` computes the walked cycles' interiors from its
 tree and scans their pairs with a common vertex, in lexicographic order of
 cycle ids, for the first crossing one.  Two cycles with the same edge set
 have equal interiors; `validate` rejects such duplicate boundaries in
-complexes and `nesting_forest` rejects them with ValueError.
+complexes and `split_orbit_cycles` rejects them with ValueError.
 """
 
 from __future__ import annotations
@@ -149,18 +150,25 @@ def _normalize_cycle(cyc: tuple) -> tuple:
 class TracedFaces:
     """The face orbits of a rotation system on a connected graph: a plain record.
 
-    Each orbit starts at its least dart and the orbits come sorted, so orbit
-    0 holds the least dart.  `trace_faces` checks and traces; the decider's
-    sphere route reads the orbits off the oriented faces of its remainder,
-    which are the orbits of the rotators it reads off the links.
+    `trace_faces` traces them, each from its least dart and sorted, so orbit
+    0 holds the least dart.  The decider's sphere route hands in, unread,
+    its directed remainder faces in face order; the orbit list and the
+    dart-to-orbit map `orbit_of` are built on first read.
     """
 
     def __init__(self, graph: Graph, rotation: RotationSystem,
-                 orbits: tuple[tuple[Dart, ...], ...]):
+                 orbits: Iterable[tuple[Dart, ...]]):
         self.graph = graph
         self.rotation = rotation
-        self.orbits = orbits
-        self.orbit_of: dict[Dart, int] = {d: i for i, orbit in enumerate(orbits) for d in orbit}
+        self._orbits = orbits
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[Dart, ...], ...]:
+        return tuple(self._orbits)
+
+    @cached_property
+    def orbit_of(self) -> dict[Dart, int]:
+        return {d: i for i, orbit in enumerate(self.orbits) for d in orbit}
 
     @cached_property
     def genus(self) -> int:
@@ -836,8 +844,6 @@ def cycle_sides(traced: TracedFaces, cycle_edges: Iterable[str]) -> tuple[frozen
     the cycle's interior in a dual tree rooted at orbit 0.
     """
     cyc = frozenset(cycle_edges)
-    if traced.genus != 0:
-        raise ValueError("cycle sides are defined only on genus-zero tracings")
     check_cycle(traced.graph, cyc)
     tree = _DualTree(traced, 0)
     inside = frozenset(tree.order[p] for p in _bits(_cycle_interior(traced, tree, cyc)))
@@ -853,7 +859,7 @@ def cycles_cross(traced: TracedFaces, c1: Iterable[str], c2: Iterable[str]) -> b
     """
     c1, c2 = frozenset(c1), frozenset(c2)
     pair = {"1": c1} if c1 == c2 else {"1": c1, "2": c2}
-    return isinstance(nesting_forest(traced, pair), CrossingPair)
+    return isinstance(nesting_forest(traced, *split_orbit_cycles(traced, pair)), CrossingPair)
 
 
 class CrossingPair:
@@ -868,31 +874,11 @@ class CrossingPair:
         return f"CrossingPair({self.first}, {self.second})"
 
 
-def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
-                   outer_face: int = 0) -> dict[str, str | None] | CrossingPair:
-    """Containment forest of cycle interiors as a parent map, or the first crossing pair.
+def split_orbit_cycles(traced: TracedFaces, cycles: Mapping[str, Iterable[str]]
+                       ) -> tuple[dict[str, int], dict[str, frozenset[str]]]:
+    """`nesting_forest`'s two maps, for callers that do not know which orbit each cycle bounds.
 
-    The parent of a cycle is the innermost cycle enclosing it, None for a
-    root.  The outer face defaults to the first traced orbit; the interior
-    of a cycle is its side away from the outer face.  Face-orbit cycles are
-    nested without a walk (see the module docstring).  One label walk down
-    a dual tree rooted at the outer face nests the other cycles, and no
-    tree is built when none is left; only when the walk finds their
-    interiors not laminar are they computed from that tree and the pairs
-    with a common vertex scanned, in lexicographic order of cycle ids, for
-    the first two interiors that meet with neither containing the other;
-    the pair carries the orbits inside its first cycle.  Two cycles with
-    the same edge set are rejected.  Cost O(F + E + sum of |c|) plus the
-    walk.
-
-    Precondition: every cycle is the edge set of a genuine cycle of the
-    traced graph.  It is not re-proved here, and the package does not
-    export this function: every caller passes the faces of a validated
-    complex or of an associated complex, which `validate` or
-    `associated_complex` has checked.  Only the crossing scan, which reads
-    vertex sets, walks the cycles (`check_cycle`); a passing walk still
-    rejects a walked cycle it never crossed, but other edge sets that are
-    not cycles may pass unnoticed.
+    Rejects two cycles with one edge set and a tracing of nonzero genus.
     """
     ids = sorted(cycles)
     edge_sets = {cid: frozenset(cycles[cid]) for cid in ids}
@@ -901,9 +887,7 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
         other = first_with.setdefault(edge_sets[cid], cid)
         if other != cid:
             raise ValueError(f"cycles {other} and {cid} have the same edge set")
-    if not ids:
-        return {}
-    if traced.genus != 0:
+    if ids and traced.genus != 0:
         raise ValueError("cycle sides are defined only on genus-zero tracings")
     orbits, orbit_of = traced.orbits, traced.orbit_of
     own: dict[str, int] = {}
@@ -913,9 +897,41 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
             if x is not None and len(orbits[x]) == len(edges) and all(d in edges for d, _ in orbits[x]):
                 own[cid] = x
                 break
-    walked = {cid: edges for cid, edges in edge_sets.items() if cid not in own}
+    return own, {cid: edges for cid, edges in edge_sets.items() if cid not in own}
+
+
+def nesting_forest(traced: TracedFaces, own: Mapping[str, int],
+                   walked: Mapping[str, frozenset[str]],
+                   outer_face: int = 0) -> dict[str, str | None] | CrossingPair:
+    """Containment forest of cycle interiors as a parent map, or the first crossing pair.
+
+    The parent of a cycle is the innermost cycle enclosing it, None for a
+    root.  `own` maps each cycle that bounds a face orbit to that orbit
+    (the sphere route knows it; `split_orbit_cycles` finds it for other
+    callers), and `walked` maps every other cycle to its edge set.  The
+    interior of a cycle is its side away from the outer face, by default
+    the first traced orbit.  Face-orbit cycles are nested without a walk
+    (see the module docstring).  One label walk down a dual tree rooted
+    at the outer face nests the walked cycles; with none, no tree is
+    built and the orbits are not read.  Only when the walk finds their
+    interiors not laminar are they computed from that tree and the pairs
+    with a common vertex scanned, in lexicographic order of cycle ids,
+    for the first two interiors that meet with neither containing the
+    other; the pair carries the orbits inside its first cycle.  Cost
+    O(|own|), plus O(F + E + sum of |c|) and the walk when any cycle is
+    walked.
+
+    Precondition: the cycles are genuine cycles of a genus-zero tracing
+    with distinct edge sets.  It is not re-proved here, and the package
+    does not export this function: every caller passes the faces of a
+    validated complex or of an associated complex, which `validate` or
+    `associated_complex` has checked.  Only the crossing scan, which
+    reads vertex sets, walks the cycles (`check_cycle`); a passing walk
+    still rejects a walked cycle it never crossed, but other edge sets
+    that are not cycles may pass unnoticed.
+    """
     tree = _DualTree(traced, outer_face) if walked else None
-    walk = _label_walk(tree, walked) if walked else ({}, [None] * len(orbits))
+    walk = _label_walk(tree, walked) if walked else ({}, None)
     if walk is not None:
         parent, label = walk
         # A genuine cycle separates two faces, so some dual tree edge
@@ -925,10 +941,11 @@ def nesting_forest(traced: TracedFaces, cycles: Mapping[str, Iterable[str]],
             raise ValueError(f"cycle {missing} is not a cycle of the traced graph")
         root = next((cid for cid, x in own.items() if x == outer_face), None)
         forest: dict[str, str | None] = {}
-        for cid in ids:
-            x = own.get(cid)
-            p = parent[cid] if x is None else label[x]
+        for cid, x in own.items():
+            p = None if label is None else label[x]
             forest[cid] = None if x == outer_face else root if p is None else p
+        for cid, p in parent.items():
+            forest[cid] = root if p is None else p
         return forest
     vertices = {cid: check_cycle(traced.graph, edges) for cid, edges in walked.items()}
     inside = {cid: _cycle_interior(traced, tree, edges) for cid, edges in walked.items()}
@@ -953,9 +970,12 @@ class _DualTree:
     in it, so the orbits below x fill the interval [first[x], first[x] +
     size[x]).  Every orbit x but the root is reached from its tree parent
     up[x] across the edge via[x], and `below` maps that edge back to x.
+    A tracing of genus other than zero has no such sides: ValueError.
     """
 
     def __init__(self, traced: TracedFaces, root: int):
+        if traced.genus != 0:
+            raise ValueError("cycle sides are defined only on genus-zero tracings")
         orbits, orbit_of = traced.orbits, traced.orbit_of
         self.up = up = [-1] * len(orbits)
         self.via = via = [""] * len(orbits)

@@ -155,7 +155,7 @@ def brute_force_outerspatial(complex: TwoComplex,
             traced = trace_faces(comp.graph, rotation)
             got = component_certificate(traced, comp)
             if not isinstance(got, CrossingPair):
-                found.append((traced, got))
+                found.append((rotation, got))
                 break
         else:
             return ExhaustiveFailure(

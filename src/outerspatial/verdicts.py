@@ -16,7 +16,8 @@ from typing import Iterable, Mapping
 
 from .complexes import LinkGraph, Path, TwoComplex
 from .embedding import (CrossingPair, Dart, MinorWitness, RotationSystem,
-                        TracedFaces, nesting_forest, _normalize_cycle)
+                        TracedFaces, nesting_forest, split_orbit_cycles,
+                        _normalize_cycle)
 from .surface import SurfaceClass
 
 
@@ -141,17 +142,18 @@ Verdict = Outerspatial | NotOuterspatial | HypothesisViolated
 
 def component_certificate(traced: TracedFaces,
                           comp: TwoComplex) -> ComponentCertificate | CrossingPair:
-    """Certificate for one traced component's faces, or the first crossing pair."""
-    parents = nesting_forest(traced, {fid: f.edge_set for fid, f in comp.faces.items()})
+    """Certificate for one traced component's faces, or the first crossing pair; orbit 0 is outer."""
+    cycles = {fid: f.edge_set for fid, f in comp.faces.items()}
+    parents = nesting_forest(traced, *split_orbit_cycles(traced, cycles))
     if isinstance(parents, CrossingPair):
         return parents
     outer = traced.orbits[0] if traced.orbits else ()
     return ComponentCertificate(tuple(traced.graph.vertices), outer, parents)
 
 
-def nested_certificate(parts: Iterable[tuple[TracedFaces, ComponentCertificate]]
+def nested_certificate(parts: Iterable[tuple[RotationSystem, ComponentCertificate]]
                        ) -> NestedCertificate:
-    """One certificate from each component's genus-zero tracing and certificate."""
+    """One certificate from each component's genus-zero rotation system and certificate."""
     parts = list(parts)
-    rotation = RotationSystem.union((traced.rotation, traced.graph.vertices) for traced, _ in parts)
+    rotation = RotationSystem.union((rotation, cert.vertices) for rotation, cert in parts)
     return NestedCertificate(rotation, [cert for _, cert in parts])

@@ -2,12 +2,52 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, TwoComplex, complete_graph,
                                     validate)
 from outerspatial.decider import is_locally_2_connected
+
+
+# Each test's wall-clock limit for its set-up and for its body, far above the
+# slowest of them (about 18 s), so a loop that never ends fails its test
+# instead of running until memory runs out.
+TIME_LIMIT_S = 300
+
+
+class TimeLimitExceeded(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeLimitExceeded in the main thread once `seconds` of wall-clock time pass."""
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"ran past its wall-clock limit of {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with time_limit(TIME_LIMIT_S):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with time_limit(TIME_LIMIT_S):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -144,7 +144,8 @@ def test_the_walk_calls_no_tracer_or_forest_of_the_builder(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the verifier called builder code")
 
-    for name in ("trace_faces", "_trace_orbits", "TracedFaces", "nesting_forest"):
+    for name in ("trace_faces", "_trace_orbits", "TracedFaces", "nesting_forest",
+                 "split_orbit_cycles"):
         for module in (complexes, decider, embedding, oracle, surface, verdicts):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

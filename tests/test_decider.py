@@ -8,7 +8,7 @@ from pathlib import Path as FilePath
 import networkx as nx
 import pytest
 
-from outerspatial import decider, embedding, oracle
+from outerspatial import decider, embedding, oracle, verdicts
 from outerspatial import generators as gen
 from outerspatial.complexes import (Face, Graph, Path, TwoComplex,
                                     associated_complex, complete_graph,
@@ -241,28 +241,75 @@ def _sphere_route_complexes():
 
 
 class TestSphereRouteOrbits:
-    def test_orbits_read_off_the_oriented_faces_are_the_traced_orbits(self, monkeypatch):
-        # `_decide_component` builds its tracing from the directed remainder
-        # faces; tracing its rotation system must give the same orbits, in
-        # the same order, so orbit 0 and every certificate byte stay put.
+    def test_directed_faces_are_the_orbits_and_certify_as_traced(self, monkeypatch, random_corpus):
+        # `_decide_component` hands its tracing the directed remainder faces
+        # in face order; as a set of dart cycles they must be the orbits of
+        # its rotation system, and each component certificate must be the
+        # one `component_certificate` reads off `trace_faces`.
         built = []
         real = decider.TracedFaces
 
         def record(graph, rotation, orbits):
+            orbits = tuple(orbits)
             built.append((graph, rotation, orbits))
             return real(graph, rotation, orbits)
 
         monkeypatch.setattr(decider, "TracedFaces", record)
+        cases = _sphere_route_complexes()
+        cases += [(f"random_complex({s})", complex) for s, complex in enumerate(random_corpus[:300])]
         routed = set()
-        for name, complex in _sphere_route_complexes():
+        for name, complex in cases:
             del built[:]
-            assert isinstance(decide_outerspatial(complex), Outerspatial), name
+            verdict = decide_outerspatial(complex)
+            if not isinstance(verdict, Outerspatial):
+                continue
             for graph, rotation, orbits in built:
-                assert orbits == trace_faces(graph, rotation).orbits, name
+                traced = trace_faces(graph, rotation).orbits
+                assert len(orbits) == len(traced), name
+                assert {embedding._normalize_cycle(o) for o in orbits} == set(traced), name
             if built:
                 routed.add(name)
+            rotation = verdict.certificate.rotation
+            certs = {c.vertices: c for c in verdict.certificate.components}
+            for comp in split_components(complex):
+                got = certs[tuple(sorted(comp.graph.vertices))]
+                want = verdicts.component_certificate(trace_faces(comp.graph, rotation), comp)
+                assert (got.vertices, got.outer_darts, got.parents) == \
+                    (want.vertices, want.outer_darts, want.parents), name
         assert {"stacked", "tower", "tetrahedra", "prism3", "prism11", "prism8",
                 "bipyramid-equator6", "star-v20x1", "star-v40x2", "star-v60x3"} <= routed
+        assert sum(name.startswith("random") for name in routed) >= 50
+
+    def test_prisms_and_stacked_spheres_nest_without_orbit_detection_or_dual_tree(
+            self, monkeypatch):
+        # Every face of a prism or a stacked sphere bounds the orbit it was
+        # directed as, so nothing is walked, and the tracing's orbit list and
+        # dart map are never built; a star-boundary sphere walks its chordal
+        # faces down one dual tree per component that has any.
+        detections = _count_calls(monkeypatch, "split_orbit_cycles", [embedding, verdicts])
+        trees = _count_calls(monkeypatch, "_DualTree", [embedding])
+        built = []
+        real = decider.TracedFaces
+
+        def record(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(decider, "TracedFaces", record)
+        for complex in (gen.prism(5), gen.prism(12), stacked(7, 90), stacked(64, 64)):
+            del detections[:], trees[:], built[:]
+            assert isinstance(decide_outerspatial(complex), Outerspatial)
+            assert (len(detections), len(trees), len(built)) == (0, 0, 1)
+            assert not {"orbits", "orbit_of"} & vars(built[0]).keys()
+        stars = [(name, complex) for name, complex in _sphere_route_complexes()
+                 if name.startswith("star-")]
+        assert len(stars) == 3
+        for name, complex in stars:
+            del detections[:], trees[:]
+            assert isinstance(decide_outerspatial(complex), Outerspatial), name
+            chordal = [comp for comp in split_components(complex) if find_chordal_faces(comp)]
+            assert chordal, name
+            assert (len(detections), len(trees)) == (0, len(chordal)), name
 
 
 def fallback_triangle_complexes():
@@ -471,7 +518,7 @@ class TestCrossingObstruction:
         base = gen.bipyramid(4)
         traced = trace_faces(complex.graph, decide_outerspatial(base).certificate.rotation)
         cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
-        pair = embedding.nesting_forest(traced, cycles)
+        pair = embedding.nesting_forest(traced, *embedding.split_orbit_cycles(traced, cycles))
         assert isinstance(pair, CrossingPair)
         assert (pair.first, pair.second) == ("x1", "x2")
         verdict = _crossing_obstruction(complex, complex, traced, pair)
@@ -564,7 +611,7 @@ class TestCertificateAssembly:
         assert [set(c.faces) for c in comps] == [set(tetra.faces), set(other.faces)]
         assert comps[0].faces["abc"].edge_set == tetra.faces["abc"].edge_set
         parts = decider._plane_parts(union)
-        assert [traced.graph for traced, _ in parts] == [c.graph for c in comps]
+        assert [cert.vertices for _, cert in parts] == [tuple(sorted(c.graph.vertices)) for c in comps]
         assert [set(cert.parents) for _, cert in parts] == [set(tetra.faces), set(other.faces)]
 
     def test_cycle_spanning_two_components_is_refused(self):
@@ -582,9 +629,8 @@ class TestCertificateAssembly:
         parts = []
         for part in (tetra, other):
             cert = decide_outerspatial(part).certificate
-            traced = trace_faces(part.graph, cert.rotation)
             (comp,) = cert.components
-            parts.append((traced, comp))
+            parts.append((cert.rotation, comp))
         merged = nested_certificate(reversed(parts))
         assert [c.vertices for c in merged.components] == \
             sorted(c.vertices for _, c in parts)

@@ -15,7 +15,8 @@ from outerspatial.decider import decide_outerspatial
 from outerspatial import embedding
 from outerspatial.embedding import (CrossingPair, RotationSystem, check_cycle,
                                     cycle_sides, cycles_cross, find_minor,
-                                    is_2_connected, nesting_forest,
+                                    split_orbit_cycles, is_2_connected,
+                                    nesting_forest,
                                     trace_faces, verify_minor_witness)
 from test_link_layer import _count_calls
 
@@ -304,7 +305,7 @@ class TestNestingForest:
                   "abd": frozenset({"ab", "bd", "ad"}),
                   "acd": frozenset({"ac", "cd", "ad"}),
                   "bcd": frozenset({"bc", "cd", "bd"})}
-        parents = nesting_forest(traced, cycles)
+        parents = nesting_forest(traced, *split_orbit_cycles(traced, cycles))
         roots = [c for c, p in parents.items() if p is None]
         assert len(roots) == 1
         children = [c for c, p in parents.items() if p == roots[0]]
@@ -314,13 +315,13 @@ class TestNestingForest:
 
     def test_empty(self, bipyramid4):
         traced = bipyramid_traced(bipyramid4)
-        assert nesting_forest(traced, {}) == {}
+        assert nesting_forest(traced, *split_orbit_cycles(traced, {})) == {}
 
     def test_crossing_pair_reported(self, bipyramid4):
         traced = bipyramid_traced(bipyramid4)
-        got = nesting_forest(traced, {
+        got = nesting_forest(traced, *split_orbit_cycles(traced, {
             "c1": frozenset({"na", "sa", "nc", "sc"}),
-            "c2": frozenset({"nb", "sb", "nd", "sd"})})
+            "c2": frozenset({"nb", "sb", "nd", "sd"})}))
         assert isinstance(got, CrossingPair)
         assert (got.first, got.second) == ("c1", "c2")
 
@@ -332,7 +333,7 @@ class TestNestingForest:
         triangle = frozenset({"ab", "bc", "ac"})
         for bad in (off_tree, frozenset({"zz"})):
             with pytest.raises(ValueError, match="^cycle x is not a cycle of the traced graph$"):
-                nesting_forest(traced, {"t": triangle, "x": bad})
+                nesting_forest(traced, *split_orbit_cycles(traced, {"t": triangle, "x": bad}))
 
 
 class TestOuterFaceIndependence:
@@ -344,7 +345,7 @@ class TestOuterFaceIndependence:
         expected = reference_nesting(traced, cycles, outer_faces)
         assert isinstance(expected, dict)
         for outer in outer_faces:
-            assert nesting_forest(traced, cycles, outer_face=outer) == expected[outer]
+            assert nesting_forest(traced, *split_orbit_cycles(traced, cycles), outer) == expected[outer]
 
 
 class TestCheckCycle:

@@ -217,7 +217,6 @@ def test_a_classmethod_counts_only_where_named_through_its_owner():
 # shared on purpose.  A new cross-module read of a private name, such as a
 # record's private attribute, must be made public or listed here.
 PRIVATE_READS = {
-    ("decider", "_normalize_cycle"),
     ("decider", "_orient_faces"),
     ("verdicts", "_normalize_cycle"),
     ("embedding", "_single_cycle"),

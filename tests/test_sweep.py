@@ -21,7 +21,8 @@ from outerspatial.decider import (ComponentCertificate, NestedCertificate,
                                   Outerspatial, decide_outerspatial,
                                   verify_certificate)
 from outerspatial.embedding import (CrossingPair, RotationSystem, cycle_sides,
-                                    nesting_forest, trace_faces)
+                                    nesting_forest, split_orbit_cycles,
+                                    trace_faces)
 from outerspatial.fileformat import (format_certificate, format_verdict,
                                      parse_certificate_report)
 
@@ -50,7 +51,7 @@ def test_sweep_matches_reference_for_every_outer_face(seed, vertices):
     expected = reference_nesting(traced, cycles, outer_faces)
     assert isinstance(expected, dict)
     for outer in outer_faces:
-        assert nesting_forest(traced, cycles, outer_face=outer) == expected[outer]
+        assert nesting_forest(traced, *split_orbit_cycles(traced, cycles), outer) == expected[outer]
 
 
 @given(seed=st.integers(0, 10**6), vertices=st.integers(4, 60))
@@ -118,7 +119,7 @@ def test_crossing_families_are_found_without_the_pairwise_test(monkeypatch):
         assert not faces.isdisjoint(family.values())
         expected = reference_nesting(traced, family, [0])
         split.clear()
-        got = nesting_forest(traced, family)
+        got = nesting_forest(traced, *split_orbit_cycles(traced, family))
         if isinstance(expected, tuple):
             assert (got.first, got.second) == expected
             walked = [edges for edges in family.values() if edges not in faces]
@@ -164,7 +165,7 @@ def test_duplicate_edge_sets_are_rejected(bipyramid4):
     traced = trace_faces(bipyramid4.graph, decide_outerspatial(bipyramid4).certificate.rotation)
     square = frozenset({"na", "sa", "nc", "sc"})
     with pytest.raises(ValueError, match="same edge set"):
-        nesting_forest(traced, {"p": square, "q": square})
+        split_orbit_cycles(traced, {"p": square, "q": square})
 
 
 def test_verifier_uses_neither_the_forest_builder_nor_the_sweep(monkeypatch):
@@ -271,7 +272,7 @@ def test_crossing_squares_are_the_first_crossing_pair():
     traced = trace_faces(complex.graph, decide_outerspatial(base).certificate.rotation)
     cycles = {fid: f.edge_set for fid, f in complex.faces.items()}
     expected = reference_nesting(traced, cycles, [0])
-    got = nesting_forest(traced, cycles)
+    got = nesting_forest(traced, *split_orbit_cycles(traced, cycles))
     assert (got.first, got.second) == expected == ("x1", "x2")
 
 
@@ -328,7 +329,7 @@ def _assert_matches_reference(traced, family):
     outer_faces = range(len(traced.orbits)) if len(traced.orbits) <= 60 else [0]
     expected = reference_nesting(traced, family, outer_faces)
     for outer in outer_faces:
-        got = nesting_forest(traced, family, outer_face=outer)
+        got = nesting_forest(traced, *split_orbit_cycles(traced, family), outer)
         if isinstance(expected, tuple):
             assert isinstance(got, CrossingPair)
             assert (got.first, got.second) == expected
