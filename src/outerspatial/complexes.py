@@ -26,19 +26,21 @@ class Graph:
     def __init__(self, vertices: Iterable[str], edges: Mapping[str, tuple[str, str]]):
         self._vertices = frozenset(vertices)
         self._edges: dict[str, tuple[str, str]] = {}
-        for eid in sorted(edges):
-            u, v = edges[eid]
-            if u not in self._vertices or v not in self._vertices:
-                raise ValueError(f"edge {eid} has undeclared endpoint")
-            self._edges[eid] = (u, v)
         self._edges_view = MappingProxyType(self._edges)
         incident: dict[str, list[str]] = {v: [] for v in sorted(self._vertices)}
-        for eid, (u, v) in self._edges.items():
+        pairs: dict[tuple[str, str], tuple[str, ...]] = {}
+        for eid in sorted(edges):
+            u, v = edges[eid]
+            if u not in incident or v not in incident:
+                raise ValueError(f"edge {eid} has undeclared endpoint")
+            self._edges[eid] = (u, v)
             incident[u].append(eid)
             if v != u:
                 incident[v].append(eid)
+            ab = (u, v) if u <= v else (v, u)
+            pairs[ab] = pairs[ab] + (eid,) if ab in pairs else (eid,)
         self._incident = {v: tuple(es) for v, es in incident.items()}
-        self._pairs: dict[tuple[str, str], tuple[str, ...]] | None = None
+        self._pairs = pairs
         self._components: tuple[dict[str, int], tuple[Graph, ...]] | None = None
 
     @property
@@ -87,18 +89,13 @@ class Graph:
     def endpoint_pairs(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
         """Endpoint pair (a, b), a <= b, -> its edge ids, ascending; a loop at a under (a, a).
 
-        Pairs come in order of their least edge id.  Built on first call and kept.
+        Pairs come in order of their least edge id.  Built with the incidences.
         """
-        if self._pairs is None:
-            pairs: dict[tuple[str, str], list[str]] = {}
-            for eid, (a, b) in self._edges.items():  # ascending ids
-                pairs.setdefault((a, b) if a <= b else (b, a), []).append(eid)
-            self._pairs = {ab: tuple(es) for ab, es in pairs.items()}
         return MappingProxyType(self._pairs)
 
     def edges_between(self, u: str, v: str) -> tuple[str, ...]:
-        """Edge ids joining u and v, sorted; the loops at u when u == v.  Reads `endpoint_pairs`."""
-        return (self._pairs or self.endpoint_pairs()).get((u, v) if u <= v else (v, u), ())
+        """Edge ids joining u and v, sorted; the loops at u when u == v.  Reads the endpoint-pair index."""
+        return self._pairs.get((u, v) if u <= v else (v, u), ())
 
     def loops(self) -> tuple[str, ...]:
         """Loop ids, ascending."""
@@ -184,31 +181,55 @@ Step = tuple[str, str, int]
 
 
 class Face:
-    """A face: an id plus a closed boundary walk in canonical form."""
+    """A face: an id plus a closed boundary walk in canonical form.
+
+    The walk's least rotation or reflection, from `_canonical_walk` or, for
+    a genuine cycle, built at once by `from_vertices`; whether the walk is a
+    genuine cycle is found there too and kept for `is_genuine_cycle`.
+    """
 
     def __init__(self, face_id: str, steps: Sequence[Step]):
         if not steps:
             raise ValueError(f"face {face_id}: empty boundary")
         self.face_id = face_id
-        self.steps = _canonical_walk(tuple(steps))
+        self.steps, self._genuine = _canonical_walk(tuple(steps))
 
     @classmethod
     def from_vertices(cls, graph: Graph, face_id: str, vertices: Sequence[str],
                       kind: str = "face") -> "Face":
-        """Build from a vertex sequence; edges are inferred and must be unique; errors say `kind`."""
-        ends = graph.edges
-        steps = []
-        # The closing pair comes last, so the first bad pair in walk order is reported.
+        """Build from a vertex sequence; edges are inferred and must be unique; errors say `kind`.
+
+        Each pair of consecutive vertices, the closing pair last, is looked
+        up in the graph's endpoint-pair index, so the first bad pair in walk
+        order is reported.  A genuine cycle is built in canonical form at
+        once: from its least vertex along the lesser of its two edges there,
+        each edge traversed from the stored endpoint it leaves.  Only a
+        degenerate walk goes through `_canonical_walk`.
+        """
+        pairs, ends = graph._pairs, graph._edges
+        eids = []
         for u, v in zip(vertices, vertices[1:] + vertices[:1]):
-            cands = graph.edges_between(u, v)
+            cands = pairs.get((u, v) if u <= v else (v, u), ())
             if len(cands) != 1:
                 if not cands:
                     raise ValueError(f"{kind} {face_id}: no edge between {u} and {v}")
                 hint = "; list edge ids instead" if kind == "face" else ""  # a cycle has no `facee`
                 raise ValueError(f"{kind} {face_id}: ambiguous edge between {u} and {v}{hint}")
-            eid = cands[0]
-            steps.append((u, eid, 0 if ends[eid][0] == u else 1))
-        return cls(face_id, steps)
+            eids.append(cands[0])
+        k = len(eids)
+        if k < 3 or len(set(vertices)) < k:
+            return cls(face_id, [(u, e, 0 if ends[e][0] == u else 1) for u, e in zip(vertices, eids)])
+        # Edge e_j joins v_j and v_(j+1).  From the least vertex v_i the walk
+        # runs forward along e_i or backward along e_(i-1); indices may be negative.
+        i = vertices.index(min(vertices))
+        back = eids[i - 1] < eids[i]
+        steps = []
+        for j in range(i, i - k, -1) if back else range(i - k, i):
+            v, e = vertices[j], eids[j - back]
+            steps.append((v, e, 0 if ends[e][0] == v else 1))
+        face = cls.__new__(cls)
+        face.face_id, face.steps, face._genuine = face_id, tuple(steps), True
+        return face
 
     @classmethod
     def from_edges(cls, graph: Graph, face_id: str, edge_ids: Sequence[str]) -> "Face":
@@ -243,9 +264,8 @@ class Face:
         return len(self.steps)
 
     def is_genuine_cycle(self) -> bool:
-        """No repeated vertex and length at least three."""
-        steps = self.steps
-        return len(steps) >= 3 and len({s[0] for s in steps}) == len(steps)
+        """No repeated vertex and length at least three; found when the face was built."""
+        return self._genuine
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Face) and (self.face_id, self.steps) == (other.face_id, other.steps)
@@ -273,16 +293,18 @@ def _walk_from(graph: Graph, edge_ids: Sequence[str], start: str) -> tuple[Step,
     return tuple(steps) if at == start else None
 
 
-def _canonical_walk(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-    """Lexicographically minimal rotation or reflection of the walk.
+def _canonical_walk(steps: tuple[Step, ...]) -> tuple[tuple[Step, ...], bool]:
+    """Lexicographically minimal rotation or reflection of the walk, and whether it is a genuine cycle.
 
     A genuine cycle starts at its least vertex, where steps compare by
     vertex first, and goes along the lesser of the two edges there: the
     forward walk leaves by its first step's edge and the reflected one by
-    its last step's.  On a face of a graph these two edges differ.  Only
-    raw step tuples can repeat an id there; the tie takes the lesser of the
-    whole forward and reflected walks.  A walk with a repeated vertex takes
-    each direction's least rotation.
+    its last step's.  On a face of a graph these two edges differ, which is
+    how `Face.from_vertices` builds a genuine cycle without coming here.
+    Only raw step tuples can repeat an id there; the tie takes the lesser of
+    the whole forward and reflected walks.  A walk with a repeated vertex
+    takes each direction's least rotation.  Faces built from raw steps, by
+    `from_edges` and `contract_path` among others, come here.
     """
     vs = [s[0] for s in steps]
     if len(vs) >= 3 and len(set(vs)) == len(vs):
@@ -290,9 +312,9 @@ def _canonical_walk(steps: tuple[Step, ...]) -> tuple[Step, ...]:
         forward = steps[i:] + steps[:i]
         out, back = forward[0][1], forward[-1][1]
         if out != back:
-            return forward if out < back else _reflect(forward)
-        return min(forward, _reflect(forward))
-    return min(_least_rotation(steps), _least_rotation(_reflect(steps)))
+            return (forward if out < back else _reflect(forward)), True
+        return min(forward, _reflect(forward)), True
+    return min(_least_rotation(steps), _least_rotation(_reflect(steps))), False
 
 
 def _least_rotation(seq: tuple) -> tuple:

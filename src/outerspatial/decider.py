@@ -372,8 +372,8 @@ def verify_certificate(complex: TwoComplex, certificate: NestedCertificate) -> b
 
     Shape: the rotation system has a rotator at exactly the graph's
     vertices, and each component of the graph has exactly one
-    certificate.  Every face is a genuine cycle, no two with one edge
-    set.  Each parent map names exactly the faces of its component and is
+    certificate.  Every face is a genuine cycle, a fact each face keeps
+    from its construction, no two with one edge set.  Each parent map names exactly the faces of its component and is
     a forest: a walk down from the roots reaches every face, which lists
     the faces through each edge by depth.  A component's rotators
     list exactly its half-edges, each at its own end and none twice.  The

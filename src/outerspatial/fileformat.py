@@ -5,6 +5,9 @@ Complex files: `vertex <id>`, `edge <id> <u> <v>`, `face <id> <v1> ... <vk>`
 multigraph inputs).  `#` starts a comment; ids are alphanumeric tokens.
 Cycle files use `cycle <id> <v1> ... <vk>` lines.
 
+`parse_complex` reads the lines in one pass, then builds the faces in line
+order; its docstring gives which error a bad file reports.
+
 Certificate reports round-trip: `format_verdict` output for an outerspatial
 verdict can be re-parsed by `parse_certificate_report` and fed back to the
 certificate checker.
@@ -25,72 +28,67 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _tokens(text: str):
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        toks = (line.partition("#")[0] if "#" in line else line).split()
-        if toks:
-            yield line_no, toks
-
-
-def _check_id(line_no: int, token: str) -> str:
-    if not token.isalnum():
-        raise ParseError(line_no, f"id {token!r} is not alphanumeric")
-    return token
-
-
 def parse_complex(text: str) -> TwoComplex:
-    """Parse a complex file; raises ParseError with the offending line."""
+    """Parse a complex file; raises ParseError with the offending line.
+
+    One pass over the lines checks each line's form, id and edge endpoints;
+    the faces are built from the graph after it, so any such error wins
+    over a face error.  Within a face an undeclared vertex, sought only once
+    a pair lookup fails, as one must where a vertex is undeclared, wins over
+    a missing or ambiguous pair; pairs go in walk order, the closing pair
+    last, and a repeated boundary comes last of all.
+    """
     vertices: set[str] = set()
     edges: dict[str, tuple[str, str]] = {}
     face_specs: list[tuple[int, str, str, list[str]]] = []
     seen: set[str] = set()
-    for line_no, toks in _tokens(text):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        toks = (line.partition("#")[0] if "#" in line else line).split()
+        if not toks:
+            continue
         directive = toks[0]
-        if directive == "vertex":
-            if len(toks) != 2:
-                raise ParseError(line_no, "vertex takes one id")
-            vid = _check_id(line_no, toks[1])
-            if vid in seen:
-                raise ParseError(line_no, f"duplicate id {vid}")
-            seen.add(vid)
-            vertices.add(vid)
-        elif directive == "edge":
+        if directive == "edge":
             if len(toks) != 4:
                 raise ParseError(line_no, "edge takes an id and two endpoints")
-            eid = _check_id(line_no, toks[1])
-            if eid in seen:
-                raise ParseError(line_no, f"duplicate id {eid}")
-            u, v = toks[2], toks[3]
-            for w in (u, v):
-                if w not in vertices:
-                    raise ParseError(line_no, f"edge {eid} references undeclared vertex {w}")
-            seen.add(eid)
-            edges[eid] = (u, v)
-        elif directive in ("face", "facee"):
+            _, oid, u, v = toks
+        elif directive == "face" or directive == "facee":
             if len(toks) < 3:
                 raise ParseError(line_no, f"{directive} needs an id and a boundary")
-            fid = _check_id(line_no, toks[1])
-            if fid in seen:
-                raise ParseError(line_no, f"duplicate id {fid}")
-            seen.add(fid)
-            face_specs.append((line_no, directive, fid, toks[2:]))
-        else:
+            oid = toks[1]
+        elif directive != "vertex":
             raise ParseError(line_no, f"unknown directive {directive!r}")
+        elif len(toks) != 2:
+            raise ParseError(line_no, "vertex takes one id")
+        else:
+            oid = toks[1]
+        if not oid.isalnum():
+            raise ParseError(line_no, f"id {oid!r} is not alphanumeric")
+        if oid in seen:
+            raise ParseError(line_no, f"duplicate id {oid}")
+        seen.add(oid)
+        if directive == "edge":
+            if u not in vertices or v not in vertices:
+                w = u if u not in vertices else v
+                raise ParseError(line_no, f"edge {oid} references undeclared vertex {w}")
+            edges[oid] = (u, v)
+        elif directive == "vertex":
+            vertices.add(oid)
+        else:
+            face_specs.append((line_no, directive, oid, toks[2:]))
     graph = Graph(vertices, edges)
     faces = []
     boundaries: dict[tuple, str] = {}
     for line_no, directive, fid, items in face_specs:
         try:
             if directive == "face":
-                for v in items:
-                    if v not in graph.vertices:
-                        raise ParseError(line_no, f"face {fid} references undeclared vertex {v}")
                 face = Face.from_vertices(graph, fid, items)
             else:
                 face = Face.from_edges(graph, fid, items)
-        except ParseError:
-            raise
         except ValueError as exc:
+            # A pair lookup fails wherever a vertex is undeclared, so look for one only now.
+            for v in items if directive == "face" else ():
+                if v not in vertices:
+                    raise ParseError(line_no, f"face {fid} references undeclared vertex {v}") from None
             raise ParseError(line_no, str(exc)) from exc
         if face.steps in boundaries:
             raise ParseError(line_no,
@@ -123,12 +121,17 @@ def parse_cycles(text: str) -> list[tuple[str, tuple[str, ...]]]:
     """Parse a cycle list file."""
     out = []
     seen: set[str] = set()
-    for line_no, toks in _tokens(text):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        toks = line.partition("#")[0].split()
+        if not toks:
+            continue
         if toks[0] != "cycle":
             raise ParseError(line_no, f"unknown directive {toks[0]!r}")
         if len(toks) < 5:
             raise ParseError(line_no, "cycle needs an id and at least three vertices")
-        cid = _check_id(line_no, toks[1])
+        cid = toks[1]
+        if not cid.isalnum():
+            raise ParseError(line_no, f"id {cid!r} is not alphanumeric")
         if cid in seen:
             raise ParseError(line_no, f"duplicate cycle id {cid}")
         seen.add(cid)

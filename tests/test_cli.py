@@ -93,6 +93,86 @@ class TestParseErrors:
             parse_cycles("loop c1 a b c\n")
 
 
+TRIANGLE = "vertex a\nvertex b\nvertex c\nedge ab a b\nedge bc b c\nedge ca c a\n"
+# a-b doubled and no edge d-a: lines 1-8.
+DOUBLED = ("vertex a\nvertex b\nvertex c\nvertex d\n"
+           "edge ab a b\nedge ba b a\nedge bc b c\nedge cd c d\n")
+
+# (complex text, line number, message); faces are read after every line, so a
+# structural error on any line wins over a face error; within a face line an
+# undeclared vertex wins over its pairs, which are checked in walk order, and
+# the duplicate-boundary check comes last.
+COMPLEX_ERRORS = [
+    ("vertex a b\n", 1, "vertex takes one id"),
+    ("vertex a\nvertex\n", 2, "vertex takes one id"),
+    ("vertex a\nedge e a\n", 2, "edge takes an id and two endpoints"),
+    ("vertex a\nface f\n", 2, "face needs an id and a boundary"),
+    ("facee g\n", 1, "facee needs an id and a boundary"),
+    ("vertex a-b\n", 1, "id 'a-b' is not alphanumeric"),
+    ("vertex a\nvertex b\nedge a:b a b\n", 3, "id 'a:b' is not alphanumeric"),
+    (TRIANGLE + "face f. a b c\n", 7, "id 'f.' is not alphanumeric"),
+    ("vertex a\nvertex a\n", 2, "duplicate id a"),
+    ("vertex a\nvertex b\nedge a a b\n", 3, "duplicate id a"),
+    (TRIANGLE + "face ab a b c\n", 7, "duplicate id ab"),
+    (TRIANGLE + "face f a b c\nfacee f ab bc ca\n", 8, "duplicate id f"),
+    ("vertex a\nedge e a b\n", 2, "edge e references undeclared vertex b"),
+    ("edge e a b\nvertex a\nvertex b\n", 1, "edge e references undeclared vertex a"),
+    (TRIANGLE + "face f a b x\n", 7, "face f references undeclared vertex x"),
+    (TRIANGLE + "face f ab b c\n", 7, "face f references undeclared vertex ab"),
+    (TRIANGLE + "face f a c b d\n", 7, "face f references undeclared vertex d"),
+    ("vertex a\nface f a\n", 2, "face f: no edge between a and a"),
+    (TRIANGLE.replace("edge ca c a\n", "") + "face f a b c\n", 6,
+     "face f: no edge between c and a"),
+    (DOUBLED + "face f c d a b\n", 9, "face f: no edge between d and a"),
+    (DOUBLED + "face g a b c d\n", 9, "face g: ambiguous edge between a and b; list edge ids instead"),
+    (TRIANGLE + "facee f ab bc zz\n", 7, "face f: unknown edge zz"),
+    (TRIANGLE + "facee f ab bc\n", 7, "face f: edges do not form a closed walk"),
+    (TRIANGLE + "face f a b c\nface g c b a\n", 8, "face g duplicates the boundary of f"),
+    (TRIANGLE + "face f a b c\nfacee g bc ca ab\n", 8, "face g duplicates the boundary of f"),
+    ("simplex a b c\n", 1, "unknown directive 'simplex'"),
+    ("# header\n\nvertex a  # the apex\nVertex b\n", 4, "unknown directive 'Vertex'"),
+    # Precedence.
+    (DOUBLED + "face f a b x\n", 9, "face f references undeclared vertex x"),
+    (DOUBLED + "face f c d a b\nface g a b x\n", 9, "face f: no edge between d and a"),
+    (DOUBLED + "face g a b x\nface f c d a b\n", 9, "face g references undeclared vertex x"),
+    (TRIANGLE + "face f a b x\nedge e a zz\n", 8, "edge e references undeclared vertex zz"),
+    (TRIANGLE + "face f a b x\nvertex q r\n", 8, "vertex takes one id"),
+    (TRIANGLE + "face f a b c\nface g b c a\nface h a b x\n", 8,
+     "face g duplicates the boundary of f"),
+    (TRIANGLE + "face h a b x\nface f a b c\nface g b c a\n", 7,
+     "face h references undeclared vertex x"),
+]
+
+CYCLE_ERRORS = [
+    ("loop c1 a b c\n", 1, "unknown directive 'loop'"),
+    ("cycle c1 a b\n", 1, "cycle needs an id and at least three vertices"),
+    ("cycle c-1 a b c\n", 1, "id 'c-1' is not alphanumeric"),
+    ("cycle c a b c\n# again\ncycle c b c d\n", 3, "duplicate cycle id c"),
+]
+
+
+class TestParseErrorTable:
+    @pytest.mark.parametrize("text,line_no,message", COMPLEX_ERRORS,
+                             ids=[message for _, _, message in COMPLEX_ERRORS])
+    def test_complex_errors(self, text, line_no, message):
+        with pytest.raises(ParseError) as err:
+            parse_complex(text)
+        assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+    @pytest.mark.parametrize("text,line_no,message", CYCLE_ERRORS,
+                             ids=[message for _, _, message in CYCLE_ERRORS])
+    def test_cycle_errors(self, text, line_no, message):
+        with pytest.raises(ParseError) as err:
+            parse_cycles(text)
+        assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+    def test_a_face_may_come_before_its_edges(self):
+        text = "vertex a\nvertex b\nvertex c\nface f b c a\nedge ab a b\nedge bc b c\nedge ca c a\n"
+        complex = parse_complex(text)
+        assert complex == parse_complex(TRIANGLE + "face f a b c\n")
+        assert complex.faces["f"].steps == (("a", "ab", 0), ("b", "bc", 0), ("c", "ca", 0))
+
+
 class TestCertificateReportRoundTrip:
     @pytest.mark.parametrize("builder", [
         gen.tetra, lambda: gen.bipyramid_with_equator(4),

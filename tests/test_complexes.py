@@ -1,5 +1,6 @@
 """Core complex representation and space-minor operations."""
 
+import itertools
 import random
 import tracemalloc
 from pathlib import Path as FilePath
@@ -501,6 +502,106 @@ class TestCanonicalWalk:
             tracemalloc.stop()
         assert face.steps == tuple(steps)
         assert peak < 16 * 2 ** 20
+
+
+def is_genuine(steps):
+    """No repeated vertex and length at least three, from the steps."""
+    return len(steps) >= 3 and len({s[0] for s in steps}) == len(steps)
+
+
+def raw_walk(graph, vertices):
+    """Steps through the vertices in the given order, each pair's one edge found by a scan of all
+    edges and traversed from the stored endpoint the walk leaves (end 0 for a loop)."""
+    steps = []
+    for u, v in zip(vertices, vertices[1:] + vertices[:1]):
+        (e,) = [e for e, ab in graph.edges.items() if sorted(ab) == sorted((u, v))]
+        steps.append((u, e, 0 if graph.endpoints(e)[0] == u else 1))
+    return tuple(steps)
+
+
+def random_labelled_complete_graph(rng):
+    """A complete graph with a loop at every vertex: random vertex names, edge ids and stored
+    endpoint order, so every vertex pair has one edge and the ids follow no vertex order."""
+    names = rng.sample([f"{c}{d}" for c in "bmxa" for d in "19"], rng.randint(3, 7))
+    pairs = list(itertools.combinations(names, 2)) + [(v, v) for v in names]
+    ids = rng.sample([f"{c}{i}" for c in "ez" for i in range(40)], len(pairs))
+    return Graph(names, {e: (ab if rng.random() < 0.5 else ab[::-1]) for e, ab in zip(ids, pairs)})
+
+
+class TestCanonicalFaces:
+    """Faces from every constructor hold `reference_canonical_walk` of their raw walk and the
+    genuine-cycle fact of the set-based predicate."""
+
+    def test_from_vertices_on_every_rotation_and_reflection(self):
+        rng = random.Random(29)
+        genuine = degenerate = 0
+        for _ in range(1_500):
+            graph = random_labelled_complete_graph(rng)
+            names = sorted(graph.vertices)
+            if rng.random() < 0.6:
+                cycle = rng.sample(names, rng.randint(3, len(names)))
+            else:
+                cycle = [rng.choice(names) for _ in range(rng.randint(1, 7))]
+            canonical = set()
+            for walk in (cycle, cycle[::-1]):
+                for r in range(len(walk)):
+                    turned = walk[r:] + walk[:r]
+                    want = reference_canonical_walk(raw_walk(graph, turned))
+                    for vertices in (turned, tuple(turned)):
+                        face = Face.from_vertices(graph, "f", vertices)
+                        assert face.steps == want, vertices
+                        assert face.is_genuine_cycle() == is_genuine(want)
+                    canonical.add(want)
+            if is_genuine(want):
+                # A loop is always taken from end 0, so only a genuine cycle's reversal is its reflection.
+                assert len(canonical) == 1
+                genuine += 1
+            else:
+                degenerate += 1
+        assert genuine > 800 and degenerate > 400
+
+    def test_from_edges(self):
+        rng = random.Random(31)
+        for _ in range(3_000):
+            graph = random_labelled_complete_graph(rng)
+            names = sorted(graph.vertices)
+            vertices = [rng.choice(names) for _ in range(rng.randint(1, 6))]
+            raw = raw_walk(graph, vertices)
+            # from_edges leaves the first edge's stored end 0 first, so start the walk with a
+            # step that does; reversed, a walk of all end-1 steps has all end-0 steps.
+            if all(o for _, _, o in raw):
+                raw = raw_walk(graph, vertices[::-1])
+            r = [o for _, _, o in raw].index(0)
+            raw = raw[r:] + raw[:r]
+            face = Face.from_edges(graph, "f", [e for _, e, _ in raw])
+            assert face.steps == reference_canonical_walk(raw), raw
+            assert face.is_genuine_cycle() == is_genuine(raw)
+
+    def test_contract_path(self):
+        rng = random.Random(37)
+        for complex in (gen.tetra(), gen.bipyramid_with_equator(4), gen.prism(4),
+                        families.stacked(5, 12), gen.torus7()):
+            g = complex.graph
+            for _ in range(30):
+                path = [rng.choice(sorted(g.vertices))]
+                while len(path) < 3 and rng.random() < 0.8:
+                    nxt = sorted(g.neighbors(path[-1]) - set(path))
+                    if not nxt:
+                        break
+                    path.append(rng.choice(nxt))
+                p = path_along(g, path)
+                out = contract_path(complex, p)
+                merged = contracted_vertex_name(p, g.vertices)
+                for fid, f in complex.faces.items():
+                    raw = tuple((merged if v in path else v, e, o) for v, e, o in f.steps
+                                if e not in p.edge_ids)
+                    assert out.faces[fid].steps == reference_canonical_walk(raw)
+                    assert out.faces[fid].is_genuine_cycle() == is_genuine(raw)
+
+    def test_parse_round_trip_at_scale(self):
+        sphere = families.stacked(6400, 6400)
+        assert parse_complex(format_complex(sphere)) == sphere
+        assert all(f.is_genuine_cycle() for f in sphere.faces.values())
 
 
 def regrouping_inputs():
