@@ -7,15 +7,15 @@ from .decider import (check_perfectly_chordal, decide_nested_plane,
                       decide_outerspatial, find_chordal_faces,
                       is_locally_2_connected, verify_certificate,
                       verify_obstruction)
-from .embedding import (MinorWitness, RotationSystem, TracedFaces,
-                        cycle_sides, find_minor, is_2_connected,
+from .embedding import (TracedFaces, cycle_sides, find_minor, is_2_connected,
                         test_outerplanar, test_planar, trace_faces,
                         verify_minor_witness)
 from .oracle import (CapExceededError, brute_force_outerspatial,
                      enumerate_sphere_embeddings, find_aspherical_subcomplex)
 from .surface import SurfaceClass, survey_surfaces
 from .verdicts import (AsphericalSubcomplex, ExhaustiveFailure,
-                       HypothesisViolated, NestedCertificate, NonOuterplanarLink,
-                       NotOuterspatial, Outerspatial, Verdict)
+                       HypothesisViolated, MinorWitness, NestedCertificate,
+                       NonOuterplanarLink, NotOuterspatial, Outerspatial,
+                       RotationSystem, Verdict)
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 # pair.  A dart (directed half-edge) uses the same encoding: (e, o) traverses
 # e from endpoints[o] to endpoints[1 - o].
 HalfEdge = tuple[str, int]
+Dart = HalfEdge
 
 
 class Graph:

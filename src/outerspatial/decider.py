@@ -14,20 +14,19 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Mapping
 
-from .complexes import (Corner, Graph, HalfEdge, LinkGraph, Path, TwoComplex,
+from .complexes import (Corner, Dart, Graph, HalfEdge, LinkGraph, Path, TwoComplex,
                         associated_complex, contracted_link, delete_faces, link_cycles,
                         split_components, validate)
-from .embedding import (CrossingPair, Dart, OuterplanarityResult,
-                        RotationSystem, TracedFaces, find_minor,
-                        nesting_forest, test_outerplanar, test_planar,
-                        verify_minor_witness)
+from .embedding import (CrossingPair, OuterplanarityResult, TracedFaces,
+                        component_certificate, find_minor, nesting_forest,
+                        test_outerplanar, test_planar, verify_minor_witness)
 from .oracle import DEFAULT_CAP, CapExceededError, brute_force_outerspatial
 from .surface import (SearchBudgetExceeded, SurfaceClass, euler_characteristic,
                       search_aspherical_subcomplex, _orient_faces)
 from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
                        ExhaustiveFailure, HypothesisViolated, LinkViolation,
                        NestedCertificate, NonOuterplanarLink, NotOuterspatial,
-                       Obstruction, Outerspatial, Verdict, component_certificate,
+                       Obstruction, Outerspatial, RotationSystem, Verdict,
                        nested_certificate)
 
 # Nodes the salvage search may visit; it finishes within this on every input

@@ -71,80 +71,11 @@ complexes and `split_orbit_cycles` rejects them with ValueError.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .complexes import Graph, HalfEdge, LinkGraph, _single_cycle
-
-# A dart traverses an edge away from endpoint o: same encoding as a half-edge.
-Dart = tuple[str, int]
-
-
-class RotationSystem:
-    """A cyclic order of half-edges at every vertex of a graph.
-
-    It holds only the rotators, each rotated to start at its least
-    half-edge; `trace_faces` builds the successor map it walks.
-    """
-
-    def __init__(self, rotators: Mapping[str, Sequence[HalfEdge]]):
-        self._rot: dict[str, tuple[HalfEdge, ...]] = {
-            v: _normalize_cycle(tuple(rotators[v])) for v in sorted(rotators)}
-
-    @classmethod
-    def union(cls, parts: Iterable[tuple[RotationSystem, Iterable[str]]]) -> RotationSystem:
-        """The rotators of each system at its vertices, merged as they are normalised."""
-        merged, rot = cls({}), {v: system._rot[v] for system, vertices in parts for v in vertices}
-        merged._rot = {v: rot[v] for v in sorted(rot)}
-        return merged
-
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(self._rot)
-
-    def rotator(self, v: str) -> tuple[HalfEdge, ...]:
-        return self._rot[v]
-
-    def validate_for(self, graph: Graph) -> None:
-        """Every vertex of the graph has a rotator listing exactly its half-edges.
-
-        That is as many as it has (a loop is incident once, with two ends),
-        none twice, each at the vertex.  Other vertices may have rotators
-        too, so one rotation system serves each component of a graph.
-        """
-        ends = graph.edges
-        loops = Counter(ends[eid][0] for eid in graph.loops())
-        for v in graph.vertices:
-            cyc = self._rot.get(v)
-            if cyc is None:
-                raise ValueError("rotation system does not cover the vertex set")
-            if len(cyc) == len(graph.incident_edges(v)) + loops.get(v, 0) == len(set(cyc)):
-                for eid, o in cyc:
-                    if o not in (0, 1) or ends.get(eid, (None, None))[o] != v:
-                        break
-                else:
-                    continue
-            raise ValueError(f"rotator at {v} does not list the half-edges at {v}")
-
-    def canonical_key(self) -> tuple:
-        return tuple(self._rot.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RotationSystem) and self.canonical_key() == other.canonical_key()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_key())
-
-    def __repr__(self) -> str:
-        return f"RotationSystem({len(self._rot)} rotators)"
-
-
-def _normalize_cycle(cyc: tuple) -> tuple:
-    """Rotate a cyclic sequence to start at its minimal element."""
-    if not cyc:
-        return cyc
-    i = cyc.index(min(cyc))
-    return cyc[i:] + cyc[:i]
+from .complexes import Dart, Graph, HalfEdge, LinkGraph, TwoComplex, _single_cycle
+from .verdicts import ComponentCertificate, MinorWitness, RotationSystem
 
 
 class TracedFaces:
@@ -359,19 +290,6 @@ def _is_one_block(graph: Graph, blocks: list[dict[str, dict[str, None]]]) -> boo
             and len(blocks) == 1 and len(blocks[0]) == len(graph.vertices))
 
 
-class MinorWitness:
-    """Branch sets realizing a K4 or K2,3 minor."""
-
-    def __init__(self, target: str, branch_sets: Sequence[frozenset[str]],
-                 connecting_edges: Mapping[tuple[int, int], str]):
-        self.target = target
-        self.branch_sets = tuple(branch_sets)
-        self.connecting_edges = dict(connecting_edges)
-
-    def __repr__(self) -> str:
-        return f"MinorWitness({self.target})"
-
-
 _PATTERNS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
     "K4": (4, tuple(itertools.combinations(range(4), 2))),
     "K2,3": (5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))),
@@ -382,7 +300,7 @@ def find_minor(graph: Graph, target: str) -> MinorWitness | None:
     """A K4 or K2,3 minor of the simple underlying graph, or None when it has none.
 
     Both witnesses come from linear reductions; no vertex subset is listed
-    (`oracle._search_minor` does that, as ground truth).
+    (the tests' `families._search_minor` does that, as ground truth).
 
     K4.  The series-parallel reduction of `_reduce` keeps a K4 minor and
     K4-minor-freeness alike, and it empties the graph exactly when there is
@@ -961,6 +879,17 @@ def nesting_forest(traced: TracedFaces, own: Mapping[str, int],
             if a & b and a & ~b and b & ~a:
                 return CrossingPair(ca, cb, frozenset(tree.order[p] for p in _bits(a)))
     raise AssertionError("interiors not laminar, yet no pair of cycles crosses")
+
+
+def component_certificate(traced: TracedFaces,
+                          comp: TwoComplex) -> ComponentCertificate | CrossingPair:
+    """Certificate for one traced component's faces, or the first crossing pair; orbit 0 is outer."""
+    cycles = {fid: f.edge_set for fid, f in comp.faces.items()}
+    parents = nesting_forest(traced, *split_orbit_cycles(traced, cycles))
+    if isinstance(parents, CrossingPair):
+        return parents
+    outer = traced.orbits[0] if traced.orbits else ()
+    return ComponentCertificate(tuple(traced.graph.vertices), outer, parents)
 
 
 class _DualTree:

@@ -16,10 +16,9 @@ certificate checker.
 from __future__ import annotations
 
 from .complexes import Face, Graph, LinkGraph, TwoComplex
-from .embedding import RotationSystem
 from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
                        NestedCertificate, NonOuterplanarLink,
-                       NotOuterspatial, Outerspatial, Verdict)
+                       NotOuterspatial, Outerspatial, RotationSystem, Verdict)
 
 
 class ParseError(ValueError):

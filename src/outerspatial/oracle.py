@@ -1,12 +1,13 @@
 """Exhaustive ground truth at desk scale.
 
-Enumerates every rotation system of a skeleton (the product of cyclic orders
+Walks the rotation systems of a skeleton (the product of cyclic orders
 over all vertices) and keeps the genus-zero ones.  The exhaustive search
 walks each component's sphere embeddings lazily, tracing one at a time,
 and stops at the first whose face boundaries nest; nothing is kept between
 calls.  Also searches face subsets for closed surfaces other than the
-sphere, and connected vertex subsets for K4 and K2,3 branch sets
-(`_search_minor`, the ground truth for `embedding.find_minor`).
+sphere.  The search over every rotation system and the one over connected
+vertex subsets for K4 and K2,3 branch sets, which only tests call, live
+beside the tests' other references in `tests/families.py`.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import math
 from typing import Iterator
 
 from .complexes import Graph, TwoComplex, face_subcomplex, split_components
-from .embedding import (_PATTERNS, CrossingPair, MinorWitness, RotationSystem,
-                        _bits, test_planar, trace_faces)
+from .embedding import CrossingPair, component_certificate, test_planar, trace_faces
 from .surface import SurfaceClass, classify_component
-from .verdicts import (ExhaustiveFailure, NestedCertificate, component_certificate,
-                       nested_certificate)
+from .verdicts import ExhaustiveFailure, NestedCertificate, RotationSystem, nested_certificate
 
 DEFAULT_CAP = 10_000_000
 
@@ -41,21 +40,6 @@ def rotation_space_size(graph: Graph) -> int:
     return total
 
 
-def enumerate_rotation_systems(graph: Graph) -> Iterator[RotationSystem]:
-    """Every rotation system of the graph, in canonical order."""
-    verts = sorted(graph.vertices)
-    choice_lists = []
-    for v in verts:
-        hs = graph.half_edges_at(v)
-        if not hs:
-            choice_lists.append([()])
-        else:
-            choice_lists.append([(hs[0],) + rest
-                                 for rest in itertools.permutations(hs[1:])])
-    for combo in itertools.product(*choice_lists):
-        yield RotationSystem(dict(zip(verts, combo)))
-
-
 def enumerate_sphere_embeddings(graph: Graph, cap: int = DEFAULT_CAP) -> Iterator[RotationSystem]:
     """Every genus-zero rotation system of a connected graph, canonical order."""
     if not graph.is_connected():
@@ -67,7 +51,7 @@ def enumerate_sphere_embeddings(graph: Graph, cap: int = DEFAULT_CAP) -> Iterato
 
 
 def _genus0_rotations(graph: Graph) -> Iterator[RotationSystem]:
-    """The genus-zero systems of `enumerate_rotation_systems`, in its order.
+    """The genus-zero systems of the tests' `families.enumerate_rotation_systems`, in its order.
 
     An odometer over one `itertools.permutations` iterator per vertex, the
     last vertex turning fastest: only the successors of the vertices whose
@@ -190,95 +174,3 @@ def find_aspherical_subcomplex(complex: TwoComplex, max_faces: int = 20
             if sclass.is_surface and sclass.euler != 2:
                 return frozenset(subset), sclass
     return None
-
-
-def _search_minor(graph: Graph, target: str) -> MinorWitness | None:
-    """First branch sets of the target minor over all connected vertex subsets, or None."""
-    k, pattern_edges = _PATTERNS[target]
-    verts = sorted(graph.vertices)
-    n = len(verts)
-    if n < k:
-        return None
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    edge_for: dict[tuple[int, int], str] = {}
-    for eid, (u, v) in graph.edges.items():
-        if u == v:
-            continue
-        iu, iv = idx[u], idx[v]
-        adj[iu] |= 1 << iv
-        adj[iv] |= 1 << iu
-        pair = (min(iu, iv), max(iu, iv))
-        edge_for.setdefault(pair, eid)
-
-    connected_subsets = _connected_subsets(adj, n)
-    nbr_mask = list(adj)
-
-    def subset_nbrs(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            b = m & -m
-            out |= nbr_mask[b.bit_length() - 1]
-            m ^= b
-        return out & ~mask
-
-    requires: list[list[int]] = [[] for _ in range(k)]
-    for i, j in pattern_edges:
-        requires[max(i, j)].append(min(i, j))
-
-    chosen: list[int] = []
-
-    def place(i: int, used: int) -> bool:
-        if i == k:
-            return True
-        for mask in connected_subsets:
-            if mask & used:
-                continue
-            nb = subset_nbrs(mask)
-            if any(not (nb & chosen[j]) for j in requires[i]):
-                continue
-            chosen.append(mask)
-            if place(i + 1, used | mask):
-                return True
-            chosen.pop()
-        return False
-
-    if not place(0, 0):
-        return None
-
-    branch_sets = [frozenset(verts[b] for b in _bits(mask)) for mask in chosen]
-    connecting: dict[tuple[int, int], str] = {}
-    for i, j in pattern_edges:
-        found = None
-        for a in _bits(chosen[i]):
-            for b in _bits(chosen[j]):
-                pair = (min(a, b), max(a, b))
-                if pair in edge_for:
-                    found = edge_for[pair]
-                    break
-            if found:
-                break
-        connecting[(i, j)] = found
-    return MinorWitness(target, branch_sets, connecting)
-
-
-def _connected_subsets(adj: list[int], n: int) -> list[int]:
-    """All nonempty connected vertex subsets as bitmasks, ascending."""
-    out = []
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        reach = low
-        while True:
-            grow = reach
-            m = reach
-            while m:
-                b = m & -m
-                grow |= adj[b.bit_length() - 1] & mask
-                m ^= b
-            if grow == reach:
-                break
-            reach = grow
-        if reach == mask:
-            out.append(mask)
-    return out

@@ -3,22 +3,101 @@
 A positive answer is a nested sphere embedding: a rotation system plus, per
 component, the outer face orbit and the laminar forest over the face
 boundaries.  A negative answer is an obstruction: a contracted link with a
-K4 or K2,3 minor, a closed surface other than the sphere, or the exhaustion
-of every sphere embedding.  `decider`, `oracle` and `fileformat` build,
-check and print these records; this module imports none of them.  Every
-positive answer, whichever route embedded it, is assembled here.
+K4 or K2,3 minor witness, a closed surface other than the sphere, or the
+exhaustion of every sphere embedding.  `embedding`, `decider`, `oracle` and
+`fileformat` build, check and print these records; this module runs none of
+their algorithms and imports only the records of `complexes` and `surface`.
+Every positive answer, whichever route embedded it, is assembled here by
+`nested_certificate`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .complexes import LinkGraph, Path, TwoComplex
-from .embedding import (CrossingPair, Dart, MinorWitness, RotationSystem,
-                        TracedFaces, nesting_forest, split_orbit_cycles,
-                        _normalize_cycle)
+from .complexes import Dart, Graph, HalfEdge, LinkGraph, Path
 from .surface import SurfaceClass
+
+
+class RotationSystem:
+    """A cyclic order of half-edges at every vertex of a graph.
+
+    It holds only the rotators, each rotated to start at its least
+    half-edge; `trace_faces` builds the successor map it walks.
+    """
+
+    def __init__(self, rotators: Mapping[str, Sequence[HalfEdge]]):
+        self._rot: dict[str, tuple[HalfEdge, ...]] = {
+            v: _normalize_cycle(tuple(rotators[v])) for v in sorted(rotators)}
+
+    @classmethod
+    def union(cls, parts: Iterable[tuple[RotationSystem, Iterable[str]]]) -> RotationSystem:
+        """The rotators of each system at its vertices, merged as they are normalised."""
+        merged, rot = cls({}), {v: system._rot[v] for system, vertices in parts for v in vertices}
+        merged._rot = {v: rot[v] for v in sorted(rot)}
+        return merged
+
+    def vertices(self) -> tuple[str, ...]:
+        return tuple(self._rot)
+
+    def rotator(self, v: str) -> tuple[HalfEdge, ...]:
+        return self._rot[v]
+
+    def validate_for(self, graph: Graph) -> None:
+        """Every vertex of the graph has a rotator listing exactly its half-edges.
+
+        That is as many as it has (a loop is incident once, with two ends),
+        none twice, each at the vertex.  Other vertices may have rotators
+        too, so one rotation system serves each component of a graph.
+        """
+        ends = graph.edges
+        loops = Counter(ends[eid][0] for eid in graph.loops())
+        for v in graph.vertices:
+            cyc = self._rot.get(v)
+            if cyc is None:
+                raise ValueError("rotation system does not cover the vertex set")
+            if len(cyc) == len(graph.incident_edges(v)) + loops.get(v, 0) == len(set(cyc)):
+                for eid, o in cyc:
+                    if o not in (0, 1) or ends.get(eid, (None, None))[o] != v:
+                        break
+                else:
+                    continue
+            raise ValueError(f"rotator at {v} does not list the half-edges at {v}")
+
+    def canonical_key(self) -> tuple:
+        return tuple(self._rot.items())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RotationSystem) and self.canonical_key() == other.canonical_key()
+
+    def __hash__(self) -> int:
+        return hash(self.canonical_key())
+
+    def __repr__(self) -> str:
+        return f"RotationSystem({len(self._rot)} rotators)"
+
+
+def _normalize_cycle(cyc: tuple) -> tuple:
+    """Rotate a cyclic sequence to start at its minimal element."""
+    if not cyc:
+        return cyc
+    i = cyc.index(min(cyc))
+    return cyc[i:] + cyc[:i]
+
+
+class MinorWitness:
+    """Branch sets realizing a K4 or K2,3 minor."""
+
+    def __init__(self, target: str, branch_sets: Sequence[frozenset[str]],
+                 connecting_edges: Mapping[tuple[int, int], str]):
+        self.target = target
+        self.branch_sets = tuple(branch_sets)
+        self.connecting_edges = dict(connecting_edges)
+
+    def __repr__(self) -> str:
+        return f"MinorWitness({self.target})"
 
 
 class NonOuterplanarLink:
@@ -138,17 +217,6 @@ class HypothesisViolated:
 
 
 Verdict = Outerspatial | NotOuterspatial | HypothesisViolated
-
-
-def component_certificate(traced: TracedFaces,
-                          comp: TwoComplex) -> ComponentCertificate | CrossingPair:
-    """Certificate for one traced component's faces, or the first crossing pair; orbit 0 is outer."""
-    cycles = {fid: f.edge_set for fid, f in comp.faces.items()}
-    parents = nesting_forest(traced, *split_orbit_cycles(traced, cycles))
-    if isinstance(parents, CrossingPair):
-        return parents
-    outer = traced.orbits[0] if traced.orbits else ()
-    return ComponentCertificate(tuple(traced.graph.vertices), outer, parents)
 
 
 def nested_certificate(parts: Iterable[tuple[RotationSystem, ComponentCertificate]]

@@ -9,6 +9,11 @@ The `reference_*` functions are the pairwise algorithm that the label walk
 of `embedding.nesting_forest` replaced, kept as the tests' ground truth,
 and `reference_verify_certificate`, the certificate check that traced with
 `trace_faces` before `decider.verify_certificate` got its own walk.
+Beside them is the exhaustive ground truth that only tests use:
+`enumerate_rotation_systems` lists every rotation system of a graph, the
+order in which `oracle` walks the genus-zero ones, and `_search_minor`
+finds K4 and K2,3 branch sets over all connected vertex subsets, the
+reference for `embedding.find_minor`.
 `vertex_sum` is the paper's description of the link at a contracted edge,
 the reference for the contraction law, and `path_along` names a path to
 contract by its vertices; `random_planar_graph` and
@@ -24,13 +29,14 @@ import itertools
 import random
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from outerspatial import complexes
 from outerspatial.complexes import Face, Graph, TwoComplex, _fresh_name
-from outerspatial.embedding import trace_faces, _normalize_cycle
+from outerspatial.embedding import _PATTERNS, _bits, trace_faces
 from outerspatial.fileformat import parse_complex
 from outerspatial.generators import insert_vertex, tetra
+from outerspatial.verdicts import MinorWitness, RotationSystem, _normalize_cycle
 
 
 def from_cycles(cycles: Mapping[str, Sequence[str]]) -> TwoComplex:
@@ -270,6 +276,113 @@ def _reference_labels_agree(traced, outer, parent, faces) -> bool:
             label[y] = got
             queue.append(y)
     return True
+
+
+def enumerate_rotation_systems(graph: Graph) -> Iterator[RotationSystem]:
+    """Every rotation system of the graph, in canonical order."""
+    verts = sorted(graph.vertices)
+    choice_lists = []
+    for v in verts:
+        hs = graph.half_edges_at(v)
+        if not hs:
+            choice_lists.append([()])
+        else:
+            choice_lists.append([(hs[0],) + rest
+                                 for rest in itertools.permutations(hs[1:])])
+    for combo in itertools.product(*choice_lists):
+        yield RotationSystem(dict(zip(verts, combo)))
+
+
+def _search_minor(graph: Graph, target: str) -> MinorWitness | None:
+    """First branch sets of the target minor over all connected vertex subsets, or None."""
+    k, pattern_edges = _PATTERNS[target]
+    verts = sorted(graph.vertices)
+    n = len(verts)
+    if n < k:
+        return None
+    idx = {v: i for i, v in enumerate(verts)}
+    adj = [0] * n
+    edge_for: dict[tuple[int, int], str] = {}
+    for eid, (u, v) in graph.edges.items():
+        if u == v:
+            continue
+        iu, iv = idx[u], idx[v]
+        adj[iu] |= 1 << iv
+        adj[iv] |= 1 << iu
+        pair = (min(iu, iv), max(iu, iv))
+        edge_for.setdefault(pair, eid)
+
+    connected_subsets = _connected_subsets(adj, n)
+    nbr_mask = list(adj)
+
+    def subset_nbrs(mask: int) -> int:
+        out = 0
+        m = mask
+        while m:
+            b = m & -m
+            out |= nbr_mask[b.bit_length() - 1]
+            m ^= b
+        return out & ~mask
+
+    requires: list[list[int]] = [[] for _ in range(k)]
+    for i, j in pattern_edges:
+        requires[max(i, j)].append(min(i, j))
+
+    chosen: list[int] = []
+
+    def place(i: int, used: int) -> bool:
+        if i == k:
+            return True
+        for mask in connected_subsets:
+            if mask & used:
+                continue
+            nb = subset_nbrs(mask)
+            if any(not (nb & chosen[j]) for j in requires[i]):
+                continue
+            chosen.append(mask)
+            if place(i + 1, used | mask):
+                return True
+            chosen.pop()
+        return False
+
+    if not place(0, 0):
+        return None
+
+    branch_sets = [frozenset(verts[b] for b in _bits(mask)) for mask in chosen]
+    connecting: dict[tuple[int, int], str] = {}
+    for i, j in pattern_edges:
+        found = None
+        for a in _bits(chosen[i]):
+            for b in _bits(chosen[j]):
+                pair = (min(a, b), max(a, b))
+                if pair in edge_for:
+                    found = edge_for[pair]
+                    break
+            if found:
+                break
+        connecting[(i, j)] = found
+    return MinorWitness(target, branch_sets, connecting)
+
+
+def _connected_subsets(adj: list[int], n: int) -> list[int]:
+    """All nonempty connected vertex subsets as bitmasks, ascending."""
+    out = []
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        reach = low
+        while True:
+            grow = reach
+            m = reach
+            while m:
+                b = m & -m
+                grow |= adj[b.bit_length() - 1] & mask
+                m ^= b
+            if grow == reach:
+                break
+            reach = grow
+        if reach == mask:
+            out.append(mask)
+    return out
 
 
 def vertex_sum(h1: Graph, h2: Graph, v: str, pairing: Mapping[str, str]) -> Graph:

@@ -12,7 +12,7 @@ import sys
 import networkx as nx
 import pytest
 
-from families import random_planar_graph, triangles_of
+from families import _search_minor, random_planar_graph, triangles_of
 from outerspatial import generators as gen
 from outerspatial import embedding
 from outerspatial.complexes import Graph, Path, contract_path, validate
@@ -22,7 +22,7 @@ from outerspatial.decider import (AsphericalSubcomplex, NestedCertificate,
                                   decide_outerspatial, verify_certificate,
                                   verify_obstruction)
 from outerspatial.embedding import is_2_connected, verify_minor_witness
-from outerspatial.oracle import _search_minor, brute_force_outerspatial
+from outerspatial.oracle import brute_force_outerspatial
 from outerspatial.surface import survey_surfaces
 
 

@@ -14,9 +14,8 @@ import random
 
 from outerspatial import complexes, decider, embedding, oracle, surface, verdicts
 from outerspatial.decider import Outerspatial, decide_outerspatial, verify_certificate
-from outerspatial.embedding import RotationSystem
 from outerspatial.fileformat import parse_complex
-from outerspatial.verdicts import ComponentCertificate, NestedCertificate
+from outerspatial.verdicts import ComponentCertificate, NestedCertificate, RotationSystem
 
 import families
 from test_decider import GOLDEN, _sphere_route_complexes, fallback_triangle_complexes

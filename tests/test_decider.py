@@ -21,12 +21,12 @@ from outerspatial.decider import (AsphericalSubcomplex,
                                   find_chordal_faces, is_locally_2_connected,
                                   verify_certificate, verify_obstruction,
                                   _crossing_obstruction)
-from outerspatial.embedding import CrossingPair, RotationSystem, trace_faces
+from outerspatial.embedding import CrossingPair, trace_faces
 from outerspatial.embedding import test_planar as check_planar
 from outerspatial.cli import main
 from outerspatial.fileformat import format_complex, format_verdict, parse_complex
 from outerspatial.surface import SurfaceClass
-from outerspatial.verdicts import nested_certificate
+from outerspatial.verdicts import RotationSystem, nested_certificate
 import families
 from families import from_cycles, random_planar_graph, stacked, triangles_of
 from test_link_layer import _count_calls
@@ -266,14 +266,14 @@ class TestSphereRouteOrbits:
             for graph, rotation, orbits in built:
                 traced = trace_faces(graph, rotation).orbits
                 assert len(orbits) == len(traced), name
-                assert {embedding._normalize_cycle(o) for o in orbits} == set(traced), name
+                assert {verdicts._normalize_cycle(o) for o in orbits} == set(traced), name
             if built:
                 routed.add(name)
             rotation = verdict.certificate.rotation
             certs = {c.vertices: c for c in verdict.certificate.components}
             for comp in split_components(complex):
                 got = certs[tuple(sorted(comp.graph.vertices))]
-                want = verdicts.component_certificate(trace_faces(comp.graph, rotation), comp)
+                want = embedding.component_certificate(trace_faces(comp.graph, rotation), comp)
                 assert (got.vertices, got.outer_darts, got.parents) == \
                     (want.vertices, want.outer_darts, want.parents), name
         assert {"stacked", "tower", "tetrahedra", "prism3", "prism11", "prism8",
@@ -286,7 +286,7 @@ class TestSphereRouteOrbits:
         # directed as, so nothing is walked, and the tracing's orbit list and
         # dart map are never built; a star-boundary sphere walks its chordal
         # faces down one dual tree per component that has any.
-        detections = _count_calls(monkeypatch, "split_orbit_cycles", [embedding, verdicts])
+        detections = _count_calls(monkeypatch, "split_orbit_cycles", [embedding])
         trees = _count_calls(monkeypatch, "_DualTree", [embedding])
         built = []
         real = decider.TracedFaces

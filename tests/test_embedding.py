@@ -13,11 +13,12 @@ from outerspatial import generators as gen
 from outerspatial.complexes import Graph, complete_bipartite, complete_graph
 from outerspatial.decider import decide_outerspatial
 from outerspatial import embedding
-from outerspatial.embedding import (CrossingPair, RotationSystem, check_cycle,
+from outerspatial.embedding import (CrossingPair, check_cycle,
                                     cycle_sides, cycles_cross, find_minor,
                                     split_orbit_cycles, is_2_connected,
                                     nesting_forest,
                                     trace_faces, verify_minor_witness)
+from outerspatial.verdicts import RotationSystem
 from test_link_layer import _count_calls
 
 check_planar = embedding.test_planar

@@ -1,10 +1,12 @@
-"""Minor witnesses from reductions, checked against the oracle's enumerator.
+"""Minor witnesses from reductions, checked against the tests' enumerator.
 
 `find_minor` builds K4 witnesses from the series-parallel kernel and K2,3
-witnesses from the overfull elimination pair; `oracle._search_minor` lists
+witnesses from the overfull elimination pair; `families._search_minor` lists
 connected vertex subsets and is the ground truth for existence.  A witness
 that passes `verify_minor_witness` proves existence on its own, so the
-enumerator is asked exactly where `find_minor` answers None.
+enumerator is asked exactly where `find_minor` answers None.  The
+enumerator lives in `tests/` alone, and `tests/test_imports.py` keeps every
+`src/` module from importing it, so `decide` never lists vertex subsets.
 """
 
 import random
@@ -14,7 +16,8 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from outerspatial import decider, oracle
+import families
+from outerspatial import decider
 from outerspatial.complexes import Graph, complete_graph
 from outerspatial.decider import NonOuterplanarLink, NotOuterspatial, decide_outerspatial
 from outerspatial.embedding import find_minor, verify_minor_witness
@@ -73,14 +76,6 @@ K4_EDGES = [(u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1:]]
 K23_EDGES = [(u, v) for u in "ab" for v in "xyz"]
 
 
-@pytest.fixture
-def no_enumeration(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("enumerated vertex subsets")
-    monkeypatch.setattr(oracle, "_search_minor", refuse)
-    monkeypatch.setattr(oracle, "_connected_subsets", refuse)
-
-
 class TestAgainstTheOracle:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_existence_matches_enumeration(self, family):
@@ -92,7 +87,7 @@ class TestAgainstTheOracle:
             for target in TARGETS:
                 witness = witnesses[target] = find_minor(graph, target)
                 if witness is None:
-                    assert oracle._search_minor(graph, target) is None, (target, graph.edges)
+                    assert families._search_minor(graph, target) is None, (target, graph.edges)
                 else:
                     assert witness.target == target
                     assert verify_minor_witness(graph, witness), (target, graph.edges)
@@ -159,12 +154,12 @@ class TestCanonicalWitness:
 
 class TestNoEnumerationOnDecide:
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.complex")), ids=lambda p: p.stem)
-    def test_golden_inputs(self, path, no_enumeration):
+    def test_golden_inputs(self, path):
         decide_outerspatial(parse_complex(path.read_text()))
 
     @pytest.mark.parametrize("edges", [K4_EDGES, K23_EDGES], ids=["K4", "K2,3"])
     @pytest.mark.parametrize("size", [13, 40])
-    def test_cones_over_subdivisions(self, edges, size, no_enumeration):
+    def test_cones_over_subdivisions(self, edges, size):
         verdict = decide_outerspatial(cone_over_graph(subdivided(edges, size)))
         assert isinstance(verdict.obstruction, NonOuterplanarLink)
 
@@ -175,7 +170,7 @@ class TestScale:
     @pytest.mark.parametrize("size", [100, 1000])
     @pytest.mark.parametrize("edges,target", [(K4_EDGES, "K4"), (K23_EDGES, "K2,3")],
                              ids=["K4", "K2,3"])
-    def test_subdivided_links(self, edges, target, size, no_enumeration):
+    def test_subdivided_links(self, edges, target, size):
         complex = cone_over_graph(subdivided(edges, size))
         start = time.perf_counter()
         verdict = decide_outerspatial(complex)
@@ -184,7 +179,7 @@ class TestScale:
         assert verdict.obstruction.witness.target == target
         assert elapsed < 5, elapsed
 
-    def test_wheel_link(self, no_enumeration):
+    def test_wheel_link(self):
         complex = cone_over_graph(wheel(1000))
         start = time.perf_counter()
         verdict = decide_outerspatial(complex)

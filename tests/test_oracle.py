@@ -14,10 +14,10 @@ from outerspatial.decider import (ExhaustiveFailure, NestedCertificate,
 from outerspatial.embedding import trace_faces
 from outerspatial.fileformat import format_certificate
 from outerspatial.oracle import (CapExceededError, brute_force_outerspatial,
-                                 enumerate_rotation_systems,
                                  enumerate_sphere_embeddings,
                                  find_aspherical_subcomplex,
                                  rotation_space_size)
+from families import enumerate_rotation_systems
 from test_link_layer import _count_calls
 
 

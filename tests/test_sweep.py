@@ -20,11 +20,11 @@ from outerspatial.complexes import Face, Graph, TwoComplex, delete_faces
 from outerspatial.decider import (ComponentCertificate, NestedCertificate,
                                   Outerspatial, decide_outerspatial,
                                   verify_certificate)
-from outerspatial.embedding import (CrossingPair, RotationSystem, cycle_sides,
-                                    nesting_forest, split_orbit_cycles,
-                                    trace_faces)
+from outerspatial.embedding import (CrossingPair, cycle_sides, nesting_forest,
+                                    split_orbit_cycles, trace_faces)
 from outerspatial.fileformat import (format_certificate, format_verdict,
                                      parse_certificate_report)
+from outerspatial.verdicts import RotationSystem
 
 
 def stacked_sphere(seed, vertices):
@@ -176,7 +176,6 @@ def test_verifier_uses_neither_the_forest_builder_nor_the_sweep(monkeypatch):
         raise AssertionError("verifier reached the forest builder")
 
     for module, name in ((embedding, "nesting_forest"), (decider, "nesting_forest"),
-                         (verdicts, "nesting_forest"),
                          (embedding, "_label_walk"), (embedding, "_cycle_interior"),
                          (embedding, "cycle_sides")):
         monkeypatch.setattr(module, name, refuse)
@@ -411,11 +410,11 @@ def test_wrong_outer_orbit_is_rejected():
     (part,) = complex.graph.component_index()[1]
     traced = trace_faces(part, cert.rotation)
     others = [orbit for orbit in traced.orbits
-              if embedding._normalize_cycle(orbit) != comp.outer_darts]
+              if verdicts._normalize_cycle(orbit) != comp.outer_darts]
     assert others
     for orbit in others:
         bad = NestedCertificate(cert.rotation, [ComponentCertificate(
-            comp.vertices, embedding._normalize_cycle(orbit), comp.parents)])
+            comp.vertices, verdicts._normalize_cycle(orbit), comp.parents)])
         assert not verify_certificate(complex, bad)
     for darts in ((("nope", 0),), comp.outer_darts[:-1], comp.outer_darts + comp.outer_darts):
         bad = NestedCertificate(cert.rotation, [ComponentCertificate(
