@@ -6,6 +6,12 @@ exceeded.  Only `oracle` exits 4: `nested` reports a refused oracle fallback
 as hypothesis-violated (exit 2) with an `oracle fallback refused` note.
 Commands raise; `main` alone turns an error into its exit code and an
 `error:` line on stderr.
+
+Each `_cmd_*` function imports the modules its command runs, so a cold
+`validate` or `surface` compiles none of `decider`, `embedding`, `oracle` or
+`generators`.  At module level this file reads only what every command
+needs: `complexes`, `fileformat`, and from `verdicts` the default cap that
+the `--cap` help prints and the cap error that `main` catches.
 """
 
 from __future__ import annotations
@@ -15,15 +21,10 @@ import math
 import sys
 from pathlib import Path as FsPath
 
-from . import generators
 from .complexes import (LinkGraph, TwoComplex, associated_complex, link_cycles, link_graph,
                         validate)
-from .decider import decide_outerspatial, nested_plane_verdict, oracle_verdict
-from .embedding import test_outerplanar
 from .fileformat import format_complex, format_link, format_verdict, parse_complex, parse_cycles
-from .oracle import DEFAULT_CAP, CapExceededError
-from .surface import survey_surfaces
-from .verdicts import Outerspatial
+from .verdicts import DEFAULT_CAP, CapExceededError, Outerspatial
 
 EXIT_USAGE = 3
 EXIT_CAP = 4
@@ -104,6 +105,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_links(args) -> int:
+    from .embedding import test_outerplanar
     complex = _load(parse_complex, args.file)
     rings = link_cycles(complex)
     for v in sorted(rings):
@@ -116,12 +118,14 @@ def _cmd_links(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .decider import decide_outerspatial
     verdict = decide_outerspatial(_load(parse_complex, args.file))
     sys.stdout.write(format_verdict(verdict))
     return verdict.exit_code
 
 
 def _cmd_nested(args) -> int:
+    from .decider import nested_plane_verdict
     graph = _load(parse_complex, args.file).graph
     complex = _load(lambda text: associated_complex(graph, parse_cycles(text)), args.cycles)
     verdict = nested_plane_verdict(complex, cap=args.cap)
@@ -130,6 +134,7 @@ def _cmd_nested(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .decider import oracle_verdict
     complex = _load(parse_complex, args.file)
     problems = validate(complex)
     if problems:
@@ -140,6 +145,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    from .surface import survey_surfaces
     complex = _load(parse_complex, args.file)
     for comp, sclass in survey_surfaces(complex):
         names = " ".join(sorted(comp.graph.vertices))
@@ -192,6 +198,7 @@ def _cmd_render(args) -> int:
         graph = link_graph(complex, args.link).graph
         annotations = [f"link graph at {args.link}"]
     else:
+        from .decider import decide_outerspatial
         graph = complex.graph
         annotations = []
         verdict = decide_outerspatial(complex)
@@ -208,6 +215,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import generators
     name = args.name
     if name == "tetra":
         complex = generators.tetra()

@@ -205,7 +205,8 @@ class Face:
         order is reported.  A genuine cycle is built in canonical form at
         once: from its least vertex along the lesser of its two edges there,
         each edge traversed from the stored endpoint it leaves.  Only a
-        degenerate walk goes through `_canonical_walk`.
+        degenerate walk goes through `_canonical_walk`.  Each step's vertex
+        is the graph's stored endpoint, not the caller's equal string.
         """
         pairs, ends = graph._pairs, graph._edges
         eids = []
@@ -219,15 +220,17 @@ class Face:
             eids.append(cands[0])
         k = len(eids)
         if k < 3 or len(set(vertices)) < k:
-            return cls(face_id, [(u, e, 0 if ends[e][0] == u else 1) for u, e in zip(vertices, eids)])
+            return cls(face_id, [(ends[e][0], e, 0) if ends[e][0] == u else (ends[e][1], e, 1)
+                                 for u, e in zip(vertices, eids)])
         # Edge e_j joins v_j and v_(j+1).  From the least vertex v_i the walk
         # runs forward along e_i or backward along e_(i-1); indices may be negative.
         i = vertices.index(min(vertices))
         back = eids[i - 1] < eids[i]
         steps = []
         for j in range(i, i - k, -1) if back else range(i - k, i):
-            v, e = vertices[j], eids[j - back]
-            steps.append((v, e, 0 if ends[e][0] == v else 1))
+            e = eids[j - back]
+            u, w = ends[e]
+            steps.append((u, e, 0) if u == vertices[j] else (w, e, 1))
         face = cls.__new__(cls)
         face.face_id, face.steps, face._genuine = face_id, tuple(steps), True
         return face

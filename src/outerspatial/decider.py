@@ -20,14 +20,14 @@ from .complexes import (Corner, Dart, Graph, HalfEdge, LinkGraph, Path, TwoCompl
 from .embedding import (CrossingPair, OuterplanarityResult, TracedFaces,
                         component_certificate, find_minor, nesting_forest,
                         test_outerplanar, test_planar, verify_minor_witness)
-from .oracle import DEFAULT_CAP, CapExceededError, brute_force_outerspatial
+from .oracle import brute_force_outerspatial
 from .surface import (SearchBudgetExceeded, SurfaceClass, euler_characteristic,
                       search_aspherical_subcomplex, _orient_faces)
-from .verdicts import (AsphericalSubcomplex, ComponentCertificate,
-                       ExhaustiveFailure, HypothesisViolated, LinkViolation,
-                       NestedCertificate, NonOuterplanarLink, NotOuterspatial,
-                       Obstruction, Outerspatial, RotationSystem, Verdict,
-                       nested_certificate)
+from .verdicts import (DEFAULT_CAP, AsphericalSubcomplex, CapExceededError,
+                       ComponentCertificate, ExhaustiveFailure, HypothesisViolated,
+                       LinkViolation, NestedCertificate, NonOuterplanarLink,
+                       NotOuterspatial, Obstruction, Outerspatial, RotationSystem,
+                       Verdict, nested_certificate)
 
 # Nodes the salvage search may visit; it finishes within this on every input
 # of at most 20 faces (see `surface._closed_face_sets`).

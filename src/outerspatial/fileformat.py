@@ -37,7 +37,7 @@ def parse_complex(text: str) -> TwoComplex:
     a missing or ambiguous pair; pairs go in walk order, the closing pair
     last, and a repeated boundary comes last of all.
     """
-    vertices: set[str] = set()
+    vertices: dict[str, str] = {}  # each name to itself, so every endpoint shares it
     edges: dict[str, tuple[str, str]] = {}
     face_specs: list[tuple[int, str, str, list[str]]] = []
     seen: set[str] = set()
@@ -69,9 +69,9 @@ def parse_complex(text: str) -> TwoComplex:
             if u not in vertices or v not in vertices:
                 w = u if u not in vertices else v
                 raise ParseError(line_no, f"edge {oid} references undeclared vertex {w}")
-            edges[oid] = (u, v)
+            edges[oid] = (vertices[u], vertices[v])
         elif directive == "vertex":
-            vertices.add(oid)
+            vertices[oid] = oid
         else:
             face_specs.append((line_no, directive, oid, toks[2:]))
     graph = Graph(vertices, edges)

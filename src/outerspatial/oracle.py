@@ -19,16 +19,8 @@ from typing import Iterator
 from .complexes import Graph, TwoComplex, face_subcomplex, split_components
 from .embedding import CrossingPair, component_certificate, test_planar, trace_faces
 from .surface import SurfaceClass, classify_component
-from .verdicts import ExhaustiveFailure, NestedCertificate, RotationSystem, nested_certificate
-
-DEFAULT_CAP = 10_000_000
-
-
-class CapExceededError(Exception):
-    def __init__(self, required: int, cap: int, what: str = "rotation systems"):
-        super().__init__(f"{required} {what} exceed the cap of {cap}")
-        self.required = required
-        self.cap = cap
+from .verdicts import (DEFAULT_CAP, CapExceededError, ExhaustiveFailure, NestedCertificate,
+                       RotationSystem, nested_certificate)
 
 
 def rotation_space_size(graph: Graph) -> int:

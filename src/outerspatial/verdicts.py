@@ -8,7 +8,9 @@ exhaustion of every sphere embedding.  `embedding`, `decider`, `oracle` and
 `fileformat` build, check and print these records; this module runs none of
 their algorithms and imports only the records of `complexes` and `surface`.
 Every positive answer, whichever route embedded it, is assembled here by
-`nested_certificate`.
+`nested_certificate`.  The exhaustive search's default cap and the error
+that refuses a larger search live here too, so the command line reads them
+without compiling the search.
 """
 
 from __future__ import annotations
@@ -135,6 +137,15 @@ class ExhaustiveFailure:
 
 
 Obstruction = NonOuterplanarLink | AsphericalSubcomplex | ExhaustiveFailure
+
+DEFAULT_CAP = 10_000_000
+
+
+class CapExceededError(Exception):
+    def __init__(self, required: int, cap: int, what: str = "rotation systems"):
+        super().__init__(f"{required} {what} exceed the cap of {cap}")
+        self.required = required
+        self.cap = cap
 
 
 class ComponentCertificate:

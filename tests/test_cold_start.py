@@ -1,5 +1,9 @@
 """Cold start: only a planarity embedding imports networkx; the package leaves dataclasses and inspect out.
 
+`import outerspatial` loads no other module of the package, and each
+command loads only the package modules it runs, an exact table per
+command; the help of the commands that take `--cap` loads no search code.
+
 `decide` reaches a planarity test only for a faceless component, or a
 skeleton in the triangle fallback outside the theorem's hypothesis, and
 that test imports networkx only when Euler's count settles neither case:
@@ -53,6 +57,50 @@ def test_package_import_leaves_networkx_out():
     # Each would add milliseconds to every cold start.
     assert "dataclasses" not in imported
     assert "inspect" not in imported
+
+
+def _package(imported: set[str]) -> set[str]:
+    """The package modules among the imported ones, by their names inside the package."""
+    return {m.partition(".")[2] for m in imported if m.startswith("outerspatial.")}
+
+
+def test_package_import_loads_no_other_module_of_the_package():
+    _, imported = _run("-c", "import outerspatial")
+    assert _package(imported) == set()
+
+
+# Every command reads `complexes`, `fileformat` and, through `fileformat`, `verdicts`
+# and `surface`; `-m` runs `cli` itself as `__main__`.
+READ_BY_ALL = {"complexes", "fileformat", "surface", "verdicts"}
+DECIDER = {"decider", "embedding", "oracle"}
+TETRA = str(GOLDEN / "tetra.complex")
+
+# Each command's arguments and the package modules it imports beyond READ_BY_ALL.
+COMMAND_MODULES = {
+    "validate": (["validate", TETRA], set()),
+    "surface": (["surface", TETRA], set()),
+    "links": (["links", TETRA], {"embedding"}),
+    "decide": (["decide", TETRA], DECIDER),
+    "render --link": (["render", "--link", "a", TETRA], set()),
+    "generate": (["generate", "tetra"], DECIDER | {"generators"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_imports_only_the_modules_it_runs(command):
+    argv, modules = COMMAND_MODULES[command]
+    proc, imported = _run("-m", "outerspatial.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert _package(imported) == READ_BY_ALL | modules
+
+
+@pytest.mark.parametrize("command", ["nested", "oracle"])
+def test_cap_help_imports_no_search(command):
+    proc, imported = _run("-m", "outerspatial.cli", command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "10,000,000" in proc.stdout
+    assert not _package(imported) & {"decider", "oracle"}
 
 
 @pytest.mark.parametrize("case", ["tetra", "prism8", "torus7", "cone-k23"])
