@@ -157,10 +157,6 @@ class TestNoEnumerationOnDecide:
     def test_golden_inputs(self, path):
         decide_outerspatial(parse_complex(path.read_text()))
 
-
-class TestConeOverASubdivisionHasALinkObstruction:
-    """The apex link of a cone over a subdivided K4 or K2,3 is that graph, not outerplanar."""
-
     @pytest.mark.parametrize("edges", [K4_EDGES, K23_EDGES], ids=["K4", "K2,3"])
     @pytest.mark.parametrize("size", [13, 40])
     def test_cones_over_subdivisions(self, edges, size):
