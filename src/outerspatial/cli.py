@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path as FsPath
 
-from .complexes import (LinkGraph, TwoComplex, associated_complex, link_cycles, link_graph,
+from .complexes import (LinkGraph, TwoComplex, associated_complex, link_corners, link_graph,
                         validate)
 from .fileformat import format_complex, format_link, format_verdict, parse_complex, parse_cycles
 from .verdicts import DEFAULT_CAP, CapExceededError, Outerspatial
@@ -107,9 +107,9 @@ def _cmd_validate(args) -> int:
 def _cmd_links(args) -> int:
     from .embedding import test_outerplanar
     complex = _load(parse_complex, args.file)
-    rings = link_cycles(complex)
-    for v in sorted(rings):
-        lg = LinkGraph(complex.graph, v, rings[v][1])
+    corners = link_corners(complex)
+    for v in sorted(corners):
+        lg = LinkGraph(complex.graph, v, corners[v])
         result = test_outerplanar(lg)
         print("\n".join(format_link(lg)))
         status = "yes" if result.outerplanar else f"no ({result.witness.target} minor)"

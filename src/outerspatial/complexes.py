@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # A half-edge is (edge id, end index); end 0/1 refer to the stored endpoint
 # pair.  A dart (directed half-edge) uses the same encoding: (e, o) traverses
@@ -22,19 +22,24 @@ Dart = HalfEdge
 
 
 class Graph:
-    """Undirected multigraph with labelled edges; loops and parallels allowed."""
+    """Undirected multigraph with labelled edges; loops and parallels allowed.
+
+    Edge i in ascending id order has half-edges 2i + o, which sort as (id, o).
+    """
 
     def __init__(self, vertices: Iterable[str], edges: Mapping[str, tuple[str, str]]):
         self._vertices = frozenset(vertices)
         self._edges: dict[str, tuple[str, str]] = {}
         self._edges_view = MappingProxyType(self._edges)
+        self._number: dict[str, int] = {}
         incident: dict[str, list[str]] = {v: [] for v in sorted(self._vertices)}
         pairs: dict[tuple[str, str], tuple[str, ...]] = {}
-        for eid in sorted(edges):
+        for i, eid in enumerate(sorted(edges)):
             u, v = edges[eid]
             if u not in incident or v not in incident:
                 raise ValueError(f"edge {eid} has undeclared endpoint")
             self._edges[eid] = (u, v)
+            self._number[eid] = i
             incident[u].append(eid)
             if v != u:
                 incident[v].append(eid)
@@ -413,9 +418,11 @@ class TwoComplex:
 Corner = tuple[str, str, str]
 
 
-def _corners(complex: TwoComplex) -> Iterator[tuple[str, str, str, str]]:
-    """The vertex and corner of every face step, in face order."""
-    loops = set(complex.graph.loops())
+def link_corners(complex: TwoComplex, vertices: Iterable[str] | None = None) -> dict[str, list[Corner]]:
+    """The corners at each of the vertices, every vertex by default, in face order: one pass over the face steps."""
+    g = complex.graph
+    out: dict[str, list[Corner]] = {v: [] for v in (g.vertices if vertices is None else vertices)}
+    loops = set(g.loops())
     for fid, f in complex.faces.items():
         _, e, o = f.steps[-1]
         come = f"{e}:{1 - o}" if e in loops else e
@@ -424,45 +431,37 @@ def _corners(complex: TwoComplex) -> Iterator[tuple[str, str, str, str]]:
                 go, arrive = f"{e}:{o}", f"{e}:{1 - o}"
             else:
                 go = arrive = e
-            yield w, fid, come, go
+            if w in out:
+                out[w].append((fid, come, go))
             come = arrive
+    return out
 
 
-def _link_vertices(graph: Graph, v: str) -> list[str]:
-    """The half-edges at v, named as `_corners` names them, in incident edge order."""
-    names: list[str] = []
+def _link_vertices(graph: Graph, v: str) -> dict[str, int]:
+    """The half-edges at v, named as corners name them, in incident edge order, to their numbers."""
+    names: dict[str, int] = {}
     for eid in graph.incident_edges(v):
         a, b = graph.endpoints(eid)
+        h = 2 * graph._number[eid]
         if a == b:  # A loop gives two link vertices, one per end.
-            names += (f"{eid}:0", f"{eid}:1")
+            names[f"{eid}:0"], names[f"{eid}:1"] = h, h + 1
         else:
-            names.append(eid)
+            names[eid] = h + (a != v)
     return names
 
 
 def _single_cycle(ring: Mapping[str, list[str]]) -> tuple[str, ...] | None:
-    """The walk of `_walk_ring` when the ring, vertex -> the far end of each edge end there, is one cycle.
+    """The ring, vertex -> the far end of each edge end there, as one cycle, or None.
 
-    Two or more vertices, two edge ends at every vertex, and one walk covers
-    every vertex; None otherwise.  That leaves no loop: a loop's vertex
-    holds both its ends, so it is a component the walk misses.  A doubled
-    edge closes a component of two vertices, so it passes only as the
-    digon, n = 2; for n >= 3 the cycle is simple.
+    Two or more vertices, two edge ends at every vertex, and the walk from
+    the least vertex towards its lesser neighbour covers every vertex.  That
+    leaves no loop: a loop's vertex holds both its ends, so it is a
+    component the walk misses.  A doubled edge closes a component of two
+    vertices, so it passes only as the digon, n = 2; for n >= 3 the cycle
+    is simple.
     """
-    if len(ring) < 2:
+    if len(ring) < 2 or any(len(nbrs) != 2 for nbrs in ring.values()):
         return None
-    for nbrs in ring.values():
-        if len(nbrs) != 2:
-            return None
-    cycle = _walk_ring(ring)
-    return cycle if len(cycle) == len(ring) else None
-
-
-def _walk_ring(ring: Mapping[str, list[str]]) -> tuple[str, ...]:
-    """The cycle through the smallest vertex of a ring of two neighbours each.
-
-    The walk starts towards the smaller neighbour of that vertex.
-    """
     start = min(ring)
     cycle = [start]
     prev, at = start, min(ring[start])
@@ -470,26 +469,61 @@ def _walk_ring(ring: Mapping[str, list[str]]) -> tuple[str, ...]:
         cycle.append(at)
         a, b = ring[at]
         prev, at = at, (b if a == prev else a)
-    return tuple(cycle)
+    return tuple(cycle) if len(cycle) == len(ring) else None
 
 
-def link_cycles(complex: TwoComplex) -> dict[str, tuple[tuple[str, ...] | None, list[Corner]]]:
-    """Vertex -> its link's cycle, or None when the link is not one cycle, and its corners.
+def link_cycles(complex: TwoComplex) -> dict[str, tuple[list[int], tuple[str, int, int]]]:
+    """The one-cycle links, digons included, by half-edge numbers, from one pass over the face steps.
 
-    One pass over `_corners` rings each vertex's link vertices and keeps its
-    corners in face order, from which `LinkGraph` builds the link; the cycle
-    is `_single_cycle` on the ring, the Hamilton boundary `test_outerplanar`
-    reports for the link.  No link map, `LinkGraph` or `Graph` is built.
+    Vertex -> its link's cycle and one corner on it, (face id, half-edge in,
+    half-edge out); no corner is named.  Each half-edge is ringed, in a list
+    indexed by number, with the half-edges its corners join it to.  In number
+    order each vertex is met at its least half-edge; its link is one cycle
+    when the walk from there towards the lesser neighbour, `_single_cycle`'s
+    on a loop-free link, where names sort as numbers, closes over all the
+    vertex's half-edges.
     """
     g = complex.graph
-    rings = {v: {name: [] for name in _link_vertices(g, v)} for v in g.vertices}
-    corners: dict[str, list[Corner]] = {v: [] for v in g.vertices}
-    for w, fid, come, go in _corners(complex):
-        ring = rings[w]
-        ring[come].append(go)
-        ring[go].append(come)
-        corners[w].append((fid, come, go))
-    return {v: (_single_cycle(ring), corners[v]) for v, ring in rings.items()}
+    number = g._number
+    n = 2 * len(number)
+    ring: list[list[int] | None] = [[] for _ in range(n)]
+    face_of: list[str | None] = [None] * n  # the face and arriving half-edge of
+    come_of = [0] * n                       # a corner that leaves by each half-edge
+    for fid, f in complex.faces.items():
+        _, e, o = f.steps[-1]
+        come = 2 * number[e] + 1 - o
+        for _, e, o in f.steps:
+            go = 2 * number[e] + o
+            ring[come].append(go)
+            ring[go].append(come)
+            face_of[go], come_of[go] = fid, come
+            come = go ^ 1
+    ends = tuple(g.edges.values())
+    found: dict[str, tuple[list[int], tuple[str, int, int]] | None] = {}
+    for h in range(n):
+        nbrs = ring[h]
+        if nbrs is None:  # walked
+            continue
+        v = ends[h >> 1][h & 1]
+        if v in found:  # a half-edge of v off the walk from its least one
+            found[v] = None
+            continue
+        cycle, ring[h], found[v] = [h], None, None
+        try:
+            a, b = nbrs
+            prev, at = h, min(a, b)
+            while at != h:
+                cycle.append(at)
+                a, b = ring[at]
+                ring[at] = None
+                prev, at = at, (b if a == prev else a)
+        except ValueError:  # a half-edge with other than two ring entries
+            continue
+        if len(cycle) > 1:  # not a corner from h back to h
+            # A corner joins h and cycle[1]; if it does not leave by h, it leaves by cycle[1].
+            c = h if face_of[h] is not None else cycle[1]
+            found[v] = (cycle, (face_of[c], come_of[c], c))
+    return {v: x for v, x in found.items() if x is not None}
 
 
 class Violation:
@@ -523,11 +557,10 @@ def validate(complex: TwoComplex) -> list[Violation]:
                                  f"face {fid} boundary is not a genuine cycle"))
     seen: dict[tuple, str] = {}
     for fid, f in complex.faces.items():
-        if f.steps in seen:
+        first = seen.setdefault(f.steps, fid)  # one hash of the boundary per face
+        if first != fid:
             out.append(Violation("duplicate-face", fid,
-                                 f"faces {seen[f.steps]} and {fid} have the same boundary"))
-        else:
-            seen[f.steps] = fid
+                                 f"faces {first} and {fid} have the same boundary"))
     return out
 
 
@@ -538,13 +571,16 @@ class LinkGraph:
     non-loops, `e:0` and `e:1` for the ends of a loop e) and there is one
     edge per corner, named by its face id, and `fid@k` for the face's k-th
     return to the host: `ends` maps it to the half-edges the face arrives
-    and leaves by, and `edge_face` to the face.  Both are read-only views.
+    and leaves by, and `edge_face` to the face; `number` maps each vertex to
+    its half-edge number in the host graph.  All three are read-only views.
     The validated `Graph` on these is built on first read of `graph`.
     """
 
     def __init__(self, graph: Graph, host: str, corners: Iterable[Corner]):
         self.host = host
-        self.vertices = tuple(_link_vertices(graph, host))
+        numbers = _link_vertices(graph, host)
+        self.vertices = tuple(numbers)
+        self.number = MappingProxyType(numbers)
         ends: dict[str, tuple[str, str]] = {}
         edge_face: dict[str, str] = {}
         for fid, come, go in corners:
@@ -568,12 +604,12 @@ class LinkGraph:
 def link_graph(complex: TwoComplex, v: str) -> LinkGraph:
     """Link at v via the corner rule: one edge per face corner at v; no `Graph` is built.
 
-    One pass over the face steps keeps v's corners; `link_cycles` gives every vertex's.
+    One pass over the face steps keeps v's corners; `link_corners` gives every vertex's.
     """
     g = complex.graph
     if v not in g.vertices:
         raise ValueError(f"unknown vertex {v}")
-    return LinkGraph(g, v, ((fid, come, go) for w, fid, come, go in _corners(complex) if w == v))
+    return LinkGraph(g, v, link_corners(complex, (v,))[v])
 
 
 def cone(complex: TwoComplex, apex: str | None = None) -> TwoComplex:

@@ -12,11 +12,11 @@ answer was established.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .complexes import (Corner, Dart, Graph, HalfEdge, LinkGraph, Path, TwoComplex,
-                        associated_complex, contracted_link, delete_faces, link_cycles,
-                        split_components, validate)
+from .complexes import (Dart, Graph, HalfEdge, LinkGraph, Path, TwoComplex,
+                        associated_complex, contracted_link, delete_faces, link_corners,
+                        link_cycles, split_components, validate)
 from .embedding import (CrossingPair, OuterplanarityResult, TracedFaces,
                         component_certificate, find_minor, nesting_forest,
                         test_outerplanar, test_planar, verify_minor_witness)
@@ -34,29 +34,34 @@ from .verdicts import (DEFAULT_CAP, AsphericalSubcomplex, CapExceededError,
 ASPHERICAL_SEARCH_BUDGET = 2 ** 20
 
 
-def _links(complex: TwoComplex) -> Iterator[tuple[str, tuple[str, ...] | None, Corner | None,
+def _links(complex: TwoComplex) -> Iterator[tuple[str, Sequence[int] | None,
+                                                   tuple[str, int, int] | None,
                                                    LinkGraph | None, OuterplanarityResult | None]]:
     """Each vertex in sorted order, with its link's Hamilton boundary and one corner on
-    it, or None twice when the link is not 2-connected simple outerplanar; then the
-    link and its outerplanarity, or None twice when `link_cycles` found it one cycle.
+    it, by half-edge numbers, or None twice when the link is not 2-connected simple
+    outerplanar; then the link and its outerplanarity, or None twice when
+    `link_cycles` found it a cycle of three or more.
 
-    Only the links that are not one cycle are built, from the pass's corners, and
-    tested, so a reader that stops early tests no later link.
+    Only the other links get named corners, from one `link_corners` pass, and
+    are built and tested, so a reader that stops early tests no later link.
     """
     g = complex.graph
-    rings = link_cycles(complex)
+    cycles = link_cycles(complex)
+    rest = [v for v in g.vertices if v not in cycles or len(cycles[v][0]) < 3]
+    corners = link_corners(complex, rest) if rest else {}
     for v in sorted(g.vertices):
-        cycle, corners = rings[v]
-        if cycle is not None and len(cycle) >= 3:
-            yield v, cycle, corners[0], None, None
+        if v not in corners:
+            yield v, *cycles[v], None, None
             continue
-        link = LinkGraph(g, v, corners)
+        link = LinkGraph(g, v, corners[v])
         result = test_outerplanar(link)
         if result.boundary is None:
             yield v, None, None, link, result
         else:
-            le = min(result.boundary_edges)
-            yield v, result.boundary, (link.edge_face[le], *link.ends[le]), link, result
+            number, le = link.number, min(result.boundary_edges)
+            come, go = link.ends[le]
+            yield (v, [number[x] for x in result.boundary],
+                   (link.edge_face[le], number[come], number[go]), link, result)
 
 
 def is_locally_2_connected(complex: TwoComplex) -> bool:
@@ -259,20 +264,21 @@ def _decide_component(complex: TwoComplex, comp: TwoComplex,
 
     # A vertex's link in the remainder is its Hamilton boundary, so that
     # boundary is its rotator; its corner, directed with its face, gives the
-    # sense.  Link vertices are edge ids, as a validated complex has no loops.
+    # sense.  Half-edge number h is (edge h >> 1, end h & 1) of `g`.
     # Each corner of a directed face then turns from its in-edge to the next
     # half-edge of the rotator, so the directed faces are the face orbits,
     # and the outer one runs the least dart (least edge, 0): forwards from
     # that edge's first end or backwards from its second.  Only the chordal
     # faces are walked; only the self-check traces the rotators.
     g = comp.graph
+    names = tuple(g.edges)
     rotators = {}
     for v, (cyc, (fid, come, go)) in boundaries.items():
         if orientation[fid]:
             come, go = go, come
         if cyc[cyc.index(come) - 1] == go:
             cyc = cyc[::-1]
-        rotators[v] = [(e, int(g.endpoints(e)[0] != v)) for e in cyc]
+        rotators[v] = [(names[h >> 1], h & 1) for h in cyc]
     faces = remainder.faces
 
     def darts(fid: str) -> tuple[Dart, ...]:

@@ -8,7 +8,7 @@ import string
 from typing import Mapping, Sequence
 
 from .complexes import (Corner, Face, Graph, TwoComplex, _fresh_name,
-                        complete_bipartite, complete_graph, cone, link_cycles,
+                        complete_bipartite, complete_graph, cone, link_corners,
                         validate)
 from .decider import is_locally_2_connected
 from .oracle import rotation_space_size
@@ -162,11 +162,11 @@ def _canonical_cycle(path: Sequence[str]) -> tuple[str, ...]:
 
 
 def _corner_conflicts(complex: TwoComplex,
-                      rings: Mapping[str, tuple[tuple[str, ...] | None, list[Corner]]],
+                      corners: Mapping[str, list[Corner]],
                       cycle: Sequence[str]) -> bool:
     """Would adding this genuine cycle as a face give some link a parallel edge?
 
-    `rings` is `link_cycles` of the complex, which is simple, so its links
+    `corners` is `link_corners` of the complex, which is simple, so its links
     name their vertices by edge id.
     """
     g = complex.graph
@@ -174,7 +174,7 @@ def _corner_conflicts(complex: TwoComplex,
     for i, v in enumerate(cycle):
         e_in = g.edges_between(cycle[i - 1], v)[0]
         e_out = g.edges_between(v, cycle[(i + 1) % k])[0]
-        for _, come, go in rings[v][1]:
+        for _, come, go in corners[v]:
             if (come, go) in ((e_in, e_out), (e_out, e_in)):
                 return True
     return False
@@ -229,9 +229,9 @@ def random_complex(seed: int, max_vertices: int = 8) -> TwoComplex:
                 break
             cycles = all_cycles(complex.graph, max_len=min(6, len(complex.graph.vertices)))
             rng.shuffle(cycles)
-            rings = link_cycles(complex)
+            corners = link_corners(complex)
             for cyc in cycles:
-                if _corner_conflicts(complex, rings, cyc):
+                if _corner_conflicts(complex, corners, cyc):
                     continue
                 cand_face = Face.from_vertices(complex.graph, f"x{len(complex.faces)}", cyc)
                 if any(cand_face.steps == f.steps for f in complex.faces.values()):

@@ -6,7 +6,7 @@ boundaries.  A negative answer is an obstruction: a contracted link with a
 K4 or K2,3 minor witness, a closed surface other than the sphere, or the
 exhaustion of every sphere embedding.  `embedding`, `decider`, `oracle` and
 `fileformat` build, check and print these records; this module runs none of
-their algorithms and imports only the records of `complexes` and `surface`.
+their algorithms and at run time imports only the records of `complexes`.
 Every positive answer, whichever route embedded it, is assembled here by
 `nested_certificate`.  The exhaustive search's default cap and the error
 that refuses a larger search live here too, so the command line reads them
@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .complexes import Dart, Graph, HalfEdge, LinkGraph, Path
-from .surface import SurfaceClass
+
+if TYPE_CHECKING:
+    from .surface import SurfaceClass
 
 
 class RotationSystem:

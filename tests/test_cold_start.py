@@ -69,16 +69,17 @@ def test_package_import_loads_no_other_module_of_the_package():
     assert _package(imported) == set()
 
 
-# Every command reads `complexes`, `fileformat` and, through `fileformat`, `verdicts`
-# and `surface`; `-m` runs `cli` itself as `__main__`.
-READ_BY_ALL = {"complexes", "fileformat", "surface", "verdicts"}
-DECIDER = {"decider", "embedding", "oracle"}
+# Every command reads `complexes`, `fileformat` and, through `fileformat`, `verdicts`;
+# `-m` runs `cli` itself as `__main__`.  Only the commands that classify surfaces
+# compile `surface`.
+READ_BY_ALL = {"complexes", "fileformat", "verdicts"}
+DECIDER = {"decider", "embedding", "oracle", "surface"}
 TETRA = str(GOLDEN / "tetra.complex")
 
 # Each command's arguments and the package modules it imports beyond READ_BY_ALL.
 COMMAND_MODULES = {
     "validate": (["validate", TETRA], set()),
-    "surface": (["surface", TETRA], set()),
+    "surface": (["surface", TETRA], {"surface"}),
     "links": (["links", TETRA], {"embedding"}),
     "decide": (["decide", TETRA], DECIDER),
     "render --link": (["render", "--link", "a", TETRA], set()),

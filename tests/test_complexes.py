@@ -79,6 +79,16 @@ class TestValidate:
         out = validate(TwoComplex(g, [f1, f2]))
         assert [p.kind for p in out] == ["duplicate-face"]
 
+    def test_each_duplicate_boundary_names_its_first_face(self):
+        g = complete_graph("abcd")
+        faces = [Face.from_vertices(g, fid, vs) for fid, vs in (
+            ("g2", "abd"), ("f3", "cab"), ("f1", "abc"), ("g1", "dba"), ("f2", "bca"))]
+        out = validate(TwoComplex(g, faces))
+        assert [(p.kind, p.element, p.message) for p in out] == [
+            ("duplicate-face", "f2", "faces f1 and f2 have the same boundary"),
+            ("duplicate-face", "f3", "faces f1 and f3 have the same boundary"),
+            ("duplicate-face", "g2", "faces g1 and g2 have the same boundary")]
+
     def test_constructor_refuses_a_face_off_the_graph(self):
         # `validate` has no diagnostic for these: no complex holds them.
         g = Graph("abc", {"x": ("a", "b"), "y": ("b", "c"), "z": ("c", "a")})

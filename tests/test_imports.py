@@ -2,12 +2,13 @@
 `src/` holds only code that the package itself uses.
 
 Every `import` and `from ... import` in `src/outerspatial/*.py` is read
-from the syntax tree, at module level and inside functions.  Imports of
-sibling modules form an acyclic graph, and the modules each one imports at
-module level are an exact table: the answer records in `verdicts` import
-only `complexes` and `surface`, every module that builds or prints an
-answer imports them, and `__init__` imports none, as it reads each public
-name from its home module on first use.  The only sibling imports deferred
+from the syntax tree, at module level and inside functions; an import under
+`if TYPE_CHECKING:` runs only for a type checker and is not read.  Imports
+of sibling modules form an acyclic graph, and the modules each one imports
+at module level are an exact table: the answer records in `verdicts` import
+only `complexes`, every module that builds or prints an answer imports them,
+and `__init__` imports none, as it reads each public name from its home
+module on first use.  The only sibling imports deferred
 into functions are the command functions of `cli`, an exact list, so a
 cold command compiles only the modules it runs.  Every other module-level
 import is of the standard library, so no module reaches the tests' ground
@@ -56,6 +57,8 @@ def _imports() -> list[tuple[str, str, str | None]]:
 
     def visit(module: str, node: ast.AST, function: str | None) -> None:
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                continue
             out.extend((module, target, function) for target in _targets(child))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(module, child, child.name if inner else function)
@@ -98,6 +101,8 @@ def test_the_reader_sees_module_and_function_level_imports():
     assert ("oracle", "verdicts", None) in imports
     assert ("cli", "generators", "_cmd_generate") in imports
     assert ("embedding", "networkx", "test_planar") in imports
+    assert ("verdicts", "typing", None) in imports
+    assert ("verdicts", "surface", None) not in imports  # only under `if TYPE_CHECKING:`
 
 
 # The package modules each module imports at module level.
@@ -111,7 +116,7 @@ IMPORTED = {
     "generators": {"complexes", "decider", "oracle"},
     "oracle": {"complexes", "embedding", "surface", "verdicts"},
     "surface": {"complexes"},
-    "verdicts": {"complexes", "surface"},
+    "verdicts": {"complexes"},
 }
 
 

@@ -432,13 +432,21 @@ def dangling():
     return TwoComplex(g, tetra.faces.values())
 
 
+def spike():
+    """A triangle with a pendant edge cd that the face s runs out and back along: the
+    link at d is its one half-edge with a loop, which is no cycle."""
+    g = Graph("abcd", {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"), "cd": ("c", "d")})
+    return TwoComplex(g, [Face.from_vertices(g, "t", ("a", "b", "c")),
+                          Face.from_edges(g, "s", ["cd", "cd"])])
+
+
 def link_pass_cases():
-    """The golden complexes, the link edge cases, a pillow, a dangling edge, and prisms,
-    stacked spheres, star-boundary spheres, tori and cones."""
+    """The golden complexes, the link edge cases, a pillow, a dangling edge, a spike, and
+    prisms, stacked spheres, star-boundary spheres, tori and cones."""
     instances, = families.perfbench_modules("instances")
     golden = Path(__file__).parent / "golden"
     out = [parse_complex(p.read_text()) for p in sorted(golden.glob("*.complex"))]
-    out += link_edge_cases() + [pillow(), dangling()] + families.star_boundary_spheres()
+    out += link_edge_cases() + [pillow(), dangling(), spike()] + families.star_boundary_spheres()
     out += [families.stacked(11, 150), families.stacked(2, 12), gen.prism(5), gen.prism(30),
             families.tower(6), families.disjoint_tetrahedra(3), gen.torus7(),
             parse_complex(instances.render(instances.torus(random.Random(47), 20), "QX")),
@@ -456,30 +464,51 @@ def ring_of(vertices, pairs):
     return ring
 
 
+def half_edge_names(graph):
+    """The link vertex that each half-edge number h names, indexed by h: edge h >> 1
+    of the graph in id order, or its end `e:0` or `e:1` when that edge is a loop."""
+    return [f"{eid}:{end}" if graph.is_loop(eid) else eid
+            for eid in sorted(graph.edges) for end in (0, 1)]
+
+
+def reference_cycle(complex, v):
+    """`_single_cycle` on the ring of the link at v, read off the face steps."""
+    vertices, ends, _ = reference_link(complex, v)
+    return complexes._single_cycle(ring_of(vertices, [ab for _, ab in ends]))
+
+
+def not_long_cycles(complex):
+    """The vertices whose link is not a cycle of three or more, by the reference."""
+    return sorted(v for v in complex.graph.vertices
+                  if (cycle := reference_cycle(complex, v)) is None or len(cycle) < 3)
+
+
 def test_link_cycles_answer_as_the_link_graphs():
-    """At every vertex `link_cycles` finds the cycle that `_single_cycle` finds on the
-    link's ends, exactly when the link `Graph` is one cycle; on three or more link
-    vertices that is `test_outerplanar`'s chordless Hamilton boundary, and the first
-    corner given with it is a corner of the link."""
+    """At every vertex `link_cycles` finds, by half-edge numbers, the cycle that
+    `_single_cycle` finds on the link's ends, exactly when the link `Graph` is one
+    cycle; on three or more link vertices that is `test_outerplanar`'s chordless
+    Hamilton boundary, and the corner given with it is a corner of the link."""
     seen = Counter()
     for complex in link_pass_cases():
         cycles = complexes.link_cycles(complex)
-        assert cycles.keys() == complex.graph.vertices
+        assert cycles.keys() <= complex.graph.vertices
+        names = half_edge_names(complex.graph)
         for v in sorted(complex.graph.vertices):
             link = link_graph(complex, v)
             expected = complexes._single_cycle(ring_of(link.vertices, link.ends.values()))
             assert (expected is not None) == reference_link_is_single_cycle(link.graph), (complex, v)
             result = check_outerplanar(link)
-            cycle, corners = cycles[v]
-            assert cycle == expected, (complex, v)
+            assert (v in cycles) == (expected is not None), (complex, v)
             if expected is None:
                 assert result.boundary is None or result.chords, (complex, v)
                 seen["not one cycle"] += 1
                 continue
-            fid, come, go = corners[0]
-            assert (fid, (come, go)) in {(link.edge_face[le], ab) for le, ab in link.ends.items()}
+            cycle, (fid, come, go) = cycles[v]
+            assert tuple(names[h] for h in cycle) == expected, (complex, v)
+            assert (fid, (names[come], names[go])) in {(link.edge_face[le], ab)
+                                                       for le, ab in link.ends.items()}
             if len(cycle) >= 3:
-                assert _outcome(result) == (True, cycle, frozenset(link.ends), frozenset(), None)
+                assert _outcome(result) == (True, expected, frozenset(link.ends), frozenset(), None)
                 seen["cycle"] += 1
             else:
                 assert result.violation == "not simple", (complex, v)
@@ -493,8 +522,12 @@ def test_links_from_the_corner_index_answer_as_their_graphs():
     gives a corner on every Hamilton boundary."""
     settled = 0
     for complex in link_pass_cases():
+        names = half_edge_names(complex.graph)
         for v, boundary, corner, link, result in decider._links(complex):
             expected = check_outerplanar(link_graph(complex, v).graph)
+            if boundary is not None:
+                boundary = tuple(names[h] for h in boundary)
+                corner = (corner[0], names[corner[1]], names[corner[2]])
             assert boundary == expected.boundary, (complex, v)
             if link is None:
                 assert result is None and not expected.chords, (complex, v)
@@ -536,18 +569,22 @@ def test_link_maps_are_read_only_views():
 
 
 def test_the_batch_and_the_one_vertex_reader_agree():
-    """The link that `LinkGraph` builds from `link_cycles` corners, as `decide` and the
-    `links` command read it, and `link_graph` at one vertex match the corner rule:
-    vertices, ends in insertion order, and faces."""
+    """The link that `LinkGraph` builds from `link_corners` of every vertex, as the
+    `links` command and the generators read them, and `link_graph` at one vertex match
+    the corner rule: vertices, ends in insertion order, and faces; each link vertex
+    maps to the number of its half-edge."""
     for complex in link_pass_cases():
-        rings = complexes.link_cycles(complex)
+        corners = complexes.link_corners(complex)
+        assert corners.keys() == complex.graph.vertices
+        names = half_edge_names(complex.graph)
         for v in sorted(complex.graph.vertices):
-            batch = complexes.LinkGraph(complex.graph, v, rings[v][1])
+            batch = complexes.LinkGraph(complex.graph, v, corners[v])
             one = link_graph(complex, v)
             assert batch.vertices == one.vertices, (complex, v)
             for link in (batch, one):
                 got = (set(link.vertices), list(link.ends.items()), dict(link.edge_face))
                 assert link.host == v and got == reference_link(complex, v), (complex, v)
+                assert [names[link.number[x]] for x in link.vertices] == list(link.vertices)
 
 
 def _state(complex):
@@ -573,14 +610,17 @@ def test_a_complex_keeps_no_state_after_it_is_built():
 
 
 def test_decide_makes_one_corner_pass_per_component(monkeypatch):
-    """`decide` walks the face steps of each decided component once; the only other
-    walk reads the contracted link of the obstruction, here in its verifier."""
-    passes, contracted, in_link_graph = [], [], []
-    real_corners, real_link_graph = complexes._corners, complexes.link_graph
+    """`decide` rings the links of each decided component in one pass over its face
+    steps, and makes a second, named corner pass only when some link is not a cycle
+    of three or more, for those vertices alone; the only other walk reads the
+    contracted link of the obstruction, here in its verifier."""
+    rings = _count_calls(monkeypatch, "link_cycles", [complexes, decider, surface])
+    named, contracted, in_link_graph = [], [], []
+    real_corners, real_link_graph = complexes.link_corners, complexes.link_graph
 
-    def corners(complex):
-        (contracted if in_link_graph else passes).append(complex)
-        return real_corners(complex)
+    def corners(complex, vertices=None):
+        (contracted if in_link_graph else named).append((complex, sorted(vertices)))
+        return real_corners(complex, vertices)
 
     def one_link(complex, v):
         in_link_graph.append(v)
@@ -589,19 +629,75 @@ def test_decide_makes_one_corner_pass_per_component(monkeypatch):
         finally:
             in_link_graph.pop()
 
-    monkeypatch.setattr(complexes, "_corners", corners)
+    monkeypatch.setattr(complexes, "link_corners", corners)
+    monkeypatch.setattr(decider, "link_corners", corners)
     monkeypatch.setattr(complexes, "link_graph", one_link)
     k4_cone = gen.cone_over_graph(gen.named_graph("k4"))
     expected = {"not-outerspatial": [k4_cone, gen.torus7()],
                 "outerspatial": families.star_boundary_spheres()}
     for kind, cases in expected.items():
         for complex in cases:
-            passes.clear()
+            rest = not_long_cycles(complex)
+            rings.clear()
+            named.clear()
             contracted.clear()
             verdict = decide_outerspatial(complex)
             assert verdict.kind == kind
-            assert len(passes) == 1 and passes[0] is complex
+            assert [args[0] for args in rings] == [complex]
+            assert named == ([(complex, rest)] if rest else [])
             assert len(contracted) == (complex is k4_cone)
+    assert not not_long_cycles(gen.torus7())
+
+
+def test_the_numbered_ring_pass_matches_the_named_reference():
+    """`link_cycles` and the link pass against the corner rule read off the face
+    steps: each numbered cycle, named back, is `_single_cycle` on the named ring, and
+    each vertex whose link is not a cycle of three or more gets exactly its reference
+    corners, in face order, and a built link.  The cases hold loop ends, a pendant
+    edge, a bowtie, a revisiting face, digons and a corner from a half-edge back to
+    itself."""
+    seen = Counter()
+    for complex in link_pass_cases():
+        g = complex.graph
+        cycles = complexes.link_cycles(complex)
+        names = half_edge_names(g)
+        rest = not_long_cycles(complex)
+        corners = complexes.link_corners(complex, rest)
+        built = {v for v, *_, link, _ in decider._links(complex) if link is not None}
+        assert built == set(rest), complex
+        for v in sorted(g.vertices):
+            _, ends, edge_face = reference_link(complex, v)
+            expected = reference_cycle(complex, v)
+            if expected is None:
+                assert v not in cycles, (complex, v)
+            else:
+                assert tuple(names[h] for h in cycles[v][0]) == expected, (complex, v)
+            if v in corners:
+                assert corners[v] == [(edge_face[le], *ab) for le, ab in ends], (complex, v)
+                seen["digon" if expected else "not one cycle"] += 1
+            else:
+                seen["loop ends" if any(":" in x for x in expected) else "cycle"] += 1
+    assert seen["digon"] >= 3 and seen["loop ends"] >= 1 and seen["not one cycle"] > 100, seen
+    loop_ends, pendant, bowtie, revisit = link_edge_cases()
+    assert len(complexes.link_cycles(loop_ends)["b"][0]) == 2  # a digon at b
+    for complex, v in ((pendant, "a"), (bowtie, "v0"), (revisit, "paxc"), (spike(), "d")):
+        assert v not in complexes.link_cycles(complex), (complex, v)
+
+
+def test_positive_decides_build_no_corner_at_a_one_cycle_vertex(monkeypatch):
+    """A stacked sphere and a prism, whose links are all cycles, decide without a
+    named corner pass, so no `Corner` tuple is built; a star-boundary sphere asks
+    `link_corners` only for the vertices whose link has a chord."""
+    chorded = [chorded_vertices(c) for c in families.star_boundary_spheres()]
+    asked = _count_calls(monkeypatch, "link_corners", [complexes, decider])
+    for complex in [families.stacked(3, 120), families.stacked(5, 40), gen.prism(20)]:
+        asked.clear()
+        assert decide_outerspatial(complex).kind == "outerspatial"
+        assert asked == [], complex
+    for complex, expected in zip(families.star_boundary_spheres(), chorded):
+        asked.clear()
+        assert decide_outerspatial(complex).kind == "outerspatial"
+        assert [(c, sorted(vs)) for c, vs in asked] == [(complex, expected)], complex
 
 
 def test_classify_component_is_total():

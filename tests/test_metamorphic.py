@@ -186,7 +186,7 @@ def test_the_contraction_cases_are_large_positives():
     contracted = contract_path(tower, path)
     assert validate(contracted) == []
     merged = contracted_vertex_name(path, tower.graph.vertices)
-    assert link_cycles(contracted)[merged][0] is None
+    assert merged not in link_cycles(contracted)
     assert isinstance(decide_outerspatial(contracted), Outerspatial)
 
 
